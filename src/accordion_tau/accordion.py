@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliques
-from .complexes import induced_subcomplex, iso_by_gvectors, IsoReport
+from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
 from .errors import (
     EmptyDissectionError,
     NonPureComplexError,
@@ -177,17 +177,10 @@ def verify_nested(
             f"{d.white_pairs()} is not nested inside {d_prime.white_pairs()}"
         )
     positions = tuple(d_prime.diagonals.index(delta) for delta in d.diagonals)
-    inside = set(positions)
 
     big = ambient if ambient is not None else accordion_complex(d_prime)
     small = accordion_complex(d)
-
-    supported = [
-        v.id
-        for v in big.vertices
-        if all(v.gvec[t] == 0 for t in range(len(big.coordinates)) if t not in inside)
-    ]
-    induced = induced_subcomplex(big, supported, coordinate_indices=positions)
+    induced = restrict_to_coordinates(big, positions)
 
     report = iso_by_gvectors(small, induced)
     if report.passed:

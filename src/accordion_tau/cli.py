@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .accordion import accordion_complex, verify_nested
-from .complexes import complex_text, dual_graph, exchange_graph_dot
+from .complexes import LabeledComplex, complex_text, dual_graph, exchange_graph_dot
 from .errors import EmptySubsetError, InputError, UnsupportedAlgebraError
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import GentleQuiver, quiver_from_json, quiver_of_dissection, vertex_label
@@ -133,9 +133,10 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_accordion(config: RunConfig) -> int:
-    d = load_dissection(config)
-    cx = accordion_complex(d)
+def _emit_complex(
+    config: RunConfig, header_key: str, header_json: dict, cx: LabeledComplex
+) -> int:
+    """Render a complex and its dual graph; json output leads with the input."""
     graph = dual_graph(cx)
     if config.fmt == "dot":
         emit(config, exchange_graph_dot(graph, cx))
@@ -150,13 +151,18 @@ def cmd_accordion(config: RunConfig) -> int:
             config,
             _json_dump(
                 {
-                    "dissection": d.to_json(),
+                    header_key: header_json,
                     "complex": cx.to_json(),
                     "dual_graph": graph.to_json(),
                 }
             ),
         )
     return 0
+
+
+def cmd_accordion(config: RunConfig) -> int:
+    d = load_dissection(config)
+    return _emit_complex(config, "dissection", d.to_json(), accordion_complex(d))
 
 
 def cmd_silting(config: RunConfig) -> int:
@@ -167,28 +173,7 @@ def cmd_silting(config: RunConfig) -> int:
         q = load_quiver(config)
     else:
         q = quiver_of_dissection(load_dissection(config))
-    cx = silting_complex(q)
-    graph = dual_graph(cx)
-    if config.fmt == "dot":
-        emit(config, exchange_graph_dot(graph, cx))
-    elif config.fmt == "text":
-        emit(
-            config,
-            complex_text(cx)
-            + f"dual graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges\n",
-        )
-    else:
-        emit(
-            config,
-            _json_dump(
-                {
-                    "quiver": q.to_json(),
-                    "complex": cx.to_json(),
-                    "dual_graph": graph.to_json(),
-                }
-            ),
-        )
-    return 0
+    return _emit_complex(config, "quiver", q.to_json(), silting_complex(q))
 
 
 def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:

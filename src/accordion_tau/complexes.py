@@ -37,9 +37,6 @@ class LabeledComplex:
     def facet_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.facets}
 
-    def gvec_of(self, vid: int) -> tuple[int, ...]:
-        return self.vertices[vid].gvec
-
     def to_json(self) -> dict:
         verts = []
         for v in self.vertices:
@@ -369,6 +366,19 @@ def induced_subcomplex(
     maximal = [t for t in traces if not any(t < other for other in traces)]
     facets = sorted(tuple(sorted(t)) for t in maximal)
     return make_complex(coords, verts, facets)
+
+
+def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
+    """Induced subcomplex on the vertices whose g-vectors vanish off positions,
+    with g-vectors restricted to those positions."""
+    positions = tuple(positions)
+    inside = set(positions)
+    ids = [
+        v.id
+        for v in cx.vertices
+        if all(x == 0 for t, x in enumerate(v.gvec) if t not in inside)
+    ]
+    return induced_subcomplex(cx, ids, coordinate_indices=positions)
 
 
 def check_sign_coherence(cx: LabeledComplex) -> list[str]:

@@ -1,9 +1,9 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra with one elimination engine.
 
-Everything works on lists of lists of fractions.Fraction.  The only slightly
-unusual piece is RowSpace, an incremental rank tracker that avoids division
-(cross-multiplied eliminations keep entries integral when the input is
-integral), because rank queries dominate the rigidity computations.
+RowSpace is an incremental row echelon form.  Its elimination is
+division-free: a candidate row is cross-multiplied against each stored row,
+so integral input stays integral and Fraction input stays exact.  Ranks,
+kernels and tops of modules all go through it; nothing here divides.
 """
 
 from __future__ import annotations
@@ -14,45 +14,16 @@ Vector = list
 Matrix = list
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = Fraction(1)
-    return mat
-
-
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    inner = len(b)
-    ncols = len(b[0]) if b else 0
-    out = zeros(len(a), ncols)
-    for i, row in enumerate(a):
-        for k in range(inner):
-            aik = row[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(ncols):
-                if brow[j]:
-                    orow[j] += aik * brow[j]
-    return out
 
 
 class RowSpace:
     """Incremental row space with division-free elimination.
 
     add() reduces the candidate against the stored echelon rows and either
-    absorbs it (returns True, rank grew) or rejects it as dependent.
+    absorbs it (returns True, rank grew) or rejects it as dependent.  Each
+    stored row starts at its pivot and vanishes at the pivots stored before it.
     """
 
     def __init__(self, width: int):
@@ -78,14 +49,6 @@ class RowSpace:
                 return True
         return False
 
-    def contains(self, vec) -> bool:
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                c1, c2 = row[piv], v[piv]
-                v = [c1 * a - c2 * b for a, b in zip(v, row)]
-        return not any(v)
-
 
 def rank(rows: Matrix) -> int:
     if not rows:
@@ -96,62 +59,15 @@ def rank(rows: Matrix) -> int:
     return space.rank
 
 
-def rref(rows: Matrix, ncols: int):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                coef = mat[i][c]
-                mat[i] = [a - coef * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def kernel(vectors: list[Vector], width: int) -> list[Vector]:
+    """Basis of the relations {x : sum_k x[k] * vectors[k] == 0}.
 
-
-def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
-    """Basis of {x : rows @ x = 0}, one vector per free column."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        basis.append(vec)
-    return basis
-
-
-def solve_columns(columns: list[Vector], target: Vector) -> Vector | None:
-    """Coefficients x with sum_i x[i]*columns[i] == target, or None.
-
-    Solved by row reducing the augmented transpose.  Used to express vectors
-    in a kernel basis, where a solution is known to exist.
+    Eliminates the tagged rows [vectors[k] | e_k]: a stored row whose pivot
+    falls in the tag part is zero on the first width entries, so its tag
+    part is a relation, and those rows span every relation.
     """
-    if not columns:
-        return [] if not any(target) else None
-    height = len(target)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(height)]
-    red, pivots = rref(aug, len(columns) + 1)
-    if len(columns) in pivots:
-        return None
-    x = [Fraction(0)] * len(columns)
-    for r, p in enumerate(pivots):
-        x[p] = red[r][-1]
-    return x
+    n = len(vectors)
+    space = RowSpace(width + n)
+    for k, vec in enumerate(vectors):
+        space.add(list(vec) + [int(t == k) for t in range(n)])
+    return [row[width:] for row, piv in zip(space.rows, space.pivots) if piv >= width]

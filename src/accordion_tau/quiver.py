@@ -59,9 +59,6 @@ class GentleQuiver:
     def arrow_by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
-    def vertex_position(self, v) -> int:
-        return self.vertices.index(v)
-
     def to_json(self) -> dict:
         return {
             "vertices": [vertex_label(v) for v in self.vertices],
@@ -198,20 +195,6 @@ class AlgebraBasis:
             return None
         return self.index[Path(p.source, p.arrows + q.arrows)]
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": [vertex_label(v) for v in self.quiver.vertices],
-            "dimension": self.dimension,
-            "paths": [
-                {
-                    "display": p.display(),
-                    "src": vertex_label(self.source[i]),
-                    "tgt": vertex_label(self.target[i]),
-                }
-                for i, p in enumerate(self.paths)
-            ],
-        }
-
 
 def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
     """Enumerate every relation-free path.  Finite dimension is enforced:
@@ -255,6 +238,20 @@ def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
     return AlgebraBasis(q, tuple(paths), index, source, target, lazy, arrow_path, by_ends)
 
 
+def shortcut_paths(q: GentleQuiver, basis: AlgebraBasis, jset) -> list[int]:
+    """Basis indices of the nonlazy paths running from J to J with no interior
+    stop in J, in basis order; the k-th one becomes shortcut arrow s{k}."""
+    by_name = q.arrow_by_name
+    return [
+        i
+        for i, p in enumerate(basis.paths)
+        if p.arrows
+        and basis.source[i] in jset
+        and basis.target[i] in jset
+        and not any(by_name[name].tgt in jset for name in p.arrows[:-1])
+    ]
+
+
 def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     """Quiver of the subalgebra spanned by paths between vertices of J.
 
@@ -269,32 +266,15 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     if missing:
         raise InputError(f"subset contains unknown vertices {sorted(map(vertex_label, missing))}")
     basis = algebra_basis(q)
-    by_name = q.arrow_by_name
-
-    def interior(p: Path) -> list:
-        stops = []
-        at = p.source
-        for name in p.arrows[:-1]:
-            at = by_name[name].tgt
-            stops.append(at)
-        return stops
-
     vertices = tuple(v for v in q.vertices if v in jset)
-    shortcut_paths = [
-        i
-        for i, p in enumerate(basis.paths)
-        if p.arrows
-        and basis.source[i] in jset
-        and basis.target[i] in jset
-        and not any(v in jset for v in interior(p))
-    ]
+    shortcuts = shortcut_paths(q, basis, jset)
     arrows = tuple(
         Arrow(f"s{k}", basis.source[i], basis.target[i])
-        for k, i in enumerate(shortcut_paths)
+        for k, i in enumerate(shortcuts)
     )
     relations = set()
-    for ka, ia in enumerate(shortcut_paths):
-        for kb, ib in enumerate(shortcut_paths):
+    for ka, ia in enumerate(shortcuts):
+        for kb, ib in enumerate(shortcuts):
             if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
                 relations.add((f"s{ka}", f"s{kb}"))
     return ensure_gentle(GentleQuiver(vertices, arrows, frozenset(relations)))
@@ -328,19 +308,9 @@ def idempotent_subalgebra_check(q: GentleQuiver, J) -> SubalgebraReport:
     by_name = q.arrow_by_name
     failures: list[str] = []
 
-    # shortcut arrow names were assigned in basis order, rebuild that map
-    shortcut_by_path: dict[int, str] = {}
-    k = 0
-    for i, p in enumerate(basis.paths):
-        if not p.arrows or basis.source[i] not in jset or basis.target[i] not in jset:
-            continue
-        at, inner = p.source, []
-        for name in p.arrows[:-1]:
-            at = by_name[name].tgt
-            inner.append(at)
-        if not any(v in jset for v in inner):
-            shortcut_by_path[i] = f"s{k}"
-            k += 1
+    shortcut_by_path = {
+        i: f"s{k}" for k, i in enumerate(shortcut_paths(q, basis, jset))
+    }
 
     def fold(i: int) -> Path | None:
         """Rewrite a J-to-J path of the big algebra as a shortcut path."""

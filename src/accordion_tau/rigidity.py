@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliques
-from .complexes import induced_subcomplex, iso_by_gvectors, IsoReport
+from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
 from .errors import (
     AlgebraMismatchError,
     BandDetectedError,
     NonPureComplexError,
 )
-from .linalg import RowSpace, mat_vec, nullspace, solve_columns
+from .linalg import RowSpace, kernel, mat_vec
 from .quiver import AlgebraBasis, GentleQuiver, Path, algebra_basis
 from .quiver import shortcut_quiver, vertex_label
 
@@ -214,34 +214,47 @@ def _act(rep: Representation, arrows: tuple[str, ...], x: list[Fraction]) -> lis
     return x
 
 
+def _top(width: int, radical, candidates) -> list[int]:
+    """Positions of the candidates that complete the span of radical.
+
+    The candidates must span a space containing the radical, so the final
+    rank equals their number; for a kernel this says the kernel is closed
+    under the arrow action.
+    """
+    space = RowSpace(width)
+    for vec in radical:
+        space.add(vec)
+    top = [k for k, vec in enumerate(candidates) if space.add(vec)]
+    if space.rank != len(candidates):
+        raise AssertionError("the radical must lie in the span of the candidates")
+    return top
+
+
 def _top_lifts(rep: Representation) -> list[tuple]:
     """Standard basis vectors completing the radical, one (vertex, index) each."""
     lifts = []
     for v in rep.quiver.vertices:
         dim = rep.dim_at(v)
-        if dim == 0:
-            continue
-        space = RowSpace(dim)
-        for a in rep.quiver.arrows:
-            if a.tgt != v:
-                continue
-            for col in range(rep.dim_at(a.src)):
-                space.add([rep.mats[a.name][r][col] for r in range(dim)])
-        for t in range(dim):
-            e = [Fraction(0)] * dim
-            e[t] = Fraction(1)
-            if space.add(e):
-                lifts.append((v, t))
+        radical = [
+            [rep.mats[a.name][r][col] for r in range(dim)]
+            for a in rep.quiver.arrows
+            if a.tgt == v
+            for col in range(rep.dim_at(a.src))
+        ]
+        units = [[Fraction(int(r == t)) for r in range(dim)] for t in range(dim)]
+        lifts.extend((v, t) for t in _top(dim, radical, units))
     return lifts
 
 
 def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex:
     """Minimal projective presentation P1 -> P0 of a representation.
 
-    P0 covers the top of the module, the kernel of the cover is computed
-    vertexwise as honest linear algebra, and P1 covers that kernel; the
-    differential collects, per (P0 summand, P1 summand), the paths with
-    their coefficients.
+    P0 covers the top of the module.  The kernel of the cover is computed
+    vertexwise and kept in P0 coordinates; at each vertex, P1 covers the
+    kernel vectors outside the span of the arrow images of the kernel at
+    neighbouring vertices (the top of the kernel).  The differential
+    collects, per (P0 summand, P1 summand), the paths with their
+    coefficients.
     """
     q = basis.quiver
 
@@ -265,23 +278,14 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
             cover.add(vec)
         assert cover.rank == rep.dim_at(u), "projective cover must be surjective"
 
-    kernel_at: dict = {}
-    for u in q.vertices:
-        cols = value_at[u]
-        if not cols:
-            kernel_at[u] = []
-            continue
-        rows = [[col[r] for col in cols] for r in range(rep.dim_at(u))]
-        kernel_at[u] = nullspace(rows, len(cols))
+    kernel_at = {u: kernel(value_at[u], rep.dim_at(u)) for u in q.vertices}
 
-    # the kernel as a representation in its own coordinates
-    kq_dims = {u: len(kernel_at[u]) for u in q.vertices}
-    kq_mats = {}
+    # arrow images of the kernel, in P0 coordinates at the arrow's target
     pos_at = {u: {pair: k for k, pair in enumerate(p0_at[u])} for u in q.vertices}
+    radical_at: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
         u, wv = a.src, a.tgt
-        mat = [[Fraction(0)] * kq_dims[u] for _ in range(kq_dims[wv])]
-        for col, kvec in enumerate(kernel_at[u]):
+        for kvec in kernel_at[u]:
             image = [Fraction(0)] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
                 if kvec[k] == 0:
@@ -289,14 +293,13 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
                 prod = basis.mult(i, basis.arrow_path[a.name])
                 if prod is not None:
                     image[pos_at[wv][(s, prod)]] += kvec[k]
-            coeff = solve_columns(kernel_at[wv], image)
-            assert coeff is not None, "kernel must be closed under the arrow action"
-            for r in range(kq_dims[wv]):
-                mat[r][col] = coeff[r]
-        kq_mats[a.name] = mat
-    kernel_rep = Representation(q, kq_dims, kq_mats)
+            radical_at[wv].append(image)
 
-    summands1 = _top_lifts(kernel_rep)
+    summands1 = [
+        (wv, t)
+        for wv in q.vertices
+        for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
+    ]
     diff: list[list[dict[int, Fraction]]] = [
         [dict() for _ in summands1] for _ in summands0
     ]
@@ -443,17 +446,6 @@ def silting_complex(q: GentleQuiver, basis: AlgebraBasis | None = None) -> Label
     return make_complex(coordinates, cxverts, facets)
 
 
-def induced_subcomplex_J(cx: LabeledComplex, coordinate_indices) -> LabeledComplex:
-    """Restriction to the vertices supported on the given coordinates."""
-    inside = set(coordinate_indices)
-    ids = [
-        v.id
-        for v in cx.vertices
-        if all(v.gvec[t] == 0 for t in range(len(cx.coordinates)) if t not in inside)
-    ]
-    return induced_subcomplex(cx, ids, coordinate_indices=tuple(coordinate_indices))
-
-
 def verify_idempotent_reduction(
     q: GentleQuiver, J, ambient: LabeledComplex | None = None
 ) -> IsoReport:
@@ -466,5 +458,5 @@ def verify_idempotent_reduction(
     small = silting_complex(sq)
     big = ambient if ambient is not None else silting_complex(q)
     positions = tuple(i for i, v in enumerate(q.vertices) if v in jset)
-    induced = induced_subcomplex_J(big, positions)
+    induced = restrict_to_coordinates(big, positions)
     return iso_by_gvectors(small, induced)

@@ -22,9 +22,9 @@ from .complexes import (
     IsoReport,
     LabeledComplex,
     dual_graph,
-    induced_subcomplex,
     is_pseudomanifold,
     iso_by_gvectors,
+    restrict_to_coordinates,
     structural_failures,
 )
 from .geometry import Dissection, all_dissections
@@ -38,7 +38,6 @@ from .quiver import (
 from .rigidity import (
     direct_sum,
     hom_shift,
-    induced_subcomplex_J,
     silting_complex,
     silting_vertices,
     verify_idempotent_reduction,
@@ -148,21 +147,10 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
             summary.record(f"{_tag(d)} inside {big.white_pairs()}", report)
             cached(d)
             if structural:
-                # re-derive the induced side the same way verify_nested does
                 positions = tuple(big.diagonals.index(x) for x in sub)
-                inside = set(positions)
-                ids = [
-                    v.id
-                    for v in big_cx.vertices
-                    if all(
-                        v.gvec[t] == 0
-                        for t in range(len(big_cx.coordinates))
-                        if t not in inside
-                    )
-                ]
                 summary.audit(
                     f"{_tag(d)} inside {big.white_pairs()} induced",
-                    induced_subcomplex(big_cx, ids, coordinate_indices=positions),
+                    restrict_to_coordinates(big_cx, positions),
                 )
     return summary
 
@@ -187,7 +175,7 @@ def verify_idempotent_exhaustive(
                 positions = tuple(i for i, v in enumerate(q.vertices) if v in set(J))
                 summary.audit(
                     f"{_tag(d)} J={list(J)} induced",
-                    induced_subcomplex_J(ambient, positions),
+                    restrict_to_coordinates(ambient, positions),
                 )
     return summary
 

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process via cli.main."""
 
+import hashlib
 import json
 
 import pytest
@@ -279,6 +280,26 @@ def test_output_is_byte_identical(capsys):
     _, v1, _ = run(capsys, ["verify", "--exhaustive", "4"])
     _, v2, _ = run(capsys, ["verify", "--exhaustive", "4"])
     assert v1 == v2
+
+
+# sha256 of stdout on the hexagon fan, frozen so that refactors of the
+# builders and renderers cannot change a byte of the output
+FAN_DIGESTS = {
+    ("accordion", "json"): "fd972c6d4dd75e5eb75c0e6462bbfc5bc5ddc40ac0f92145cf93fad60f3d8c71",
+    ("accordion", "dot"): "6ef0c9513dc2e7fa42c8478deca40ac5353dd000071cdd5a2a5e73161d50ce64",
+    ("accordion", "text"): "82bd32babcc461a3756ebe75d87eb97ddc625a89937f9e2409726fd06260b76e",
+    ("silting", "json"): "58836760792f37c07a226dfc18907d622ce35c2ce0a652e1c0b191dabc1b4ef3",
+    ("silting", "dot"): "2b64c37aa9ef76c23417eb7951efb567bd9aafc8afb241e7ab40ab7b051f508d",
+    ("silting", "text"): "dcf02f11c00947687e6a08e64200b1265ceb5d47aeb5e9b129d7f0094ae20727",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(FAN_DIGESTS))
+def test_fan_output_digest_is_frozen(capsys, command, fmt):
+    extra = ["--from-dissection"] if command == "silting" else []
+    code, out, _ = run(capsys, [command, *extra, *FAN, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FAN_DIGESTS[(command, fmt)]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

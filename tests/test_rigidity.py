@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from accordion_tau.complexes import restrict_to_coordinates
 from accordion_tau.errors import AlgebraMismatchError, BandDetectedError
 from accordion_tau.quiver import (
     Arrow,
@@ -19,7 +20,6 @@ from accordion_tau.rigidity import (
     direct_sum,
     enumerate_strings,
     hom_shift,
-    induced_subcomplex_J,
     inverse_word,
     min_presentation,
     proj_representation,
@@ -331,6 +331,6 @@ def test_idempotent_reduction_on_fan(fan_algebra):
 def test_single_coordinate_restriction_is_two_points(zigzag_algebra):
     q, basis = zigzag_algebra
     cx = silting_complex(q, basis)
-    sub = induced_subcomplex_J(cx, (0,))
+    sub = restrict_to_coordinates(cx, (0,))
     assert [v.gvec for v in sub.vertices] == [(-1,), (1,)]
     assert sub.facets == ((0,), (1,))
