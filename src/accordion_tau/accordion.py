@@ -17,6 +17,7 @@ from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliq
 from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
 from .errors import (
     EmptyDissectionError,
+    InternalError,
     NonPureComplexError,
     NotAccordionError,
     NotCrossedError,
@@ -83,7 +84,8 @@ def crossing_sequence(d: Dissection, black: Chord, cell_list: list[Cell] | None 
 
     ordered = tuple(sorted(crossed, key=key))
     # the walk starts and ends by stepping over the boundary next to an endpoint
-    assert is_boundary(cycle, ordered[0]) and is_boundary(cycle, ordered[-1])
+    if not (is_boundary(cycle, ordered[0]) and is_boundary(cycle, ordered[-1])):
+        raise InternalError(f"crossing sequence of {black.label()} must end on the boundary")
     return CrossingSequence(black, ordered, start)
 
 
@@ -102,7 +104,8 @@ def sign(delta: Chord, d: Dissection, seq: CrossingSequence) -> int:
         raise NotCrossedError(f"{delta.label()} is not crossed by {seq.black.label()}") from None
     prev_shared = set(seq.entries[k - 1].endpoints()) & set(delta.endpoints())
     next_shared = set(seq.entries[k + 1].endpoints()) & set(delta.endpoints())
-    assert len(prev_shared) == 1 and len(next_shared) == 1
+    if len(prev_shared) != 1 or len(next_shared) != 1:
+        raise InternalError(f"{delta.label()} must share one endpoint with each neighbor")
     (x,) = prev_shared
     (y,) = next_shared
     if x == y:

@@ -4,8 +4,9 @@ Three subcommands: `accordion` builds the accordion complex of a dissection,
 `silting` builds the 2-term silting complex of a gentle quiver (or of the
 quiver of a dissection), `verify` runs the isomorphism checks, one instance
 or exhaustively over a polygon.  Identical inputs produce byte-identical
-outputs; exit codes are 0 pass, 1 verification failure, 2 input error,
-3 unsupported algebra.
+outputs; exit codes are 0 pass, 1 verification failure, 2 input error
+(including unreadable files and invalid JSON), 3 unsupported algebra,
+4 internal invariant broken.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .accordion import accordion_complex, verify_nested
 from .complexes import LabeledComplex, complex_text, dual_graph, exchange_graph_dot
-from .errors import EmptySubsetError, InputError, UnsupportedAlgebraError
+from .errors import EmptySubsetError, InputError, InternalError, UnsupportedAlgebraError
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import GentleQuiver, quiver_from_json, quiver_of_dissection, vertex_label
 from .rigidity import silting_complex, verify_idempotent_reduction
@@ -92,6 +93,8 @@ def load_dissection(config: RunConfig) -> Dissection:
             m, pairs = data["m"], [tuple(p) for p in data["diagonals"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed dissection JSON: {exc}") from exc
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise InputError(f"m must be an integer, got {m!r}")
     elif config.m is not None:
         m = config.m
         pairs = parse_pairs(config.diagonals) if config.diagonals else []
@@ -338,12 +341,18 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[config.command](config)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except UnsupportedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ dual graphs and structural audits are shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -398,8 +397,7 @@ def check_facet_independence(cx: LabeledComplex) -> list[str]:
     """g-vectors within a facet must be linearly independent over the rationals."""
     failures = []
     for f in cx.facets:
-        rows = [[Fraction(x) for x in cx.vertices[v].gvec] for v in f]
-        if linalg.rank(rows) != len(f):
+        if linalg.rank([cx.vertices[v].gvec for v in f]) != len(f):
             failures.append(f"facet {f}: g-vectors are linearly dependent")
     return failures
 

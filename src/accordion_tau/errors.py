@@ -2,7 +2,8 @@
 
 Input errors (bad dissections, quivers, CLI data) derive from InputError so the
 command line can map them to a common exit code.  Unsupported-algebra errors
-(bands, infinite dimension) get their own branch for the same reason.
+(bands, infinite dimension) get their own branch for the same reason, and so
+does InternalError, a broken invariant.
 """
 
 
@@ -94,6 +95,10 @@ class NonPureComplexError(AccordionTauError):
 class LabelLengthMismatchError(AccordionTauError):
     def __init__(self, msg="g-vector labels have different lengths"):
         super().__init__(msg)
+
+
+class InternalError(AccordionTauError):
+    """An invariant of the computation failed: a bug, not bad input."""
 
 
 class SizeLimitError(AccordionTauError):

@@ -148,8 +148,10 @@ def validate_dissection(m: int, pairs) -> Dissection:
     seen: set[tuple[int, int]] = set()
     chords: list[Chord] = []
     for raw in pairs:
+        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+            raise InputError(f"a diagonal is a pair of vertex labels, got {raw!r}")
         i, j = raw
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in raw):
             raise InputError(f"vertex labels must be integers, got {raw!r}")
         i %= m
         j %= m

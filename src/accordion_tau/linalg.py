@@ -2,20 +2,18 @@
 
 RowSpace is an incremental row echelon form.  Its elimination is
 division-free: a candidate row is cross-multiplied against each stored row,
-so integral input stays integral and Fraction input stays exact.  Ranks,
-kernels and tops of modules all go through it; nothing here divides.
+so integer input stays integer.  Ranks, kernels and tops of modules all go
+through it; nothing here divides.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 Vector = list
 Matrix = list
 
 
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
-    return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
+    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
 
 
 class RowSpace:
@@ -28,7 +26,7 @@ class RowSpace:
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property

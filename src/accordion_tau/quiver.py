@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells
@@ -55,7 +56,7 @@ class GentleQuiver:
             if by_name[first].tgt != by_name[second].src:
                 raise InputError(f"relation ({first}, {second}) is not a composable pair")
 
-    @property
+    @cached_property
     def arrow_by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
@@ -171,7 +172,6 @@ class AlgebraBasis:
     index: dict[Path, int] = field(repr=False)
     source: tuple = field(repr=False)
     target: tuple = field(repr=False)
-    lazy: dict = field(repr=False)
     arrow_path: dict[str, int] = field(repr=False)
     by_ends: dict = field(repr=False, default_factory=dict)
 
@@ -230,12 +230,11 @@ def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
         by_name[p.arrows[-1]].tgt if p.arrows else p.source for p in paths
     )
     source = tuple(p.source for p in paths)
-    lazy = {p.source: i for i, p in enumerate(paths) if not p.arrows}
     arrow_path = {p.arrows[0]: i for i, p in enumerate(paths) if len(p.arrows) == 1}
     by_ends: dict = {}
     for i in range(len(paths)):
         by_ends.setdefault((source[i], target[i]), []).append(i)
-    return AlgebraBasis(q, tuple(paths), index, source, target, lazy, arrow_path, by_ends)
+    return AlgebraBasis(q, tuple(paths), index, source, target, arrow_path, by_ends)
 
 
 def shortcut_paths(q: GentleQuiver, basis: AlgebraBasis, jset) -> list[int]:
@@ -390,9 +389,9 @@ def quiver_from_json(data: dict) -> GentleQuiver:
             for a in data["arrows"]
         )
         relations = frozenset((r[0], r[1]) for r in data.get("relations", []))
+        return GentleQuiver(vertices, arrows, relations)
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
-    return GentleQuiver(vertices, arrows, relations)
 
 
 def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:
@@ -415,16 +414,3 @@ def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:
         failures.append("relation endpoint multisets differ")
     return failures
 
-
-def quiver_dot(q: GentleQuiver, name: str = "quiver") -> str:
-    lines = [f"digraph {name} {{"]
-    for v in q.vertices:
-        lines.append(f'  "{vertex_label(v)}";')
-    for a in q.arrows:
-        lines.append(
-            f'  "{vertex_label(a.src)}" -> "{vertex_label(a.tgt)}" [label="{a.name}"];'
-        )
-    for first, second in sorted(q.relations):
-        lines.append(f"  // relation: {first}.{second} = 0")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

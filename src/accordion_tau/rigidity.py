@@ -6,19 +6,19 @@ matrix of shape dim_v x dim_u, and a relation (a, b) forces M_b @ M_a = 0).
 The indecomposable rigid objects we need are presentations of string
 modules together with shifted projectives; compatibility of two objects is
 vanishing of the hom-shift pairing in both directions, computed exactly
-over the rationals.
+by integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliques
 from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
 from .errors import (
     AlgebraMismatchError,
     BandDetectedError,
+    InternalError,
     NonPureComplexError,
 )
 from .linalg import RowSpace, kernel, mat_vec
@@ -46,11 +46,6 @@ class StringWord:
 def _letter_end(q: GentleQuiver, letter: tuple[str, bool]):
     a = q.arrow_by_name[letter[0]]
     return a.tgt if letter[1] else a.src
-
-
-def _letter_start(q: GentleQuiver, letter: tuple[str, bool]):
-    a = q.arrow_by_name[letter[0]]
-    return a.src if letter[1] else a.tgt
 
 
 def walk_vertices(q: GentleQuiver, w: StringWord) -> list:
@@ -86,7 +81,6 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
     the algebra then has infinitely many strings, so we bail out.
     """
     order = {v: k for k, v in enumerate(q.vertices)}
-    by_name = q.arrow_by_name
     limit = 2 * len(q.arrows)
 
     def key(w: StringWord):
@@ -127,7 +121,7 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
 class Representation:
     quiver: GentleQuiver
     dims: dict
-    mats: dict[str, list[list[Fraction]]]
+    mats: dict[str, list[list[int]]]
 
     def dim_at(self, v) -> int:
         return self.dims.get(v, 0)
@@ -141,16 +135,15 @@ def string_module(q: GentleQuiver, w: StringWord) -> Representation:
     for v in verts:
         local.append(dims[v])
         dims[v] += 1
-    by_name = q.arrow_by_name
     mats = {
-        a.name: [[Fraction(0)] * dims[a.src] for _ in range(dims[a.tgt])]
+        a.name: [[0] * dims[a.src] for _ in range(dims[a.tgt])]
         for a in q.arrows
     }
     for t, (name, fwd) in enumerate(w.letters):
         if fwd:
-            mats[name][local[t + 1]][local[t]] = Fraction(1)
+            mats[name][local[t + 1]][local[t]] = 1
         else:
-            mats[name][local[t]][local[t + 1]] = Fraction(1)
+            mats[name][local[t]][local[t + 1]] = 1
     return Representation(q, dims, mats)
 
 
@@ -164,11 +157,11 @@ def proj_representation(basis: AlgebraBasis, v) -> Representation:
     dims = {u: len(at[u]) for u in q.vertices}
     mats = {}
     for a in q.arrows:
-        mat = [[Fraction(0)] * dims[a.src] for _ in range(dims[a.tgt])]
+        mat = [[0] * dims[a.src] for _ in range(dims[a.tgt])]
         for col, p in enumerate(at[a.src]):
             prod = basis.mult(p, basis.arrow_path[a.name])
             if prod is not None:
-                mat[at[a.tgt].index(prod)][col] = Fraction(1)
+                mat[at[a.tgt].index(prod)][col] = 1
         mats[a.name] = mat
     return Representation(q, dims, mats)
 
@@ -188,7 +181,7 @@ class TwoTermComplex:
     basis: AlgebraBasis
     p1: tuple
     p0: tuple
-    diff: list[list[dict[int, Fraction]]]
+    diff: list[list[dict[int, int]]]
 
     @property
     def gvec(self) -> tuple[int, ...]:
@@ -208,7 +201,7 @@ def projective_complex(basis: AlgebraBasis, v) -> TwoTermComplex:
     return TwoTermComplex(basis, (), (v,), [[]])
 
 
-def _act(rep: Representation, arrows: tuple[str, ...], x: list[Fraction]) -> list[Fraction]:
+def _act(rep: Representation, arrows: tuple[str, ...], x: list[int]) -> list[int]:
     for name in arrows:
         x = mat_vec(rep.mats[name], x)
     return x
@@ -226,7 +219,7 @@ def _top(width: int, radical, candidates) -> list[int]:
         space.add(vec)
     top = [k for k, vec in enumerate(candidates) if space.add(vec)]
     if space.rank != len(candidates):
-        raise AssertionError("the radical must lie in the span of the candidates")
+        raise InternalError("the radical must lie in the span of the candidates")
     return top
 
 
@@ -241,7 +234,7 @@ def _top_lifts(rep: Representation) -> list[tuple]:
             if a.tgt == v
             for col in range(rep.dim_at(a.src))
         ]
-        units = [[Fraction(int(r == t)) for r in range(dim)] for t in range(dim)]
+        units = [[int(r == t) for r in range(dim)] for t in range(dim)]
         lifts.extend((v, t) for t in _top(dim, radical, units))
     return lifts
 
@@ -263,8 +256,8 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     p0_at: dict = {u: [] for u in q.vertices}
     value_at: dict = {u: [] for u in q.vertices}  # image vectors in rep
     for s, (v, t) in enumerate(summands0):
-        e = [Fraction(0)] * rep.dim_at(v)
-        e[t] = Fraction(1)
+        e = [0] * rep.dim_at(v)
+        e[t] = 1
         for i in range(basis.dimension):
             if basis.source[i] != v:
                 continue
@@ -276,7 +269,8 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
         cover = RowSpace(rep.dim_at(u))
         for vec in value_at[u]:
             cover.add(vec)
-        assert cover.rank == rep.dim_at(u), "projective cover must be surjective"
+        if cover.rank != rep.dim_at(u):
+            raise InternalError("projective cover must be surjective")
 
     kernel_at = {u: kernel(value_at[u], rep.dim_at(u)) for u in q.vertices}
 
@@ -286,7 +280,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     for a in q.arrows:
         u, wv = a.src, a.tgt
         for kvec in kernel_at[u]:
-            image = [Fraction(0)] * len(p0_at[wv])
+            image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
                 if kvec[k] == 0:
                     continue
@@ -300,14 +294,15 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
         for wv in q.vertices
         for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
     ]
-    diff: list[list[dict[int, Fraction]]] = [
+    diff: list[list[dict[int, int]]] = [
         [dict() for _ in summands1] for _ in summands0
     ]
     for c, (wv, t) in enumerate(summands1):
         kvec = kernel_at[wv][t]
         for k, (s, i) in enumerate(p0_at[wv]):
             if kvec[k] != 0:
-                assert basis.paths[i].arrows, "kernel lives in the radical"
+                if not basis.paths[i].arrows:
+                    raise InternalError("kernel lives in the radical")
                 diff[s][c][i] = kvec[k]
 
     return TwoTermComplex(
@@ -352,7 +347,7 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     for r, yv in enumerate(y.p0):
         for s, xv in enumerate(x.p0):
             for g in basis.between(yv, xv):
-                vec = [Fraction(0)] * len(coords)
+                vec = [0] * len(coords)
                 hit = False
                 for c in range(len(x.p1)):
                     for p, coeff in x.diff[s][c].items():
@@ -365,7 +360,7 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     for t, yv in enumerate(y.p1):
         for c, xv in enumerate(x.p1):
             for h in basis.between(yv, xv):
-                vec = [Fraction(0)] * len(coords)
+                vec = [0] * len(coords)
                 hit = False
                 for r in range(len(y.p0)):
                     for p, coeff in y.diff[r][t].items():

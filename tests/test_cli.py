@@ -7,6 +7,7 @@ import pytest
 
 import accordion_tau.cli as cli
 from accordion_tau.complexes import IsoReport
+from accordion_tau.errors import InternalError
 
 FAN = ["--m", "6", "--diagonals", "0-2,0-3,0-4"]
 
@@ -97,6 +98,30 @@ def test_accordion_malformed_file(capsys, tmp_path):
     assert "malformed" in err
 
 
+BAD_FILES = {
+    "string-m": json.dumps({"m": "6", "diagonals": [[0, 2]]}),
+    "three-element-diagonal": json.dumps({"m": 6, "diagonals": [[0, 2, 4]]}),
+    "bool-label": json.dumps({"m": 6, "diagonals": [[True, 3]]}),
+    "invalid-json": '{"m": 6, "diagonals": [[0, 2]',
+}
+
+
+@pytest.mark.parametrize(
+    "probe", [*BAD_FILES, "missing-input", "unwritable-out"]
+)
+def test_bad_input_is_one_error_line_with_exit_two(capsys, tmp_path, probe):
+    path = tmp_path / "d.json"
+    argv = ["accordion", "--input", str(path)]
+    if probe in BAD_FILES:
+        path.write_text(BAD_FILES[probe])
+    elif probe == "unwritable-out":
+        argv = ["accordion", *FAN, "--out", str(tmp_path / "absent" / "out.json")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- silting --
 
 
@@ -125,6 +150,14 @@ def test_silting_rejects_both_sources(capsys, tmp_path):
     code, _, err = run(capsys, ["silting", "--quiver", str(path), *FAN])
     assert code == 2
     assert "not both" in err
+
+
+def test_silting_quiver_with_unhashable_labels_is_input_error(capsys, tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({**A3_QUIVER, "vertices": [[["1"]], "2", "3"]}))
+    code, _, err = run(capsys, ["silting", "--quiver", str(path)])
+    assert code == 2
+    assert "malformed quiver JSON" in err
 
 
 def test_silting_band_quiver_unsupported(capsys, tmp_path):
@@ -170,6 +203,17 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", *FAN])
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken(config):
+        raise InternalError("projective cover must be surjective")
+
+    monkeypatch.setattr(cli, "cmd_accordion", broken)
+    code, out, err = run(capsys, ["accordion", *FAN])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_nested_single(capsys):

@@ -1,14 +1,17 @@
 """Strings, minimal presentations, the hom-shift pairing, silting complexes."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accordion_tau
 import oracles
 from accordion_tau.complexes import restrict_to_coordinates
-from accordion_tau.errors import AlgebraMismatchError, BandDetectedError
+from accordion_tau.errors import AlgebraMismatchError, BandDetectedError, InternalError
 from accordion_tau.quiver import (
     Arrow,
     GentleQuiver,
@@ -17,6 +20,7 @@ from accordion_tau.quiver import (
 )
 from accordion_tau.rigidity import (
     StringWord,
+    _top,
     direct_sum,
     enumerate_strings,
     hom_shift,
@@ -158,6 +162,18 @@ def test_simple_presentations_are_frozen(zigzag_algebra):
     s3 = min_presentation(basis, string_module(q, StringWord((4, 6), ())))
     assert (s3.p1, s3.p0) == ((), ((4, 6),))
     assert s3.gvec == (0, 0, 1)
+
+
+@pytest.mark.parametrize("algebra", ["fan_algebra", "zigzag_algebra"])
+def test_presentations_are_built_from_python_ints(algebra, request):
+    q, basis = request.getfixturevalue(algebra)
+    for w in enumerate_strings(q):
+        rep = string_module(q, w)
+        for mat in rep.mats.values():
+            assert all(type(x) is int for row in mat for x in row)
+        pres = min_presentation(basis, rep)
+        for row in pres.diff:
+            assert all(type(x) is int for entry in row for x in entry.values())
 
 
 def test_presentation_of_projective_has_no_relations_part(zigzag_algebra):
@@ -334,3 +350,19 @@ def test_single_coordinate_restriction_is_two_points(zigzag_algebra):
     sub = restrict_to_coordinates(cx, (0,))
     assert [v.gvec for v in sub.vertices] == [(-1,), (1,)]
     assert sub.facets == ((0,), (1,))
+
+
+# -- invariants survive python -O --
+
+
+def test_top_raises_when_candidates_miss_the_radical():
+    with pytest.raises(InternalError):
+        _top(2, [[1, 0]], [[0, 1]])
+
+
+def test_no_assert_statements_in_the_package():
+    package = Path(accordion_tau.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{source.name} has assert statements at lines {found}"
