@@ -5,28 +5,19 @@ Usage:
     python scripts/run_exhaustive.py --max-m 7 --structural
 
 Prints one row per (theorem, m) with counts and timing, and exits nonzero
-if anything fails.  The m=8 main sweep takes a few seconds; anything past
-m=9 is refused by the library's safety cap unless ACCORDION_TAU_MAX_M says
-otherwise.
+if anything fails.  Sizes start at --min-m (at least 4; smaller polygons
+have no diagonals) and stop at --max-m or at the theorem's DEFAULT_CEILING,
+whichever is lower: m=8 for main, m=7 for the rest; a range with no size
+left is a usage error.  The safety cap
+ACCORDION_TAU_MAX_M belongs to the `accordion-tau` command and does not
+apply here.
 """
 
 import argparse
 import sys
 import time
 
-from accordion_tau.verify import (
-    verify_consistency_exhaustive,
-    verify_idempotent_exhaustive,
-    verify_main_exhaustive,
-    verify_nested_exhaustive,
-)
-
-DRIVERS = {
-    "main": verify_main_exhaustive,
-    "nested": verify_nested_exhaustive,
-    "idempotent": verify_idempotent_exhaustive,
-    "consistency": verify_consistency_exhaustive,
-}
+from accordion_tau.verify import DRIVERS
 
 # nested/idempotent sweeps blow up fast; keep their default ceiling lower
 DEFAULT_CEILING = {"main": 8, "nested": 7, "idempotent": 7, "consistency": 7}
@@ -48,18 +39,22 @@ def main() -> int:
         "regularity, sign coherence, independence, injectivity)",
     )
     args = parser.parse_args()
+    if args.min_m < 4:
+        parser.error(f"--min-m must be at least 4, got {args.min_m}")
 
     names = list(DRIVERS) if args.theorem == "all" else [args.theorem]
+    ceilings = {name: min(args.max_m, DEFAULT_CEILING[name]) for name in names}
+    if args.min_m > max(ceilings.values()):
+        parser.error(
+            f"nothing to run: --min-m {args.min_m} is above --max-m and the "
+            f"ceilings {DEFAULT_CEILING}"
+        )
     bad = 0
     print(f"{'theorem':<12} {'m':>2} {'passed':>7} {'checked':>8} {'audited':>8} {'time':>8}")
     for name in names:
-        ceiling = min(args.max_m, DEFAULT_CEILING[name])
-        for m in range(args.min_m, ceiling + 1):
+        for m in range(args.min_m, ceilings[name] + 1):
             t0 = time.perf_counter()
-            if name == "consistency":
-                summary = DRIVERS[name](m)
-            else:
-                summary = DRIVERS[name](m, structural=args.structural)
+            summary = DRIVERS[name](m, structural=args.structural)
             dt = time.perf_counter() - t0
             print(
                 f"{name:<12} {m:>2} {summary.passed:>7} {summary.checked:>8} "

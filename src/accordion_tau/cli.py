@@ -24,13 +24,7 @@ from .errors import EmptySubsetError, InputError, InternalError, UnsupportedAlge
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import GentleQuiver, quiver_from_json, quiver_of_dissection, vertex_label
 from .rigidity import silting_complex, verify_idempotent_reduction
-from .verify import (
-    additivity_spotcheck,
-    verify_idempotent_exhaustive,
-    verify_main,
-    verify_main_exhaustive,
-    verify_nested_exhaustive,
-)
+from .verify import DRIVERS, additivity_spotcheck, verify_main
 
 DEFAULT_MAX_M = 9
 
@@ -49,7 +43,6 @@ class RunConfig:
     seed: int | None = None
     j: str | None = None
     sub_diagonals: str | None = None
-    from_dissection: bool = False
 
 
 def max_m_cap() -> int:
@@ -105,6 +98,11 @@ def load_dissection(config: RunConfig) -> Dissection:
 
 
 def load_quiver(config: RunConfig) -> GentleQuiver:
+    """The quiver from --quiver, or else the quiver of the dissection input."""
+    if not config.quiver_path:
+        return quiver_of_dissection(load_dissection(config))
+    if config.m is not None or config.diagonals is not None or config.input_path:
+        raise InputError("give either --quiver or a dissection, not both")
     with open(config.quiver_path) as fh:
         return quiver_from_json(json.load(fh))
 
@@ -169,26 +167,19 @@ def cmd_accordion(config: RunConfig) -> int:
 
 
 def cmd_silting(config: RunConfig) -> int:
-    inline = config.m is not None or config.diagonals is not None or config.input_path
-    if config.quiver_path and (inline or config.from_dissection):
-        raise InputError("give either --quiver or a dissection, not both")
-    if config.quiver_path:
-        q = load_quiver(config)
-    else:
-        q = quiver_of_dissection(load_dissection(config))
+    q = load_quiver(config)
     return _emit_complex(config, "quiver", q.to_json(), silting_complex(q))
 
 
 def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:
     m = config.exhaustive
+    if m < 4:
+        raise InputError(
+            f"--exhaustive needs M >= 4, got {m}: smaller polygons have no diagonals"
+        )
     _check_cap(m)
-    drivers = {
-        "main": verify_main_exhaustive,
-        "nested": verify_nested_exhaustive,
-        "idempotent": verify_idempotent_exhaustive,
-    }
-    names = list(drivers) if config.theorem == "all" else [config.theorem]
-    summaries = [drivers[name](m) for name in names]
+    names = list(DRIVERS) if config.theorem == "all" else [config.theorem]
+    summaries = [DRIVERS[name](m, structural=False) for name in names]
     report = {"summaries": [s.to_json() for s in summaries]}
     ok = all(s.ok for s in summaries)
     if config.seed is not None:
@@ -205,8 +196,8 @@ def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _verify_single(config: RunConfig) -> tuple[dict, bool]:
-    if config.theorem == "all":
-        raise InputError("--theorem all needs --exhaustive")
+    if config.theorem in ("all", "consistency"):
+        raise InputError(f"--theorem {config.theorem} needs --exhaustive")
     if config.theorem == "main":
         d = load_dissection(config)
         iso = verify_main(d)
@@ -229,12 +220,7 @@ def _verify_single(config: RunConfig) -> tuple[dict, bool]:
         }
         ok = iso.passed
     else:
-        if config.quiver_path:
-            if config.m is not None or config.diagonals or config.input_path:
-                raise InputError("give either --quiver or a dissection, not both")
-            q = load_quiver(config)
-        else:
-            q = quiver_of_dissection(load_dissection(config))
+        q = load_quiver(config)
         J = resolve_subset(q, config.j)
         iso = verify_idempotent_reduction(q, J)
         report = {
@@ -297,24 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
         "silting", parents=[shared], help="silting complex of a gentle quiver"
     )
     p_silt.add_argument("--quiver", dest="quiver_path", help="quiver JSON file")
-    p_silt.add_argument(
-        "--from-dissection",
-        action="store_true",
-        help="build the quiver from the dissection input",
-    )
 
     p_ver = sub.add_parser("verify", parents=[shared], help="run theorem checks")
     p_ver.add_argument("--quiver", dest="quiver_path", help="quiver JSON file")
     p_ver.add_argument(
         "--theorem",
-        choices=["main", "idempotent", "nested", "all"],
+        choices=[*DRIVERS, "all"],
         default="main",
     )
     p_ver.add_argument(
         "--exhaustive",
         type=int,
         metavar="M",
-        help="run over every nonempty dissection of the M-gon",
+        help="run over every nonempty dissection of the M-gon (M >= 4)",
     )
     p_ver.add_argument("--sub-diagonals", help="nested check: the smaller dissection")
     p_ver.add_argument("--j", help="idempotent check: vertex subset, e.g. 0-2,0-4")

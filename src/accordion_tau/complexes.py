@@ -5,10 +5,16 @@ per label in `coordinates`), plus the facet list.  The two complexes built
 elsewhere in the package (accordion complexes of dissections, 2-term silting
 complexes of gentle algebras) both land here, so the isomorphism checks,
 dual graphs and structural audits are shared.
+
+Facet adjacency comes from one ridge index (each facet minus one vertex,
+mapped to the facets containing it): `dual_graph` reads its edges from it
+and `is_pseudomanifold` its ridge counts.  `restrict_to_coordinates` is the
+one place that slices g-vectors down to some coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -96,6 +102,10 @@ def maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
 class ExchangeGraph:
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
+    # the ridge index the edges were read from; not compared, not rendered
+    ridges: dict[frozenset[int], list[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def degrees(self) -> list[int]:
         deg = [0] * len(self.nodes)
@@ -111,19 +121,28 @@ class ExchangeGraph:
         }
 
 
+def _ridge_index(facets) -> dict[frozenset[int], list[int]]:
+    """Each ridge (a facet minus one vertex) mapped to the facets containing it,
+    in increasing facet order."""
+    index: dict[frozenset[int], list[int]] = {}
+    for i, f in enumerate(facets):
+        whole = frozenset(f)
+        for v in f:
+            index.setdefault(whole - {v}, []).append(i)
+    return index
+
+
 def dual_graph(cx: LabeledComplex) -> ExchangeGraph:
-    """Facet adjacency graph: facets joined when they differ in one vertex."""
+    """Facet adjacency graph: facets joined when they share a ridge, i.e.
+    differ in one vertex.  Edges (i, j) have i < j and come sorted."""
     sizes = {len(f) for f in cx.facets}
     if len(sizes) > 1:
         raise NonPureComplexError(f"facet sizes {sorted(sizes)} are not all equal")
-    sets = [frozenset(f) for f in cx.facets]
-    edges = [
-        (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if len(sets[i] ^ sets[j]) == 2
-    ]
-    return ExchangeGraph(tuple(cx.facets), tuple(edges))
+    ridges = _ridge_index(cx.facets)
+    edges = sorted(
+        pair for owners in ridges.values() for pair in itertools.combinations(owners, 2)
+    )
+    return ExchangeGraph(tuple(cx.facets), tuple(edges), ridges)
 
 
 @dataclass(frozen=True)
@@ -132,6 +151,7 @@ class PseudomanifoldReport:
     ridges_ok: bool
     connected: bool
     failures: tuple[str, ...]
+    graph: ExchangeGraph | None  # the dual graph; None when the complex is impure
 
     @property
     def passed(self) -> bool:
@@ -145,19 +165,18 @@ def is_pseudomanifold(cx: LabeledComplex) -> PseudomanifoldReport:
     pure = len(sizes) <= 1
     if not pure:
         failures.append(f"facet sizes {sorted(sizes)} differ")
-        return PseudomanifoldReport(False, False, False, tuple(failures))
-
-    ridge_count: dict[frozenset[int], int] = {}
-    for f in cx.facets:
-        for v in f:
-            ridge = frozenset(f) - {v}
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    ridges_ok = all(c == 2 for c in ridge_count.values())
-    if not ridges_ok:
-        bad = [(sorted(r), c) for r, c in ridge_count.items() if c != 2]
-        failures.append(f"ridges with facet count != 2: {sorted(bad)[:5]}")
+        return PseudomanifoldReport(False, False, False, tuple(failures), None)
 
     graph = dual_graph(cx)
+    bad = sorted(
+        (sorted(ridge), len(owners))
+        for ridge, owners in graph.ridges.items()
+        if len(owners) != 2
+    )
+    ridges_ok = not bad
+    if not ridges_ok:
+        failures.append(f"ridges with facet count != 2: {bad[:5]}")
+
     reach = {0} if graph.nodes else set()
     frontier = list(reach)
     neigh: dict[int, list[int]] = {i: [] for i in range(len(graph.nodes))}
@@ -175,7 +194,7 @@ def is_pseudomanifold(cx: LabeledComplex) -> PseudomanifoldReport:
         failures.append(
             f"facet adjacency graph has {len(graph.nodes) - len(reach)} unreachable facets"
         )
-    return PseudomanifoldReport(pure, ridges_ok, connected, tuple(failures))
+    return PseudomanifoldReport(pure, ridges_ok, connected, tuple(failures), graph)
 
 
 @dataclass
@@ -200,35 +219,22 @@ class IsoReport:
         return out
 
 
-def iso_by_gvectors(
-    c1: LabeledComplex,
-    c2: LabeledComplex,
-    coordinate_map: tuple[int, ...] | None = None,
-    fallback: bool = True,
-) -> IsoReport:
+def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
     """Match vertices by exact g-vector equality and compare facet families.
 
-    coordinate_map, when given, selects and reorders coordinates of c2 before
-    comparing (c2 g-vectors are restricted to those positions).  On failure,
-    with fallback on, a label-blind isomorphism search distinguishes a wrong
+    On failure, a label-blind isomorphism search distinguishes a wrong
     complex from a wrong labeling convention.
     """
     failures: list[str] = []
-    g2 = {}
-    coords2 = c2.coordinates
-    if coordinate_map is not None:
-        coords2 = tuple(c2.coordinates[t] for t in coordinate_map)
-    if len(c1.coordinates) != len(coords2):
+    if len(c1.coordinates) != len(c2.coordinates):
         raise LabelLengthMismatchError(
-            f"coordinate counts differ: {len(c1.coordinates)} vs {len(coords2)}"
+            f"coordinate counts differ: {len(c1.coordinates)} vs {len(c2.coordinates)}"
         )
+    g2 = {}
     for v in c2.vertices:
-        g = v.gvec
-        if coordinate_map is not None:
-            g = tuple(g[t] for t in coordinate_map)
-        if g in g2:
-            failures.append(f"duplicate g-vector {g} on the right")
-        g2[g] = v.id
+        if v.gvec in g2:
+            failures.append(f"duplicate g-vector {v.gvec} on the right")
+        g2[v.gvec] = v.id
 
     vertex_map: dict[int, int] = {}
     for v in c1.vertices:
@@ -252,15 +258,12 @@ def iso_by_gvectors(
     if not failures:
         return IsoReport(True, vertex_map, [])
 
-    report = IsoReport(False, None, failures)
-    if fallback:
-        found, _ = generic_iso(c1, c2)
-        report.generic_found = found
-        if found:
-            report.failures.append(
-                "complexes are abstractly isomorphic, so the g-vector labels disagree"
-            )
-    return report
+    found, _ = generic_iso(c1, c2)
+    if found:
+        failures.append(
+            "complexes are abstractly isomorphic, so the g-vector labels disagree"
+        )
+    return IsoReport(False, None, failures, generic_found=found)
 
 
 def _facet_profile(cx: LabeledComplex) -> list[tuple[int, ...]]:
@@ -335,41 +338,23 @@ def generic_iso(
     return False, None
 
 
-def induced_subcomplex(
-    cx: LabeledComplex,
-    vertex_ids,
-    coordinate_indices: tuple[int, ...] | None = None,
-) -> LabeledComplex:
-    """Restriction to a vertex subset: maximal traces of facets on the subset.
-
-    coordinate_indices optionally restricts the g-vectors (and coordinate
-    names) to the given positions, for comparisons against complexes living
-    on fewer coordinates.
-    """
+def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
+    """Restriction to a vertex subset: maximal traces of facets on the subset."""
     keep = sorted(set(vertex_ids))
     renumber = {old: new for new, old in enumerate(keep)}
-
-    coords = cx.coordinates
-    if coordinate_indices is not None:
-        coords = tuple(cx.coordinates[t] for t in coordinate_indices)
-
-    verts = []
-    for old in keep:
-        v = cx.vertices[old]
-        g = v.gvec
-        if coordinate_indices is not None:
-            g = tuple(g[t] for t in coordinate_indices)
-        verts.append(ComplexVertex(renumber[old], g, v.label, dict(v.payload)))
-
+    verts = [
+        ComplexVertex(new, v.gvec, v.label, dict(v.payload))
+        for new, v in enumerate(cx.vertices[old] for old in keep)
+    ]
     traces = {frozenset(renumber[v] for v in f if v in renumber) for f in cx.facets}
     maximal = [t for t in traces if not any(t < other for other in traces)]
     facets = sorted(tuple(sorted(t)) for t in maximal)
-    return make_complex(coords, verts, facets)
+    return make_complex(cx.coordinates, verts, facets)
 
 
 def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
     """Induced subcomplex on the vertices whose g-vectors vanish off positions,
-    with g-vectors restricted to those positions."""
+    with coordinates and g-vectors restricted to those positions, in order."""
     positions = tuple(positions)
     inside = set(positions)
     ids = [
@@ -377,7 +362,13 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
         for v in cx.vertices
         if all(x == 0 for t, x in enumerate(v.gvec) if t not in inside)
     ]
-    return induced_subcomplex(cx, ids, coordinate_indices=positions)
+    sub = induced_subcomplex(cx, ids)
+    verts = tuple(
+        ComplexVertex(v.id, tuple(v.gvec[t] for t in positions), v.label, v.payload)
+        for v in sub.vertices
+    )
+    coords = tuple(cx.coordinates[t] for t in positions)
+    return LabeledComplex(coords, verts, sub.facets)
 
 
 def check_sign_coherence(cx: LabeledComplex) -> list[str]:

@@ -1,27 +1,29 @@
 """Drivers that run the theorem checks, one instance or exhaustively.
 
-The three checks:
+The checks:
   main        accordion complex of d  vs  silting complex of its quiver
   idempotent  silting of a shortcut algebra  vs  induced silting subcomplex
   nested      accordion complex of d  vs  induced subcomplex for d inside d'
+  consistency shortcut quiver of d' at d  vs  quiver of d (exhaustive only)
 
 Exhaustive runs iterate all dissections of one polygon and reuse the ambient
-complexes across subsets.  With structural=True every complex that shows up
-also goes through the structural audit (pseudomanifold, regular dual graph,
-sign coherence, facet independence, injective g-vectors).
+complexes across subsets; DRIVERS lists them for the command line and the
+scripts.  With structural=True every complex that shows up also goes through
+the structural audit (pseudomanifold, regular dual graph, sign coherence,
+facet independence, injective g-vectors).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .accordion import accordion_complex, verify_nested
 from .complexes import (
     IsoReport,
     LabeledComplex,
-    dual_graph,
     is_pseudomanifold,
     iso_by_gvectors,
     restrict_to_coordinates,
@@ -56,10 +58,9 @@ def audit_complex(cx: LabeledComplex) -> list[str]:
     fails = structural_failures(cx)
     report = is_pseudomanifold(cx)
     fails.extend(report.failures)
-    if report.pure:
+    if report.graph is not None:
         n = len(cx.coordinates)
-        degrees = dual_graph(cx).degrees()
-        off = [deg for deg in degrees if deg != n]
+        off = [deg for deg in report.graph.degrees() if deg != n]
         if off:
             fails.append(f"dual graph degrees {sorted(set(off))} instead of {n}")
     return fails
@@ -199,6 +200,16 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
             else:
                 summary.passed += 1
     return summary
+
+
+# Every exhaustive sweep in report order, called as DRIVERS[name](m, structural=...).
+# The consistency sweep builds no complexes, so it has nothing to audit.
+DRIVERS: dict[str, Callable[..., VerifySummary]] = {
+    "main": verify_main_exhaustive,
+    "nested": verify_nested_exhaustive,
+    "idempotent": verify_idempotent_exhaustive,
+    "consistency": lambda m, structural=False: verify_consistency_exhaustive(m),
+}
 
 
 def additivity_spotcheck(q: GentleQuiver, seed: int, rounds: int = 12) -> list[str]:

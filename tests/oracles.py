@@ -105,15 +105,20 @@ def all_triangulations(m: int) -> set[frozenset[tuple[int, int]]]:
     return triangulations(tuple(range(m)), m)
 
 
-def count_flip_edges(facets) -> int:
-    """Pairs of facets sharing all but one member."""
+def flip_edges(facets) -> list[tuple[int, int]]:
+    """Pairs i < j of facets sharing all but one member, by scanning every
+    pair of facets (the package indexes ridges instead)."""
     sets = [set(f) for f in facets]
-    return sum(
-        1
+    return [
+        (i, j)
         for i in range(len(sets))
         for j in range(i + 1, len(sets))
         if len(sets[i] ^ sets[j]) == 2
-    )
+    ]
+
+
+def count_flip_edges(facets) -> int:
+    return len(flip_edges(facets))
 
 
 def nested_pair_count(m: int) -> int:

@@ -126,7 +126,7 @@ def test_bad_input_is_one_error_line_with_exit_two(capsys, tmp_path, probe):
 
 
 def test_silting_from_dissection(capsys):
-    code, out, _ = run(capsys, ["silting", *FAN, "--from-dissection"])
+    code, out, _ = run(capsys, ["silting", *FAN])
     assert code == 0
     data = json.loads(out)
     assert len(data["complex"]["vertices"]) == 9
@@ -148,6 +148,17 @@ def test_silting_rejects_both_sources(capsys, tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(A3_QUIVER))
     code, _, err = run(capsys, ["silting", "--quiver", str(path), *FAN])
+    assert code == 2
+    assert "not both" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["silting"], ["verify", "--theorem", "idempotent", "--j", "1"]]
+)
+def test_quiver_with_empty_diagonals_is_both_sources(capsys, tmp_path, command):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(A3_QUIVER))
+    code, _, err = run(capsys, [*command, "--quiver", str(path), "--diagonals", ""])
     assert code == 2
     assert "not both" in err
 
@@ -264,8 +275,27 @@ def test_verify_exhaustive_all(capsys):
         "main",
         "nested",
         "idempotent",
+        "consistency",
     ]
     assert all(s["passed"] == s["checked"] for s in data["summaries"])
+
+
+def test_verify_exhaustive_consistency(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "--exhaustive", "5", "--theorem", "consistency"]
+    )
+    assert code == 0
+    [summary] = json.loads(out)["summaries"]
+    assert summary["theorem"] == "consistency"
+    assert summary["passed"] == summary["checked"] == 20
+
+
+@pytest.mark.parametrize("m", ["3", "0", "-2"])
+def test_verify_exhaustive_rejects_polygons_without_diagonals(capsys, m):
+    code, out, err = run(capsys, ["verify", "--exhaustive", m])
+    assert code == 2
+    assert out == ""
+    assert "M >= 4" in err
 
 
 def test_verify_exhaustive_with_seed(capsys):
@@ -280,6 +310,12 @@ def test_verify_all_needs_exhaustive(capsys):
     code, _, err = run(capsys, ["verify", *FAN, "--theorem", "all"])
     assert code == 2
     assert "--exhaustive" in err
+
+
+def test_verify_consistency_needs_exhaustive(capsys):
+    code, _, err = run(capsys, ["verify", *FAN, "--theorem", "consistency"])
+    assert code == 2
+    assert "--theorem consistency needs --exhaustive" in err
 
 
 def test_verify_rejects_dot(capsys):
@@ -340,8 +376,7 @@ FAN_DIGESTS = {
 
 @pytest.mark.parametrize("command,fmt", sorted(FAN_DIGESTS))
 def test_fan_output_digest_is_frozen(capsys, command, fmt):
-    extra = ["--from-dissection"] if command == "silting" else []
-    code, out, _ = run(capsys, [command, *extra, *FAN, "--format", fmt])
+    code, out, _ = run(capsys, [command, *FAN, "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FAN_DIGESTS[(command, fmt)]
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+import accordion_tau.complexes as complexes
+import accordion_tau.verify as verify
+import oracles
 from accordion_tau.accordion import accordion_complex
 from accordion_tau.complexes import (
     ComplexVertex,
@@ -17,6 +20,7 @@ from accordion_tau.complexes import (
     iso_by_gvectors,
     make_complex,
     maximal_cliques,
+    restrict_to_coordinates,
     structural_failures,
 )
 from accordion_tau.errors import (
@@ -24,6 +28,9 @@ from accordion_tau.errors import (
     NonPureComplexError,
     SizeLimitError,
 )
+from accordion_tau.geometry import all_dissections
+from accordion_tau.quiver import quiver_of_dissection
+from accordion_tau.rigidity import silting_complex
 
 
 def mk(gvecs, facets, coords=None):
@@ -114,6 +121,33 @@ def test_fan_dual_graph_is_three_regular(hexagon_fan):
     assert set(g.degrees()) == {3}
 
 
+def test_dual_graph_matches_pair_scan_oracle():
+    checked = 0
+    for m in range(4, 7):
+        for d in all_dissections(m):
+            for cx in (accordion_complex(d), silting_complex(quiver_of_dissection(d))):
+                assert dual_graph(cx).edges == tuple(oracles.flip_edges(cx.facets))
+                checked += 1
+    assert checked == 2 * (2 + 10 + 44)
+
+
+def test_dual_graph_ridge_in_one_facet():
+    # the ridges {0} and {2} lie in one facet each: no edge through them
+    cx = mk([(1,), (2,), (3,)], [(0, 1), (1, 2)])
+    assert dual_graph(cx).edges == tuple(oracles.flip_edges(cx.facets)) == ((0, 1),)
+
+
+def test_dual_graph_ridge_in_three_facets():
+    cx = mk([(1,), (2,), (3,), (4,)], [(0, 1), (0, 2), (0, 3)])
+    g = dual_graph(cx)
+    assert g.edges == tuple(oracles.flip_edges(cx.facets)) == ((0, 1), (0, 2), (1, 2))
+    report = is_pseudomanifold(cx)
+    assert report.failures == (
+        "ridges with facet count != 2: [([0], 3), ([1], 1), ([2], 1), ([3], 1)]",
+    )
+    assert report.graph == g
+
+
 def test_pseudomanifold_positive():
     cx = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
     report = is_pseudomanifold(cx)
@@ -141,6 +175,7 @@ def test_pseudomanifold_impure_short_circuits():
     cx = mk([(1,), (2,), (3,), (4,)], [(0, 1, 2), (2, 3)])
     report = is_pseudomanifold(cx)
     assert not report.pure and not report.passed
+    assert report.graph is None
 
 
 # -- isomorphism checks --
@@ -195,8 +230,9 @@ def test_iso_facet_mismatch_with_same_gvectors():
 
 def test_iso_with_coordinate_map():
     c1 = mk([(1,), (-1,)], [(0,), (1,)], coords=("x",))
-    c2 = mk([(5, 1), (7, -1)], [(0,), (1,)], coords=("junk", "x"))
-    report = iso_by_gvectors(c1, c2, coordinate_map=(1,))
+    # vertex 2 lives off the "x" coordinate, so the restriction drops it
+    c2 = mk([(0, 1), (0, -1), (5, 0)], [(0,), (1,), (2,)], coords=("junk", "x"))
+    report = iso_by_gvectors(c1, restrict_to_coordinates(c2, (1,)))
     assert report.passed
     with pytest.raises(LabelLengthMismatchError):
         iso_by_gvectors(c1, c2)
@@ -234,8 +270,9 @@ def test_induced_subcomplex_takes_maximal_traces():
 
 
 def test_induced_subcomplex_restricts_coordinates():
-    cx = mk([(1, 5), (0, 7), (-1, 9)], TRIANGLE_BOUNDARY)
-    sub = induced_subcomplex(cx, [0, 2], coordinate_indices=(1,))
+    # vertex 1 has a nonzero c0 entry, so restricting to c1 keeps 0 and 2
+    cx = mk([(0, 5), (1, 7), (0, 9)], TRIANGLE_BOUNDARY)
+    sub = restrict_to_coordinates(cx, (1,))
     assert sub.coordinates == ("c1",)
     assert [v.gvec for v in sub.vertices] == [(5,), (9,)]
 
@@ -266,6 +303,21 @@ def test_facet_independence_flags_dependence():
 def test_gvector_injectivity_flags_duplicates():
     cx = mk([(1, 0), (1, 0)], [(0, 1)])
     assert check_gvector_injectivity(cx)
+
+
+def test_audit_builds_the_dual_graph_once_per_complex(monkeypatch):
+    calls = []
+    real = complexes.dual_graph
+
+    def counting(cx):
+        calls.append(cx)
+        return real(cx)
+
+    for module in (complexes, verify):
+        monkeypatch.setattr(module, "dual_graph", counting, raising=False)
+    summary = verify.verify_main_exhaustive(5, structural=True)
+    assert summary.ok and summary.complexes_audited == 20
+    assert len(calls) == summary.complexes_audited
 
 
 def test_structural_failures_clean_on_accordion(hexagon_fan):

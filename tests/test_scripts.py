@@ -1,0 +1,50 @@
+"""The command line scripts, run as separate processes the way a user runs them."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import accordion_tau
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = pathlib.Path(accordion_tau.__file__).resolve().parents[1]
+
+
+def run_exhaustive(*argv):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_exhaustive.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_run_exhaustive_rejects_polygons_without_diagonals():
+    result = run_exhaustive("--min-m", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--min-m must be at least 4" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_run_exhaustive_runs_every_registered_driver():
+    # consistency takes no structural flag; the shared registry absorbs that
+    result = run_exhaustive("--max-m", "5", "--theorem", "consistency", "--structural")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split()[:5] for line in result.stdout.splitlines()[1:-1]]
+    assert rows == [
+        ["consistency", "4", "2", "2", "0"],
+        ["consistency", "5", "20", "20", "0"],
+    ]
+
+
+def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
+    # main stops at m=8 whatever --max-m says, so an m=9 request has no sizes
+    result = run_exhaustive("--min-m", "9", "--max-m", "9", "--theorem", "main")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "nothing to run" in result.stderr
