@@ -164,14 +164,11 @@ def accordion_complex(d: Dissection) -> LabeledComplex:
     return make_complex(coordinates, cxverts, facets)
 
 
-def verify_nested(
-    d: Dissection, d_prime: Dissection, ambient: LabeledComplex | None = None
-) -> IsoReport:
+def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
     """Compare A(d) with the induced subcomplex of A(d') it should equal.
 
     The subcomplex of A(d') sits on the accordion diagonals whose g-vectors
-    vanish outside the coordinates of d.  The isomorphism must be the
-    identity on black diagonals, with g-vectors matching after restriction.
+    vanish outside the coordinates of d.
     """
     if not d.diagonals:
         raise EmptyDissectionError()
@@ -180,11 +177,15 @@ def verify_nested(
             f"{d.white_pairs()} is not nested inside {d_prime.white_pairs()}"
         )
     positions = tuple(d_prime.diagonals.index(delta) for delta in d.diagonals)
+    induced = restrict_to_coordinates(accordion_complex(d_prime), positions)
+    return compare_nested(accordion_complex(d), induced)
 
-    big = ambient if ambient is not None else accordion_complex(d_prime)
-    small = accordion_complex(d)
-    induced = restrict_to_coordinates(big, positions)
 
+def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
+    """The nested comparison on built complexes: A(d) against A(d')
+    restricted to the coordinates of d.  The isomorphism must be the
+    identity on black diagonals, with g-vectors matching after restriction.
+    """
     report = iso_by_gvectors(small, induced)
     if report.passed:
         for vid, wid in report.vertex_map.items():

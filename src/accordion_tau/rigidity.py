@@ -441,17 +441,19 @@ def silting_complex(q: GentleQuiver, basis: AlgebraBasis | None = None) -> Label
     return make_complex(coordinates, cxverts, facets)
 
 
-def verify_idempotent_reduction(
-    q: GentleQuiver, J, ambient: LabeledComplex | None = None
-) -> IsoReport:
+def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
+    """Positions of the vertices in J among q's vertices, in quiver order."""
+    jset = set(J)
+    return tuple(i for i, v in enumerate(q.vertices) if v in jset)
+
+
+def verify_idempotent_reduction(q: GentleQuiver, J) -> IsoReport:
     """Silting complex of the shortcut algebra vs the induced subcomplex.
 
-    ambient lets callers reuse a silting complex of q across many subsets.
+    The comparison itself is iso_by_gvectors on the two built complexes;
+    exhaustive sweeps call it directly on complexes they reuse.
     """
-    jset = set(J)
-    sq = shortcut_quiver(q, J)
-    small = silting_complex(sq)
-    big = ambient if ambient is not None else silting_complex(q)
-    positions = tuple(i for i, v in enumerate(q.vertices) if v in jset)
-    induced = restrict_to_coordinates(big, positions)
+    small = silting_complex(shortcut_quiver(q, J))
+    induced = restrict_to_coordinates(silting_complex(q), subset_positions(q, J))
     return iso_by_gvectors(small, induced)
+

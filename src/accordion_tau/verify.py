@@ -6,10 +6,16 @@ The checks:
   nested      accordion complex of d  vs  induced subcomplex for d inside d'
   consistency shortcut quiver of d' at d  vs  quiver of d (exhaustive only)
 
-Exhaustive runs iterate all dissections of one polygon and reuse the ambient
-complexes across subsets; DRIVERS lists them for the command line and the
-scripts.  With structural=True every complex that shows up also goes through
-the structural audit (pseudomanifold, regular dual graph, sign coherence,
+Exhaustive runs iterate all dissections of one polygon and build each
+complex once per sweep, keyed by value: the nested sweep keeps one accordion
+complex per ordered diagonal tuple, the idempotent sweep one silting complex
+per ambient quiver and one per distinct shortcut quiver.  Both compare the
+built complexes with the same comparison the single-instance checks use
+(compare_nested, iso_by_gvectors), and each induced complex is built once and
+shared by the comparison and the audit.  The memos are locals of one sweep.
+DRIVERS lists the sweeps for the command line and the scripts.  With
+structural=True every complex that shows up also goes through the
+structural audit (pseudomanifold, regular dual graph, sign coherence,
 facet independence, injective g-vectors).
 """
 
@@ -20,7 +26,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .accordion import accordion_complex, verify_nested
+from .accordion import accordion_complex, compare_nested
 from .complexes import (
     IsoReport,
     LabeledComplex,
@@ -42,7 +48,7 @@ from .rigidity import (
     hom_shift,
     silting_complex,
     silting_vertices,
-    verify_idempotent_reduction,
+    subset_positions,
 )
 
 
@@ -127,39 +133,46 @@ def _subsets(items: tuple) -> list[tuple]:
 
 
 def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
-    """Every nested pair of nonempty dissections, subsets taken in ambient order."""
-    summary = VerifySummary("nested")
-    ambient_cache: dict[tuple, LabeledComplex] = {}
+    """Every nested pair of nonempty dissections, subsets taken in ambient order.
 
-    def cached(d: Dissection) -> LabeledComplex:
+    Each sub-dissection is itself a dissection of the m-gon, so the sweep
+    builds one accordion complex per dissection, keyed by its ordered
+    diagonals (their order fixes the coordinate order)."""
+    summary = VerifySummary("nested")
+    built: dict[tuple, LabeledComplex] = {}
+
+    def accordion(d: Dissection) -> LabeledComplex:
         key = tuple(d.white_pairs())
-        if key not in ambient_cache:
+        if key not in built:
             cx = accordion_complex(d)
-            ambient_cache[key] = cx
+            built[key] = cx
             if structural:
                 summary.audit(_tag(d) + " accordion", cx)
-        return ambient_cache[key]
+        return built[key]
 
     for big in all_dissections(m):
-        big_cx = cached(big)
-        for sub in _subsets(big.diagonals):
-            d = Dissection(big.cycle, sub)
-            report = verify_nested(d, big, ambient=big_cx)
-            summary.record(f"{_tag(d)} inside {big.white_pairs()}", report)
-            cached(d)
+        big_cx = accordion(big)
+        for positions in _subsets(tuple(range(len(big.diagonals)))):
+            d = Dissection(big.cycle, tuple(big.diagonals[t] for t in positions))
+            instance = f"{_tag(d)} inside {big.white_pairs()}"
+            induced = restrict_to_coordinates(big_cx, positions)
+            summary.record(instance, compare_nested(accordion(d), induced))
             if structural:
-                positions = tuple(big.diagonals.index(x) for x in sub)
-                summary.audit(
-                    f"{_tag(d)} inside {big.white_pairs()} induced",
-                    restrict_to_coordinates(big_cx, positions),
-                )
+                summary.audit(f"{instance} induced", induced)
     return summary
 
 
 def verify_idempotent_exhaustive(
     m: int, structural: bool = False, triangulations_only: bool = False
 ) -> VerifySummary:
+    """Every nonempty vertex subset J of every dissection's quiver.
+
+    Shortcut quivers repeat across dissections and subsets, so the sweep
+    builds one silting complex per distinct shortcut quiver (the quiver is
+    frozen and hashable, and its silting complex depends on its value only).
+    """
     summary = VerifySummary("idempotent")
+    shortcut_silting: dict[GentleQuiver, LabeledComplex] = {}
     for d in all_dissections(m):
         if triangulations_only and len(d.diagonals) != m - 3:
             continue
@@ -168,16 +181,16 @@ def verify_idempotent_exhaustive(
         if structural:
             summary.audit(_tag(d) + " silting", ambient)
         for J in _subsets(q.vertices):
-            report = verify_idempotent_reduction(q, J, ambient=ambient)
-            summary.record(f"{_tag(d)} J={list(J)}", report)
+            sq = shortcut_quiver(q, J)
+            if sq not in shortcut_silting:
+                shortcut_silting[sq] = silting_complex(sq)
+            small = shortcut_silting[sq]
+            induced = restrict_to_coordinates(ambient, subset_positions(q, J))
+            instance = f"{_tag(d)} J={list(J)}"
+            summary.record(instance, iso_by_gvectors(small, induced))
             if structural:
-                sq = shortcut_quiver(q, J)
-                summary.audit(f"{_tag(d)} J={list(J)} shortcut silting", silting_complex(sq))
-                positions = tuple(i for i, v in enumerate(q.vertices) if v in set(J))
-                summary.audit(
-                    f"{_tag(d)} J={list(J)} induced",
-                    restrict_to_coordinates(ambient, positions),
-                )
+                summary.audit(f"{instance} shortcut silting", small)
+                summary.audit(f"{instance} induced", induced)
     return summary
 
 

@@ -121,6 +121,23 @@ def count_flip_edges(facets) -> int:
     return len(flip_edges(facets))
 
 
+def make_complex_error(n_vertices: int, facets) -> str | None:
+    """The message make_complex should reject a facet family with, or None,
+    by testing every ordered pair of facets for containment (the package
+    indexes facets by vertex instead)."""
+    norm = sorted({tuple(sorted(f)) for f in facets})
+    sets = [frozenset(f) for f in norm]
+    for i, fi in enumerate(sets):
+        for j, fj in enumerate(sets):
+            if i != j and fi <= fj:
+                return f"facet {norm[i]} is contained in facet {norm[j]}"
+    covered = set().union(*sets) if sets else set()
+    missing = set(range(n_vertices)) - covered
+    if missing:
+        return f"vertices {sorted(missing)} appear in no facet"
+    return None
+
+
 def nested_pair_count(m: int) -> int:
     """Ordered pairs (sub, ambient) of nonempty dissections with sub inside."""
     return sum(2 ** len(d) - 1 for d in dissections(m))

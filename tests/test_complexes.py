@@ -1,6 +1,8 @@
 """Labeled complex plumbing: cliques, duals, isomorphism, audits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import accordion_tau.complexes as complexes
 import accordion_tau.verify as verify
@@ -95,6 +97,41 @@ def test_make_complex_rejects_contained_facet():
 def test_make_complex_rejects_uncovered_vertex():
     with pytest.raises(ValueError):
         mk([(1,), (2,), (3,)], [(0, 1)])
+
+
+facet_families = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n + 1), max_size=4), max_size=7),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families)
+def test_make_complex_matches_pair_scan_oracle(family):
+    # vertex ids up to n + 1, repeats inside a facet and the empty facet
+    # all occur; the oracle scans every ordered pair of facets
+    n, facets = family
+    verts = [ComplexVertex(i, (), f"v{i}", {}) for i in range(n)]
+    expected = oracles.make_complex_error(n, facets)
+    if expected is None:
+        cx = make_complex((), verts, facets)
+        assert cx.facets == tuple(sorted({tuple(sorted(f)) for f in facets}))
+    else:
+        with pytest.raises(ValueError) as err:
+            make_complex((), verts, facets)
+        assert str(err.value) == expected
+
+
+def test_make_complex_accepts_every_small_complex():
+    checked = 0
+    for m in range(4, 7):
+        for d in all_dissections(m):
+            for cx in (accordion_complex(d), silting_complex(quiver_of_dissection(d))):
+                assert oracles.make_complex_error(len(cx.vertices), cx.facets) is None
+                checked += 1
+    assert checked == 2 * (2 + 10 + 44)
 
 
 # -- dual graphs and pseudomanifolds --
@@ -256,6 +293,20 @@ def test_generic_iso_runs_and_limits():
     # size mismatch is a plain no
     c3 = mk([(1,), (2,)], [(0, 1)])
     assert generic_iso(c1, c3) == (False, None)
+
+
+def test_iso_skips_the_label_blind_search_above_its_size_limit():
+    # 65 isolated vertices on each side, no g-vector in common
+    c1 = mk([(i,) for i in range(65)], [(i,) for i in range(65)])
+    c2 = mk([(i + 100,) for i in range(65)], [(i,) for i in range(65)])
+    report = iso_by_gvectors(c1, c2)
+    assert not report.passed and report.vertex_map is None
+    assert report.generic_found is None
+    assert report.failures[-1] == (
+        "label-blind isomorphism search skipped: "
+        "complex has 65 vertices, above the search limit 64"
+    )
+    assert "isomorphic_ignoring_gvectors" not in report.to_json()
 
 
 # -- induced subcomplexes --

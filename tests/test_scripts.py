@@ -1,4 +1,4 @@
-"""The command line scripts, run as separate processes the way a user runs them."""
+"""The command line and its scripts, run as separate processes the way a user runs them."""
 
 import os
 import pathlib
@@ -11,16 +11,20 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = pathlib.Path(accordion_tau.__file__).resolve().parents[1]
 
 
-def run_exhaustive(*argv):
+def run_python(*argv):
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_exhaustive.py"), *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def run_exhaustive(*argv):
+    return run_python(str(ROOT / "scripts" / "run_exhaustive.py"), *argv)
 
 
 def test_run_exhaustive_rejects_polygons_without_diagonals():
@@ -48,3 +52,14 @@ def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "nothing to run" in result.stderr
+
+
+def test_exhaustive_verify_is_the_same_under_python_O():
+    # -O strips assert statements; the package's invariants must not need them
+    argv = ("-m", "accordion_tau.cli", "verify", "--exhaustive", "5", "--theorem", "all")
+    plain = run_python(*argv)
+    optimized = run_python("-O", *argv)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert '"status": "pass"' in plain.stdout
+    assert optimized.stdout == plain.stdout

@@ -1,0 +1,50 @@
+"""Exhaustive drivers build each complex once per sweep."""
+
+import itertools
+import sys
+
+import pytest
+
+import accordion_tau.accordion as accordion
+import accordion_tau.rigidity as rigidity
+import accordion_tau.verify as verify
+from accordion_tau.geometry import all_dissections
+from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name, wherever a package module binds it, with a counter."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "accordion_tau" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_nested_sweep_builds_one_accordion_complex_per_dissection(monkeypatch, structural):
+    calls = count_calls(monkeypatch, accordion, "accordion_complex")
+    summary = verify.verify_nested_exhaustive(6, structural=structural)
+    assert summary.ok
+    assert len(calls) == len(all_dissections(6))
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, structural):
+    dissections = all_dissections(6)
+    shortcuts = set()
+    for d in dissections:
+        q = quiver_of_dissection(d)
+        for size in range(1, len(q.vertices) + 1):
+            for J in itertools.combinations(q.vertices, size):
+                shortcuts.add(shortcut_quiver(q, J))
+    calls = count_calls(monkeypatch, rigidity, "silting_complex")
+    summary = verify.verify_idempotent_exhaustive(6, structural=structural)
+    assert summary.ok
+    assert len(calls) == len(dissections) + len(shortcuts)
