@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliques
-from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
+from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
+from .complexes import iso_by_gvectors, restrict_to_coordinates
 from .errors import (
     EmptyDissectionError,
     InternalError,
-    NonPureComplexError,
     NotAccordionError,
     NotCrossedError,
     NotNestedError,
@@ -143,25 +142,17 @@ def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
 
 def accordion_complex(d: Dissection) -> LabeledComplex:
     """Vertices: accordion diagonals; faces: pairwise noncrossing sets."""
-    cycle = d.cycle
     verts = accordion_vertices(d)
-    n = len(verts)
-    adj = [
-        {u for u in range(n) if u != v and not crosses(cycle, verts[v].black, verts[u].black)}
-        for v in range(n)
-    ]
-    facets = maximal_cliques(n, adj)
-    for f in facets:
-        if len(f) != len(d.diagonals):
-            raise NonPureComplexError(
-                f"accordion facet {f} has size {len(f)}, expected {len(d.diagonals)}"
-            )
-    coordinates = tuple(delta.label() for delta in d.diagonals)
     cxverts = [
         ComplexVertex(i, v.gvec, v.black.label(), {"black": list(v.black.vertex_pair())})
         for i, v in enumerate(verts)
     ]
-    return make_complex(coordinates, cxverts, facets)
+    return clique_complex(
+        "accordion",
+        (delta.label() for delta in d.diagonals),
+        cxverts,
+        lambda i, j: not crosses(d.cycle, verts[i].black, verts[j].black),
+    )
 
 
 def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:

@@ -172,6 +172,17 @@ def cmd_silting(config: RunConfig) -> int:
 
 
 def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:
+    instance_flags = {
+        "--m": config.m,
+        "--diagonals": config.diagonals,
+        "--input": config.input_path,
+        "--quiver": config.quiver_path,
+        "--j": config.j,
+        "--sub-diagonals": config.sub_diagonals,
+    }
+    for flag, value in instance_flags.items():
+        if value is not None:
+            raise InputError(f"--exhaustive runs every dissection, so it takes no {flag}")
     m = config.exhaustive
     if m < 4:
         raise InputError(

@@ -3,8 +3,9 @@
 A LabeledComplex stores vertices carrying integer g-vectors (one coordinate
 per label in `coordinates`), plus the facet list.  The two complexes built
 elsewhere in the package (accordion complexes of dissections, 2-term silting
-complexes of gentle algebras) both land here, so the isomorphism checks,
-dual graphs and structural audits are shared.
+complexes of gentle algebras) are both clique complexes of a pairwise
+compatibility relation, built by `clique_complex`, so the construction, the
+isomorphism checks, dual graphs and structural audits are shared.
 
 `make_complex` checks that no facet lies inside another through a
 containment index: each vertex maps to the bitmask of the facets holding
@@ -12,8 +13,11 @@ it, so the facets containing facet i are the AND of its vertices' masks
 without bit i: F*d mask ANDs in place of a scan over all F^2 facet pairs.
 Facet adjacency comes from one ridge index (each facet minus one vertex,
 mapped to the facets containing it): `dual_graph` reads its edges from it
-and `is_pseudomanifold` its ridge counts.  `restrict_to_coordinates` is the
-one place that slices g-vectors down to some coordinates.
+and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
+force dual-graph degree equal to the facet size, not to the number of
+coordinates, so a degree check against the coordinates is also a facet-size
+check.  `restrict_to_coordinates` is the one place that slices g-vectors
+down to some coordinates.
 """
 
 from __future__ import annotations
@@ -108,6 +112,29 @@ def maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
 
     expand(set(), set(range(n)), set())
     return sorted(cliques)
+
+
+def clique_complex(kind: str, coordinates, vertices, compatible) -> LabeledComplex:
+    """The clique complex of a pairwise compatibility relation on vertices.
+
+    compatible(i, j) is asked once for each pair of positions i < j.  The
+    facets are the maximal cliques, and each must hold one vertex per
+    coordinate; kind names the complex in the NonPureComplexError otherwise.
+    """
+    coordinates = tuple(coordinates)
+    n = len(vertices)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if compatible(i, j):
+            adj[i].add(j)
+            adj[j].add(i)
+    facets = maximal_cliques(n, adj)
+    for f in facets:
+        if len(f) != len(coordinates):
+            raise NonPureComplexError(
+                f"{kind} facet {f} has size {len(f)}, expected {len(coordinates)}"
+            )
+    return make_complex(coordinates, vertices, facets)
 
 
 @dataclass(frozen=True)

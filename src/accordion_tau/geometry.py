@@ -2,7 +2,8 @@
 
 2m boundary points sit counterclockwise on a circle and alternate colors:
 white vertex k is point 2k, black vertex k is point 2k+1, indices mod 2m.
-White chords (boundary edges and diagonals) carve the polygon into cells;
+White chords (boundary edges and diagonals) carve the polygon into cells,
+one diagonal cut at a time;
 black diagonals are the probes whose crossing patterns the rest of the
 package measures.  All incidence tests are integer arithmetic on cyclic
 distances, no floating point anywhere.
@@ -183,56 +184,29 @@ class Cell:
 
 
 def cells(d: Dissection) -> list[Cell]:
-    """Faces of the dissection via rotation-system traversal.
+    """Faces of the dissection, cut out one diagonal at a time.
 
-    At each white vertex the neighbors are sorted counterclockwise (which on
-    a circle is by cyclic distance).  Following edge u->v, the face continues
-    to the predecessor of u in the rotation at v; interior faces are the
-    traversals whose white-label steps sum to exactly m.
+    The polygon (0, ..., m-1) starts as the only face.  Each diagonal (i, j)
+    lies in the one face that holds both endpoints, and replaces it by the
+    two counterclockwise arcs it cuts off: i around to j, and j around to i.
+    Each cell lists its vertices counterclockwise from its smallest label,
+    and the result does not depend on the order of the diagonals.
     """
-    m = d.cycle.m
-    edges: set[tuple[int, int]] = set()
-    for k in range(m):
-        edges.add((k, (k + 1) % m))
+    faces = [tuple(range(d.cycle.m))]
     for i, j in d.white_pairs():
-        edges.add((min(i, j), max(i, j)))
-
-    neighbors: dict[int, list[int]] = {v: [] for v in range(m)}
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    for v in range(m):
-        neighbors[v].sort(key=lambda u: (u - v) % m)
-
-    chord_of = {}
-    for i, j in edges:
-        chord_of[(i, j)] = chord_of[(j, i)] = white_chord(d.cycle, i, j)
-
+        face = next(f for f in faces if i in f and j in f)
+        faces.remove(face)
+        a, b = sorted((face.index(i), face.index(j)))
+        faces += [face[a : b + 1], face[b:] + face[: a + 1]]
     out: list[Cell] = []
-    visited: set[tuple[int, int]] = set()
-    for i, j in sorted(edges):
-        for u, v in ((i, j), (j, i)):
-            if (u, v) in visited:
-                continue
-            walk = [(u, v)]
-            visited.add((u, v))
-            while True:
-                pu, pv = walk[-1]
-                ring = neighbors[pv]
-                w = ring[(ring.index(pu) - 1) % len(ring)]
-                if (pv, w) == walk[0]:
-                    break
-                walk.append((pv, w))
-                visited.add((pv, w))
-            verts = [e[0] for e in walk]
-            if sum((verts[(t + 1) % len(verts)] - verts[t]) % m for t in range(len(verts))) != m:
-                continue  # outer face
-            start = verts.index(min(verts))
-            verts = verts[start:] + verts[:start]
-            sides = tuple(
-                chord_of[(verts[t], verts[(t + 1) % len(verts)])] for t in range(len(verts))
-            )
-            out.append(Cell(tuple(verts), sides))
+    for face in faces:
+        start = face.index(min(face))
+        verts = face[start:] + face[:start]
+        sides = tuple(
+            white_chord(d.cycle, verts[t], verts[(t + 1) % len(verts)])
+            for t in range(len(verts))
+        )
+        out.append(Cell(verts, sides))
     out.sort(key=lambda c: c.vertices)
     return out
 

@@ -376,6 +376,9 @@ def idempotent_subalgebra_check(q: GentleQuiver, J) -> SubalgebraReport:
 
 
 def quiver_from_json(data: dict) -> GentleQuiver:
+    """A quiver from its JSON form: arrow ids must be strings, and no two
+    vertices may render to the same label (labels name vertices on output
+    and in --j)."""
     try:
         vertices = tuple(
             tuple(v) if isinstance(v, list) else v for v in data["vertices"]
@@ -389,9 +392,21 @@ def quiver_from_json(data: dict) -> GentleQuiver:
             for a in data["arrows"]
         )
         relations = frozenset((r[0], r[1]) for r in data.get("relations", []))
-        return GentleQuiver(vertices, arrows, relations)
+        q = GentleQuiver(vertices, arrows, relations)
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
+    for a in arrows:
+        if not isinstance(a.name, str):
+            raise InputError(f"arrow ids must be strings, got {a.name!r}")
+    seen: dict[str, object] = {}
+    for v in vertices:
+        label = vertex_label(v)
+        if label in seen:
+            raise InputError(
+                f"vertices {seen[label]!r} and {v!r} share the label {label!r}"
+            )
+        seen[label] = v
+    return q
 
 
 def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:

@@ -11,18 +11,13 @@ by integer elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .complexes import ComplexVertex, LabeledComplex, make_complex, maximal_cliques
-from .complexes import IsoReport, iso_by_gvectors, restrict_to_coordinates
-from .errors import (
-    AlgebraMismatchError,
-    BandDetectedError,
-    InternalError,
-    NonPureComplexError,
-)
+from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
+from .complexes import iso_by_gvectors, restrict_to_coordinates
+from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace, kernel, mat_vec
-from .quiver import AlgebraBasis, GentleQuiver, Path, algebra_basis
+from .quiver import AlgebraBasis, GentleQuiver, algebra_basis
 from .quiver import shortcut_quiver, vertex_label
 
 
@@ -147,25 +142,6 @@ def string_module(q: GentleQuiver, w: StringWord) -> Representation:
     return Representation(q, dims, mats)
 
 
-def proj_representation(basis: AlgebraBasis, v) -> Representation:
-    """The module of paths leaving v (used only in tests and audits)."""
-    q = basis.quiver
-    at: dict = {u: [] for u in q.vertices}
-    for i in range(basis.dimension):
-        if basis.source[i] == v:
-            at[basis.target[i]].append(i)
-    dims = {u: len(at[u]) for u in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        mat = [[0] * dims[a.src] for _ in range(dims[a.tgt])]
-        for col, p in enumerate(at[a.src]):
-            prod = basis.mult(p, basis.arrow_path[a.name])
-            if prod is not None:
-                mat[at[a.tgt].index(prod)][col] = 1
-        mats[a.name] = mat
-    return Representation(q, dims, mats)
-
-
 # ---------------------------------------------------------------------------
 # two-term complexes of projectives
 
@@ -195,10 +171,6 @@ class TwoTermComplex:
 
 def shifted_projective(basis: AlgebraBasis, v) -> TwoTermComplex:
     return TwoTermComplex(basis, (v,), (), [])
-
-
-def projective_complex(basis: AlgebraBasis, v) -> TwoTermComplex:
-    return TwoTermComplex(basis, (), (v,), [[]])
 
 
 def _act(rep: Representation, arrows: tuple[str, ...], x: list[int]) -> list[int]:
@@ -387,10 +359,10 @@ class SiltingVertex:
     label: str
 
 
-def silting_vertices(q: GentleQuiver, basis: AlgebraBasis | None = None) -> list[SiltingVertex]:
-    """Rigid presentations of string modules plus all shifted projectives."""
-    if basis is None:
-        basis = algebra_basis(q)
+def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
+    """Rigid presentations of string modules plus all shifted projectives,
+    stably sorted by g-vector."""
+    basis = algebra_basis(q)
     out: list[SiltingVertex] = []
     for w in enumerate_strings(q):
         pres = min_presentation(basis, string_module(q, w))
@@ -403,34 +375,12 @@ def silting_vertices(q: GentleQuiver, basis: AlgebraBasis | None = None) -> list
         out.append(
             SiltingVertex(pres, pres.gvec, "shifted", None, v, f"P_{vertex_label(v)}[1]")
         )
-    dedup: dict[tuple[int, ...], SiltingVertex] = {}
-    for sv in out:
-        dedup.setdefault(sv.gvec, sv)
-    return [dedup[g] for g in sorted(dedup)]
+    return sorted(out, key=lambda sv: sv.gvec)
 
 
-def silting_complex(q: GentleQuiver, basis: AlgebraBasis | None = None) -> LabeledComplex:
+def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank."""
-    if basis is None:
-        basis = algebra_basis(q)
-    verts = silting_vertices(q, basis)
-    n = len(verts)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (
-                hom_shift(verts[i].complex, verts[j].complex) == 0
-                and hom_shift(verts[j].complex, verts[i].complex) == 0
-            ):
-                adj[i].add(j)
-                adj[j].add(i)
-    facets = maximal_cliques(n, adj)
-    for f in facets:
-        if len(f) != len(q.vertices):
-            raise NonPureComplexError(
-                f"silting facet {f} has size {len(f)}, expected {len(q.vertices)}"
-            )
-    coordinates = tuple(vertex_label(v) for v in q.vertices)
+    verts = silting_vertices(q)
     cxverts = []
     for i, sv in enumerate(verts):
         if sv.kind == "module":
@@ -438,7 +388,14 @@ def silting_complex(q: GentleQuiver, basis: AlgebraBasis | None = None) -> Label
         else:
             payload = {"kind": "shifted", "projective": vertex_label(sv.projective)}
         cxverts.append(ComplexVertex(i, sv.gvec, sv.label, payload))
-    return make_complex(coordinates, cxverts, facets)
+
+    def compatible(i: int, j: int) -> bool:
+        x, y = verts[i].complex, verts[j].complex
+        return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
+
+    return clique_complex(
+        "silting", (vertex_label(v) for v in q.vertices), cxverts, compatible
+    )
 
 
 def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:

@@ -65,6 +65,8 @@ def audit_complex(cx: LabeledComplex) -> list[str]:
     report = is_pseudomanifold(cx)
     fails.extend(report.failures)
     if report.graph is not None:
+        # the other checks force degree = facet size, so this is the check
+        # that every facet has one vertex per coordinate
         n = len(cx.coordinates)
         off = [deg for deg in report.graph.degrees() if deg != n]
         if off:

@@ -5,7 +5,8 @@ the package: dissections come from a base-edge cell recursion instead of a
 compatibility DFS, triangulations from ear recursion, side-of-chord tests
 from floating point cross products, and Hom dimensions from an intertwiner
 linear system with its own little elimination.  Agreement between the two
-routes is the point of the tests.
+routes is the point of the tests.  Projectives as modules and as two-term
+complexes, which only the tests need, live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+from accordion_tau.rigidity import Representation, TwoTermComplex
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,34 @@ def hom_dim(arrows: list[tuple[str, str, str]], M: dict, N: dict) -> int:
                 if any(row):
                     rows.append(row)
     return total - _rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# projectives as modules and as two-term complexes
+
+
+def proj_representation(basis, v) -> Representation:
+    """The module of paths leaving v."""
+    q = basis.quiver
+    at: dict = {u: [] for u in q.vertices}
+    for i in range(basis.dimension):
+        if basis.source[i] == v:
+            at[basis.target[i]].append(i)
+    dims = {u: len(at[u]) for u in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        mat = [[0] * dims[a.src] for _ in range(dims[a.tgt])]
+        for col, p in enumerate(at[a.src]):
+            prod = basis.mult(p, basis.arrow_path[a.name])
+            if prod is not None:
+                mat[at[a.tgt].index(prod)][col] = 1
+        mats[a.name] = mat
+    return Representation(q, dims, mats)
+
+
+def projective_complex(basis, v) -> TwoTermComplex:
+    """The projective P_v as the complex 0 -> P_v."""
+    return TwoTermComplex(basis, (), (v,), [[]])
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,26 @@ BAD_FILES = {
 }
 
 
+BAD_QUIVERS = {
+    "integer-arrow-id": json.dumps(
+        {"vertices": [1, 2], "arrows": [{"id": 5, "src": 1, "tgt": 2}]}
+    ),
+    "list-label-collides": json.dumps({"vertices": ["x", ["x"]], "arrows": []}),
+    "pair-label-collides": json.dumps({"vertices": ["0-2", [0, 2]], "arrows": []}),
+}
+
+
 @pytest.mark.parametrize(
-    "probe", [*BAD_FILES, "missing-input", "unwritable-out"]
+    "probe", [*BAD_FILES, *BAD_QUIVERS, "missing-input", "unwritable-out"]
 )
 def test_bad_input_is_one_error_line_with_exit_two(capsys, tmp_path, probe):
     path = tmp_path / "d.json"
     argv = ["accordion", "--input", str(path)]
     if probe in BAD_FILES:
         path.write_text(BAD_FILES[probe])
+    elif probe in BAD_QUIVERS:
+        path.write_text(BAD_QUIVERS[probe])
+        argv = ["silting", "--quiver", str(path)]
     elif probe == "unwritable-out":
         argv = ["accordion", *FAN, "--out", str(tmp_path / "absent" / "out.json")]
     code, out, err = run(capsys, argv)
@@ -296,6 +308,24 @@ def test_verify_exhaustive_rejects_polygons_without_diagonals(capsys, m):
     assert code == 2
     assert out == ""
     assert "M >= 4" in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--m", "6"],
+        ["--diagonals", "0-2"],
+        ["--input", "d.json"],
+        ["--quiver", "q.json"],
+        ["--j", "0-2"],
+        ["--sub-diagonals", "0-2"],
+    ],
+)
+def test_verify_exhaustive_rejects_instance_flags(capsys, flag):
+    code, out, err = run(capsys, ["verify", "--exhaustive", "4", *flag])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --exhaustive runs every dissection, so it takes no {flag[0]}\n"
 
 
 def test_verify_exhaustive_with_seed(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,30 @@ def test_cell_interior_angles_sum():
     d = validate_dissection(8, [(0, 4)])
     two = cells(d)
     assert [c.vertices for c in two] == [(0, 1, 2, 3, 4), (0, 4, 5, 6, 7)]
+
+
+# sha256 of every dissection's cells for 4 <= m <= 8, empty ones included,
+# frozen from the rotation-system face traversal that cells() replaced
+CELLS_DIGEST = "7fe223ec78b3500ca14528c776d0f6a0388017a3a61dcfc9ef5b89b13a66f273"
+
+
+def test_cells_digest_is_frozen():
+    h = hashlib.sha256()
+    for m in range(4, 9):
+        for d in all_dissections(m, include_empty=True):
+            faces = [(c.vertices, [s.label() for s in c.sides]) for c in cells(d)]
+            h.update((repr((m, d.white_pairs(), faces)) + "\n").encode())
+    assert h.hexdigest() == CELLS_DIGEST
+
+
+def test_cells_ignore_the_order_of_the_diagonals():
+    for m in (5, 6, 7, 8):
+        for d in all_dissections(m):
+            want = cells(d)
+            pairs = d.white_pairs()
+            rotations = [pairs[t:] + pairs[:t] for t in range(1, len(pairs))]
+            for order in [pairs[::-1], *rotations]:
+                assert cells(validate_dissection(m, order)) == want
 
 
 def test_boundary_edges_count():

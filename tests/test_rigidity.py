@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 import accordion_tau
 import oracles
 from accordion_tau.complexes import restrict_to_coordinates
-from accordion_tau.errors import AlgebraMismatchError, BandDetectedError, InternalError
+from accordion_tau.errors import (
+    AlgebraMismatchError,
+    BandDetectedError,
+    InternalError,
+    NonPureComplexError,
+)
 from accordion_tau.quiver import (
     Arrow,
     GentleQuiver,
@@ -26,8 +31,6 @@ from accordion_tau.rigidity import (
     hom_shift,
     inverse_word,
     min_presentation,
-    proj_representation,
-    projective_complex,
     shifted_projective,
     silting_complex,
     silting_vertices,
@@ -36,6 +39,7 @@ from accordion_tau.rigidity import (
     walk_vertices,
 )
 from accordion_tau.verify import additivity_spotcheck
+from oracles import proj_representation, projective_complex
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +297,8 @@ def test_direct_sum_concatenates(zigzag_algebra):
 
 
 def test_zigzag_silting_vertices_frozen(zigzag_algebra):
-    q, basis = zigzag_algebra
-    verts = silting_vertices(q, basis)
+    q, _ = zigzag_algebra
+    verts = silting_vertices(q)
     assert [(v.label, v.gvec) for v in verts] == [
         ("P_0-2[1]", (-1, 0, 0)),
         ("P_2-4[1]", (0, -1, 0)),
@@ -309,17 +313,29 @@ def test_zigzag_silting_vertices_frozen(zigzag_algebra):
 
 
 def test_zigzag_silting_complex_counts(zigzag_algebra):
-    q, basis = zigzag_algebra
-    cx = silting_complex(q, basis)
+    q, _ = zigzag_algebra
+    cx = silting_complex(q)
     assert len(cx.vertices) == 8
     assert len(cx.facets) == 12
     assert all(len(f) == 3 for f in cx.facets)
     assert cx.coordinates == ("0-2", "2-4", "4-6")
 
 
+def test_repeated_object_makes_the_silting_build_fail(zigzag_algebra, monkeypatch):
+    # a repeated string gives two vertices with one g-vector; nothing merges
+    # them, so every facet through that object gains a vertex
+    q, _ = zigzag_algebra
+    strings = enumerate_strings(q)
+    monkeypatch.setattr(
+        accordion_tau.rigidity, "enumerate_strings", lambda _: strings + strings[:1]
+    )
+    with pytest.raises(NonPureComplexError, match="silting facet .* has size 4, expected 3"):
+        silting_complex(q)
+
+
 def test_fan_silting_complex_counts(fan_algebra):
-    q, basis = fan_algebra
-    cx = silting_complex(q, basis)
+    q, _ = fan_algebra
+    cx = silting_complex(q)
     assert len(cx.vertices) == 9
     assert len(cx.facets) == 14
     kinds = [v.payload["kind"] for v in cx.vertices]
@@ -328,8 +344,8 @@ def test_fan_silting_complex_counts(fan_algebra):
 
 
 def test_shifted_projectives_form_a_facet(zigzag_algebra):
-    q, basis = zigzag_algebra
-    cx = silting_complex(q, basis)
+    q, _ = zigzag_algebra
+    cx = silting_complex(q)
     shifted = frozenset(
         v.id for v in cx.vertices if v.payload["kind"] == "shifted"
     )
@@ -345,8 +361,8 @@ def test_idempotent_reduction_on_fan(fan_algebra):
 
 
 def test_single_coordinate_restriction_is_two_points(zigzag_algebra):
-    q, basis = zigzag_algebra
-    cx = silting_complex(q, basis)
+    q, _ = zigzag_algebra
+    cx = silting_complex(q)
     sub = restrict_to_coordinates(cx, (0,))
     assert [v.gvec for v in sub.vertices] == [(-1,), (1,)]
     assert sub.facets == ((0,), (1,))

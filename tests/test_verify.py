@@ -1,4 +1,4 @@
-"""Exhaustive drivers build each complex once per sweep."""
+"""Exhaustive drivers build each complex once per sweep; the structural audit."""
 
 import itertools
 import sys
@@ -8,6 +8,7 @@ import pytest
 import accordion_tau.accordion as accordion
 import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
+from accordion_tau.complexes import ComplexVertex, make_complex
 from accordion_tau.geometry import all_dissections
 from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
 
@@ -48,3 +49,16 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
     assert len(calls) == len(dissections) + len(shortcuts)
+
+
+def test_audit_rejects_a_triangle_boundary_by_degree_alone():
+    # pure, every ridge (a vertex) in two facets, connected, sign-coherent,
+    # independent and injective: only the dual graph degree sees that the
+    # facets have 2 vertices where there are 3 coordinates
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cx = make_complex(
+        ("x", "y", "z"),
+        [ComplexVertex(i, g, f"v{i}") for i, g in enumerate(units)],
+        [(0, 1), (0, 2), (1, 2)],
+    )
+    assert verify.audit_complex(cx) == ["dual graph degrees [2] instead of 3"]
