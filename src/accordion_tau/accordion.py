@@ -1,12 +1,17 @@
 """Accordion diagonals of a dissection and the complex they span.
 
-A black diagonal is an accordion diagonal of a dissection d when, inside
-every cell it meets, it crosses exactly two sides and those sides share a
-white vertex (the zigzag shape).  Each accordion diagonal gets an integer
-g-vector with one coordinate per diagonal of d: 0 on uncrossed diagonals,
-and on crossed ones a sign read off from how the zigzag turns.  The
-accordion complex collects pairwise noncrossing accordion diagonals; facets
-are the maximal such sets.
+A black diagonal b_i-b_j (i < j) splits the white vertices into
+S = {i+1, ..., j} and the rest, and it crosses exactly the white chords
+with one endpoint in S.  It is an accordion diagonal of a dissection d
+when no cell of d has two or more vertices on each side of S; then every
+cell it meets has a lone vertex, its only vertex on one side, where the
+two crossed sides of the cell meet (the zigzag shape).  Each accordion
+diagonal gets an integer g-vector with one coordinate per diagonal of d:
+0 on uncrossed diagonals and at a V, where the two cells of a crossed
+diagonal share their lone vertex, and otherwise a sign read off from the
+lone vertex of the cell the walk from b_i reaches first.  The accordion
+complex collects pairwise noncrossing accordion diagonals; facets are the
+maximal such sets.
 """
 
 from __future__ import annotations
@@ -15,111 +20,72 @@ from dataclasses import dataclass
 
 from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
 from .complexes import iso_by_gvectors, restrict_to_coordinates
-from .errors import (
-    EmptyDissectionError,
-    InternalError,
-    NotAccordionError,
-    NotCrossedError,
-    NotNestedError,
-)
-from .geometry import (
-    Cell,
-    Chord,
-    Dissection,
-    all_black_diagonal_chords,
-    boundary_edges,
-    cells,
-    crosses,
-    in_open_arc,
-    is_boundary,
-    left_of,
-)
+from .errors import EmptyDissectionError, NotAccordionError, NotNestedError
+from .geometry import Chord, Dissection, all_black_diagonal_chords, cells, crosses
 
 
-@dataclass(frozen=True)
-class CrossingSequence:
-    """The white chords crossed by a black diagonal, ordered along it.
+def _g_vector_of(d: Dissection):
+    """The g-vector function of d, with the cells of d and the two cells
+    on either side of each diagonal found once."""
+    faces = cells(d)
+    # a cell's vertices increase counterclockwise from its smallest, so the
+    # cell lies inside the arc p..q of its closing side (p, q) and outside
+    # the arcs of its other sides
+    inside: dict[Chord, int] = {}
+    outside: dict[Chord, int] = {}
+    for c, cell in enumerate(faces):
+        *steps, closing = cell.sides
+        inside[closing] = c
+        outside.update((side, c) for side in steps)
+    pairs = [delta.vertex_pair() for delta in d.diagonals]
 
-    start is the endpoint of the black chord the ordering begins at (the
-    smaller point index).  The first and last entries are always boundary
-    edges; diagonals of the dissection sit in between.
+    def g_vector_of(black: Chord) -> tuple[int, ...]:
+        i, j = black.vertex_pair()
+        lone: list[int | None] = []
+        for cell in faces:
+            in_s = [v for v in cell.vertices if i < v <= j]
+            out_s = [v for v in cell.vertices if not i < v <= j]
+            if len(in_s) == 1:
+                lone.append(in_s[0])
+            elif len(out_s) == 1:
+                lone.append(out_s[0])
+            elif in_s and out_s:
+                crossed = [
+                    s.label()
+                    for s in cell.sides
+                    if sum(i < v <= j for v in s.vertex_pair()) == 1
+                ]
+                raise NotAccordionError(cell.vertices, crossed)
+            else:
+                lone.append(None)
+        gvec = []
+        for delta, (p, q) in zip(d.diagonals, pairs):
+            if (i < p <= j) == (i < q <= j):
+                gvec.append(0)
+                continue
+            first, second = lone[inside[delta]], lone[outside[delta]]
+            if not p <= i < q:
+                first, second = second, first
+            gvec.append(0 if first == second else -1 if i < first <= j else 1)
+        return tuple(gvec)
+
+    return g_vector_of
+
+
+def g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
+    """One coordinate per diagonal of d, in dissection order.
+
+    For black = b_i-b_j, i < j, and S = {i+1, ..., j}: a diagonal (p, q),
+    p < q, with both or neither endpoint in S is not crossed and gets 0.  A
+    crossed one gets 0 when its two cells have the same lone vertex.
+    Otherwise take the lone vertex of the cell reached first from b_i, the
+    cell inside the arc p..q when p <= i < q and the other one otherwise:
+    the coordinate is +1 when that vertex lies outside S and -1 when inside.
+
+    Raises NotAccordionError, naming the first cell with two or more
+    vertices on each side of S and its crossed sides in side order.
     """
-
-    black: Chord
-    entries: tuple[Chord, ...]
-    start: int
-
-
-def crossing_sequence(d: Dissection, black: Chord, cell_list: list[Cell] | None = None) -> CrossingSequence:
-    """Crossed sides of the dissection, in order along the black diagonal.
-
-    Raises NotAccordionError as soon as some cell sees the black diagonal
-    enter and leave through sides with no common white vertex.
-    """
-    cycle = d.cycle
-    if cell_list is None:
-        cell_list = cells(d)
-
-    crossed = [e for e in boundary_edges(cycle) if crosses(cycle, black, e)]
-    crossed += [w for w in d.diagonals if crosses(cycle, black, w)]
-    crossed_set = set(crossed)
-
-    for cell in cell_list:
-        hit = [s for s in cell.sides if s in crossed_set]
-        if not hit:
-            continue
-        if len(hit) != 2 or not (set(hit[0].endpoints()) & set(hit[1].endpoints())):
-            raise NotAccordionError(cell.vertices, [s.label() for s in hit])
-
-    start, other = black.a, black.b
-
-    def key(chord: Chord):
-        # exactly one endpoint lies on the arc swept from start toward other
-        if in_open_arc(cycle, start, other, chord.a):
-            right, left = chord.a, chord.b
-        else:
-            right, left = chord.b, chord.a
-        return (cycle.dist(start, right), -cycle.dist(start, left))
-
-    ordered = tuple(sorted(crossed, key=key))
-    # the walk starts and ends by stepping over the boundary next to an endpoint
-    if not (is_boundary(cycle, ordered[0]) and is_boundary(cycle, ordered[-1])):
-        raise InternalError(f"crossing sequence of {black.label()} must end on the boundary")
-    return CrossingSequence(black, ordered, start)
-
-
-def sign(delta: Chord, d: Dissection, seq: CrossingSequence) -> int:
-    """Turn direction of the zigzag at a crossed diagonal: +1, -1 or 0.
-
-    Looks at the white vertices the crossing sequence pivots around just
-    before and just after delta.  Equal pivots mean a V shape (coordinate 0);
-    otherwise the sign records which side of the directed black chord the
-    incoming pivot lies on.
-    """
-    cycle = d.cycle
-    try:
-        k = seq.entries.index(delta)
-    except ValueError:
-        raise NotCrossedError(f"{delta.label()} is not crossed by {seq.black.label()}") from None
-    prev_shared = set(seq.entries[k - 1].endpoints()) & set(delta.endpoints())
-    next_shared = set(seq.entries[k + 1].endpoints()) & set(delta.endpoints())
-    if len(prev_shared) != 1 or len(next_shared) != 1:
-        raise InternalError(f"{delta.label()} must share one endpoint with each neighbor")
-    (x,) = prev_shared
-    (y,) = next_shared
-    if x == y:
-        return 0
-    other = seq.black.other(seq.start)
-    return 1 if left_of(cycle, seq.start, other, x) else -1
-
-
-def g_vector(d: Dissection, black: Chord, cell_list: list[Cell] | None = None) -> tuple[int, ...]:
-    """One coordinate per diagonal of d, in dissection order."""
-    seq = crossing_sequence(d, black, cell_list)
-    crossed = set(seq.entries)
-    return tuple(
-        sign(delta, d, seq) if delta in crossed else 0 for delta in d.diagonals
-    )
+    return _g_vector_of(d)(black)
 
 
 @dataclass(frozen=True)
@@ -130,11 +96,11 @@ class AccordionVertex:
 
 def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
     """All accordion diagonals of d with their g-vectors, by black label."""
-    cell_list = cells(d)
+    g_vector_of = _g_vector_of(d)
     out = []
     for black in all_black_diagonal_chords(d.cycle):
         try:
-            out.append(AccordionVertex(black, g_vector(d, black, cell_list)))
+            out.append(AccordionVertex(black, g_vector_of(black)))
         except NotAccordionError:
             continue
     return out

@@ -118,6 +118,8 @@ def resolve_subset(q: GentleQuiver, text: str | None) -> tuple:
             raise InputError(
                 f"unknown vertex {token!r}; choose from {sorted(by_label)}"
             )
+        if by_label[token] in subset:
+            raise InputError(f"vertex {token!r} is named twice in --j")
         subset.append(by_label[token])
     return tuple(subset)
 

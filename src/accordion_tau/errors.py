@@ -49,11 +49,6 @@ class EmptySubsetError(InputError):
         super().__init__(msg)
 
 
-class NotCrossedError(InputError):
-    def __init__(self, msg):
-        super().__init__(msg)
-
-
 class NotAccordionError(AccordionTauError):
     """A black diagonal that misses the two-consecutive-sides condition in some cell."""
 

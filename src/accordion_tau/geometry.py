@@ -72,13 +72,6 @@ class Chord:
             return f"{i}-{j}"
         return f"b{i}-b{j}"
 
-    def other(self, p: int) -> int:
-        if p == self.a:
-            return self.b
-        if p == self.b:
-            return self.a
-        raise ValueError(f"{p} is not an endpoint of {self}")
-
 
 def _chord(p: int, q: int, color: str) -> Chord:
     return Chord(min(p, q), max(p, q), color)
@@ -92,26 +85,9 @@ def black_chord(cycle: PointCycle, i: int, j: int) -> Chord:
     return _chord(cycle.black(i), cycle.black(j), BLACK)
 
 
-def is_boundary(cycle: PointCycle, chord: Chord) -> bool:
-    return cycle.dist(chord.a, chord.b) in (2, cycle.n_points - 2)
-
-
-def boundary_edges(cycle: PointCycle) -> list[Chord]:
-    return [white_chord(cycle, k, (k + 1) % cycle.m) for k in range(cycle.m)]
-
-
 def in_open_arc(cycle: PointCycle, start: int, end: int, x: int) -> bool:
     """Is point x strictly inside the ccw arc from start to end?"""
     return 0 < cycle.dist(start, x) < cycle.dist(start, end)
-
-
-def left_of(cycle: PointCycle, p: int, q: int, x: int) -> bool:
-    """Is point x strictly left of the chord directed from p to q?
-
-    Left means inside the open ccw arc from q back around to p.  Endpoints
-    themselves are on neither side.
-    """
-    return 0 < cycle.dist(q, x) < cycle.dist(q, p)
 
 
 def crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:

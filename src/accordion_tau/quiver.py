@@ -375,13 +375,26 @@ def idempotent_subalgebra_check(q: GentleQuiver, J) -> SubalgebraReport:
     return SubalgebraReport(not failures, failures, len(jj_paths))
 
 
+def _json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"malformed quiver JSON: {field} must be a list, got {value!r}")
+    return value
+
+
+def _relation_pair(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InputError(f"a relation is a list of two arrow ids, got {value!r}")
+    return tuple(value)
+
+
 def quiver_from_json(data: dict) -> GentleQuiver:
     """A quiver from its JSON form: arrow ids must be strings, and no two
     vertices may render to the same label (labels name vertices on output
     and in --j)."""
     try:
         vertices = tuple(
-            tuple(v) if isinstance(v, list) else v for v in data["vertices"]
+            tuple(v) if isinstance(v, list) else v
+            for v in _json_list(data["vertices"], "vertices")
         )
         arrows = tuple(
             Arrow(
@@ -389,11 +402,13 @@ def quiver_from_json(data: dict) -> GentleQuiver:
                 tuple(a["src"]) if isinstance(a["src"], list) else a["src"],
                 tuple(a["tgt"]) if isinstance(a["tgt"], list) else a["tgt"],
             )
-            for a in data["arrows"]
+            for a in _json_list(data["arrows"], "arrows")
         )
-        relations = frozenset((r[0], r[1]) for r in data.get("relations", []))
+        relations = frozenset(
+            _relation_pair(r) for r in _json_list(data.get("relations", []), "relations")
+        )
         q = GentleQuiver(vertices, arrows, relations)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
     for a in arrows:
         if not isinstance(a.name, str):

@@ -3,19 +3,32 @@
 Everything here is deliberately written against different algorithms than
 the package: dissections come from a base-edge cell recursion instead of a
 compatibility DFS, triangulations from ear recursion, side-of-chord tests
-from floating point cross products, and Hom dimensions from an intertwiner
-linear system with its own little elimination.  Agreement between the two
-routes is the point of the tests.  Projectives as modules and as two-term
-complexes, which only the tests need, live here too.
+from floating point cross products, accordion g-vectors from the crossed
+chords ordered along the black diagonal instead of a vertex split, and Hom
+dimensions from an intertwiner linear system with its own little
+elimination.  Agreement between the two routes is the point of the tests.
+Projectives as modules and as two-term complexes, which only the tests
+need, live here too.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from accordion_tau.errors import InputError, InternalError, NotAccordionError
+from accordion_tau.geometry import (
+    Chord,
+    Dissection,
+    PointCycle,
+    cells,
+    crosses,
+    in_open_arc,
+    white_chord,
+)
 from accordion_tau.rigidity import Representation, TwoTermComplex
 
 
@@ -175,6 +188,115 @@ def float_crosses(m: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
         return float_left_of(m, p, q, x)
 
     return side(a, b, c) != side(a, b, d) and side(c, d, a) != side(c, d, b)
+
+
+# ---------------------------------------------------------------------------
+# accordion g-vectors by the ordered crossing walk
+
+
+class NotCrossedError(InputError):
+    def __init__(self, msg):
+        super().__init__(msg)
+
+
+def is_boundary(cycle: PointCycle, chord: Chord) -> bool:
+    return cycle.dist(chord.a, chord.b) in (2, cycle.n_points - 2)
+
+
+def boundary_edges(cycle: PointCycle) -> list[Chord]:
+    return [white_chord(cycle, k, (k + 1) % cycle.m) for k in range(cycle.m)]
+
+
+def left_of(cycle: PointCycle, p: int, q: int, x: int) -> bool:
+    """Is point x strictly left of the chord directed from p to q?
+
+    Left means inside the open ccw arc from q back around to p.  Endpoints
+    themselves are on neither side.
+    """
+    return 0 < cycle.dist(q, x) < cycle.dist(q, p)
+
+
+@dataclass(frozen=True)
+class CrossingSequence:
+    """The white chords crossed by a black diagonal, ordered along it.
+
+    start is the endpoint of the black chord the ordering begins at (the
+    smaller point index).  The first and last entries are always boundary
+    edges; diagonals of the dissection sit in between.
+    """
+
+    black: Chord
+    entries: tuple[Chord, ...]
+    start: int
+
+
+def crossing_sequence(d: Dissection, black: Chord) -> CrossingSequence:
+    """Crossed sides of the dissection, in order along the black diagonal.
+
+    Raises NotAccordionError as soon as some cell sees the black diagonal
+    enter and leave through sides with no common white vertex.
+    """
+    cycle = d.cycle
+    crossed = [e for e in boundary_edges(cycle) if crosses(cycle, black, e)]
+    crossed += [w for w in d.diagonals if crosses(cycle, black, w)]
+    crossed_set = set(crossed)
+
+    for cell in cells(d):
+        hit = [s for s in cell.sides if s in crossed_set]
+        if not hit:
+            continue
+        if len(hit) != 2 or not (set(hit[0].endpoints()) & set(hit[1].endpoints())):
+            raise NotAccordionError(cell.vertices, [s.label() for s in hit])
+
+    start, other = black.a, black.b
+
+    def key(chord: Chord):
+        # exactly one endpoint lies on the arc swept from start toward other
+        if in_open_arc(cycle, start, other, chord.a):
+            right, left = chord.a, chord.b
+        else:
+            right, left = chord.b, chord.a
+        return (cycle.dist(start, right), -cycle.dist(start, left))
+
+    ordered = tuple(sorted(crossed, key=key))
+    # the walk starts and ends by stepping over the boundary next to an endpoint
+    if not (is_boundary(cycle, ordered[0]) and is_boundary(cycle, ordered[-1])):
+        raise InternalError(f"crossing sequence of {black.label()} must end on the boundary")
+    return CrossingSequence(black, ordered, start)
+
+
+def sign(delta: Chord, d: Dissection, seq: CrossingSequence) -> int:
+    """Turn direction of the zigzag at a crossed diagonal: +1, -1 or 0.
+
+    Looks at the white vertices the crossing sequence pivots around just
+    before and just after delta.  Equal pivots mean a V shape (coordinate 0);
+    otherwise the sign records which side of the directed black chord the
+    incoming pivot lies on.
+    """
+    cycle = d.cycle
+    try:
+        k = seq.entries.index(delta)
+    except ValueError:
+        raise NotCrossedError(f"{delta.label()} is not crossed by {seq.black.label()}") from None
+    prev_shared = set(seq.entries[k - 1].endpoints()) & set(delta.endpoints())
+    next_shared = set(seq.entries[k + 1].endpoints()) & set(delta.endpoints())
+    if len(prev_shared) != 1 or len(next_shared) != 1:
+        raise InternalError(f"{delta.label()} must share one endpoint with each neighbor")
+    (x,) = prev_shared
+    (y,) = next_shared
+    if x == y:
+        return 0
+    other = seq.black.b if seq.start == seq.black.a else seq.black.a
+    return 1 if left_of(cycle, seq.start, other, x) else -1
+
+
+def walk_g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
+    """The accordion g-vector read off the ordered crossing sequence."""
+    seq = crossing_sequence(d, black)
+    crossed = set(seq.entries)
+    return tuple(
+        sign(delta, d, seq) if delta in crossed else 0 for delta in d.diagonals
+    )
 
 
 # ---------------------------------------------------------------------------

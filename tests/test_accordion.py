@@ -1,21 +1,26 @@
+import hashlib
+
 import pytest
 
 from accordion_tau.accordion import (
-    CrossingSequence,
     accordion_complex,
     accordion_vertices,
-    crossing_sequence,
     g_vector,
-    sign,
     verify_nested,
 )
 from accordion_tau.errors import (
     EmptyDissectionError,
     NotAccordionError,
-    NotCrossedError,
     NotNestedError,
 )
-from accordion_tau.geometry import Dissection, all_dissections, black_chord, validate_dissection
+from accordion_tau.geometry import (
+    Dissection,
+    all_black_diagonal_chords,
+    all_dissections,
+    black_chord,
+    validate_dissection,
+)
+from oracles import CrossingSequence, NotCrossedError, crossing_sequence, sign, walk_g_vector
 
 # all nine accordion g-vectors of the hexagon fan, worked out by hand
 # before the implementation existed
@@ -54,7 +59,7 @@ def test_single_diagonal_hexagon():
 def test_perpendicular_black_diagonal_is_rejected():
     d = validate_dissection(6, [(0, 3)])
     with pytest.raises(NotAccordionError) as exc:
-        crossing_sequence(d, black_chord(d.cycle, 1, 4))
+        g_vector(d, black_chord(d.cycle, 1, 4))
     assert "not an accordion" in str(exc.value)
 
 
@@ -136,9 +141,51 @@ def test_empty_dissection_has_no_accordions():
 def test_every_accordion_gvector_is_nonzero():
     # an accordion diagonal always crosses at least one diagonal with a Z or
     # S turn; nothing in the construction forces this, so it is pinned down
-    # exhaustively at small sizes (the silting side relies on it to dedup
-    # vertices by g-vector)
+    # exhaustively at small sizes (a zero g-vector would make every facet
+    # through that vertex fail the facet-independence audit)
     for m in (4, 5, 6, 7):
         for d in all_dissections(m):
             for v in accordion_vertices(d):
-                assert any(x != 0 for x in v.gvec), (m, d.white_pairs(), v.label)
+                assert any(x != 0 for x in v.gvec), (m, d.white_pairs(), v.black.label())
+
+
+def test_accordion_vertices_match_the_crossing_walk_oracle():
+    # the vertex split must give the same vertices, in the same order, as
+    # the ordered walk along each black diagonal, and reject the same black
+    # diagonals with the same message
+    for m in (4, 5, 6, 7):
+        for d in all_dissections(m):
+            want = []
+            for black in all_black_diagonal_chords(d.cycle):
+                try:
+                    want.append((black.label(), walk_g_vector(d, black)))
+                except NotAccordionError:
+                    continue
+            got = [(v.black.label(), v.gvec) for v in accordion_vertices(d)]
+            assert got == want, (m, d.white_pairs())
+    for m in (4, 5, 6):
+        for d in all_dissections(m, include_empty=True):
+            for black in all_black_diagonal_chords(d.cycle):
+                try:
+                    want = walk_g_vector(d, black)
+                except NotAccordionError as exc:
+                    want = str(exc)
+                try:
+                    got = g_vector(d, black)
+                except NotAccordionError as exc:
+                    got = str(exc)
+                assert got == want, (m, d.white_pairs(), black.label())
+
+
+# sha256 of every dissection's (black label, g-vector) list for 4 <= m <= 8,
+# frozen from the ordered crossing walk that the vertex split replaced
+ACCORDION_DIGEST = "89a6badbdd074c3bdf2e724b1e482ef67dbecfc46a2c1b37cf7db718f0c96555"
+
+
+def test_accordion_vertices_digest_is_frozen():
+    h = hashlib.sha256()
+    for m in range(4, 9):
+        for d in all_dissections(m):
+            verts = [(v.black.label(), v.gvec) for v in accordion_vertices(d)]
+            h.update((repr((m, d.white_pairs(), verts)) + "\n").encode())
+    assert h.hexdigest() == ACCORDION_DIGEST

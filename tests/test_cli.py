@@ -1,13 +1,20 @@
 """End-to-end command line behavior, run in process via cli.main."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import accordion_tau.cli as cli
 from accordion_tau.complexes import IsoReport
 from accordion_tau.errors import InternalError
+from accordion_tau.geometry import all_dissections, validate_dissection
+from accordion_tau.quiver import quiver_of_dissection
 
 FAN = ["--m", "6", "--diagonals", "0-2,0-3,0-4"]
 
@@ -112,6 +119,14 @@ BAD_QUIVERS = {
     ),
     "list-label-collides": json.dumps({"vertices": ["x", ["x"]], "arrows": []}),
     "pair-label-collides": json.dumps({"vertices": ["0-2", [0, 2]], "arrows": []}),
+    "string-vertex-list": json.dumps({"vertices": "12", "arrows": []}),
+    "string-relation-pair": json.dumps(
+        {
+            "vertices": [1, 2, 3],
+            "arrows": [{"id": "x", "src": 1, "tgt": 2}, {"id": "y", "src": 2, "tgt": 3}],
+            "relations": ["xy"],
+        }
+    ),
 }
 
 
@@ -278,6 +293,18 @@ def test_verify_idempotent_unknown_j(capsys):
     assert "unknown vertex" in err
 
 
+def test_verify_idempotent_repeated_j(capsys, tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(A3_QUIVER))
+    code, out, err = run(
+        capsys, ["verify", "--theorem", "idempotent", "--quiver", str(path), "--j", "1,1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "named twice" in err
+
+
 def test_verify_exhaustive_all(capsys):
     code, out, _ = run(capsys, ["verify", "--exhaustive", "4", "--theorem", "all"])
     assert code == 0
@@ -433,3 +460,95 @@ def test_bad_diagonal_syntax(capsys):
     code, _, err = run(capsys, ["accordion", "--m", "6", "--diagonals", "02"])
     assert code == 2
     assert "expected i-j" in err
+
+
+# -- fuzzing --
+
+# each input is either well-formed in shape (so that most examples get past
+# parsing) or any small JSON value
+LABEL = st.one_of(st.integers(-2, 8), st.text("0123-ab", max_size=3), st.booleans())
+JSON_ANY = st.recursive(
+    st.none() | LABEL,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["m", "diagonals", "vertices", "arrows", "relations"]), inner, max_size=3
+    ),
+    max_leaves=8,
+)
+
+
+@functools.cache
+def dissections_json(m: int) -> list[dict]:
+    return [d.to_json() for d in all_dissections(m)]
+
+
+VALID_DISSECTION_JSON = st.integers(4, 7).flatmap(lambda m: st.sampled_from(dissections_json(m)))
+DISSECTION_JSON = VALID_DISSECTION_JSON | st.fixed_dictionaries(
+    {
+        "m": st.integers(3, 9),
+        "diagonals": st.lists(st.lists(st.integers(0, 8), min_size=2, max_size=2), max_size=3),
+    }
+)
+VERTEX = st.sampled_from(["1", "2", "3"])
+QUIVER_JSON = VALID_DISSECTION_JSON.map(
+    lambda d: quiver_of_dissection(validate_dissection(d["m"], d["diagonals"])).to_json()
+) | st.fixed_dictionaries(
+    {
+        "vertices": st.lists(VERTEX, max_size=4),
+        "arrows": st.lists(
+            st.fixed_dictionaries({"id": st.sampled_from("abcd"), "src": VERTEX, "tgt": VERTEX}),
+            max_size=3,
+        ),
+    },
+    optional={
+        "relations": st.lists(st.lists(st.sampled_from("abcd"), min_size=2, max_size=2), max_size=2)
+    },
+)
+
+
+def labels_in(data: dict) -> list[str]:
+    """Vertex labels of a quiver's JSON, or diagonal labels of a dissection's."""
+    if "vertices" in data:
+        return data["vertices"]
+    return [f"{i}-{j}" for i, j in data["diagonals"]]
+
+
+def verify_with(theorem: str, option: str, source: str, inputs):
+    """verify argv whose option names a few labels of its input, maybe unknown ones."""
+    return inputs.flatmap(
+        lambda data: st.lists(st.sampled_from([*labels_in(data), "x", ""]), max_size=3).map(
+            lambda picked: (
+                ["verify", "--theorem", theorem, f"{option}={','.join(picked)}", source],
+                data,
+            )
+        )
+    )
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just(["accordion", "--input"]), DISSECTION_JSON | JSON_ANY),
+    st.tuples(st.just(["silting", "--input"]), DISSECTION_JSON | JSON_ANY),
+    st.tuples(st.just(["silting", "--quiver"]), QUIVER_JSON | JSON_ANY),
+    verify_with("idempotent", "--j", "--quiver", QUIVER_JSON),
+    verify_with("idempotent", "--j", "--input", DISSECTION_JSON),
+    verify_with("nested", "--sub-diagonals", "--input", DISSECTION_JSON),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=COMMANDS, fmt=st.sampled_from(["json", "text", "dot"]))
+def test_cli_fuzz_exit_codes_and_error_lines(tmp_path_factory, command, fmt):
+    # every input gives a defined exit code: 0 pass, 1 verification failure,
+    # or one error line for bad input (2), an unsupported algebra (3) and a
+    # broken invariant (4); nothing else reaches stderr
+    argv, data = command
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, str(path), "--format", fmt])
+    assert code in (0, 1, 2, 3, 4)
+    if code in (2, 3, 4):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

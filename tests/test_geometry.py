@@ -16,11 +16,9 @@ from accordion_tau.geometry import (
     all_dissections,
     all_white_diagonal_pairs,
     black_chord,
-    boundary_edges,
     cells,
     crosses,
     in_open_arc,
-    left_of,
     validate_dissection,
     white_chord,
 )
@@ -87,9 +85,9 @@ def test_left_of_matches_float_oracle(m, data):
     x = data.draw(st.integers(0, n - 1))
     cycle = PointCycle(m)
     if x in (p, q):
-        assert not left_of(cycle, p, q, x)
+        assert not oracles.left_of(cycle, p, q, x)
     else:
-        assert left_of(cycle, p, q, x) == oracles.float_left_of(m, p, q, x)
+        assert oracles.left_of(cycle, p, q, x) == oracles.float_left_of(m, p, q, x)
 
 
 def test_in_open_arc_basics():
@@ -155,7 +153,7 @@ def test_cells_ignore_the_order_of_the_diagonals():
 
 
 def test_boundary_edges_count():
-    assert len(boundary_edges(PointCycle(7))) == 7
+    assert len(oracles.boundary_edges(PointCycle(7))) == 7
 
 
 def test_all_white_diagonal_pairs_count():
