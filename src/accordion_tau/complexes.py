@@ -7,10 +7,14 @@ complexes of gentle algebras) are both clique complexes of a pairwise
 compatibility relation, built by `clique_complex`, so the construction, the
 isomorphism checks, dual graphs and structural audits are shared.
 
-`make_complex` checks that no facet lies inside another through a
-containment index: each vertex maps to the bitmask of the facets holding
-it, so the facets containing facet i are the AND of its vertices' masks
-without bit i: F*d mask ANDs in place of a scan over all F^2 facet pairs.
+`clique_complex` stores each vertex's neighbours as an int bitmask and
+`maximal_cliques` runs Bron-Kerbosch on such masks.  `make_complex` checks
+that no facet lies inside another.  A family of distinct facets of one size
+without repeated entries (every clique complex that passes the purity check)
+cannot fail that check, so only other families build the containment index:
+each vertex maps to the bitmask of the facets holding it, so the facets
+containing facet i are the AND of its vertices' masks without bit i: F*d
+mask ANDs in place of a scan over all F^2 facet pairs.
 Facet adjacency comes from one ridge index (each facet minus one vertex,
 mapped to the facets containing it): `dual_graph` reads its edges from it
 and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
@@ -76,7 +80,19 @@ def make_complex(coordinates, vertices, facets) -> LabeledComplex:
                 f"expected {len(coordinates)}"
             )
     norm = sorted({tuple(sorted(f)) for f in facets})
-    # containment index: bit i of owners[v] is set when facet i holds v
+    # distinct sets of one size cannot contain one another
+    size = len(norm[0]) if norm else 0
+    if not all(len(f) == len(set(f)) == size for f in norm):
+        _check_containment(norm)
+    missing = set(range(len(vertices))).difference(*norm)
+    if missing:
+        raise ValueError(f"vertices {sorted(missing)} appear in no facet")
+    return LabeledComplex(coordinates, vertices, tuple(norm))
+
+
+def _check_containment(norm: list[tuple[int, ...]]) -> None:
+    """Raise on the first facet of norm contained in another, through the
+    containment index: bit i of owners[v] is set when facet i holds v."""
     owners: dict = {}
     for i, f in enumerate(norm):
         for v in f:
@@ -90,27 +106,51 @@ def make_complex(coordinates, vertices, facets) -> LabeledComplex:
             # lowest bit: the first facet j containing facet i
             j = (supersets & -supersets).bit_length() - 1
             raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
-    missing = set(range(len(vertices))) - owners.keys()
-    if missing:
-        raise ValueError(f"vertices {sorted(missing)} appear in no facet")
-    return LabeledComplex(coordinates, vertices, tuple(norm))
 
 
-def maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
-    """All maximal cliques of a graph on 0..n-1 (Bron-Kerbosch with pivoting)."""
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def maximal_cliques(n: int, adj: list[int]) -> list[tuple[int, ...]]:
+    """All maximal cliques of a graph on 0..n-1, as sorted tuples in sorted order.
+
+    adj[u] is the bitmask of the neighbours of u.  Bron-Kerbosch with
+    pivoting (Tomita, Tanaka and Takahashi) on int masks R, P and X: the
+    pivot u in P | X maximises |P & adj[u]|, ties going to the smallest u,
+    and the candidates P minus adj[pivot] are taken lowest bit first.
+    """
     cliques: list[tuple[int, ...]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]):
+    def expand(r: int, p: int, x: int):
         if not p and not x:
-            cliques.append(tuple(sorted(r)))
+            cliques.append(_bits(r))
             return
-        pivot = max(p | x, key=lambda u: (len(p & adj[u]), -u))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (p & adj[u]).bit_count()
+            if count > best:
+                best, pivot = count, u
+            rest ^= low
+        candidates = p & ~adj[pivot]
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            expand(r | low, p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            candidates ^= low
 
-    expand(set(), set(range(n)), set())
+    expand(0, (1 << n) - 1, 0)
     return sorted(cliques)
 
 
@@ -123,11 +163,11 @@ def clique_complex(kind: str, coordinates, vertices, compatible) -> LabeledCompl
     """
     coordinates = tuple(coordinates)
     n = len(vertices)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj = [0] * n
     for i, j in itertools.combinations(range(n), 2):
         if compatible(i, j):
-            adj[i].add(j)
-            adj[j].add(i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     facets = maximal_cliques(n, adj)
     for f in facets:
         if len(f) != len(coordinates):
@@ -416,15 +456,22 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
 
 
 def check_sign_coherence(cx: LabeledComplex) -> list[str]:
-    """Within a facet, no coordinate may take both signs across g-vectors."""
+    """Within a facet, no coordinate may take both signs across g-vectors.
+
+    Each vertex carries a mask of its positive and one of its negative
+    coordinates; a facet fails at the coordinates set in both ORs."""
+    pos, neg = [], []
+    for v in cx.vertices:
+        pos.append(sum(1 << c for c, x in enumerate(v.gvec) if x > 0))
+        neg.append(sum(1 << c for c, x in enumerate(v.gvec) if x < 0))
     failures = []
     for f in cx.facets:
-        for c in range(len(cx.coordinates)):
-            vals = [cx.vertices[v].gvec[c] for v in f]
-            if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-                failures.append(
-                    f"facet {f}: coordinate {cx.coordinates[c]} takes both signs"
-                )
+        up = down = 0
+        for v in f:
+            up |= pos[v]
+            down |= neg[v]
+        for c in _bits(up & down):
+            failures.append(f"facet {f}: coordinate {cx.coordinates[c]} takes both signs")
     return failures
 
 

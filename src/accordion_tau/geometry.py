@@ -5,8 +5,8 @@ white vertex k is point 2k, black vertex k is point 2k+1, indices mod 2m.
 White chords (boundary edges and diagonals) carve the polygon into cells,
 one diagonal cut at a time;
 black diagonals are the probes whose crossing patterns the rest of the
-package measures.  All incidence tests are integer arithmetic on cyclic
-distances, no floating point anywhere.
+package measures.  All incidence tests are integer comparisons of point
+indices, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -85,17 +85,17 @@ def black_chord(cycle: PointCycle, i: int, j: int) -> Chord:
     return _chord(cycle.black(i), cycle.black(j), BLACK)
 
 
-def in_open_arc(cycle: PointCycle, start: int, end: int, x: int) -> bool:
-    """Is point x strictly inside the ccw arc from start to end?"""
-    return 0 < cycle.dist(start, x) < cycle.dist(start, end)
-
-
 def crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:
-    """Do two chords cross in the open disk?  Shared endpoints do not count."""
-    if set(c1.endpoints()) & set(c2.endpoints()):
+    """Do two chords cross in the open disk?  Shared endpoints do not count.
+
+    Chords store their endpoints with a < b, so the open arc a..b holds
+    exactly the points strictly between them, and two chords without a
+    common endpoint cross when that arc holds one endpoint of the other.
+    """
+    a, b, c, d = c1.a, c1.b, c2.a, c2.b
+    if a == c or a == d or b == c or b == d:
         return False
-    inside = in_open_arc(cycle, c1.a, c1.b, c2.a) + in_open_arc(cycle, c1.a, c1.b, c2.b)
-    return inside == 1
+    return (a < c < b) != (a < d < b)
 
 
 def _adjacent_labels(m: int, i: int, j: int) -> bool:

@@ -9,10 +9,10 @@ The checks:
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep, keyed by value: the nested sweep keeps one accordion
 complex per ordered diagonal tuple, the idempotent sweep one silting complex
-per ambient quiver and one per distinct shortcut quiver.  Both compare the
-built complexes with the same comparison the single-instance checks use
-(compare_nested, iso_by_gvectors), and each induced complex is built once and
-shared by the comparison and the audit.  The memos are locals of one sweep.
+(and its audit messages) per distinct quiver, ambient or shortcut.  Both
+compare the built complexes with the same comparison the single-instance
+checks use (compare_nested, iso_by_gvectors), and each induced complex is
+built once and shared by the comparison and the audit.  The memos are locals of one sweep.
 DRIVERS lists the sweeps for the command line and the scripts.  With
 structural=True every complex that shows up also goes through the
 structural audit (pseudomanifold, regular dual graph, sign coherence,
@@ -94,9 +94,11 @@ class VerifySummary:
         else:
             self.failures.append(f"{instance}: {'; '.join(report.failures)}")
 
-    def audit(self, instance: str, cx: LabeledComplex):
+    def audit(self, instance: str, messages: list[str]):
+        """Count one audited complex and record its audit_complex messages,
+        each prefixed with the instance."""
         self.complexes_audited += 1
-        for msg in audit_complex(cx):
+        for msg in messages:
             self.structural.append(f"{instance}: {msg}")
 
     def to_json(self) -> dict:
@@ -122,8 +124,8 @@ def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
         silt = silting_complex(quiver_of_dissection(d))
         summary.record(_tag(d), iso_by_gvectors(acc, silt))
         if structural:
-            summary.audit(_tag(d) + " accordion", acc)
-            summary.audit(_tag(d) + " silting", silt)
+            summary.audit(_tag(d) + " accordion", audit_complex(acc))
+            summary.audit(_tag(d) + " silting", audit_complex(silt))
     return summary
 
 
@@ -149,7 +151,7 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
             cx = accordion_complex(d)
             built[key] = cx
             if structural:
-                summary.audit(_tag(d) + " accordion", cx)
+                summary.audit(_tag(d) + " accordion", audit_complex(cx))
         return built[key]
 
     for big in all_dissections(m):
@@ -160,7 +162,7 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
             induced = restrict_to_coordinates(big_cx, positions)
             summary.record(instance, compare_nested(accordion(d), induced))
             if structural:
-                summary.audit(f"{instance} induced", induced)
+                summary.audit(f"{instance} induced", audit_complex(induced))
     return summary
 
 
@@ -169,30 +171,37 @@ def verify_idempotent_exhaustive(
 ) -> VerifySummary:
     """Every nonempty vertex subset J of every dissection's quiver.
 
-    Shortcut quivers repeat across dissections and subsets, so the sweep
-    builds one silting complex per distinct shortcut quiver (the quiver is
-    frozen and hashable, and its silting complex depends on its value only).
+    Shortcut quivers repeat across dissections and subsets, and some equal
+    the quiver of another dissection, so the sweep builds one silting complex
+    per distinct quiver, ambient or shortcut (the quiver is frozen and
+    hashable, and its silting complex depends on its value only).  With
+    structural=True each distinct complex is audited once and its messages
+    are kept beside it; every instance still counts and reports them.
     """
     summary = VerifySummary("idempotent")
-    shortcut_silting: dict[GentleQuiver, LabeledComplex] = {}
+    built: dict[GentleQuiver, tuple[LabeledComplex, list[str]]] = {}
+
+    def silting(q: GentleQuiver) -> tuple[LabeledComplex, list[str]]:
+        if q not in built:
+            cx = silting_complex(q)
+            built[q] = (cx, audit_complex(cx) if structural else [])
+        return built[q]
+
     for d in all_dissections(m):
         if triangulations_only and len(d.diagonals) != m - 3:
             continue
         q = quiver_of_dissection(d)
-        ambient = silting_complex(q)
+        ambient, ambient_audit = silting(q)
         if structural:
-            summary.audit(_tag(d) + " silting", ambient)
+            summary.audit(_tag(d) + " silting", ambient_audit)
         for J in _subsets(q.vertices):
-            sq = shortcut_quiver(q, J)
-            if sq not in shortcut_silting:
-                shortcut_silting[sq] = silting_complex(sq)
-            small = shortcut_silting[sq]
+            small, small_audit = silting(shortcut_quiver(q, J))
             induced = restrict_to_coordinates(ambient, subset_positions(q, J))
             instance = f"{_tag(d)} J={list(J)}"
             summary.record(instance, iso_by_gvectors(small, induced))
             if structural:
-                summary.audit(f"{instance} shortcut silting", small)
-                summary.audit(f"{instance} induced", induced)
+                summary.audit(f"{instance} shortcut silting", small_audit)
+                summary.audit(f"{instance} induced", audit_complex(induced))
     return summary
 
 

@@ -4,9 +4,11 @@ Everything here is deliberately written against different algorithms than
 the package: dissections come from a base-edge cell recursion instead of a
 compatibility DFS, triangulations from ear recursion, side-of-chord tests
 from floating point cross products, accordion g-vectors from the crossed
-chords ordered along the black diagonal instead of a vertex split, and Hom
-dimensions from an intertwiner linear system with its own little
-elimination.  Agreement between the two routes is the point of the tests.
+chords ordered along the black diagonal instead of a vertex split, chord
+crossings from cyclic distances instead of index comparisons, maximal
+cliques and sign coherence on Python sets and per-coordinate scans instead
+of bitmasks, and Hom dimensions from an intertwiner linear system with its
+own little elimination.  Agreement between the two routes is the point of the tests.
 Projectives as modules and as two-term complexes, which only the tests
 need, live here too.
 """
@@ -26,9 +28,9 @@ from accordion_tau.geometry import (
     PointCycle,
     cells,
     crosses,
-    in_open_arc,
     white_chord,
 )
+from accordion_tau.complexes import LabeledComplex
 from accordion_tau.rigidity import Representation, TwoTermComplex
 
 
@@ -154,6 +156,39 @@ def make_complex_error(n_vertices: int, facets) -> str | None:
     return None
 
 
+def set_maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
+    """All maximal cliques of a graph on 0..n-1 given by neighbour sets
+    (Bron-Kerbosch with the same pivot rule as the package, on Python sets)."""
+    cliques: list[tuple[int, ...]] = []
+
+    def expand(r: set[int], p: set[int], x: set[int]):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: (len(p & adj[u]), -u))
+        for v in sorted(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p.discard(v)
+            x.add(v)
+
+    expand(set(), set(range(n)), set())
+    return sorted(cliques)
+
+
+def check_sign_coherence(cx: LabeledComplex) -> list[str]:
+    """The sign coherence messages, by a scan of every coordinate of every
+    facet (the package ORs per-vertex sign masks instead)."""
+    failures = []
+    for f in cx.facets:
+        for c in range(len(cx.coordinates)):
+            vals = [cx.vertices[v].gvec[c] for v in f]
+            if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+                failures.append(
+                    f"facet {f}: coordinate {cx.coordinates[c]} takes both signs"
+                )
+    return failures
+
+
 def nested_pair_count(m: int) -> int:
     """Ordered pairs (sub, ambient) of nonempty dissections with sub inside."""
     return sum(2 ** len(d) - 1 for d in dissections(m))
@@ -188,6 +223,20 @@ def float_crosses(m: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
         return float_left_of(m, p, q, x)
 
     return side(a, b, c) != side(a, b, d) and side(c, d, a) != side(c, d, b)
+
+
+def in_open_arc(cycle: PointCycle, start: int, end: int, x: int) -> bool:
+    """Is point x strictly inside the ccw arc from start to end?"""
+    return 0 < cycle.dist(start, x) < cycle.dist(start, end)
+
+
+def arc_crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:
+    """Crossing by cyclic distances: no shared endpoint, and exactly one
+    endpoint of c2 inside the ccw arc of c1 (the package compares indices)."""
+    if set(c1.endpoints()) & set(c2.endpoints()):
+        return False
+    inside = in_open_arc(cycle, c1.a, c1.b, c2.a) + in_open_arc(cycle, c1.a, c1.b, c2.b)
+    return inside == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Labeled complex plumbing: cliques, duals, isomorphism, audits."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,24 +53,67 @@ TRIANGLE_BOUNDARY = [(0, 1), (1, 2), (0, 2)]
 # -- clique enumeration --
 
 
+def masks(adj_sets):
+    return [sum(1 << v for v in vs) for vs in adj_sets]
+
+
 def test_maximal_cliques_triangle():
-    adj = [{1, 2}, {0, 2}, {0, 1}]
+    adj = masks([{1, 2}, {0, 2}, {0, 1}])
     assert maximal_cliques(3, adj) == [(0, 1, 2)]
 
 
 def test_maximal_cliques_path():
-    adj = [{1}, {0, 2}, {1}]
+    adj = masks([{1}, {0, 2}, {1}])
     assert maximal_cliques(3, adj) == [(0, 1), (1, 2)]
 
 
 def test_maximal_cliques_no_edges():
-    adj = [set(), set(), set()]
+    adj = masks([set(), set(), set()])
     assert maximal_cliques(3, adj) == [(0,), (1,), (2,)]
 
 
 def test_maximal_cliques_four_cycle():
-    adj = [{1, 3}, {0, 2}, {1, 3}, {0, 2}]
+    adj = masks([{1, 3}, {0, 2}, {1, 3}, {0, 2}])
     assert maximal_cliques(4, adj) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+random_graphs = st.integers(0, 14).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs)
+def test_maximal_cliques_match_the_set_oracle_on_random_graphs(graph):
+    n, edges = graph
+    adj_sets = [set() for _ in range(n)]
+    for (i, j), edge in zip(itertools.combinations(range(n), 2), edges):
+        if edge:
+            adj_sets[i].add(j)
+            adj_sets[j].add(i)
+    assert maximal_cliques(n, masks(adj_sets)) == oracles.set_maximal_cliques(n, adj_sets)
+
+
+def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monkeypatch):
+    graphs = []
+    real = complexes.maximal_cliques
+
+    def recording(n, adj):
+        graphs.append((n, list(adj)))
+        return real(n, adj)
+
+    monkeypatch.setattr(complexes, "maximal_cliques", recording)
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            accordion_complex(d)
+            silting_complex(quiver_of_dissection(d))
+    assert len(graphs) == 2 * (2 + 10 + 44 + 196)
+    for n, adj in graphs:
+        adj_sets = [{v for v in range(n) if adj[u] >> v & 1} for u in range(n)]
+        assert real(n, adj) == oracles.set_maximal_cliques(n, adj_sets)
 
 
 # -- construction and validation --
@@ -342,6 +388,44 @@ def test_sign_coherence_flags_mixed_signs():
     cx = mk([(1, 0), (-1, 0)], [(0, 1)])
     fails = check_sign_coherence(cx)
     assert len(fails) == 1 and "both signs" in fails[0]
+
+
+def flip_signs(cx, whole=False):
+    """cx with one g-vector entry negated where that mixes signs in a facet:
+    the first vertex u of a facet whose entry at some coordinate has the sign
+    of another vertex of the facet there.  With whole=True all of u's entries
+    are negated, which can mix several coordinates.  None when no facet has
+    such a pair."""
+    for f in cx.facets:
+        for c in range(len(cx.coordinates)):
+            for u in f:
+                x = cx.vertices[u].gvec[c]
+                if x and any(cx.vertices[w].gvec[c] * x > 0 for w in f if w != u):
+                    g = list(cx.vertices[u].gvec)
+                    g = [-y for y in g] if whole else g[:c] + [-x] + g[c + 1 :]
+                    verts = list(cx.vertices)
+                    verts[u] = dataclasses.replace(verts[u], gvec=tuple(g))
+                    return dataclasses.replace(cx, vertices=tuple(verts))
+    return None
+
+
+def test_sign_coherence_matches_the_coordinate_scan_oracle():
+    built = flipped = 0
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            for cx in (accordion_complex(d), silting_complex(quiver_of_dissection(d))):
+                assert check_sign_coherence(cx) == oracles.check_sign_coherence(cx) == []
+                built += 1
+                for whole in (False, True):
+                    bad = flip_signs(cx, whole)
+                    if bad is not None:
+                        fails = check_sign_coherence(bad)
+                        assert fails and fails == oracles.check_sign_coherence(bad)
+                        flipped += 1
+    assert built == 2 * (2 + 10 + 44 + 196)
+    # the other 94 complexes have no facet with two vertices of one sign at
+    # one coordinate (all of the square's, whose facets are single vertices)
+    assert flipped == 2 * 410
 
 
 def test_facet_independence_flags_dependence():

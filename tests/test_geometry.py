@@ -18,7 +18,6 @@ from accordion_tau.geometry import (
     black_chord,
     cells,
     crosses,
-    in_open_arc,
     validate_dissection,
     white_chord,
 )
@@ -92,10 +91,10 @@ def test_left_of_matches_float_oracle(m, data):
 
 def test_in_open_arc_basics():
     cycle = PointCycle(6)
-    assert in_open_arc(cycle, 1, 7, 4)
-    assert not in_open_arc(cycle, 1, 7, 7)
-    assert not in_open_arc(cycle, 1, 7, 9)
-    assert in_open_arc(cycle, 9, 3, 0)
+    assert oracles.in_open_arc(cycle, 1, 7, 4)
+    assert not oracles.in_open_arc(cycle, 1, 7, 7)
+    assert not oracles.in_open_arc(cycle, 1, 7, 9)
+    assert oracles.in_open_arc(cycle, 9, 3, 0)
 
 
 def test_cells_of_hexagon_fan(hexagon_fan):
@@ -191,5 +190,25 @@ def test_black_chord_crossing_is_antisymmetric_in_arcs(m, data):
     cycle = PointCycle(m)
     b = black_chord(cycle, *data.draw(st.sampled_from(pairs)))
     w = white_chord(cycle, *data.draw(st.sampled_from(pairs)))
-    inside = in_open_arc(cycle, b.a, b.b, w.a) + in_open_arc(cycle, b.a, b.b, w.b)
+    arc = oracles.in_open_arc
+    inside = arc(cycle, b.a, b.b, w.a) + arc(cycle, b.a, b.b, w.b)
     assert crosses(cycle, b, w) == (inside == 1)
+
+
+def test_crosses_matches_the_cyclic_distance_oracle_on_every_chord_pair():
+    # boundary edges included; white-white, black-black and mixed pairs
+    checked = 0
+    for m in range(3, 9):
+        cycle = PointCycle(m)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        chords = [white_chord(cycle, *p) for p in pairs]
+        chords += [black_chord(cycle, *p) for p in pairs]
+        for c1 in chords:
+            for c2 in chords:
+                assert crosses(cycle, c1, c2) == oracles.arc_crosses(cycle, c1, c2), (
+                    m,
+                    c1,
+                    c2,
+                )
+                checked += 1
+    assert checked == sum((m * (m - 1)) ** 2 for m in range(3, 9))

@@ -63,3 +63,14 @@ def test_exhaustive_verify_is_the_same_under_python_O():
     assert optimized.returncode == 0, optimized.stderr
     assert '"status": "pass"' in plain.stdout
     assert optimized.stdout == plain.stdout
+
+
+def test_python_m_accordion_tau_runs_the_command_line():
+    result = run_python("-m", "accordion_tau", "verify", "--m", "5", "--diagonals", "0-2")
+    assert result.returncode == 0, result.stderr
+    assert '"status": "pass"' in result.stdout
+    for m in ("x", "2"):
+        bad = run_python("-m", "accordion_tau", "verify", "--m", m, "--diagonals", "0-2")
+        assert bad.returncode == 2
+        assert bad.stdout == ""
+        assert "Traceback" not in bad.stderr

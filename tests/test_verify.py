@@ -39,16 +39,24 @@ def test_nested_sweep_builds_one_accordion_complex_per_dissection(monkeypatch, s
 @pytest.mark.parametrize("structural", [False, True])
 def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, structural):
     dissections = all_dissections(6)
-    shortcuts = set()
-    for d in dissections:
-        q = quiver_of_dissection(d)
+    ambients = {quiver_of_dissection(d) for d in dissections}
+    shortcuts, pairs = set(), 0
+    for q in map(quiver_of_dissection, dissections):
         for size in range(1, len(q.vertices) + 1):
             for J in itertools.combinations(q.vertices, size):
                 shortcuts.add(shortcut_quiver(q, J))
+                pairs += 1
+    # some ambient quivers are also shortcut quivers, and are built once
+    assert len(ambients) == len(dissections) and ambients & shortcuts
     calls = count_calls(monkeypatch, rigidity, "silting_complex")
+    audits = count_calls(monkeypatch, verify, "audit_complex")
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
-    assert len(calls) == len(dissections) + len(shortcuts)
+    assert len(calls) == len(ambients | shortcuts)
+    # one audit per distinct complex and per induced complex, while every
+    # instance still counts its audited complexes
+    assert len(audits) == (len(ambients | shortcuts) + pairs if structural else 0)
+    assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
 def test_audit_rejects_a_triangle_boundary_by_degree_alone():
