@@ -117,7 +117,7 @@ def accordion_complex(d: Dissection) -> LabeledComplex:
         "accordion",
         (delta.label() for delta in d.diagonals),
         cxverts,
-        lambda i, j: not crosses(d.cycle, verts[i].black, verts[j].black),
+        lambda i, j: not crosses(verts[i].black, verts[j].black),
     )
 
 

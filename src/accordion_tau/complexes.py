@@ -9,9 +9,10 @@ isomorphism checks, dual graphs and structural audits are shared.
 
 `clique_complex` stores each vertex's neighbours as an int bitmask and
 `maximal_cliques` runs Bron-Kerbosch on such masks.  `make_complex` checks
-that no facet lies inside another.  A family of distinct facets of one size
-without repeated entries (every clique complex that passes the purity check)
-cannot fail that check, so only other families build the containment index:
+that facets name only the complex's vertices and that no facet lies inside
+another.  A family of distinct facets of one size without repeated entries
+(every clique complex that passes the purity check) cannot fail the
+containment check, so only other families build the containment index:
 each vertex maps to the bitmask of the facets holding it, so the facets
 containing facet i are the AND of its vertices' masks without bit i: F*d
 mask ANDs in place of a scan over all F^2 facet pairs.
@@ -21,13 +22,18 @@ and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
 force dual-graph degree equal to the facet size, not to the number of
 coordinates, so a degree check against the coordinates is also a facet-size
 check.  `restrict_to_coordinates` is the one place that slices g-vectors
-down to some coordinates.
+down to some coordinates.  Restrictions work on masks that each complex
+computes once: a vertex is kept when its g-vector support mask lies inside
+the coordinates' mask, a facet's trace is its vertex mask ANDed with the
+kept vertices' mask, and the maximal traces are those the containment
+index finds in no other trace.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -53,6 +59,18 @@ class LabeledComplex:
 
     def facet_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.facets}
+
+    @cached_property
+    def facet_masks(self) -> tuple[int, ...]:
+        """Each facet as the bitmask of its vertex ids."""
+        return tuple(sum(1 << v for v in f) for f in self.facets)
+
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """Each vertex's nonzero g-vector coordinates, as a bitmask."""
+        return tuple(
+            sum(1 << t for t, x in enumerate(v.gvec) if x) for v in self.vertices
+        )
 
     def to_json(self) -> dict:
         verts = []
@@ -80,32 +98,45 @@ def make_complex(coordinates, vertices, facets) -> LabeledComplex:
                 f"expected {len(coordinates)}"
             )
     norm = sorted({tuple(sorted(f)) for f in facets})
+    ids = set(range(len(vertices)))
+    used = set().union(*norm)
+    if not used <= ids:
+        raise ValueError(
+            f"facets name vertex ids {sorted(used - ids)} "
+            f"outside range({len(vertices)})"
+        )
     # distinct sets of one size cannot contain one another
     size = len(norm[0]) if norm else 0
     if not all(len(f) == len(set(f)) == size for f in norm):
-        _check_containment(norm)
-    missing = set(range(len(vertices))).difference(*norm)
+        for i, supersets in enumerate(_supersets(norm)):
+            if supersets:
+                # lowest bit: the first facet j containing facet i
+                j = (supersets & -supersets).bit_length() - 1
+                raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
+    missing = ids - used
     if missing:
         raise ValueError(f"vertices {sorted(missing)} appear in no facet")
     return LabeledComplex(coordinates, vertices, tuple(norm))
 
 
-def _check_containment(norm: list[tuple[int, ...]]) -> None:
-    """Raise on the first facet of norm contained in another, through the
-    containment index: bit i of owners[v] is set when facet i holds v."""
+def _supersets(sets: list[tuple[int, ...]]) -> list[int]:
+    """For each of the distinct sets, the bitmask of the other sets that
+    contain it, through the containment index: bit i of owners[v] is set
+    when set i holds v."""
     owners: dict = {}
-    for i, f in enumerate(norm):
+    for i, f in enumerate(sets):
         for v in f:
             owners[v] = owners.get(v, 0) | 1 << i
-    everything = (1 << len(norm)) - 1
-    for i, f in enumerate(norm):
+    everything = (1 << len(sets)) - 1
+    out = []
+    for i, f in enumerate(sets):
         supersets = everything & ~(1 << i)
         for v in f:
             supersets &= owners[v]
-        if supersets:
-            # lowest bit: the first facet j containing facet i
-            j = (supersets & -supersets).bit_length() - 1
-            raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
+            if not supersets:
+                break
+        out.append(supersets)
+    return out
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -423,16 +454,25 @@ def generic_iso(
 
 
 def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
-    """Restriction to a vertex subset: maximal traces of facets on the subset."""
+    """Restriction to a vertex subset: maximal traces of facets on the subset.
+
+    A trace is a facet mask ANDed with the subset's mask; the distinct traces
+    that no other trace contains are the facets."""
     keep = sorted(set(vertex_ids))
+    keep_mask = 0
+    for v in keep:
+        keep_mask |= 1 << v
     renumber = {old: new for new, old in enumerate(keep)}
     verts = [
         ComplexVertex(new, v.gvec, v.label, dict(v.payload))
         for new, v in enumerate(cx.vertices[old] for old in keep)
     ]
-    traces = {frozenset(renumber[v] for v in f if v in renumber) for f in cx.facets}
-    maximal = [t for t in traces if not any(t < other for other in traces)]
-    facets = sorted(tuple(sorted(t)) for t in maximal)
+    traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
+    facets = sorted(
+        tuple(renumber[v] for v in t)
+        for t, supersets in zip(traces, _supersets(traces))
+        if not supersets
+    )
     return make_complex(cx.coordinates, verts, facets)
 
 
@@ -440,12 +480,10 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
     """Induced subcomplex on the vertices whose g-vectors vanish off positions,
     with coordinates and g-vectors restricted to those positions, in order."""
     positions = tuple(positions)
-    inside = set(positions)
-    ids = [
-        v.id
-        for v in cx.vertices
-        if all(x == 0 for t, x in enumerate(v.gvec) if t not in inside)
-    ]
+    inside = 0
+    for t in positions:
+        inside |= 1 << t
+    ids = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
     sub = induced_subcomplex(cx, ids)
     verts = tuple(
         ComplexVertex(v.id, tuple(v.gvec[t] for t in positions), v.label, v.payload)

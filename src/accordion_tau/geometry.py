@@ -44,10 +44,6 @@ class PointCycle:
     def black(self, k: int) -> int:
         return (2 * k + 1) % self.n_points
 
-    def dist(self, a: int, b: int) -> int:
-        """Counterclockwise steps from point a to point b."""
-        return (b - a) % self.n_points
-
 
 @dataclass(frozen=True, order=True)
 class Chord:
@@ -85,7 +81,7 @@ def black_chord(cycle: PointCycle, i: int, j: int) -> Chord:
     return _chord(cycle.black(i), cycle.black(j), BLACK)
 
 
-def crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:
+def crosses(c1: Chord, c2: Chord) -> bool:
     """Do two chords cross in the open disk?  Shared endpoints do not count.
 
     Chords store their endpoints with a < b, so the open arc a..b holds
@@ -141,7 +137,7 @@ def validate_dissection(m: int, pairs) -> Dissection:
         chords.append(white_chord(cycle, i, j))
     for idx, c1 in enumerate(chords):
         for c2 in chords[idx + 1 :]:
-            if crosses(cycle, c1, c2):
+            if crosses(c1, c2):
                 raise CrossingPairError(c1.vertex_pair(), c2.vertex_pair())
     return Dissection(cycle, tuple(chords))
 
@@ -206,7 +202,7 @@ def all_dissections(m: int, include_empty: bool = False) -> list[Dissection]:
     pairs = all_white_diagonal_pairs(m)
     chords = [white_chord(cycle, i, j) for i, j in pairs]
     n = len(chords)
-    compatible = [[not crosses(cycle, chords[x], chords[y]) for y in range(n)] for x in range(n)]
+    compatible = [[not crosses(chords[x], chords[y]) for y in range(n)] for x in range(n)]
 
     out: list[Dissection] = []
     if include_empty:

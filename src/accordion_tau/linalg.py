@@ -8,12 +8,14 @@ through it; nothing here divides.
 
 from __future__ import annotations
 
+import operator
+
 Vector = list
 Matrix = list
 
 
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
+    return [sum(map(operator.mul, row, vec)) for row in mat]
 
 
 class RowSpace:

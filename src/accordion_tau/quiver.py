@@ -10,7 +10,9 @@ dimensional algebras; a relation-free cycle raises instead.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -164,7 +166,9 @@ class AlgebraBasis:
 
     Indices into `paths` are the working currency everywhere downstream.
     mult(i, j) returns the index of the concatenated path or None when the
-    product is zero (relation hit or endpoints mismatch).
+    product is zero (relation hit or endpoints mismatch).  prefix[i] is
+    (index of path i without its last arrow, that arrow's name), or None for
+    a lazy path; the prefix always comes earlier in `paths`.
     """
 
     quiver: GentleQuiver
@@ -173,6 +177,7 @@ class AlgebraBasis:
     source: tuple = field(repr=False)
     target: tuple = field(repr=False)
     arrow_path: dict[str, int] = field(repr=False)
+    prefix: tuple = field(repr=False)
     by_ends: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -234,7 +239,13 @@ def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
     by_ends: dict = {}
     for i in range(len(paths)):
         by_ends.setdefault((source[i], target[i]), []).append(i)
-    return AlgebraBasis(q, tuple(paths), index, source, target, arrow_path, by_ends)
+    prefix = tuple(
+        (index[Path(p.source, p.arrows[:-1])], p.arrows[-1]) if p.arrows else None
+        for p in paths
+    )
+    return AlgebraBasis(
+        q, tuple(paths), index, source, target, arrow_path, prefix, by_ends
+    )
 
 
 def shortcut_paths(q: GentleQuiver, basis: AlgebraBasis, jset) -> list[int]:
@@ -251,6 +262,30 @@ def shortcut_paths(q: GentleQuiver, basis: AlgebraBasis, jset) -> list[int]:
     ]
 
 
+def nonempty_subsets(items: tuple) -> list[tuple]:
+    """Every nonempty subset of items as a tuple in items order, by size,
+    then in the order of itertools.combinations."""
+    out = []
+    for size in range(1, len(items) + 1):
+        out.extend(itertools.combinations(items, size))
+    return out
+
+
+def _shortcut_quiver(q: GentleQuiver, basis: AlgebraBasis, jset) -> GentleQuiver:
+    vertices = tuple(v for v in q.vertices if v in jset)
+    shortcuts = shortcut_paths(q, basis, jset)
+    arrows = tuple(
+        Arrow(f"s{k}", basis.source[i], basis.target[i])
+        for k, i in enumerate(shortcuts)
+    )
+    relations = set()
+    for ka, ia in enumerate(shortcuts):
+        for kb, ib in enumerate(shortcuts):
+            if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
+                relations.add((f"s{ka}", f"s{kb}"))
+    return ensure_gentle(GentleQuiver(vertices, arrows, frozenset(relations)))
+
+
 def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     """Quiver of the subalgebra spanned by paths between vertices of J.
 
@@ -264,19 +299,15 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     missing = jset - set(q.vertices)
     if missing:
         raise InputError(f"subset contains unknown vertices {sorted(map(vertex_label, missing))}")
+    return _shortcut_quiver(q, algebra_basis(q), jset)
+
+
+def shortcut_quivers(q: GentleQuiver) -> Iterator[tuple[tuple, GentleQuiver]]:
+    """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(q.vertices),
+    all read off one algebra basis of q."""
     basis = algebra_basis(q)
-    vertices = tuple(v for v in q.vertices if v in jset)
-    shortcuts = shortcut_paths(q, basis, jset)
-    arrows = tuple(
-        Arrow(f"s{k}", basis.source[i], basis.target[i])
-        for k, i in enumerate(shortcuts)
-    )
-    relations = set()
-    for ka, ia in enumerate(shortcuts):
-        for kb, ib in enumerate(shortcuts):
-            if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
-                relations.add((f"s{ka}", f"s{kb}"))
-    return ensure_gentle(GentleQuiver(vertices, arrows, frozenset(relations)))
+    for J in nonempty_subsets(q.vertices):
+        yield J, _shortcut_quiver(q, basis, set(J))
 
 
 @dataclass

@@ -7,11 +7,19 @@ The indecomposable rigid objects we need are presentations of string
 modules together with shifted projectives; compatibility of two objects is
 vanishing of the hom-shift pairing in both directions, computed exactly
 by integer elimination.
+
+Each representation builds one path-image table per basis (every basis
+vector pushed along every basis path), and both minimal presentations and
+the hom-shift pairing read it.  Every two-term complex x carries its
+cohomology H^0 x as a representation, and Hom(x, y[1]) is the cokernel of
+Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
+"tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
+those through dy are exactly the maps x.p1 -> H^0 y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
 from .complexes import iso_by_gvectors, restrict_to_coordinates
@@ -117,9 +125,30 @@ class Representation:
     quiver: GentleQuiver
     dims: dict
     mats: dict[str, list[list[int]]]
+    # (basis, table) of the last path_images call; not compared, not rendered
+    _images: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def dim_at(self, v) -> int:
         return self.dims.get(v, 0)
+
+    def path_images(self, basis: AlgebraBasis) -> list[list[list[int]]]:
+        """images[i][t]: basis vector t at the source of path i pushed along it.
+
+        Built once per basis: a path's images are its prefix path's images
+        times the matrix of its last arrow.
+        """
+        if self._images is None or self._images[0] is not basis:
+            images: list[list[list[int]]] = []
+            for p, prefix in zip(basis.paths, basis.prefix):
+                if prefix is None:
+                    dim = self.dim_at(p.source)
+                    images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
+                else:
+                    j, name = prefix
+                    mat = self.mats[name]
+                    images.append([mat_vec(mat, vec) for vec in images[j]])
+            self._images = (basis, images)
+        return self._images[1]
 
 
 def string_module(q: GentleQuiver, w: StringWord) -> Representation:
@@ -142,6 +171,18 @@ def string_module(q: GentleQuiver, w: StringWord) -> Representation:
     return Representation(q, dims, mats)
 
 
+def _sum_representations(x: Representation, y: Representation) -> Representation:
+    """Block-diagonal direct sum, x's basis vectors first at every vertex."""
+    dims = {v: x.dim_at(v) + y.dim_at(v) for v in x.quiver.vertices}
+    mats = {}
+    for a in x.quiver.arrows:
+        xs, ys = x.dim_at(a.src), y.dim_at(a.src)
+        mats[a.name] = [row + [0] * ys for row in x.mats[a.name]] + [
+            [0] * xs + row for row in y.mats[a.name]
+        ]
+    return Representation(x.quiver, dims, mats)
+
+
 # ---------------------------------------------------------------------------
 # two-term complexes of projectives
 
@@ -151,13 +192,15 @@ class TwoTermComplex:
     """P1 -> P0 with entries written as radical path combinations.
 
     p1 and p0 list the summand vertices; diff[r][c] maps a path index (a
-    path from p0[r] to p1[c]) to its coefficient.
+    path from p0[r] to p1[c]) to its coefficient.  module is the cokernel
+    H^0 of the differential as a representation.
     """
 
     basis: AlgebraBasis
     p1: tuple
     p0: tuple
     diff: list[list[dict[int, int]]]
+    module: Representation
 
     @property
     def gvec(self) -> tuple[int, ...]:
@@ -170,13 +213,10 @@ class TwoTermComplex:
 
 
 def shifted_projective(basis: AlgebraBasis, v) -> TwoTermComplex:
-    return TwoTermComplex(basis, (v,), (), [])
-
-
-def _act(rep: Representation, arrows: tuple[str, ...], x: list[int]) -> list[int]:
-    for name in arrows:
-        x = mat_vec(rep.mats[name], x)
-    return x
+    """P_v -> 0, whose H^0 is the zero representation."""
+    q = basis.quiver
+    zero = Representation(q, {u: 0 for u in q.vertices}, {a.name: [] for a in q.arrows})
+    return TwoTermComplex(basis, (v,), (), [], zero)
 
 
 def _top(width: int, radical, candidates) -> list[int]:
@@ -195,19 +235,21 @@ def _top(width: int, radical, candidates) -> list[int]:
     return top
 
 
-def _top_lifts(rep: Representation) -> list[tuple]:
-    """Standard basis vectors completing the radical, one (vertex, index) each."""
+def _top_lifts(basis: AlgebraBasis, rep: Representation, images) -> list[tuple]:
+    """Standard basis vectors completing the radical, one (vertex, index) each.
+
+    The radical at v is spanned by the images of the arrows ending at v, and
+    the standard basis at the k-th vertex is the image table of path k, the
+    lazy path there."""
+    q = basis.quiver
+    radical: dict = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        radical[a.tgt].extend(images[basis.arrow_path[a.name]])
     lifts = []
-    for v in rep.quiver.vertices:
+    for k, v in enumerate(q.vertices):
         dim = rep.dim_at(v)
-        radical = [
-            [rep.mats[a.name][r][col] for r in range(dim)]
-            for a in rep.quiver.arrows
-            if a.tgt == v
-            for col in range(rep.dim_at(a.src))
-        ]
-        units = [[int(r == t) for r in range(dim)] for t in range(dim)]
-        lifts.extend((v, t) for t in _top(dim, radical, units))
+        if dim:
+            lifts.extend((v, t) for t in _top(dim, radical[v], images[k]))
     return lifts
 
 
@@ -219,51 +261,53 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     kernel vectors outside the span of the arrow images of the kernel at
     neighbouring vertices (the top of the kernel).  The differential
     collects, per (P0 summand, P1 summand), the paths with their
-    coefficients.
+    coefficients.  The cover reads the module's path-image table, and only
+    vertices where P0 or the module is nonzero do any work.
     """
     q = basis.quiver
+    images = rep.path_images(basis)
 
-    summands0 = _top_lifts(rep)  # (vertex, standard basis index in rep)
+    summands0 = _top_lifts(basis, rep, images)  # (vertex, basis index in rep)
     # P0 basis elements at a vertex u: pairs (summand position, path index)
     p0_at: dict = {u: [] for u in q.vertices}
-    value_at: dict = {u: [] for u in q.vertices}  # image vectors in rep
-    for s, (v, t) in enumerate(summands0):
-        e = [0] * rep.dim_at(v)
-        e[t] = 1
-        for i in range(basis.dimension):
-            if basis.source[i] != v:
-                continue
-            u = basis.target[i]
-            p0_at[u].append((s, i))
-            value_at[u].append(_act(rep, basis.paths[i].arrows, e))
+    for s, (v, _) in enumerate(summands0):
+        for u in q.vertices:
+            p0_at[u].extend((s, i) for i in basis.between(v, u))
 
+    kernel_at: dict = {u: [] for u in q.vertices}
     for u in q.vertices:
-        cover = RowSpace(rep.dim_at(u))
-        for vec in value_at[u]:
-            cover.add(vec)
-        if cover.rank != rep.dim_at(u):
+        dim = rep.dim_at(u)
+        if not (p0_at[u] or dim):
+            continue
+        # the images of the P0 basis elements in rep; their rank is their
+        # number minus the dimension of the relations among them
+        value = [images[i][summands0[s][1]] for s, i in p0_at[u]]
+        kernel_at[u] = kernel(value, dim)
+        if len(value) - len(kernel_at[u]) != dim:
             raise InternalError("projective cover must be surjective")
 
-    kernel_at = {u: kernel(value_at[u], rep.dim_at(u)) for u in q.vertices}
-
     # arrow images of the kernel, in P0 coordinates at the arrow's target
-    pos_at = {u: {pair: k for k, pair in enumerate(p0_at[u])} for u in q.vertices}
     radical_at: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
         u, wv = a.src, a.tgt
+        if not kernel_at[u]:
+            continue
+        pos = {pair: k for k, pair in enumerate(p0_at[wv])}
+        arrow = basis.arrow_path[a.name]
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
                 if kvec[k] == 0:
                     continue
-                prod = basis.mult(i, basis.arrow_path[a.name])
+                prod = basis.mult(i, arrow)
                 if prod is not None:
-                    image[pos_at[wv][(s, prod)]] += kvec[k]
+                    image[pos[(s, prod)]] += kvec[k]
             radical_at[wv].append(image)
 
     summands1 = [
         (wv, t)
         for wv in q.vertices
+        if kernel_at[wv] or radical_at[wv]
         for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
     ]
     diff: list[list[dict[int, int]]] = [
@@ -282,6 +326,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
         tuple(wv for wv, _ in summands1),
         tuple(v for v, _ in summands0),
         diff,
+        rep,
     )
 
 
@@ -293,56 +338,45 @@ def direct_sum(x: TwoTermComplex, y: TwoTermComplex) -> TwoTermComplex:
     ] + [
         [dict() for _ in x.p1] + [dict(entry) for entry in row] for row in y.diff
     ]
-    return TwoTermComplex(x.basis, x.p1 + y.p1, x.p0 + y.p0, diff)
+    module = _sum_representations(x.module, y.module)
+    return TwoTermComplex(x.basis, x.p1 + y.p1, x.p0 + y.p0, diff, module)
 
 
 def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     """Dimension of Hom(x, y[1]) between two-term complexes.
 
-    Concretely: maps x.p1 -> y.p0 modulo the ones factoring through the two
-    differentials.  Both objects are rigid-compatible when this vanishes in
-    both directions.
+    That is maps x.p1 -> y.p0 modulo the ones factoring through the two
+    differentials, and it equals the cokernel of
+    Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y), composition with dx (Adachi,
+    Iyama and Reiten, "tau-tilting theory"): x.p1 is projective, so
+    Hom(x.p1, y.p0) modulo dy . Hom(x.p1, y.p1) is Hom(x.p1, H^0 y).  With
+    Hom(P_v, M) = M_v, the map sends a vector of M at a P0 summand to its
+    images along the paths of dx; the answer is the sum of dim H^0 y over
+    x.p1 minus the rank of that map.  Both objects are rigid-compatible
+    when this vanishes in both directions.
     """
     if x.basis is not y.basis:
         raise AlgebraMismatchError()
-    basis = x.basis
-
-    coords: dict[tuple[int, int, int], int] = {}
-    for r, yv in enumerate(y.p0):
-        for c, xv in enumerate(x.p1):
-            for p in basis.between(yv, xv):
-                coords[(r, c, p)] = len(coords)
-    if not coords:
+    module = y.module
+    offsets = []
+    width = 0
+    for w in x.p1:
+        offsets.append(width)
+        width += module.dim_at(w)
+    if not width:
         return 0
 
-    trivial = RowSpace(len(coords))
-    for r, yv in enumerate(y.p0):
-        for s, xv in enumerate(x.p0):
-            for g in basis.between(yv, xv):
-                vec = [0] * len(coords)
-                hit = False
-                for c in range(len(x.p1)):
-                    for p, coeff in x.diff[s][c].items():
-                        prod = basis.mult(g, p)
-                        if prod is not None:
-                            vec[coords[(r, c, prod)]] += coeff
-                            hit = True
-                if hit:
-                    trivial.add(vec)
-    for t, yv in enumerate(y.p1):
-        for c, xv in enumerate(x.p1):
-            for h in basis.between(yv, xv):
-                vec = [0] * len(coords)
-                hit = False
-                for r in range(len(y.p0)):
-                    for p, coeff in y.diff[r][t].items():
-                        prod = basis.mult(p, h)
-                        if prod is not None:
-                            vec[coords[(r, c, prod)]] += coeff
-                            hit = True
-                if hit:
-                    trivial.add(vec)
-    return len(coords) - trivial.rank
+    images = module.path_images(x.basis)
+    image = RowSpace(width)
+    for v, row in zip(x.p0, x.diff):
+        for t in range(module.dim_at(v)):
+            vec = [0] * width
+            for at, entry in zip(offsets, row):
+                for p, coeff in entry.items():
+                    for k, val in enumerate(images[p][t]):
+                        vec[at + k] += coeff * val
+            image.add(vec)
+    return width - image.rank
 
 
 # ---------------------------------------------------------------------------

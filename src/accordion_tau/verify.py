@@ -21,7 +21,6 @@ facet independence, injective g-vectors).
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -39,9 +38,11 @@ from .geometry import Dissection, all_dissections
 from .quiver import (
     GentleQuiver,
     idempotent_subalgebra_check,
+    nonempty_subsets,
     quiver_of_dissection,
     quivers_match,
     shortcut_quiver,
+    shortcut_quivers,
 )
 from .rigidity import (
     direct_sum,
@@ -129,13 +130,6 @@ def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     return summary
 
 
-def _subsets(items: tuple) -> list[tuple]:
-    out = []
-    for size in range(1, len(items) + 1):
-        out.extend(itertools.combinations(items, size))
-    return out
-
-
 def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nested pair of nonempty dissections, subsets taken in ambient order.
 
@@ -156,7 +150,7 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
 
     for big in all_dissections(m):
         big_cx = accordion(big)
-        for positions in _subsets(tuple(range(len(big.diagonals)))):
+        for positions in nonempty_subsets(tuple(range(len(big.diagonals)))):
             d = Dissection(big.cycle, tuple(big.diagonals[t] for t in positions))
             instance = f"{_tag(d)} inside {big.white_pairs()}"
             induced = restrict_to_coordinates(big_cx, positions)
@@ -174,7 +168,8 @@ def verify_idempotent_exhaustive(
     Shortcut quivers repeat across dissections and subsets, and some equal
     the quiver of another dissection, so the sweep builds one silting complex
     per distinct quiver, ambient or shortcut (the quiver is frozen and
-    hashable, and its silting complex depends on its value only).  With
+    hashable, and its silting complex depends on its value only).  The
+    shortcut quivers of one dissection come from one algebra basis.  With
     structural=True each distinct complex is audited once and its messages
     are kept beside it; every instance still counts and reports them.
     """
@@ -194,8 +189,8 @@ def verify_idempotent_exhaustive(
         ambient, ambient_audit = silting(q)
         if structural:
             summary.audit(_tag(d) + " silting", ambient_audit)
-        for J in _subsets(q.vertices):
-            small, small_audit = silting(shortcut_quiver(q, J))
+        for J, shortcut in shortcut_quivers(q):
+            small, small_audit = silting(shortcut)
             induced = restrict_to_coordinates(ambient, subset_positions(q, J))
             instance = f"{_tag(d)} J={list(J)}"
             summary.record(instance, iso_by_gvectors(small, induced))
@@ -211,7 +206,7 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
     summary = VerifySummary("consistency")
     for big in all_dissections(m):
         q_big = quiver_of_dissection(big)
-        for sub in _subsets(big.diagonals):
+        for sub in nonempty_subsets(big.diagonals):
             d = Dissection(big.cycle, sub)
             J = tuple(c.vertex_pair() for c in sub)
             instance = f"{_tag(d)} inside {big.white_pairs()}"

@@ -6,10 +6,11 @@ compatibility DFS, triangulations from ear recursion, side-of-chord tests
 from floating point cross products, accordion g-vectors from the crossed
 chords ordered along the black diagonal instead of a vertex split, chord
 crossings from cyclic distances instead of index comparisons, maximal
-cliques and sign coherence on Python sets and per-coordinate scans instead
-of bitmasks, and Hom dimensions from an intertwiner linear system with its
-own little elimination.  Agreement between the two routes is the point of the tests.
-Projectives as modules and as two-term complexes, which only the tests
+cliques, sign coherence and restrictions to vertex subsets on Python sets
+and per-coordinate scans instead of bitmasks, Hom dimensions from an
+intertwiner linear system with its own little elimination, and the
+hom-shift pairing from maps between projectives instead of H^0.  Agreement
+between the two routes is the point of the tests.  Projectives as modules and as two-term complexes, which only the tests
 need, live here too.
 """
 
@@ -30,7 +31,9 @@ from accordion_tau.geometry import (
     crosses,
     white_chord,
 )
-from accordion_tau.complexes import LabeledComplex
+from accordion_tau.complexes import ComplexVertex, LabeledComplex, make_complex
+from accordion_tau.errors import AlgebraMismatchError
+from accordion_tau.linalg import RowSpace
 from accordion_tau.rigidity import Representation, TwoTermComplex
 
 
@@ -144,6 +147,9 @@ def make_complex_error(n_vertices: int, facets) -> str | None:
     by testing every ordered pair of facets for containment (the package
     indexes facets by vertex instead)."""
     norm = sorted({tuple(sorted(f)) for f in facets})
+    outside = sorted({v for f in norm for v in f if not 0 <= v < n_vertices})
+    if outside:
+        return f"facets name vertex ids {outside} outside range({n_vertices})"
     sets = [frozenset(f) for f in norm]
     for i, fi in enumerate(sets):
         for j, fj in enumerate(sets):
@@ -154,6 +160,41 @@ def make_complex_error(n_vertices: int, facets) -> str | None:
     if missing:
         return f"vertices {sorted(missing)} appear in no facet"
     return None
+
+
+def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
+    """Maximal traces of facets on a vertex subset, kept by testing each
+    trace against every other one as frozensets (the package ANDs facet
+    bitmasks and indexes the traces by vertex)."""
+    keep = sorted(set(vertex_ids))
+    renumber = {old: new for new, old in enumerate(keep)}
+    verts = [
+        ComplexVertex(new, v.gvec, v.label, dict(v.payload))
+        for new, v in enumerate(cx.vertices[old] for old in keep)
+    ]
+    traces = {frozenset(renumber[v] for v in f if v in renumber) for f in cx.facets}
+    maximal = [t for t in traces if not any(t < other for other in traces)]
+    facets = sorted(tuple(sorted(t)) for t in maximal)
+    return make_complex(cx.coordinates, verts, facets)
+
+
+def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
+    """The restriction to some coordinates, by scanning every g-vector entry
+    (the package compares support bitmasks)."""
+    positions = tuple(positions)
+    inside = set(positions)
+    ids = [
+        v.id
+        for v in cx.vertices
+        if all(x == 0 for t, x in enumerate(v.gvec) if t not in inside)
+    ]
+    sub = induced_subcomplex(cx, ids)
+    verts = tuple(
+        ComplexVertex(v.id, tuple(v.gvec[t] for t in positions), v.label, v.payload)
+        for v in sub.vertices
+    )
+    coords = tuple(cx.coordinates[t] for t in positions)
+    return LabeledComplex(coords, verts, sub.facets)
 
 
 def set_maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
@@ -195,7 +236,12 @@ def nested_pair_count(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# geometry via floating point
+# geometry via floating point and cyclic distances
+
+
+def dist(cycle: PointCycle, a: int, b: int) -> int:
+    """Counterclockwise steps from point a to point b."""
+    return (b - a) % cycle.n_points
 
 
 def float_left_of(m: int, p: int, q: int, x: int) -> bool:
@@ -227,7 +273,7 @@ def float_crosses(m: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 
 def in_open_arc(cycle: PointCycle, start: int, end: int, x: int) -> bool:
     """Is point x strictly inside the ccw arc from start to end?"""
-    return 0 < cycle.dist(start, x) < cycle.dist(start, end)
+    return 0 < dist(cycle, start, x) < dist(cycle, start, end)
 
 
 def arc_crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:
@@ -249,7 +295,7 @@ class NotCrossedError(InputError):
 
 
 def is_boundary(cycle: PointCycle, chord: Chord) -> bool:
-    return cycle.dist(chord.a, chord.b) in (2, cycle.n_points - 2)
+    return dist(cycle, chord.a, chord.b) in (2, cycle.n_points - 2)
 
 
 def boundary_edges(cycle: PointCycle) -> list[Chord]:
@@ -262,7 +308,7 @@ def left_of(cycle: PointCycle, p: int, q: int, x: int) -> bool:
     Left means inside the open ccw arc from q back around to p.  Endpoints
     themselves are on neither side.
     """
-    return 0 < cycle.dist(q, x) < cycle.dist(q, p)
+    return 0 < dist(cycle, q, x) < dist(cycle, q, p)
 
 
 @dataclass(frozen=True)
@@ -286,8 +332,8 @@ def crossing_sequence(d: Dissection, black: Chord) -> CrossingSequence:
     enter and leave through sides with no common white vertex.
     """
     cycle = d.cycle
-    crossed = [e for e in boundary_edges(cycle) if crosses(cycle, black, e)]
-    crossed += [w for w in d.diagonals if crosses(cycle, black, w)]
+    crossed = [e for e in boundary_edges(cycle) if crosses(black, e)]
+    crossed += [w for w in d.diagonals if crosses(black, w)]
     crossed_set = set(crossed)
 
     for cell in cells(d):
@@ -305,7 +351,7 @@ def crossing_sequence(d: Dissection, black: Chord) -> CrossingSequence:
             right, left = chord.a, chord.b
         else:
             right, left = chord.b, chord.a
-        return (cycle.dist(start, right), -cycle.dist(start, left))
+        return (dist(cycle, start, right), -dist(cycle, start, left))
 
     ordered = tuple(sorted(crossed, key=key))
     # the walk starts and ends by stepping over the boundary next to an endpoint
@@ -437,7 +483,53 @@ def proj_representation(basis, v) -> Representation:
 
 def projective_complex(basis, v) -> TwoTermComplex:
     """The projective P_v as the complex 0 -> P_v."""
-    return TwoTermComplex(basis, (), (v,), [[]])
+    return TwoTermComplex(basis, (), (v,), [[]], proj_representation(basis, v))
+
+
+def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
+    """dim Hom(x, y[1]) as maps x.p1 -> y.p0 modulo the ones factoring
+    through the two differentials, one coordinate per (y.p0 summand, x.p1
+    summand, path) triple (the package works on H^0 y instead)."""
+    if x.basis is not y.basis:
+        raise AlgebraMismatchError()
+    basis = x.basis
+
+    coords: dict[tuple[int, int, int], int] = {}
+    for r, yv in enumerate(y.p0):
+        for c, xv in enumerate(x.p1):
+            for p in basis.between(yv, xv):
+                coords[(r, c, p)] = len(coords)
+    if not coords:
+        return 0
+
+    trivial = RowSpace(len(coords))
+    for r, yv in enumerate(y.p0):
+        for s, xv in enumerate(x.p0):
+            for g in basis.between(yv, xv):
+                vec = [0] * len(coords)
+                hit = False
+                for c in range(len(x.p1)):
+                    for p, coeff in x.diff[s][c].items():
+                        prod = basis.mult(g, p)
+                        if prod is not None:
+                            vec[coords[(r, c, prod)]] += coeff
+                            hit = True
+                if hit:
+                    trivial.add(vec)
+    for t, yv in enumerate(y.p1):
+        for c, xv in enumerate(x.p1):
+            for h in basis.between(yv, xv):
+                vec = [0] * len(coords)
+                hit = False
+                for r in range(len(y.p0)):
+                    for p, coeff in y.diff[r][t].items():
+                        prod = basis.mult(p, h)
+                        if prod is not None:
+                            vec[coords[(r, c, prod)]] += coeff
+                            hit = True
+                if hit:
+                    trivial.add(vec)
+    return len(coords) - trivial.rank
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from accordion_tau.errors import (
     SizeLimitError,
 )
 from accordion_tau.geometry import all_dissections
-from accordion_tau.quiver import quiver_of_dissection
-from accordion_tau.rigidity import silting_complex
+from accordion_tau.quiver import nonempty_subsets, quiver_of_dissection
+from accordion_tau.rigidity import silting_complex, subset_positions
 
 
 def mk(gvecs, facets, coords=None):
@@ -168,6 +168,15 @@ def test_make_complex_matches_pair_scan_oracle(family):
         with pytest.raises(ValueError) as err:
             make_complex((), verts, facets)
         assert str(err.value) == expected
+
+
+def test_make_complex_rejects_facet_ids_outside_the_vertices():
+    verts = [ComplexVertex(0, (1,), "a")]
+    expected = "facets name vertex ids [5] outside range(1)"
+    assert oracles.make_complex_error(1, [(0,), (5,)]) == expected
+    with pytest.raises(ValueError) as err:
+        make_complex(("c",), verts, [(0,), (5,)])
+    assert str(err.value) == expected
 
 
 def test_make_complex_accepts_every_small_complex():
@@ -379,6 +388,58 @@ def test_induced_subcomplex_empty_is_the_empty_face():
     sub = induced_subcomplex(cx, [])
     assert sub.vertices == ()
     assert sub.facets == ((),)
+
+
+def sweep_restrictions(m: int):
+    """(complex, positions) for every restriction the nested and idempotent
+    sweeps make on m-gon dissections."""
+    for d in all_dissections(m):
+        acc = accordion_complex(d)
+        for positions in nonempty_subsets(tuple(range(len(d.diagonals)))):
+            yield acc, positions
+        q = quiver_of_dissection(d)
+        silt = silting_complex(q)
+        for J in nonempty_subsets(q.vertices):
+            yield silt, subset_positions(q, J)
+
+
+def test_restriction_matches_the_scan_oracle_on_every_sweep_restriction():
+    checked = 0
+    for m in range(4, 7):
+        for cx, positions in sweep_restrictions(m):
+            got = restrict_to_coordinates(cx, positions)
+            want = oracles.restrict_to_coordinates(cx, positions)
+            assert got == want
+            assert got.to_json() == want.to_json()
+            checked += 1
+    # nested pairs plus (dissection, J) pairs
+    assert checked == 2 * (2 + 20 + 170)
+
+
+@st.composite
+def facet_families_with_keep_sets(draw):
+    """A valid facet family, usually impure, on vertices 0..n-1, and a
+    vertex subset to keep (possibly empty)."""
+    raw = draw(
+        st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=5), max_size=8)
+    )
+    maximal = {f for f in raw if not any(f < g for g in raw)} or {frozenset({0})}
+    used = sorted(set().union(*maximal))
+    renumber = {v: k for k, v in enumerate(used)}
+    facets = [tuple(sorted(renumber[v] for v in f)) for f in maximal]
+    keep = draw(st.frozensets(st.integers(0, len(used) - 1)))
+    return len(used), facets, keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_families_with_keep_sets())
+def test_induced_subcomplex_matches_the_scan_oracle(case):
+    n, facets, keep = case
+    cx = mk([(k,) for k in range(n)], facets)
+    got = induced_subcomplex(cx, keep)
+    assert got == oracles.induced_subcomplex(cx, keep)
+    if not keep:
+        assert got.facets == ((),)
 
 
 # -- structural audits --

@@ -28,7 +28,13 @@ def test_point_cycle_layout():
     assert cycle.n_points == 8
     assert [cycle.white(k) for k in range(4)] == [0, 2, 4, 6]
     assert [cycle.black(k) for k in range(4)] == [1, 3, 5, 7]
-    assert cycle.dist(6, 2) == 4
+
+
+def test_oracle_dist_counts_counterclockwise_steps():
+    cycle = PointCycle(4)
+    assert oracles.dist(cycle, 6, 2) == 4
+    assert oracles.dist(cycle, 2, 6) == 4
+    assert oracles.dist(cycle, 1, 0) == 7
 
 
 def test_validate_rejects_bad_input():
@@ -67,8 +73,8 @@ def test_crosses_symmetric_and_matches_float(case):
     m, (p1, p2) = case
     cycle = PointCycle(m)
     c1, c2 = white_chord(cycle, *p1), white_chord(cycle, *p2)
-    assert crosses(cycle, c1, c2) == crosses(cycle, c2, c1)
-    assert crosses(cycle, c1, c2) == oracles.float_crosses(
+    assert crosses(c1, c2) == crosses(c2, c1)
+    assert crosses(c1, c2) == oracles.float_crosses(
         m, c1.endpoints(), c2.endpoints()
     )
 
@@ -192,7 +198,7 @@ def test_black_chord_crossing_is_antisymmetric_in_arcs(m, data):
     w = white_chord(cycle, *data.draw(st.sampled_from(pairs)))
     arc = oracles.in_open_arc
     inside = arc(cycle, b.a, b.b, w.a) + arc(cycle, b.a, b.b, w.b)
-    assert crosses(cycle, b, w) == (inside == 1)
+    assert crosses(b, w) == (inside == 1)
 
 
 def test_crosses_matches_the_cyclic_distance_oracle_on_every_chord_pair():
@@ -205,7 +211,7 @@ def test_crosses_matches_the_cyclic_distance_oracle_on_every_chord_pair():
         chords += [black_chord(cycle, *p) for p in pairs]
         for c1 in chords:
             for c2 in chords:
-                assert crosses(cycle, c1, c2) == oracles.arc_crosses(cycle, c1, c2), (
+                assert crosses(c1, c2) == oracles.arc_crosses(cycle, c1, c2), (
                     m,
                     c1,
                     c2,

@@ -1,5 +1,7 @@
 """Quiver extraction, gentleness, path algebra bases, and shortcuts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from accordion_tau.quiver import (
     quiver_of_dissection,
     quivers_match,
     shortcut_quiver,
+    shortcut_quivers,
 )
 
 
@@ -210,6 +213,21 @@ def test_shortcut_of_fan_matches_sub_dissection_quiver(hexagon_fan):
 def test_shortcut_on_full_vertex_set_is_identity(heptagon_zigzag):
     q = quiver_of_dissection(heptagon_zigzag)
     assert quivers_match(shortcut_quiver(q, list(q.vertices)), q) == []
+
+
+def test_shortcut_quivers_list_every_subset_in_order():
+    checked = 0
+    for m in range(4, 7):
+        for d in all_dissections(m):
+            q = quiver_of_dissection(d)
+            expected = [
+                (J, shortcut_quiver(q, J))
+                for size in range(1, len(q.vertices) + 1)
+                for J in itertools.combinations(q.vertices, size)
+            ]
+            assert list(shortcut_quivers(q)) == expected
+            checked += len(expected)
+    assert checked == 2 + 20 + 170
 
 
 def test_shortcut_rejects_bad_subsets(heptagon_zigzag):

@@ -1,6 +1,8 @@
 """Strings, minimal presentations, the hom-shift pairing, silting complexes."""
 
 import ast
+import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,6 +283,59 @@ def test_hom_shift_rejects_mismatched_algebras(zigzag_algebra, fan_algebra):
 def test_hom_shift_additive_under_direct_sums(zigzag_algebra, fan_algebra):
     assert additivity_spotcheck(zigzag_algebra[0], seed=7) == []
     assert additivity_spotcheck(fan_algebra[0], seed=11) == []
+
+
+def test_hom_shift_matches_the_path_oracle_on_every_silting_pair():
+    # every ordered pair (self pairs included) of silting vertices for
+    # 4 <= m <= 7, plus seeded direct sums of two vertices on either side
+    from accordion_tau.geometry import all_dissections
+
+    rng = random.Random(2017)
+    pairs = sums = 0
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            objects = [sv.complex for sv in silting_vertices(quiver_of_dissection(d))]
+            for x in objects:
+                for y in objects:
+                    assert hom_shift(x, y) == oracles.path_hom_shift(x, y)
+                    pairs += 1
+            for _ in range(3):
+                x = direct_sum(rng.choice(objects), rng.choice(objects))
+                y = rng.choice(objects)
+                assert hom_shift(x, y) == oracles.path_hom_shift(x, y)
+                assert hom_shift(y, x) == oracles.path_hom_shift(y, x)
+                sums += 1
+    assert sums == 3 * (2 + 10 + 44 + 196)
+    assert pairs > sums
+
+
+def test_silting_vertices_match_the_frozen_digest():
+    # label, g-vector, P0, P1 and differential of every silting vertex for
+    # 4 <= m <= 8, hashed when presentations were built by per-vertex scans
+    from accordion_tau.geometry import all_dissections
+
+    h = hashlib.sha256()
+    count = 0
+    for m in range(4, 9):
+        for d in all_dissections(m):
+            for sv in silting_vertices(quiver_of_dissection(d)):
+                c = sv.complex
+                h.update(repr((sv.label, sv.gvec, c.p0, c.p1, c.diff)).encode())
+                count += 1
+    assert count == 11960
+    assert h.hexdigest() == (
+        "be67c2e5daa20f26d7ec7e5b8b6635ff72ecaae87362832197056127dd967a41"
+    )
+
+
+def test_direct_sum_sums_the_modules(zigzag_algebra):
+    q, basis = zigzag_algebra
+    x = min_presentation(basis, string_module(q, StringWord((0, 2), (("a0", True),))))
+    y = min_presentation(basis, string_module(q, StringWord((2, 4), ())))
+    s = direct_sum(x, y)
+    assert s.module.dims == {(0, 2): 1, (2, 4): 2, (4, 6): 0}
+    assert s.module.mats["a0"] == [[1], [0]]
+    assert direct_sum(y, shifted_projective(basis, (0, 2))).module.dims == y.module.dims
 
 
 def test_direct_sum_concatenates(zigzag_algebra):

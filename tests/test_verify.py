@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import accordion_tau.accordion as accordion
+import accordion_tau.quiver as quiver
 import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
 from accordion_tau.complexes import ComplexVertex, make_complex
@@ -57,6 +58,19 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     # instance still counts its audited complexes
     assert len(audits) == (len(ambients | shortcuts) + pairs if structural else 0)
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
+
+
+def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
+    # one basis per dissection for all its shortcut quivers, and one inside
+    # each silting complex build (one build per distinct quiver)
+    dissections = all_dissections(7)
+    quivers = set()
+    for q in map(quiver_of_dissection, dissections):
+        quivers.add(q)
+        quivers.update(shortcut_quiver(q, J) for J in quiver.nonempty_subsets(q.vertices))
+    calls = count_calls(monkeypatch, quiver, "algebra_basis")
+    assert verify.verify_idempotent_exhaustive(7).ok
+    assert len(calls) == len(dissections) + len(quivers) == 583
 
 
 def test_audit_rejects_a_triangle_boundary_by_degree_alone():
