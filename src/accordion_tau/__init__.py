@@ -1,7 +1,7 @@
 """Accordion complexes of polygon dissections, 2-term silting complexes of
 gentle algebras, and exact g-vector comparisons between the two."""
 
-from .accordion import accordion_complex, g_vector, verify_nested
+from .accordion import accordion_complex, g_vector
 from .complexes import dual_graph, generic_iso, iso_by_gvectors, is_pseudomanifold
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import (
@@ -19,9 +19,13 @@ from .rigidity import (
     silting_complex,
     silting_vertices,
     string_module,
-    verify_idempotent_reduction,
 )
-from .verify import verify_main, verify_main_exhaustive
+from .verify import (
+    verify_idempotent_reduction,
+    verify_main,
+    verify_main_exhaustive,
+    verify_nested,
+)
 
 __version__ = "0.1.0"
 

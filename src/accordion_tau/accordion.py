@@ -11,16 +11,16 @@ diagonal gets an integer g-vector with one coordinate per diagonal of d:
 diagonal share their lone vertex, and otherwise a sign read off from the
 lone vertex of the cell the walk from b_i reaches first.  The accordion
 complex collects pairwise noncrossing accordion diagonals; facets are the
-maximal such sets.
+maximal such sets.  This module only builds the complex; the theorem checks
+that compare it (main and nested) live in verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
-from .complexes import iso_by_gvectors, restrict_to_coordinates
-from .errors import EmptyDissectionError, NotAccordionError, NotNestedError
+from .complexes import ComplexVertex, LabeledComplex, clique_complex
+from .errors import NotAccordionError
 from .geometry import Chord, Dissection, all_black_diagonal_chords, cells, crosses
 
 
@@ -119,40 +119,3 @@ def accordion_complex(d: Dissection) -> LabeledComplex:
         cxverts,
         lambda i, j: not crosses(verts[i].black, verts[j].black),
     )
-
-
-def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
-    """Compare A(d) with the induced subcomplex of A(d') it should equal.
-
-    The subcomplex of A(d') sits on the accordion diagonals whose g-vectors
-    vanish outside the coordinates of d.
-    """
-    if not d.diagonals:
-        raise EmptyDissectionError()
-    if d.cycle != d_prime.cycle or not d_prime.contains(d):
-        raise NotNestedError(
-            f"{d.white_pairs()} is not nested inside {d_prime.white_pairs()}"
-        )
-    positions = tuple(d_prime.diagonals.index(delta) for delta in d.diagonals)
-    induced = restrict_to_coordinates(accordion_complex(d_prime), positions)
-    return compare_nested(accordion_complex(d), induced)
-
-
-def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
-    """The nested comparison on built complexes: A(d) against A(d')
-    restricted to the coordinates of d.  The isomorphism must be the
-    identity on black diagonals, with g-vectors matching after restriction.
-    """
-    report = iso_by_gvectors(small, induced)
-    if report.passed:
-        for vid, wid in report.vertex_map.items():
-            b1 = small.vertices[vid].payload["black"]
-            b2 = induced.vertices[wid].payload["black"]
-            if b1 != b2:
-                report.failures.append(
-                    f"g-vector match sends black diagonal {b1} to {b2}"
-                )
-        if report.failures:
-            report.passed = False
-            report.vertex_map = None
-    return report

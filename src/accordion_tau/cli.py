@@ -16,33 +16,22 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
-from .accordion import accordion_complex, verify_nested
+from .accordion import accordion_complex
 from .complexes import LabeledComplex, complex_text, dual_graph, exchange_graph_dot
 from .errors import EmptySubsetError, InputError, InternalError, UnsupportedAlgebraError
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import GentleQuiver, quiver_from_json, quiver_of_dissection, vertex_label
-from .rigidity import silting_complex, verify_idempotent_reduction
-from .verify import DRIVERS, additivity_spotcheck, verify_main
+from .rigidity import silting_complex
+from .verify import (
+    DRIVERS,
+    additivity_spotcheck,
+    verify_idempotent_reduction,
+    verify_main,
+    verify_nested,
+)
 
 DEFAULT_MAX_M = 9
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m: int | None = None
-    diagonals: str | None = None
-    input_path: str | None = None
-    quiver_path: str | None = None
-    fmt: str = "json"
-    theorem: str = "main"
-    exhaustive: int | None = None
-    out: str | None = None
-    seed: int | None = None
-    j: str | None = None
-    sub_diagonals: str | None = None
 
 
 def max_m_cap() -> int:
@@ -75,7 +64,7 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def load_dissection(config: RunConfig) -> Dissection:
+def load_dissection(config: argparse.Namespace) -> Dissection:
     inline = config.m is not None or config.diagonals is not None
     if config.input_path and inline:
         raise InputError("give either --input or --m/--diagonals, not both")
@@ -97,7 +86,7 @@ def load_dissection(config: RunConfig) -> Dissection:
     return validate_dissection(m, pairs)
 
 
-def load_quiver(config: RunConfig) -> GentleQuiver:
+def load_quiver(config: argparse.Namespace) -> GentleQuiver:
     """The quiver from --quiver, or else the quiver of the dissection input."""
     if not config.quiver_path:
         return quiver_of_dissection(load_dissection(config))
@@ -124,7 +113,7 @@ def resolve_subset(q: GentleQuiver, text: str | None) -> tuple:
     return tuple(subset)
 
 
-def emit(config: RunConfig, payload: str) -> None:
+def emit(config: argparse.Namespace, payload: str) -> None:
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(payload)
@@ -137,7 +126,7 @@ def _json_dump(obj) -> str:
 
 
 def _emit_complex(
-    config: RunConfig, header_key: str, header_json: dict, cx: LabeledComplex
+    config: argparse.Namespace, header_key: str, header_json: dict, cx: LabeledComplex
 ) -> int:
     """Render a complex and its dual graph; json output leads with the input."""
     graph = dual_graph(cx)
@@ -163,17 +152,17 @@ def _emit_complex(
     return 0
 
 
-def cmd_accordion(config: RunConfig) -> int:
+def cmd_accordion(config: argparse.Namespace) -> int:
     d = load_dissection(config)
     return _emit_complex(config, "dissection", d.to_json(), accordion_complex(d))
 
 
-def cmd_silting(config: RunConfig) -> int:
+def cmd_silting(config: argparse.Namespace) -> int:
     q = load_quiver(config)
     return _emit_complex(config, "quiver", q.to_json(), silting_complex(q))
 
 
-def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:
+def _verify_exhaustive(config: argparse.Namespace) -> tuple[dict, bool]:
     instance_flags = {
         "--m": config.m,
         "--diagonals": config.diagonals,
@@ -208,7 +197,7 @@ def _verify_exhaustive(config: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def _verify_single(config: RunConfig) -> tuple[dict, bool]:
+def _verify_single(config: argparse.Namespace) -> tuple[dict, bool]:
     if config.theorem in ("all", "consistency"):
         raise InputError(f"--theorem {config.theorem} needs --exhaustive")
     if config.theorem == "main":
@@ -246,7 +235,7 @@ def _verify_single(config: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     if config.fmt == "dot":
         raise InputError("verify has no dot output; use json or text")
     if config.exhaustive is not None:
@@ -316,25 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = RunConfig.__dataclass_fields__
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = config_from_args(args)
     handlers = {
         "accordion": cmd_accordion,
         "silting": cmd_silting,
         "verify": cmd_verify,
     }
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,12 +21,13 @@ mapped to the facets containing it): `dual_graph` reads its edges from it
 and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
 force dual-graph degree equal to the facet size, not to the number of
 coordinates, so a degree check against the coordinates is also a facet-size
-check.  `restrict_to_coordinates` is the one place that slices g-vectors
-down to some coordinates.  Restrictions work on masks that each complex
-computes once: a vertex is kept when its g-vector support mask lies inside
-the coordinates' mask, a facet's trace is its vertex mask ANDed with the
-kept vertices' mask, and the maximal traces are those the containment
-index finds in no other trace.
+check.  `restrict_to_coordinates` is the one restriction: it takes the
+induced subcomplex on the vertices supported on some coordinates and slices
+their g-vectors down to those coordinates, in one pass that builds each kept
+vertex once.  It works on masks that each complex computes once: a vertex
+is kept when its g-vector support mask lies inside the coordinates' mask, a
+facet's trace is its vertex mask ANDed with the kept vertices' mask, and the
+maximal traces are those the containment index finds in no other trace.
 """
 
 from __future__ import annotations
@@ -453,18 +454,24 @@ def generic_iso(
     return False, None
 
 
-def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
-    """Restriction to a vertex subset: maximal traces of facets on the subset.
+def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
+    """Induced subcomplex on the vertices whose g-vectors vanish off positions,
+    with coordinates and g-vectors restricted to those positions, in order.
 
-    A trace is a facet mask ANDed with the subset's mask; the distinct traces
-    that no other trace contains are the facets."""
-    keep = sorted(set(vertex_ids))
+    A vertex is kept when its support mask lies inside the positions' mask.
+    A facet's trace is its facet mask ANDed with the kept vertices' mask;
+    the distinct traces that no other trace contains are the facets."""
+    positions = tuple(positions)
+    inside = 0
+    for t in positions:
+        inside |= 1 << t
+    keep = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
     keep_mask = 0
     for v in keep:
         keep_mask |= 1 << v
     renumber = {old: new for new, old in enumerate(keep)}
     verts = [
-        ComplexVertex(new, v.gvec, v.label, dict(v.payload))
+        ComplexVertex(new, tuple(v.gvec[t] for t in positions), v.label, v.payload)
         for new, v in enumerate(cx.vertices[old] for old in keep)
     ]
     traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
@@ -473,24 +480,7 @@ def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
         for t, supersets in zip(traces, _supersets(traces))
         if not supersets
     )
-    return make_complex(cx.coordinates, verts, facets)
-
-
-def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
-    """Induced subcomplex on the vertices whose g-vectors vanish off positions,
-    with coordinates and g-vectors restricted to those positions, in order."""
-    positions = tuple(positions)
-    inside = 0
-    for t in positions:
-        inside |= 1 << t
-    ids = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
-    sub = induced_subcomplex(cx, ids)
-    verts = tuple(
-        ComplexVertex(v.id, tuple(v.gvec[t] for t in positions), v.label, v.payload)
-        for v in sub.vertices
-    )
-    coords = tuple(cx.coordinates[t] for t in positions)
-    return LabeledComplex(coords, verts, sub.facets)
+    return make_complex(tuple(cx.coordinates[t] for t in positions), verts, facets)
 
 
 def check_sign_coherence(cx: LabeledComplex) -> list[str]:

@@ -248,10 +248,10 @@ def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
     )
 
 
-def shortcut_paths(q: GentleQuiver, basis: AlgebraBasis, jset) -> list[int]:
+def shortcut_paths(basis: AlgebraBasis, jset) -> list[int]:
     """Basis indices of the nonlazy paths running from J to J with no interior
     stop in J, in basis order; the k-th one becomes shortcut arrow s{k}."""
-    by_name = q.arrow_by_name
+    by_name = basis.quiver.arrow_by_name
     return [
         i
         for i, p in enumerate(basis.paths)
@@ -271,9 +271,9 @@ def nonempty_subsets(items: tuple) -> list[tuple]:
     return out
 
 
-def _shortcut_quiver(q: GentleQuiver, basis: AlgebraBasis, jset) -> GentleQuiver:
-    vertices = tuple(v for v in q.vertices if v in jset)
-    shortcuts = shortcut_paths(q, basis, jset)
+def _shortcut_quiver(basis: AlgebraBasis, jset) -> GentleQuiver:
+    vertices = tuple(v for v in basis.quiver.vertices if v in jset)
+    shortcuts = shortcut_paths(basis, jset)
     arrows = tuple(
         Arrow(f"s{k}", basis.source[i], basis.target[i])
         for k, i in enumerate(shortcuts)
@@ -299,15 +299,14 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     missing = jset - set(q.vertices)
     if missing:
         raise InputError(f"subset contains unknown vertices {sorted(map(vertex_label, missing))}")
-    return _shortcut_quiver(q, algebra_basis(q), jset)
+    return _shortcut_quiver(algebra_basis(q), jset)
 
 
-def shortcut_quivers(q: GentleQuiver) -> Iterator[tuple[tuple, GentleQuiver]]:
+def shortcut_quivers(basis: AlgebraBasis) -> Iterator[tuple[tuple, GentleQuiver]]:
     """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(q.vertices),
-    all read off one algebra basis of q."""
-    basis = algebra_basis(q)
-    for J in nonempty_subsets(q.vertices):
-        yield J, _shortcut_quiver(q, basis, set(J))
+    all read off the algebra basis of q = basis.quiver."""
+    for J in nonempty_subsets(basis.quiver.vertices):
+        yield J, _shortcut_quiver(basis, set(J))
 
 
 @dataclass
@@ -324,22 +323,23 @@ class SubalgebraReport:
         }
 
 
-def idempotent_subalgebra_check(q: GentleQuiver, J) -> SubalgebraReport:
-    """Does the shortcut quiver really present the subalgebra on J?
+def idempotent_subalgebra_check(
+    basis: AlgebraBasis, J, shortcut: GentleQuiver
+) -> SubalgebraReport:
+    """Does the shortcut quiver really present the subalgebra of basis on J?
 
     Splits every path of the big algebra running between J vertices at its
     interior J visits; the pieces must spell out a basis path of the
     shortcut algebra, bijectively, with matching multiplication tables.
+    The shortcut quiver is the one under test, so only its basis is built.
     """
     jset = set(J)
-    basis = algebra_basis(q)
-    sq = shortcut_quiver(q, J)
-    sbasis = algebra_basis(sq)
-    by_name = q.arrow_by_name
+    sbasis = algebra_basis(shortcut)
+    by_name = basis.quiver.arrow_by_name
     failures: list[str] = []
 
     shortcut_by_path = {
-        i: f"s{k}" for k, i in enumerate(shortcut_paths(q, basis, jset))
+        i: f"s{k}" for k, i in enumerate(shortcut_paths(basis, jset))
     }
 
     def fold(i: int) -> Path | None:

@@ -15,18 +15,19 @@ cohomology H^0 x as a representation, and Hom(x, y[1]) is the cokernel of
 Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
 "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
 those through dy are exactly the maps x.p1 -> H^0 y.
+
+This module only builds the silting complex; the theorem checks that
+compare it (main and idempotent) live in verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ComplexVertex, IsoReport, LabeledComplex, clique_complex
-from .complexes import iso_by_gvectors, restrict_to_coordinates
+from .complexes import ComplexVertex, LabeledComplex, clique_complex
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace, kernel, mat_vec
-from .quiver import AlgebraBasis, GentleQuiver, algebra_basis
-from .quiver import shortcut_quiver, vertex_label
+from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +431,3 @@ def silting_complex(q: GentleQuiver) -> LabeledComplex:
     return clique_complex(
         "silting", (vertex_label(v) for v in q.vertices), cxverts, compatible
     )
-
-
-def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
-    """Positions of the vertices in J among q's vertices, in quiver order."""
-    jset = set(J)
-    return tuple(i for i, v in enumerate(q.vertices) if v in jset)
-
-
-def verify_idempotent_reduction(q: GentleQuiver, J) -> IsoReport:
-    """Silting complex of the shortcut algebra vs the induced subcomplex.
-
-    The comparison itself is iso_by_gvectors on the two built complexes;
-    exhaustive sweeps call it directly on complexes they reuse.
-    """
-    small = silting_complex(shortcut_quiver(q, J))
-    induced = restrict_to_coordinates(silting_complex(q), subset_positions(q, J))
-    return iso_by_gvectors(small, induced)
-

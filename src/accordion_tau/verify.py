@@ -1,4 +1,5 @@
-"""Drivers that run the theorem checks, one instance or exhaustively.
+"""The theorem checks, one instance or exhaustively.  Every comparison of
+two complexes lives here; the builder modules only build them.
 
 The checks:
   main        accordion complex of d  vs  silting complex of its quiver
@@ -6,17 +7,25 @@ The checks:
   nested      accordion complex of d  vs  induced subcomplex for d inside d'
   consistency shortcut quiver of d' at d  vs  quiver of d (exhaustive only)
 
+Single-instance checks: verify_main(d), verify_nested(d, d_prime) and
+verify_idempotent_reduction(q, J), each of which builds its complexes and
+returns an IsoReport.  compare_nested(small, induced) is the nested
+comparison on built complexes; the idempotent comparison is iso_by_gvectors
+itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
+
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep, keyed by value: the nested sweep keeps one accordion
 complex per ordered diagonal tuple, the idempotent sweep one silting complex
 (and its audit messages) per distinct quiver, ambient or shortcut.  Both
 compare the built complexes with the same comparison the single-instance
 checks use (compare_nested, iso_by_gvectors), and each induced complex is
-built once and shared by the comparison and the audit.  The memos are locals of one sweep.
-DRIVERS lists the sweeps for the command line and the scripts.  With
-structural=True every complex that shows up also goes through the
-structural audit (pseudomanifold, regular dual graph, sign coherence,
-facet independence, injective g-vectors).
+built once and shared by the comparison and the audit.  The consistency
+sweep builds one algebra basis per dissection, reads every shortcut quiver
+off it, and builds only each shortcut quiver's own basis besides.  The memos
+are locals of one sweep.  DRIVERS lists the sweeps for the command line and
+the scripts.  With structural=True every complex that shows up also goes
+through the structural audit (pseudomanifold, regular dual graph, sign
+coherence, facet independence, injective g-vectors).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .accordion import accordion_complex, compare_nested
+from .accordion import accordion_complex
 from .complexes import (
     IsoReport,
     LabeledComplex,
@@ -34,9 +43,11 @@ from .complexes import (
     restrict_to_coordinates,
     structural_failures,
 )
+from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections
 from .quiver import (
     GentleQuiver,
+    algebra_basis,
     idempotent_subalgebra_check,
     nonempty_subsets,
     quiver_of_dissection,
@@ -44,13 +55,7 @@ from .quiver import (
     shortcut_quiver,
     shortcut_quivers,
 )
-from .rigidity import (
-    direct_sum,
-    hom_shift,
-    silting_complex,
-    silting_vertices,
-    subset_positions,
-)
+from .rigidity import direct_sum, hom_shift, silting_complex, silting_vertices
 
 
 def verify_main(d: Dissection) -> IsoReport:
@@ -58,6 +63,60 @@ def verify_main(d: Dissection) -> IsoReport:
     return iso_by_gvectors(
         accordion_complex(d), silting_complex(quiver_of_dissection(d))
     )
+
+
+def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
+    """Compare A(d) with the induced subcomplex of A(d') it should equal.
+
+    The subcomplex of A(d') sits on the accordion diagonals whose g-vectors
+    vanish outside the coordinates of d.
+    """
+    if not d.diagonals:
+        raise EmptyDissectionError()
+    if d.cycle != d_prime.cycle or not d_prime.contains(d):
+        raise NotNestedError(
+            f"{d.white_pairs()} is not nested inside {d_prime.white_pairs()}"
+        )
+    positions = tuple(d_prime.diagonals.index(delta) for delta in d.diagonals)
+    induced = restrict_to_coordinates(accordion_complex(d_prime), positions)
+    return compare_nested(accordion_complex(d), induced)
+
+
+def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
+    """The nested comparison on built complexes: A(d) against A(d')
+    restricted to the coordinates of d.  The isomorphism must be the
+    identity on black diagonals, with g-vectors matching after restriction.
+    """
+    report = iso_by_gvectors(small, induced)
+    if report.passed:
+        for vid, wid in report.vertex_map.items():
+            b1 = small.vertices[vid].payload["black"]
+            b2 = induced.vertices[wid].payload["black"]
+            if b1 != b2:
+                report.failures.append(
+                    f"g-vector match sends black diagonal {b1} to {b2}"
+                )
+        if report.failures:
+            report.passed = False
+            report.vertex_map = None
+    return report
+
+
+def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
+    """Positions of the vertices in J among q's vertices, in quiver order."""
+    jset = set(J)
+    return tuple(i for i, v in enumerate(q.vertices) if v in jset)
+
+
+def verify_idempotent_reduction(q: GentleQuiver, J) -> IsoReport:
+    """Silting complex of the shortcut algebra vs the induced subcomplex.
+
+    The comparison itself is iso_by_gvectors on the two built complexes;
+    exhaustive sweeps call it directly on complexes they reuse.
+    """
+    small = silting_complex(shortcut_quiver(q, J))
+    induced = restrict_to_coordinates(silting_complex(q), subset_positions(q, J))
+    return iso_by_gvectors(small, induced)
 
 
 def audit_complex(cx: LabeledComplex) -> list[str]:
@@ -189,7 +248,7 @@ def verify_idempotent_exhaustive(
         ambient, ambient_audit = silting(q)
         if structural:
             summary.audit(_tag(d) + " silting", ambient_audit)
-        for J, shortcut in shortcut_quivers(q):
+        for J, shortcut in shortcut_quivers(algebra_basis(q)):
             small, small_audit = silting(shortcut)
             induced = restrict_to_coordinates(ambient, subset_positions(q, J))
             instance = f"{_tag(d)} J={list(J)}"
@@ -205,15 +264,16 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
     quiver, and the subalgebra bookkeeping holds on the same instances."""
     summary = VerifySummary("consistency")
     for big in all_dissections(m):
-        q_big = quiver_of_dissection(big)
-        for sub in nonempty_subsets(big.diagonals):
+        basis = algebra_basis(quiver_of_dissection(big))
+        # the quiver's vertices are the diagonals' vertex pairs, in order,
+        # so the k-th subset of diagonals is the k-th subset J of vertices
+        pairs = zip(nonempty_subsets(big.diagonals), shortcut_quivers(basis))
+        for sub, (J, shortcut) in pairs:
             d = Dissection(big.cycle, sub)
-            J = tuple(c.vertex_pair() for c in sub)
             instance = f"{_tag(d)} inside {big.white_pairs()}"
             summary.checked += 1
-            fails = quivers_match(shortcut_quiver(q_big, J), quiver_of_dissection(d))
-            algebra = idempotent_subalgebra_check(q_big, J)
-            fails.extend(algebra.failures)
+            fails = quivers_match(shortcut, quiver_of_dissection(d))
+            fails.extend(idempotent_subalgebra_check(basis, J, shortcut).failures)
             if fails:
                 summary.failures.append(f"{instance}: {'; '.join(fails)}")
             else:

@@ -2,12 +2,7 @@ import hashlib
 
 import pytest
 
-from accordion_tau.accordion import (
-    accordion_complex,
-    accordion_vertices,
-    g_vector,
-    verify_nested,
-)
+from accordion_tau.accordion import accordion_complex, accordion_vertices, g_vector
 from accordion_tau.errors import (
     EmptyDissectionError,
     NotAccordionError,
@@ -20,6 +15,7 @@ from accordion_tau.geometry import (
     black_chord,
     validate_dissection,
 )
+from accordion_tau.verify import verify_nested
 from oracles import CrossingSequence, NotCrossedError, crossing_sequence, sign, walk_g_vector
 
 # all nine accordion g-vectors of the hexagon fan, worked out by hand

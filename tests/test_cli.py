@@ -438,6 +438,42 @@ def test_fan_output_digest_is_frozen(capsys, command, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == FAN_DIGESTS[(command, fmt)]
 
 
+# sha256 of `verify` stdout, frozen so that moving the theorem checks between
+# modules cannot change a byte of the report
+NESTED = ["--theorem", "nested", "--sub-diagonals", "0-2,0-4"]
+IDEMPOTENT = ["--theorem", "idempotent", "--j", "0-2,0-4"]
+STATUS_PASS = "609238edf42f61a205d75a1c4868606c1c7a2abb51cd4c7c2e01f0581afb19e3"
+VERIFY_DIGESTS = {
+    ("main", "json"): (
+        FAN,
+        "d228df2a91b0c0bd76274d7f848445043a0137ec70071e3c9c14990ca855a762",
+    ),
+    ("main", "text"): (FAN, STATUS_PASS),
+    ("nested", "json"): (
+        [*FAN, *NESTED],
+        "efb2c4eb048c45d4838f3f78c8a2bcb7b641addc01b418f9f90c166d28cc48cc",
+    ),
+    ("nested", "text"): ([*FAN, *NESTED], STATUS_PASS),
+    ("idempotent", "json"): (
+        [*FAN, *IDEMPOTENT],
+        "d1ddb9fe2a8cdd5186ead6088467b9d341c90dc55a6632780cca4c7c82de8dd0",
+    ),
+    ("idempotent", "text"): ([*FAN, *IDEMPOTENT], STATUS_PASS),
+    ("exhaustive-6-all", "json"): (
+        ["--exhaustive", "6", "--theorem", "all"],
+        "4f647d90f43658e63c808d26eca2baeeccc58f7e1dd9dab5d149c48094d83c80",
+    ),
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(VERIFY_DIGESTS))
+def test_verify_output_digest_is_frozen(capsys, case, fmt):
+    args, digest = VERIFY_DIGESTS[(case, fmt)]
+    code, out, _ = run(capsys, ["verify", *args, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["accordion", *FAN, "--out", str(target)])

@@ -20,7 +20,6 @@ from accordion_tau.complexes import (
     dual_graph,
     exchange_graph_dot,
     generic_iso,
-    induced_subcomplex,
     is_pseudomanifold,
     iso_by_gvectors,
     make_complex,
@@ -35,7 +34,8 @@ from accordion_tau.errors import (
 )
 from accordion_tau.geometry import all_dissections
 from accordion_tau.quiver import nonempty_subsets, quiver_of_dissection
-from accordion_tau.rigidity import silting_complex, subset_positions
+from accordion_tau.rigidity import silting_complex
+from accordion_tau.verify import subset_positions
 
 
 def mk(gvecs, facets, coords=None):
@@ -367,9 +367,14 @@ def test_iso_skips_the_label_blind_search_above_its_size_limit():
 # -- induced subcomplexes --
 
 
+def units(n):
+    """The n unit g-vectors: restricting to positions keeps exactly those vertices."""
+    return [tuple(int(t == k) for t in range(n)) for k in range(n)]
+
+
 def test_induced_subcomplex_takes_maximal_traces():
-    cx = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    sub = induced_subcomplex(cx, [0, 1])
+    cx = mk(units(3), TRIANGLE_BOUNDARY)
+    sub = restrict_to_coordinates(cx, (0, 1))
     assert len(sub.vertices) == 2
     assert sub.facets == ((0, 1),)
     assert sub.vertices[0].label == "v0"
@@ -384,8 +389,8 @@ def test_induced_subcomplex_restricts_coordinates():
 
 
 def test_induced_subcomplex_empty_is_the_empty_face():
-    cx = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    sub = induced_subcomplex(cx, [])
+    cx = mk(units(3), TRIANGLE_BOUNDARY)
+    sub = restrict_to_coordinates(cx, ())
     assert sub.vertices == ()
     assert sub.facets == ((),)
 
@@ -435,9 +440,11 @@ def facet_families_with_keep_sets(draw):
 @given(facet_families_with_keep_sets())
 def test_induced_subcomplex_matches_the_scan_oracle(case):
     n, facets, keep = case
-    cx = mk([(k,) for k in range(n)], facets)
-    got = induced_subcomplex(cx, keep)
-    assert got == oracles.induced_subcomplex(cx, keep)
+    cx = mk(units(n), facets)
+    positions = sorted(keep)
+    got = restrict_to_coordinates(cx, positions)
+    assert got == oracles.restrict_to_coordinates(cx, positions)
+    assert [v.label for v in got.vertices] == [f"v{k}" for k in positions]
     if not keep:
         assert got.facets == ((),)
 

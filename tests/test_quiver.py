@@ -225,7 +225,7 @@ def test_shortcut_quivers_list_every_subset_in_order():
                 for size in range(1, len(q.vertices) + 1)
                 for J in itertools.combinations(q.vertices, size)
             ]
-            assert list(shortcut_quivers(q)) == expected
+            assert list(shortcut_quivers(algebra_basis(q))) == expected
             checked += len(expected)
     assert checked == 2 + 20 + 170
 
@@ -238,9 +238,14 @@ def test_shortcut_rejects_bad_subsets(heptagon_zigzag):
         shortcut_quiver(q, [(0, 2), (9, 11)])
 
 
+def subalgebra_check(q, J):
+    """The subalgebra check of the shortcut quiver at J against q's basis."""
+    return idempotent_subalgebra_check(algebra_basis(q), J, shortcut_quiver(q, J))
+
+
 def test_idempotent_subalgebra_check_passes(hexagon_fan):
     q = quiver_of_dissection(hexagon_fan)
-    report = idempotent_subalgebra_check(q, [(0, 2), (0, 4)])
+    report = subalgebra_check(q, [(0, 2), (0, 4)])
     assert report.passed
     assert report.failures == []
     # J-to-J paths: the two lazies plus the composite through (0, 3)
@@ -249,9 +254,30 @@ def test_idempotent_subalgebra_check_passes(hexagon_fan):
 
 
 def test_idempotent_check_with_relation_kills_composite():
-    report = idempotent_subalgebra_check(a3_quiver(with_relation=True), [1, 3])
+    report = subalgebra_check(a3_quiver(with_relation=True), [1, 3])
     assert report.passed
     assert report.dimension == 2  # just the two lazies survive
+
+
+def test_idempotent_check_rejects_a_shortcut_without_its_relation(heptagon_zigzag):
+    # the shortcut algebra would keep s0.s1, which no path upstairs folds to
+    q = quiver_of_dissection(heptagon_zigzag)
+    J = q.vertices
+    correct = shortcut_quiver(q, J)
+    wrong = GentleQuiver(correct.vertices, correct.arrows, frozenset())
+    report = idempotent_subalgebra_check(algebra_basis(q), J, wrong)
+    assert not report.passed
+    assert report.failures == ["folding misses shortcut paths: image 5 of 6"]
+
+
+def test_idempotent_check_rejects_a_basis_without_the_relation(heptagon_zigzag):
+    # upstairs a0.a1 survives, but its fold s0.s1 is zero in the shortcut
+    q = quiver_of_dissection(heptagon_zigzag)
+    J = q.vertices
+    free = GentleQuiver(q.vertices, q.arrows, frozenset())
+    report = idempotent_subalgebra_check(algebra_basis(free), J, shortcut_quiver(q, J))
+    assert not report.passed
+    assert report.failures == ["path a0.a1 does not fold into the shortcut basis"]
 
 
 # -- serialization --
@@ -325,4 +351,4 @@ def test_shortcut_check_holds_on_random_subsets(m, data):
     j = data.draw(
         st.lists(st.sampled_from(list(q.vertices)), min_size=1, unique=True)
     )
-    assert idempotent_subalgebra_check(q, j).passed
+    assert subalgebra_check(q, j).passed

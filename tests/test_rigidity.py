@@ -37,10 +37,9 @@ from accordion_tau.rigidity import (
     silting_complex,
     silting_vertices,
     string_module,
-    verify_idempotent_reduction,
     walk_vertices,
 )
-from accordion_tau.verify import additivity_spotcheck
+from accordion_tau.verify import additivity_spotcheck, verify_idempotent_reduction
 from oracles import proj_representation, projective_complex
 
 

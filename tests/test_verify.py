@@ -73,6 +73,23 @@ def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monk
     assert len(calls) == len(dissections) + len(quivers) == 583
 
 
+def test_consistency_sweep_builds_one_basis_per_dissection_and_shortcut(monkeypatch):
+    # one ambient basis per dissection for all its shortcut quivers and
+    # subalgebra checks, and one basis per (dissection, subset) shortcut
+    dissections = all_dissections(7)
+    instances = sum(2 ** len(d.diagonals) - 1 for d in dissections)
+    calls = count_calls(monkeypatch, quiver, "algebra_basis")
+    assert verify.verify_consistency_exhaustive(7).ok
+    assert len(calls) == len(dissections) + instances == 196 + 1400
+
+
+def test_builder_modules_hold_no_comparison():
+    # the theorem checks live in verify; the builders only build
+    for module in (accordion, rigidity):
+        for name in ("iso_by_gvectors", "restrict_to_coordinates", "shortcut_quiver"):
+            assert not hasattr(module, name), f"{module.__name__} binds {name}"
+
+
 def test_audit_rejects_a_triangle_boundary_by_degree_alone():
     # pure, every ridge (a vertex) in two facets, connected, sign-coherent,
     # independent and injective: only the dual graph degree sees that the
