@@ -4,23 +4,25 @@ Usage:
 
     python scripts/run_exhaustive.py --max-m 7 --structural
 
-Prints one row per (theorem, m) with counts and timing, and exits nonzero
-if anything fails.  Sizes start at --min-m (at least 4; smaller polygons
-have no diagonals) and stop at --max-m or at the theorem's DEFAULT_CEILING,
-whichever is lower: m=8 for main, m=7 for the rest; a range with no size
+Prints one row per (theorem, m) with counts, timing and the process's peak
+resident memory so far (ru_maxrss, in MB), and exits nonzero if anything
+fails.  Sizes start at --min-m (at least 4; smaller polygons have no
+diagonals) and stop at --max-m or at the theorem's DEFAULT_CEILING,
+whichever is lower: m=9 for main, m=7 for the rest; a range with no size
 left is a usage error.  The safety cap
 ACCORDION_TAU_MAX_M belongs to the `accordion-tau` command and does not
 apply here.
 """
 
 import argparse
+import resource
 import sys
 import time
 
 from accordion_tau.verify import DRIVERS
 
 # nested/idempotent sweeps blow up fast; keep their default ceiling lower
-DEFAULT_CEILING = {"main": 8, "nested": 7, "idempotent": 7, "consistency": 7}
+DEFAULT_CEILING = {"main": 9, "nested": 7, "idempotent": 7, "consistency": 7}
 
 
 def main() -> int:
@@ -50,15 +52,20 @@ def main() -> int:
             f"ceilings {DEFAULT_CEILING}"
         )
     bad = 0
-    print(f"{'theorem':<12} {'m':>2} {'passed':>7} {'checked':>8} {'audited':>8} {'time':>8}")
+    print(
+        f"{'theorem':<12} {'m':>2} {'passed':>7} {'checked':>8} {'audited':>8} "
+        f"{'time':>8} {'rss_mb':>7}"
+    )
     for name in names:
         for m in range(args.min_m, ceilings[name] + 1):
             t0 = time.perf_counter()
             summary = DRIVERS[name](m, structural=args.structural)
             dt = time.perf_counter() - t0
+            # ru_maxrss is in kilobytes on Linux
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(
                 f"{name:<12} {m:>2} {summary.passed:>7} {summary.checked:>8} "
-                f"{summary.complexes_audited:>8} {dt:>7.2f}s"
+                f"{summary.complexes_audited:>8} {dt:>7.2f}s {peak_mb:>7.1f}"
             )
             if not summary.ok:
                 bad += 1

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 
 from .complexes import ComplexVertex, LabeledComplex, clique_complex
 from .errors import NotAccordionError
-from .geometry import Chord, Dissection, all_black_diagonal_chords, cells, crosses
+from .geometry import Cell, Chord, Dissection, all_black_diagonal_chords, cells, crosses
 
 
 def _g_vector_of(d: Dissection):
     """The g-vector function of d, with the cells of d and the two cells
-    on either side of each diagonal found once."""
+    on either side of each diagonal found once.  It returns the g-vector of
+    an accordion diagonal, and for any other black diagonal the first cell
+    with two or more vertices on each side of S, so that callers who skip
+    those diagonals build no error message."""
     faces = cells(d)
     # a cell's vertices increase counterclockwise from its smallest, so the
     # cell lies inside the arc p..q of its closing side (p, q) and outside
@@ -39,7 +42,7 @@ def _g_vector_of(d: Dissection):
         outside.update((side, c) for side in steps)
     pairs = [delta.vertex_pair() for delta in d.diagonals]
 
-    def g_vector_of(black: Chord) -> tuple[int, ...]:
+    def g_vector_of(black: Chord) -> tuple[int, ...] | Cell:
         i, j = black.vertex_pair()
         lone: list[int | None] = []
         for cell in faces:
@@ -50,12 +53,7 @@ def _g_vector_of(d: Dissection):
             elif len(out_s) == 1:
                 lone.append(out_s[0])
             elif in_s and out_s:
-                crossed = [
-                    s.label()
-                    for s in cell.sides
-                    if sum(i < v <= j for v in s.vertex_pair()) == 1
-                ]
-                raise NotAccordionError(cell.vertices, crossed)
+                return cell
             else:
                 lone.append(None)
         gvec = []
@@ -85,7 +83,16 @@ def g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
     Raises NotAccordionError, naming the first cell with two or more
     vertices on each side of S and its crossed sides in side order.
     """
-    return _g_vector_of(d)(black)
+    gvec = _g_vector_of(d)(black)
+    if isinstance(gvec, Cell):
+        i, j = black.vertex_pair()
+        crossed = [
+            s.label()
+            for s in gvec.sides
+            if sum(i < v <= j for v in s.vertex_pair()) == 1
+        ]
+        raise NotAccordionError(gvec.vertices, crossed)
+    return gvec
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,9 @@ def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
     g_vector_of = _g_vector_of(d)
     out = []
     for black in all_black_diagonal_chords(d.cycle):
-        try:
-            out.append(AccordionVertex(black, g_vector_of(black)))
-        except NotAccordionError:
-            continue
+        gvec = g_vector_of(black)
+        if not isinstance(gvec, Cell):
+            out.append(AccordionVertex(black, gvec))
     return out
 
 

@@ -159,31 +159,33 @@ def maximal_cliques(n: int, adj: list[int]) -> list[tuple[int, ...]]:
     and the candidates P minus adj[pivot] are taken lowest bit first.
     """
     cliques: list[tuple[int, ...]] = []
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            cliques.append(_bits(r))
-            return
-        best = -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            count = (p & adj[u]).bit_count()
-            if count > best:
-                best, pivot = count, u
-            rest ^= low
-        candidates = p & ~adj[pivot]
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            expand(r | low, p & adj[v], x & adj[v])
-            p ^= low
-            x |= low
-            candidates ^= low
-
-    expand(0, (1 << n) - 1, 0)
+    _expand(adj, cliques, 0, (1 << n) - 1, 0)
     return sorted(cliques)
+
+
+def _expand(adj: list[int], cliques: list, r: int, p: int, x: int) -> None:
+    """One Bron-Kerbosch call.  A module function, not a closure: a closure
+    that calls itself is a reference cycle, garbage only the collector frees."""
+    if not p and not x:
+        cliques.append(_bits(r))
+        return
+    best = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        count = (p & adj[u]).bit_count()
+        if count > best:
+            best, pivot = count, u
+        rest ^= low
+    candidates = p & ~adj[pivot]
+    while candidates:
+        low = candidates & -candidates
+        v = low.bit_length() - 1
+        _expand(adj, cliques, r | low, p & adj[v], x & adj[v])
+        p ^= low
+        x |= low
+        candidates ^= low
 
 
 def clique_complex(kind: str, coordinates, vertices, compatible) -> LabeledComplex:

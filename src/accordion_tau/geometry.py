@@ -201,20 +201,24 @@ def all_dissections(m: int, include_empty: bool = False) -> list[Dissection]:
     cycle = PointCycle(m)
     pairs = all_white_diagonal_pairs(m)
     chords = [white_chord(cycle, i, j) for i, j in pairs]
-    n = len(chords)
-    compatible = [[not crosses(chords[x], chords[y]) for y in range(n)] for x in range(n)]
-
-    out: list[Dissection] = []
-    if include_empty:
-        out.append(Dissection(cycle, ()))
-
-    def grow(chosen: list[int], frontier: int):
-        for nxt in range(frontier, n):
-            if all(compatible[prev][nxt] for prev in chosen):
-                chosen.append(nxt)
-                out.append(Dissection(cycle, tuple(chords[t] for t in chosen)))
-                grow(chosen, nxt + 1)
-                chosen.pop()
-
-    grow([], 0)
+    # bit y of compatible[x] is set when chords x and y do not cross
+    compatible = [
+        sum(1 << y for y, c in enumerate(chords) if not crosses(chord, c))
+        for chord in chords
+    ]
+    out: list[Dissection] = [Dissection(cycle, ())] if include_empty else []
+    _grow(cycle, chords, compatible, (), (1 << len(chords)) - 1, out)
     return out
+
+
+def _grow(cycle, chords, compatible, chosen: tuple, allowed: int, out: list) -> None:
+    """Append chosen plus each allowed chord, lowest first, each followed by
+    its own extensions by later compatible chords.  A module function, not
+    a closure: a closure that calls itself is a reference cycle."""
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        nxt = low.bit_length() - 1
+        grown = chosen + (chords[nxt],)
+        out.append(Dissection(cycle, grown))
+        _grow(cycle, chords, compatible, grown, allowed & compatible[nxt], out)

@@ -2,7 +2,9 @@
 
 Quivers come from two sources: built from a dissection (one vertex per
 diagonal, arrows between consecutive diagonal sides of a cell, relations for
-consecutive triples) or loaded from JSON.  The path algebra uses left to
+consecutive triples) or loaded from JSON.  A quiver's shape forgets vertex
+names and keeps positions, so quivers that differ only in vertex names share
+it (and their algebras agree up to that renaming).  The path algebra uses left to
 right composition: the product p * q means "walk p, then walk q", so paths
 from u to v span the subspace e_u A e_v.  Bases only exist for finite
 dimensional algebras; a relation-free cycle raises instead.
@@ -61,6 +63,15 @@ class GentleQuiver:
     @cached_property
     def arrow_by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
+
+    @cached_property
+    def shape(self) -> tuple:
+        """The quiver with its vertices replaced by their positions: vertex
+        count, arrows as (name, source position, target position) in order,
+        and relations.  Quivers of one shape differ only in vertex names."""
+        pos = {v: k for k, v in enumerate(self.vertices)}
+        arrows = tuple((a.name, pos[a.src], pos[a.tgt]) for a in self.arrows)
+        return (len(self.vertices), arrows, self.relations)
 
     def to_json(self) -> dict:
         return {

@@ -16,6 +16,11 @@ Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
 "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
 those through dy are exactly the maps x.p1 -> H^0 y.
 
+The silting complex depends on the quiver's shape alone, so silting_build
+also returns a label-free SiltingCore (g-vectors, string letters, vertex
+positions, facets), and label_silting turns a core and any quiver of its
+shape into that quiver's complex without building anything again.
+
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
 """
@@ -23,6 +28,7 @@ compare it (main and idempotent) live in verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .complexes import ComplexVertex, LabeledComplex, clique_complex
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
@@ -397,7 +403,11 @@ class SiltingVertex:
 def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
     """Rigid presentations of string modules plus all shifted projectives,
     stably sorted by g-vector."""
-    basis = algebra_basis(q)
+    return _silting_vertices(algebra_basis(q))
+
+
+def _silting_vertices(basis: AlgebraBasis) -> list[SiltingVertex]:
+    q = basis.quiver
     out: list[SiltingVertex] = []
     for w in enumerate_strings(q):
         pres = min_presentation(basis, string_module(q, w))
@@ -413,21 +423,72 @@ def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
     return sorted(out, key=lambda sv: sv.gvec)
 
 
-def silting_complex(q: GentleQuiver) -> LabeledComplex:
-    """Faces are the pairwise compatible sets; facets must all be full rank."""
-    verts = silting_vertices(q)
-    cxverts = []
-    for i, sv in enumerate(verts):
-        if sv.kind == "module":
-            payload = {"kind": "module", "string": sv.word.display()}
+class SiltingCore(NamedTuple):
+    """The silting complex of a quiver shape (GentleQuiver.shape), without
+    vertex names.  Per vertex: its g-vector, its string's letters (None for
+    a shifted projective) and the vertex position it names (the string's
+    source, or the shifted projective's vertex); then the facets.
+    """
+
+    gvecs: tuple[tuple[int, ...], ...]
+    letters: tuple[tuple[tuple[str, bool], ...] | None, ...]
+    positions: tuple[int, ...]
+    facets: tuple[tuple[int, ...], ...]
+
+
+def _labelled_vertices(q: GentleQuiver, core: SiltingCore) -> list[ComplexVertex]:
+    out = []
+    for i, (gvec, word, at) in enumerate(zip(core.gvecs, core.letters, core.positions)):
+        v = q.vertices[at]
+        if word is None:
+            name = vertex_label(v)
+            payload = {"kind": "shifted", "projective": name}
+            out.append(ComplexVertex(i, gvec, f"P_{name}[1]", payload))
         else:
-            payload = {"kind": "shifted", "projective": vertex_label(sv.projective)}
-        cxverts.append(ComplexVertex(i, sv.gvec, sv.label, payload))
+            text = StringWord(v, word).display()
+            out.append(ComplexVertex(i, gvec, text, {"kind": "module", "string": text}))
+    return out
+
+
+def silting_build(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
+    """The silting complex of basis.quiver and its label-free core.
+
+    Faces are the pairwise compatible sets; facets must all be full rank.
+    The complex is built and checked once, and its g-vector and facet
+    tuples are the core's."""
+    q = basis.quiver
+    verts = _silting_vertices(basis)
+    order = {v: k for k, v in enumerate(q.vertices)}
+    core = SiltingCore(
+        tuple(sv.gvec for sv in verts),
+        tuple(None if sv.word is None else sv.word.letters for sv in verts),
+        tuple(order[sv.projective if sv.word is None else sv.word.source] for sv in verts),
+        (),
+    )
 
     def compatible(i: int, j: int) -> bool:
         x, y = verts[i].complex, verts[j].complex
         return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
 
-    return clique_complex(
-        "silting", (vertex_label(v) for v in q.vertices), cxverts, compatible
+    cx = clique_complex(
+        "silting",
+        (vertex_label(v) for v in q.vertices),
+        _labelled_vertices(q, core),
+        compatible,
     )
+    return core._replace(facets=cx.facets), cx
+
+
+def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
+    """The silting complex of q from the core of q's shape: the complex
+    silting_complex(q) builds, sharing the core's g-vectors and facets."""
+    return LabeledComplex(
+        tuple(vertex_label(v) for v in q.vertices),
+        tuple(_labelled_vertices(q, core)),
+        core.facets,
+    )
+
+
+def silting_complex(q: GentleQuiver) -> LabeledComplex:
+    """Faces are the pairwise compatible sets; facets must all be full rank."""
+    return silting_build(algebra_basis(q))[1]

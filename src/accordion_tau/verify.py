@@ -14,15 +14,20 @@ comparison on built complexes; the idempotent comparison is iso_by_gvectors
 itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
 
 Exhaustive runs iterate all dissections of one polygon and build each
-complex once per sweep, keyed by value: the nested sweep keeps one accordion
-complex per ordered diagonal tuple, the idempotent sweep one silting complex
-(and its audit messages) per distinct quiver, ambient or shortcut.  Both
-compare the built complexes with the same comparison the single-instance
-checks use (compare_nested, iso_by_gvectors), and each induced complex is
-built once and shared by the comparison and the audit.  The consistency
-sweep builds one algebra basis per dissection, reads every shortcut quiver
-off it, and builds only each shortcut quiver's own basis besides.  The memos
-are locals of one sweep.  DRIVERS lists the sweeps for the command line and
+complex once per sweep: the nested sweep keeps one accordion complex per
+ordered diagonal tuple, and the idempotent sweep one silting complex (and
+its audit messages) per distinct quiver, ambient or shortcut.  A silting
+complex depends on its quiver's shape alone (GentleQuiver.shape: vertex
+positions, not names), so the main and idempotent sweeps build it once per
+shape (rigidity.silting_build) and label the shape's core for every other
+quiver of that shape (rigidity.label_silting); the idempotent sweep hands
+the ambient build the algebra basis it already holds.  The sweeps compare
+the built complexes with the same comparison the single-instance checks use
+(compare_nested, iso_by_gvectors), and each induced complex is built once
+and shared by the comparison and the audit.  The consistency sweep builds
+one algebra basis per dissection, reads every shortcut quiver off it, and
+builds only each shortcut quiver's own basis besides.  The memos are locals
+of one sweep.  DRIVERS lists the sweeps for the command line and
 the scripts.  With structural=True every complex that shows up also goes
 through the structural audit (pseudomanifold, regular dual graph, sign
 coherence, facet independence, injective g-vectors).
@@ -46,6 +51,7 @@ from .complexes import (
 from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections
 from .quiver import (
+    AlgebraBasis,
     GentleQuiver,
     algebra_basis,
     idempotent_subalgebra_check,
@@ -55,7 +61,15 @@ from .quiver import (
     shortcut_quiver,
     shortcut_quivers,
 )
-from .rigidity import direct_sum, hom_shift, silting_complex, silting_vertices
+from .rigidity import (
+    SiltingCore,
+    direct_sum,
+    hom_shift,
+    label_silting,
+    silting_build,
+    silting_complex,
+    silting_vertices,
+)
 
 
 def verify_main(d: Dissection) -> IsoReport:
@@ -177,11 +191,26 @@ def _tag(d: Dissection) -> str:
     return f"m={d.cycle.m} {d.white_pairs()}"
 
 
+def _silting_by_shape(
+    cores: dict[tuple, SiltingCore], q: GentleQuiver, basis: AlgebraBasis | None = None
+) -> LabeledComplex:
+    """The silting complex of q, built once per shape of quiver: a shape
+    met before is labelled from its core.  basis, when given, is q's."""
+    core = cores.get(q.shape)
+    if core is not None:
+        return label_silting(core, q)
+    cores[q.shape], cx = silting_build(algebra_basis(q) if basis is None else basis)
+    return cx
+
+
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
+    """Every nonempty dissection of the m-gon; one silting build per quiver
+    shape."""
     summary = VerifySummary("main")
+    cores: dict[tuple, SiltingCore] = {}
     for d in all_dissections(m):
         acc = accordion_complex(d)
-        silt = silting_complex(quiver_of_dissection(d))
+        silt = _silting_by_shape(cores, quiver_of_dissection(d))
         summary.record(_tag(d), iso_by_gvectors(acc, silt))
         if structural:
             summary.audit(_tag(d) + " accordion", audit_complex(acc))
@@ -225,19 +254,25 @@ def verify_idempotent_exhaustive(
     """Every nonempty vertex subset J of every dissection's quiver.
 
     Shortcut quivers repeat across dissections and subsets, and some equal
-    the quiver of another dissection, so the sweep builds one silting complex
-    per distinct quiver, ambient or shortcut (the quiver is frozen and
-    hashable, and its silting complex depends on its value only).  The
-    shortcut quivers of one dissection come from one algebra basis.  With
-    structural=True each distinct complex is audited once and its messages
-    are kept beside it; every instance still counts and reports them.
+    the quiver of another dissection, so the sweep keeps one labelled
+    silting complex per distinct quiver, ambient or shortcut (the quiver is
+    frozen and hashable, and its silting complex depends on its value only).
+    Beneath that, many distinct quivers share a shape, and the complex is
+    built once per shape and labelled for each quiver.  One algebra basis
+    per dissection yields its shortcut quivers and, when the shape is new,
+    the ambient silting build.  With structural=True each distinct complex
+    is audited once and its messages are kept beside it; every instance
+    still counts and reports them.
     """
     summary = VerifySummary("idempotent")
+    cores: dict[tuple, SiltingCore] = {}
     built: dict[GentleQuiver, tuple[LabeledComplex, list[str]]] = {}
 
-    def silting(q: GentleQuiver) -> tuple[LabeledComplex, list[str]]:
+    def silting(
+        q: GentleQuiver, basis: AlgebraBasis | None = None
+    ) -> tuple[LabeledComplex, list[str]]:
         if q not in built:
-            cx = silting_complex(q)
+            cx = _silting_by_shape(cores, q, basis)
             built[q] = (cx, audit_complex(cx) if structural else [])
         return built[q]
 
@@ -245,10 +280,11 @@ def verify_idempotent_exhaustive(
         if triangulations_only and len(d.diagonals) != m - 3:
             continue
         q = quiver_of_dissection(d)
-        ambient, ambient_audit = silting(q)
+        basis = algebra_basis(q)
+        ambient, ambient_audit = silting(q, basis)
         if structural:
             summary.audit(_tag(d) + " silting", ambient_audit)
-        for J, shortcut in shortcut_quivers(algebra_basis(q)):
+        for J, shortcut in shortcut_quivers(basis):
             small, small_audit = silting(shortcut)
             induced = restrict_to_coordinates(ambient, subset_positions(q, J))
             instance = f"{_tag(d)} J={list(J)}"

@@ -326,6 +326,26 @@ def test_quivers_match_detects_differences(heptagon_zigzag, hexagon_fan):
     assert any("relation" in f for f in quivers_match(q1, q3))
 
 
+def test_shape_forgets_vertex_names_only():
+    q = a3_quiver()
+    renamed = GentleQuiver(
+        ("x", "y", "z"), (Arrow("a", "x", "y"), Arrow("b", "y", "z")), q.relations
+    )
+    assert renamed != q and renamed.shape == q.shape
+    assert q.shape == (3, (("a", 0, 1), ("b", 1, 2)), frozenset({("a", "b")}))
+    # a dropped relation, a moved arrow end or a renamed arrow changes it
+    assert a3_quiver(with_relation=False).shape != q.shape
+    moved = GentleQuiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 3, 2)), frozenset())
+    assert moved.shape != a3_quiver(with_relation=False).shape
+    renamed_arrow = GentleQuiver(
+        (1, 2, 3), (Arrow("a", 1, 2), Arrow("c", 2, 3)), frozenset()
+    )
+    assert renamed_arrow.shape != a3_quiver(with_relation=False).shape
+    # vertex order is part of the shape: reordering moves the arrow ends
+    reordered = GentleQuiver((2, 1, 3), q.arrows, q.relations)
+    assert reordered.shape != q.shape
+
+
 # -- properties over the dissection corpus --
 
 DISSECTIONS = {m: all_dissections(m) for m in range(4, 8)}

@@ -24,6 +24,7 @@ from accordion_tau.quiver import (
     GentleQuiver,
     algebra_basis,
     quiver_of_dissection,
+    shortcut_quivers,
 )
 from accordion_tau.rigidity import (
     StringWord,
@@ -32,8 +33,10 @@ from accordion_tau.rigidity import (
     enumerate_strings,
     hom_shift,
     inverse_word,
+    label_silting,
     min_presentation,
     shifted_projective,
+    silting_build,
     silting_complex,
     silting_vertices,
     string_module,
@@ -420,6 +423,33 @@ def test_single_coordinate_restriction_is_two_points(zigzag_algebra):
     sub = restrict_to_coordinates(cx, (0,))
     assert [v.gvec for v in sub.vertices] == [(-1,), (1,)]
     assert sub.facets == ((0,), (1,))
+
+
+def test_labelling_a_shape_core_equals_a_direct_build():
+    # every ambient and shortcut quiver with m <= 7: the core of the first
+    # quiver of each shape, labelled for q, is exactly q's own silting
+    # complex, payloads included, and shares the core's tuples
+    from accordion_tau.geometry import all_dissections
+
+    cores, checked = {}, 0
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            basis = algebra_basis(quiver_of_dissection(d))
+            quivers = [basis.quiver] + [s for _, s in shortcut_quivers(basis)]
+            for q in quivers:
+                if q.shape not in cores:
+                    cores[q.shape] = silting_build(algebra_basis(q))[0]
+                    continue
+                core = cores[q.shape]
+                labelled, direct = label_silting(core, q), silting_complex(q)
+                assert labelled == direct
+                assert labelled.to_json() == direct.to_json()
+                assert labelled.facets is core.facets
+                assert all(
+                    v.gvec is g for v, g in zip(labelled.vertices, core.gvecs)
+                )
+                checked += 1
+    assert len(cores) == 105 and checked > len(cores)
 
 
 # -- invariants survive python -O --

@@ -1,5 +1,6 @@
 """Exhaustive drivers build each complex once per sweep; the structural audit."""
 
+import gc
 import itertools
 import sys
 
@@ -47,30 +48,45 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
             for J in itertools.combinations(q.vertices, size):
                 shortcuts.add(shortcut_quiver(q, J))
                 pairs += 1
-    # some ambient quivers are also shortcut quivers, and are built once
+    # some ambient quivers are also shortcut quivers, and are built once;
+    # quivers that differ only in vertex names share one silting build
     assert len(ambients) == len(dissections) and ambients & shortcuts
-    calls = count_calls(monkeypatch, rigidity, "silting_complex")
+    shapes = {q.shape for q in ambients | shortcuts}
+    assert len(shapes) < len(ambients | shortcuts)
+    calls = count_calls(monkeypatch, rigidity, "silting_build")
     audits = count_calls(monkeypatch, verify, "audit_complex")
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
-    assert len(calls) == len(ambients | shortcuts)
+    assert len(calls) == len(shapes)
     # one audit per distinct complex and per induced complex, while every
     # instance still counts its audited complexes
     assert len(audits) == (len(ambients | shortcuts) + pairs if structural else 0)
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
+@pytest.mark.parametrize(
+    "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
+)
+def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
+    calls = count_calls(monkeypatch, rigidity, "silting_build")
+    assert verify.DRIVERS[name](m).ok
+    assert len(calls) == cores
+
+
 def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
-    # one basis per dissection for all its shortcut quivers, and one inside
-    # each silting complex build (one build per distinct quiver)
+    # one basis per dissection, shared by its shortcut quivers and its own
+    # silting build, and one more for each shape first met as a shortcut
     dissections = all_dissections(7)
-    quivers = set()
+    shapes, shortcut_builds = set(), 0
     for q in map(quiver_of_dissection, dissections):
-        quivers.add(q)
-        quivers.update(shortcut_quiver(q, J) for J in quiver.nonempty_subsets(q.vertices))
+        shapes.add(q.shape)
+        for J in quiver.nonempty_subsets(q.vertices):
+            shape = shortcut_quiver(q, J).shape
+            shortcut_builds += shape not in shapes
+            shapes.add(shape)
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    assert len(calls) == len(dissections) + len(quivers) == 583
+    assert len(calls) == len(dissections) + shortcut_builds == 253
 
 
 def test_consistency_sweep_builds_one_basis_per_dissection_and_shortcut(monkeypatch):
@@ -81,6 +97,23 @@ def test_consistency_sweep_builds_one_basis_per_dissection_and_shortcut(monkeypa
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_consistency_exhaustive(7).ok
     assert len(calls) == len(dissections) + instances == 196 + 1400
+
+
+@pytest.mark.parametrize("name", list(verify.DRIVERS))
+def test_sweeps_leave_no_cyclic_garbage(name):
+    # every object a sweep drops is freed by reference counting: with
+    # DEBUG_SAVEALL the collector keeps what it would have had to free
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert verify.DRIVERS[name](6, structural=True).ok
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0
 
 
 def test_builder_modules_hold_no_comparison():
