@@ -66,10 +66,10 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def load_dissection(config: argparse.Namespace) -> Dissection:
     inline = config.m is not None or config.diagonals is not None
-    if config.input_path and inline:
+    if config.input and inline:
         raise InputError("give either --input or --m/--diagonals, not both")
-    if config.input_path:
-        with open(config.input_path) as fh:
+    if config.input:
+        with open(config.input) as fh:
             data = json.load(fh)
         try:
             m, pairs = data["m"], [tuple(p) for p in data["diagonals"]]
@@ -88,11 +88,11 @@ def load_dissection(config: argparse.Namespace) -> Dissection:
 
 def load_quiver(config: argparse.Namespace) -> GentleQuiver:
     """The quiver from --quiver, or else the quiver of the dissection input."""
-    if not config.quiver_path:
+    if not config.quiver:
         return quiver_of_dissection(load_dissection(config))
-    if config.m is not None or config.diagonals is not None or config.input_path:
+    if config.m is not None or config.diagonals is not None or config.input:
         raise InputError("give either --quiver or a dissection, not both")
-    with open(config.quiver_path) as fh:
+    with open(config.quiver) as fh:
         return quiver_from_json(json.load(fh))
 
 
@@ -162,18 +162,25 @@ def cmd_silting(config: argparse.Namespace) -> int:
     return _emit_complex(config, "quiver", q.to_json(), silting_complex(q))
 
 
+# the optional verify flags each mode reads, besides --theorem, --format and --out
+VERIFY_READS = {
+    "exhaustive": {"--seed"},
+    "main": {"--m", "--diagonals", "--input", "--seed"},
+    "nested": {"--m", "--diagonals", "--input", "--sub-diagonals"},
+    "idempotent": {"--m", "--diagonals", "--input", "--quiver", "--j"},
+}
+
+
+def _reject_unread_flags(config: argparse.Namespace, mode: str, who: str) -> None:
+    """An InputError naming the first given flag that mode does not read."""
+    for dest in ("m", "diagonals", "input", "quiver", "j", "sub_diagonals", "seed"):
+        flag = "--" + dest.replace("_", "-")
+        if getattr(config, dest) is not None and flag not in VERIFY_READS[mode]:
+            raise InputError(f"{who} takes no {flag}")
+
+
 def _verify_exhaustive(config: argparse.Namespace) -> tuple[dict, bool]:
-    instance_flags = {
-        "--m": config.m,
-        "--diagonals": config.diagonals,
-        "--input": config.input_path,
-        "--quiver": config.quiver_path,
-        "--j": config.j,
-        "--sub-diagonals": config.sub_diagonals,
-    }
-    for flag, value in instance_flags.items():
-        if value is not None:
-            raise InputError(f"--exhaustive runs every dissection, so it takes no {flag}")
+    _reject_unread_flags(config, "exhaustive", "--exhaustive runs every dissection, so it")
     m = config.exhaustive
     if m < 4:
         raise InputError(
@@ -200,6 +207,7 @@ def _verify_exhaustive(config: argparse.Namespace) -> tuple[dict, bool]:
 def _verify_single(config: argparse.Namespace) -> tuple[dict, bool]:
     if config.theorem in ("all", "consistency"):
         raise InputError(f"--theorem {config.theorem} needs --exhaustive")
+    _reject_unread_flags(config, config.theorem, f"--theorem {config.theorem}")
     if config.theorem == "main":
         d = load_dissection(config)
         iso = verify_main(d)
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--m", type=int, help="number of white vertices")
     shared.add_argument("--diagonals", help="inline diagonals, e.g. 0-2,0-3,0-4")
-    shared.add_argument("--input", dest="input_path", help="dissection JSON file")
+    shared.add_argument("--input", help="dissection JSON file")
     shared.add_argument(
         "--format",
         dest="fmt",
@@ -284,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_silt = sub.add_parser(
         "silting", parents=[shared], help="silting complex of a gentle quiver"
     )
-    p_silt.add_argument("--quiver", dest="quiver_path", help="quiver JSON file")
+    p_silt.add_argument("--quiver", help="quiver JSON file")
 
     p_ver = sub.add_parser("verify", parents=[shared], help="run theorem checks")
-    p_ver.add_argument("--quiver", dest="quiver_path", help="quiver JSON file")
+    p_ver.add_argument("--quiver", help="quiver JSON file")
     p_ver.add_argument(
         "--theorem",
         choices=[*DRIVERS, "all"],

@@ -392,15 +392,19 @@ def _facet_profile(cx: LabeledComplex) -> list[tuple[int, ...]]:
     return prof
 
 
+# the most vertices the backtracking label-blind search takes on
+GENERIC_ISO_LIMIT = 64
+
+
 def generic_iso(
-    c1: LabeledComplex, c2: LabeledComplex, max_vertices: int = 64
+    c1: LabeledComplex, c2: LabeledComplex
 ) -> tuple[bool, dict[int, int] | None]:
     """Label-blind facet-preserving bijection search (backtracking)."""
     n = len(c1.vertices)
     if n != len(c2.vertices) or len(c1.facets) != len(c2.facets):
         return False, None
-    if n > max_vertices:
-        raise SizeLimitError(n, max_vertices)
+    if n > GENERIC_ISO_LIMIT:
+        raise SizeLimitError(n, GENERIC_ISO_LIMIT)
     if sorted(map(len, c1.facets)) != sorted(map(len, c2.facets)):
         return False, None
 

@@ -196,8 +196,8 @@ def all_black_diagonal_chords(cycle: PointCycle) -> list[Chord]:
     return [black_chord(cycle, i, j) for i, j in all_white_diagonal_pairs(cycle.m)]
 
 
-def all_dissections(m: int, include_empty: bool = False) -> list[Dissection]:
-    """Every dissection of the m-gon, in lexicographic order of diagonal lists."""
+def all_dissections(m: int) -> list[Dissection]:
+    """Nonempty dissections of the m-gon, in lexicographic order of diagonal lists."""
     cycle = PointCycle(m)
     pairs = all_white_diagonal_pairs(m)
     chords = [white_chord(cycle, i, j) for i, j in pairs]
@@ -206,7 +206,7 @@ def all_dissections(m: int, include_empty: bool = False) -> list[Dissection]:
         sum(1 << y for y, c in enumerate(chords) if not crosses(chord, c))
         for chord in chords
     ]
-    out: list[Dissection] = [Dissection(cycle, ())] if include_empty else []
+    out: list[Dissection] = []
     _grow(cycle, chords, compatible, (), (1 << len(chords)) - 1, out)
     return out
 

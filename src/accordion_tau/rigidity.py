@@ -16,10 +16,10 @@ Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
 "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
 those through dy are exactly the maps x.p1 -> H^0 y.
 
-The silting complex depends on the quiver's shape alone, so silting_build
-also returns a label-free SiltingCore (g-vectors, string letters, vertex
-positions, facets), and label_silting turns a core and any quiver of its
-shape into that quiver's complex without building anything again.
+The silting complex depends on the quiver's shape alone, so silting_core
+builds it without vertex names (g-vectors, string letters, vertex positions,
+facets), and label_silting, the one place that names silting vertices, turns
+a core and any quiver of its shape into that quiver's complex.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -390,14 +390,19 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
 # the silting complex
 
 
-@dataclass
-class SiltingVertex:
+class SiltingVertex(NamedTuple):
+    """A rigid presentation: its g-vector, its string's letters (None for a
+    shifted projective) and the position of the vertex it names (the
+    string's source, or the shifted projective's vertex)."""
+
     complex: TwoTermComplex
     gvec: tuple[int, ...]
-    kind: str  # "module" or "shifted"
-    word: StringWord | None
-    projective: object | None
-    label: str
+    letters: tuple[tuple[str, bool], ...] | None
+    position: int
+
+    @property
+    def label(self) -> str:
+        return _label(self.complex.basis.quiver, self.letters, self.position)[0]
 
 
 def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
@@ -412,22 +417,28 @@ def _silting_vertices(basis: AlgebraBasis) -> list[SiltingVertex]:
     for w in enumerate_strings(q):
         pres = min_presentation(basis, string_module(q, w))
         if hom_shift(pres, pres) == 0:
-            out.append(
-                SiltingVertex(pres, pres.gvec, "module", w, None, w.display())
-            )
-    for v in q.vertices:
+            at = q.vertices.index(w.source)
+            out.append(SiltingVertex(pres, pres.gvec, w.letters, at))
+    for k, v in enumerate(q.vertices):
         pres = shifted_projective(basis, v)
-        out.append(
-            SiltingVertex(pres, pres.gvec, "shifted", None, v, f"P_{vertex_label(v)}[1]")
-        )
+        out.append(SiltingVertex(pres, pres.gvec, None, k))
     return sorted(out, key=lambda sv: sv.gvec)
+
+
+def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
+    """The label and payload of a silting vertex of q."""
+    v = q.vertices[position]
+    if letters is None:
+        name = vertex_label(v)
+        return f"P_{name}[1]", {"kind": "shifted", "projective": name}
+    text = StringWord(v, letters).display()
+    return text, {"kind": "module", "string": text}
 
 
 class SiltingCore(NamedTuple):
     """The silting complex of a quiver shape (GentleQuiver.shape), without
-    vertex names.  Per vertex: its g-vector, its string's letters (None for
-    a shifted projective) and the vertex position it names (the string's
-    source, or the shifted projective's vertex); then the facets.
+    vertex names: the g-vectors, letters and positions of its vertices (in
+    silting_vertices order), then the facets.
     """
 
     gvecs: tuple[tuple[int, ...], ...]
@@ -436,59 +447,35 @@ class SiltingCore(NamedTuple):
     facets: tuple[tuple[int, ...], ...]
 
 
-def _labelled_vertices(q: GentleQuiver, core: SiltingCore) -> list[ComplexVertex]:
-    out = []
-    for i, (gvec, word, at) in enumerate(zip(core.gvecs, core.letters, core.positions)):
-        v = q.vertices[at]
-        if word is None:
-            name = vertex_label(v)
-            payload = {"kind": "shifted", "projective": name}
-            out.append(ComplexVertex(i, gvec, f"P_{name}[1]", payload))
-        else:
-            text = StringWord(v, word).display()
-            out.append(ComplexVertex(i, gvec, text, {"kind": "module", "string": text}))
-    return out
-
-
-def silting_build(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
-    """The silting complex of basis.quiver and its label-free core.
+def silting_core(basis: AlgebraBasis) -> SiltingCore:
+    """The label-free silting complex of basis.quiver's shape.
 
     Faces are the pairwise compatible sets; facets must all be full rank.
-    The complex is built and checked once, and its g-vector and facet
-    tuples are the core's."""
-    q = basis.quiver
+    The clique complex is built and checked on unnamed vertices."""
     verts = _silting_vertices(basis)
-    order = {v: k for k, v in enumerate(q.vertices)}
-    core = SiltingCore(
-        tuple(sv.gvec for sv in verts),
-        tuple(None if sv.word is None else sv.word.letters for sv in verts),
-        tuple(order[sv.projective if sv.word is None else sv.word.source] for sv in verts),
-        (),
-    )
 
     def compatible(i: int, j: int) -> bool:
         x, y = verts[i].complex, verts[j].complex
         return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
 
-    cx = clique_complex(
-        "silting",
-        (vertex_label(v) for v in q.vertices),
-        _labelled_vertices(q, core),
-        compatible,
+    unnamed = [ComplexVertex(i, sv.gvec, "") for i, sv in enumerate(verts)]
+    cx = clique_complex("silting", basis.quiver.vertices, unnamed, compatible)
+    return SiltingCore(
+        tuple(sv.gvec for sv in verts),
+        tuple(sv.letters for sv in verts),
+        tuple(sv.position for sv in verts),
+        cx.facets,
     )
-    return core._replace(facets=cx.facets), cx
 
 
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
-    """The silting complex of q from the core of q's shape: the complex
-    silting_complex(q) builds, sharing the core's g-vectors and facets."""
-    return LabeledComplex(
-        tuple(vertex_label(v) for v in q.vertices),
-        tuple(_labelled_vertices(q, core)),
-        core.facets,
-    )
+    """The silting complex of q from the core of q's shape, sharing the
+    core's g-vectors and facets."""
+    rows = enumerate(zip(core.gvecs, core.letters, core.positions))
+    vertices = tuple(ComplexVertex(i, g, *_label(q, w, at)) for i, (g, w, at) in rows)
+    return LabeledComplex(tuple(map(vertex_label, q.vertices)), vertices, core.facets)
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank."""
-    return silting_build(algebra_basis(q))[1]
+    return label_silting(silting_core(algebra_basis(q)), q)

@@ -18,19 +18,20 @@ complex once per sweep: the nested sweep keeps one accordion complex per
 ordered diagonal tuple, and the idempotent sweep one silting complex (and
 its audit messages) per distinct quiver, ambient or shortcut.  A silting
 complex depends on its quiver's shape alone (GentleQuiver.shape: vertex
-positions, not names), so the main and idempotent sweeps build it once per
-shape (rigidity.silting_build) and label the shape's core for every other
-quiver of that shape (rigidity.label_silting); the idempotent sweep hands
-the ambient build the algebra basis it already holds.  The sweeps compare
-the built complexes with the same comparison the single-instance checks use
-(compare_nested, iso_by_gvectors), and each induced complex is built once
-and shared by the comparison and the audit.  The consistency sweep builds
-one algebra basis per dissection, reads every shortcut quiver off it, and
-builds only each shortcut quiver's own basis besides.  The memos are locals
-of one sweep.  DRIVERS lists the sweeps for the command line and
-the scripts.  With structural=True every complex that shows up also goes
-through the structural audit (pseudomanifold, regular dual graph, sign
-coherence, facet independence, injective g-vectors).
+positions, not names), so the main and idempotent sweeps build its core
+once per shape (rigidity.silting_core) and label that core for every quiver
+of the shape (rigidity.label_silting), as silting_complex does for one
+quiver; the idempotent sweep hands the ambient build the algebra basis it
+already holds.  The sweeps compare the built complexes with the same
+comparison the single-instance checks use (compare_nested,
+iso_by_gvectors), and each induced complex is built once and shared by the
+comparison and the audit.  The consistency sweep builds one algebra basis
+per dissection, reads every shortcut quiver off it, and builds only each
+shortcut quiver's own basis besides.  The memos are locals of one sweep.
+DRIVERS lists the sweeps for the command line and the scripts.  With
+structural=True every complex that shows up also goes through the
+structural audit (pseudomanifold, regular dual graph, sign coherence, facet
+independence, injective g-vectors).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from .rigidity import (
     direct_sum,
     hom_shift,
     label_silting,
-    silting_build,
     silting_complex,
+    silting_core,
     silting_vertices,
 )
 
@@ -194,13 +195,12 @@ def _tag(d: Dissection) -> str:
 def _silting_by_shape(
     cores: dict[tuple, SiltingCore], q: GentleQuiver, basis: AlgebraBasis | None = None
 ) -> LabeledComplex:
-    """The silting complex of q, built once per shape of quiver: a shape
-    met before is labelled from its core.  basis, when given, is q's."""
+    """The silting complex of q, labelled from the core of q's shape, which
+    is built when the shape is first met.  basis, when given, is q's."""
     core = cores.get(q.shape)
-    if core is not None:
-        return label_silting(core, q)
-    cores[q.shape], cx = silting_build(algebra_basis(q) if basis is None else basis)
-    return cx
+    if core is None:
+        core = cores[q.shape] = silting_core(algebra_basis(q) if basis is None else basis)
+    return label_silting(core, q)
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
@@ -248,9 +248,7 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     return summary
 
 
-def verify_idempotent_exhaustive(
-    m: int, structural: bool = False, triangulations_only: bool = False
-) -> VerifySummary:
+def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty vertex subset J of every dissection's quiver.
 
     Shortcut quivers repeat across dissections and subsets, and some equal
@@ -277,8 +275,6 @@ def verify_idempotent_exhaustive(
         return built[q]
 
     for d in all_dissections(m):
-        if triangulations_only and len(d.diagonals) != m - 3:
-            continue
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
         ambient, ambient_audit = silting(q, basis)
@@ -327,14 +323,18 @@ DRIVERS: dict[str, Callable[..., VerifySummary]] = {
 }
 
 
-def additivity_spotcheck(q: GentleQuiver, seed: int, rounds: int = 12) -> list[str]:
+# seeded (x, y, z) triples of silting vertices per additivity spot-check
+SPOTCHECK_ROUNDS = 12
+
+
+def additivity_spotcheck(q: GentleQuiver, seed: int) -> list[str]:
     """hom_shift must be additive in both arguments under direct sums."""
     rng = random.Random(seed)
     verts = silting_vertices(q)
     if len(verts) < 2:
         return []
     failures = []
-    for _ in range(rounds):
+    for _ in range(SPOTCHECK_ROUNDS):
         x, y, z = (rng.choice(verts) for _ in range(3))
         lhs = hom_shift(direct_sum(x.complex, y.complex), z.complex)
         rhs = hom_shift(x.complex, z.complex) + hom_shift(y.complex, z.complex)

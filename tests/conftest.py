@@ -1,6 +1,6 @@
 import pytest
 
-from accordion_tau.geometry import validate_dissection
+from accordion_tau.geometry import Dissection, PointCycle, all_dissections, validate_dissection
 
 # one line per acceptance criterion, echoed after the run so the verdicts
 # survive pytest's output capture
@@ -13,6 +13,11 @@ def record_criterion(criterion: int, ok: bool, detail: str = "") -> bool:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return ok
+
+
+def dissections_with_empty(m: int) -> list[Dissection]:
+    """Every dissection of the m-gon, the empty one first."""
+    return [Dissection(PointCycle(m), ()), *all_dissections(m)]
 
 
 def pytest_terminal_summary(terminalreporter):

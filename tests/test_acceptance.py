@@ -56,7 +56,7 @@ def idempotent_results():
     for m in range(5, 8):
         t0 = time.perf_counter()
         out[m] = (
-            verify_idempotent_exhaustive(m, structural=True, triangulations_only=True),
+            verify_idempotent_exhaustive(m, structural=True),
             time.perf_counter() - t0,
         )
     return out
@@ -125,7 +125,7 @@ def test_criterion_4_idempotent_exhaustive(idempotent_results):
     details, ok = [], True
     total = 0.0
     for m, (summary, dt) in sorted(idempotent_results.items()):
-        expect = oracles.catalan(m - 2) * (2 ** (m - 3) - 1)
+        expect = oracles.nested_pair_count(m)
         ok = ok and summary.checked == expect and summary.passed == expect
         ok = ok and not summary.failures
         total += dt

@@ -16,6 +16,7 @@ from accordion_tau.geometry import (
     validate_dissection,
 )
 from accordion_tau.verify import verify_nested
+from conftest import dissections_with_empty
 from oracles import CrossingSequence, NotCrossedError, crossing_sequence, sign, walk_g_vector
 
 # all nine accordion g-vectors of the hexagon fan, worked out by hand
@@ -160,7 +161,7 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
             got = [(v.black.label(), v.gvec) for v in accordion_vertices(d)]
             assert got == want, (m, d.white_pairs())
     for m in (4, 5, 6):
-        for d in all_dissections(m, include_empty=True):
+        for d in dissections_with_empty(m):
             for black in all_black_diagonal_chords(d.cycle):
                 try:
                     want = walk_g_vector(d, black)

@@ -355,6 +355,26 @@ def test_verify_exhaustive_rejects_instance_flags(capsys, flag):
     assert err == f"error: --exhaustive runs every dissection, so it takes no {flag[0]}\n"
 
 
+@pytest.mark.parametrize(
+    "theorem, flag",
+    [
+        ("main", ["--quiver", "q.json"]),
+        ("main", ["--j", "0-2"]),
+        ("main", ["--sub-diagonals", "0-2"]),
+        ("nested", ["--quiver", "q.json"]),
+        ("nested", ["--j", "0-2"]),
+        ("nested", ["--seed", "3"]),
+        ("idempotent", ["--sub-diagonals", "0-2"]),
+        ("idempotent", ["--seed", "3"]),
+    ],
+)
+def test_verify_rejects_flags_its_theorem_does_not_read(capsys, theorem, flag):
+    code, out, err = run(capsys, ["verify", *FAN, "--theorem", theorem, *flag])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --theorem {theorem} takes no {flag[0]}\n"
+
+
 def test_verify_exhaustive_with_seed(capsys):
     code, out, _ = run(capsys, ["verify", "--exhaustive", "4", "--seed", "5"])
     assert code == 0

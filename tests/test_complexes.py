@@ -30,7 +30,6 @@ from accordion_tau.complexes import (
 from accordion_tau.errors import (
     LabelLengthMismatchError,
     NonPureComplexError,
-    SizeLimitError,
 )
 from accordion_tau.geometry import all_dissections
 from accordion_tau.quiver import nonempty_subsets, quiver_of_dissection
@@ -343,8 +342,6 @@ def test_generic_iso_runs_and_limits():
     c2 = mk([(9, 9), (8, 8), (7, 7)], TRIANGLE_BOUNDARY)
     found, mapping = generic_iso(c1, c2)
     assert found and len(mapping) == 3
-    with pytest.raises(SizeLimitError):
-        generic_iso(c1, c2, max_vertices=2)
     # size mismatch is a plain no
     c3 = mk([(1,), (2,)], [(0, 1)])
     assert generic_iso(c1, c3) == (False, None)

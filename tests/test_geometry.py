@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import dissections_with_empty
 from accordion_tau.errors import (
     AdjacentVerticesError,
     CrossingPairError,
@@ -123,7 +124,7 @@ def test_cells_of_hexagon_fan(hexagon_fan):
 
 def test_cells_count_is_diagonals_plus_one():
     for m in (4, 5, 6, 7):
-        for d in all_dissections(m, include_empty=True):
+        for d in dissections_with_empty(m):
             assert len(cells(d)) == len(d.diagonals) + 1
 
 
@@ -141,7 +142,7 @@ CELLS_DIGEST = "7fe223ec78b3500ca14528c776d0f6a0388017a3a61dcfc9ef5b89b13a66f273
 def test_cells_digest_is_frozen():
     h = hashlib.sha256()
     for m in range(4, 9):
-        for d in all_dissections(m, include_empty=True):
+        for d in dissections_with_empty(m):
             faces = [(c.vertices, [s.label() for s in c.sides]) for c in cells(d)]
             h.update((repr((m, d.white_pairs(), faces)) + "\n").encode())
     assert h.hexdigest() == CELLS_DIGEST
@@ -168,14 +169,12 @@ def test_all_white_diagonal_pairs_count():
 
 def test_all_dissections_against_recursive_oracle():
     for m in (4, 5, 6, 7):
-        ours = {
-            frozenset(d.white_pairs()) for d in all_dissections(m, include_empty=True)
-        }
+        ours = {frozenset(d.white_pairs()) for d in dissections_with_empty(m)}
         assert ours == oracles.dissections(m)
 
 
 def test_all_dissections_count_m8():
-    assert len(all_dissections(8, include_empty=True)) == oracles.dissection_count(8)
+    assert len(dissections_with_empty(8)) == oracles.dissection_count(8)
 
 
 def test_triangulations_against_ear_oracle():

@@ -36,8 +36,8 @@ from accordion_tau.rigidity import (
     label_silting,
     min_presentation,
     shifted_projective,
-    silting_build,
     silting_complex,
+    silting_core,
     silting_vertices,
     string_module,
     walk_vertices,
@@ -438,7 +438,7 @@ def test_labelling_a_shape_core_equals_a_direct_build():
             quivers = [basis.quiver] + [s for _, s in shortcut_quivers(basis)]
             for q in quivers:
                 if q.shape not in cores:
-                    cores[q.shape] = silting_build(algebra_basis(q))[0]
+                    cores[q.shape] = silting_core(algebra_basis(q))
                     continue
                 core = cores[q.shape]
                 labelled, direct = label_silting(core, q), silting_complex(q)
@@ -450,6 +450,32 @@ def test_labelling_a_shape_core_equals_a_direct_build():
                 )
                 checked += 1
     assert len(cores) == 105 and checked > len(cores)
+
+
+def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
+    # every ambient and shortcut quiver shape with m <= 7: a copy of its
+    # first quiver with renamed vertices has an equal core, and the silting
+    # vertices carry the labels of the silting complex, in its order
+    from accordion_tau.geometry import all_dissections
+
+    first = {}
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            basis = algebra_basis(quiver_of_dissection(d))
+            for q in [basis.quiver] + [s for _, s in shortcut_quivers(basis)]:
+                first.setdefault(q.shape, q)
+    for q in first.values():
+        name = {v: f"v{k}" for k, v in enumerate(q.vertices)}
+        renamed = GentleQuiver(
+            tuple(name[v] for v in q.vertices),
+            tuple(Arrow(a.name, name[a.src], name[a.tgt]) for a in q.arrows),
+            q.relations,
+        )
+        assert renamed != q and renamed.shape == q.shape
+        assert silting_core(algebra_basis(renamed)) == silting_core(algebra_basis(q))
+        labels = [v.label for v in silting_complex(q).vertices]
+        assert [sv.label for sv in silting_vertices(q)] == labels
+    assert len(first) == 105
 
 
 # -- invariants survive python -O --

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import accordion_tau
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -54,15 +56,21 @@ def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
     assert "nothing to run" in result.stderr
 
 
-def test_exhaustive_verify_is_the_same_under_python_O():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--exhaustive", "5", "--theorem", "all"],
+        ["--m", "6", "--diagonals", "0-2,0-3,0-4", "--seed", "3"],
+    ],
+    ids=["exhaustive", "single"],
+)
+def test_verify_is_the_same_under_python_O(argv):
     # -O strips assert statements; the package's invariants must not need them
-    argv = ("-m", "accordion_tau.cli", "verify", "--exhaustive", "5", "--theorem", "all")
-    plain = run_python(*argv)
-    optimized = run_python("-O", *argv)
+    plain = run_python("-m", "accordion_tau", "verify", *argv)
+    optimized = run_python("-O", "-m", "accordion_tau", "verify", *argv)
     assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == 0, optimized.stderr
     assert '"status": "pass"' in plain.stdout
-    assert optimized.stdout == plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_python_m_accordion_tau_runs_the_command_line():

@@ -53,7 +53,7 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     assert len(ambients) == len(dissections) and ambients & shortcuts
     shapes = {q.shape for q in ambients | shortcuts}
     assert len(shapes) < len(ambients | shortcuts)
-    calls = count_calls(monkeypatch, rigidity, "silting_build")
+    calls = count_calls(monkeypatch, rigidity, "silting_core")
     audits = count_calls(monkeypatch, verify, "audit_complex")
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
@@ -68,7 +68,7 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
 )
 def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
-    calls = count_calls(monkeypatch, rigidity, "silting_build")
+    calls = count_calls(monkeypatch, rigidity, "silting_core")
     assert verify.DRIVERS[name](m).ok
     assert len(calls) == cores
 
