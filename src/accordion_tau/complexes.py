@@ -23,10 +23,14 @@ force dual-graph degree equal to the facet size, not to the number of
 coordinates, so a degree check against the coordinates is also a facet-size
 check.  `restrict_to_coordinates` is the one restriction: it takes the
 induced subcomplex on the vertices supported on some coordinates and slices
-their g-vectors down to those coordinates, in one pass that builds each kept
-vertex once.  It works on masks that each complex computes once: a vertex
-is kept when its g-vector support mask lies inside the coordinates' mask, a
-facet's trace is its vertex mask ANDed with the kept vertices' mask, and the
+their g-vectors down to those coordinates, building each kept vertex once.
+It has two halves: `restriction` reads the kept vertices, their restricted
+g-vectors and the facets off g-vectors and facets alone, and
+`name_restriction` names that from any complex with those g-vectors and
+facets, so complexes that differ only in labels share one `restriction`.
+It works on masks that each complex computes once: a vertex is kept when
+its g-vector support mask lies inside the coordinates' mask, a facet's
+trace is its vertex mask ANDed with the kept vertices' mask, and the
 maximal traces are those the containment index finds in no other trace.
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -460,14 +465,23 @@ def generic_iso(
     return False, None
 
 
-def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
-    """Induced subcomplex on the vertices whose g-vectors vanish off positions,
-    with coordinates and g-vectors restricted to those positions, in order.
+class Restriction(NamedTuple):
+    """The label-free part of a restriction to some coordinates: the ids of
+    the kept vertices in order, their g-vectors on those coordinates, and
+    the facets on the kept vertices' new ids (their positions in keep)."""
+
+    keep: tuple[int, ...]
+    gvecs: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...]
+
+
+def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
+    """What restrict_to_coordinates(cx, positions) keeps, read off the
+    g-vectors and facets of cx alone.
 
     A vertex is kept when its support mask lies inside the positions' mask.
     A facet's trace is its facet mask ANDed with the kept vertices' mask;
     the distinct traces that no other trace contains are the facets."""
-    positions = tuple(positions)
     inside = 0
     for t in positions:
         inside |= 1 << t
@@ -476,17 +490,34 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
     for v in keep:
         keep_mask |= 1 << v
     renumber = {old: new for new, old in enumerate(keep)}
-    verts = [
-        ComplexVertex(new, tuple(v.gvec[t] for t in positions), v.label, v.payload)
-        for new, v in enumerate(cx.vertices[old] for old in keep)
-    ]
     traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
     facets = sorted(
-        tuple(renumber[v] for v in t)
+        tuple([renumber[v] for v in t])
         for t, supersets in zip(traces, _supersets(traces))
         if not supersets
     )
-    return make_complex(tuple(cx.coordinates[t] for t in positions), verts, facets)
+    gvecs = [tuple([cx.vertices[old].gvec[t] for t in positions]) for old in keep]
+    return Restriction(tuple(keep), tuple(gvecs), tuple(facets))
+
+
+def name_restriction(
+    cx: LabeledComplex, positions: tuple[int, ...], r: Restriction
+) -> LabeledComplex:
+    """The restriction r of cx to positions, its vertices named as in cx.
+    r may come from another complex with cx's g-vectors and facets."""
+    vertices = cx.vertices
+    verts = [
+        ComplexVertex(new, g, vertices[old].label, vertices[old].payload)
+        for new, (old, g) in enumerate(zip(r.keep, r.gvecs))
+    ]
+    return make_complex(tuple([cx.coordinates[t] for t in positions]), verts, r.facets)
+
+
+def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
+    """Induced subcomplex on the vertices whose g-vectors vanish off positions,
+    with coordinates and g-vectors restricted to those positions, in order."""
+    positions = tuple(positions)
+    return name_restriction(cx, positions, restriction(cx, positions))
 
 
 def check_sign_coherence(cx: LabeledComplex) -> list[str]:

@@ -283,6 +283,8 @@ def nonempty_subsets(items: tuple) -> list[tuple]:
 
 
 def _shortcut_quiver(basis: AlgebraBasis, jset) -> GentleQuiver:
+    """shortcut_quiver(basis.quiver, jset), read off basis, for a nonempty
+    jset of the quiver's vertices."""
     vertices = tuple(v for v in basis.quiver.vertices if v in jset)
     shortcuts = shortcut_paths(basis, jset)
     arrows = tuple(
@@ -315,7 +317,12 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
 
 def shortcut_quivers(basis: AlgebraBasis) -> Iterator[tuple[tuple, GentleQuiver]]:
     """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(q.vertices),
-    all read off the algebra basis of q = basis.quiver."""
+    all read off the algebra basis of q = basis.quiver.
+
+    Besides the tests, its one caller is the consistency sweep
+    (verify.verify_consistency_exhaustive).  The idempotent sweep builds a
+    shortcut quiver only when it has no plan or complex for it yet, so it
+    calls _shortcut_quiver per subset instead."""
     for J in nonempty_subsets(basis.quiver.vertices):
         yield J, _shortcut_quiver(basis, set(J))
 

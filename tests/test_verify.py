@@ -89,6 +89,78 @@ def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monk
     assert len(calls) == len(dissections) + shortcut_builds == 253
 
 
+def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
+    # the two complexes each instance hands to iso_by_gvectors, in sweep
+    # order, equal those verify_idempotent_reduction builds for (q, J): a
+    # plan reused for the wrong shape or positions would show here
+    direct: dict = {}
+
+    def silting(q):
+        if q not in direct:
+            direct[q] = verify.silting_complex(q)
+        return direct[q]
+
+    calls = count_calls(monkeypatch, verify, "iso_by_gvectors")
+    for m in range(4, 8):
+        calls.clear()
+        assert verify.verify_idempotent_exhaustive(m).ok
+        expected = [
+            (q, J)
+            for q in map(quiver_of_dissection, all_dissections(m))
+            for J in quiver.nonempty_subsets(q.vertices)
+        ]
+        assert len(calls) == len(expected)
+        for (small, induced), (q, J) in zip(calls, expected):
+            want_small = silting(shortcut_quiver(q, J))
+            want_induced = verify.restrict_to_coordinates(
+                silting(q), verify.subset_positions(q, J)
+            )
+            assert small == want_small and small.to_json() == want_small.to_json()
+            assert induced == want_induced
+            assert induced.to_json() == want_induced.to_json()
+
+
+def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
+    # a plan per (ambient shape, J positions): 541 label-free restrictions
+    # for the 1,400 instances at m=7, with the silting cores and algebra
+    # bases of the sweep unchanged
+    pairs = {
+        (q.shape, positions)
+        for q in map(quiver_of_dissection, all_dissections(7))
+        for positions in quiver.nonempty_subsets(tuple(range(len(q.vertices))))
+    }
+    restrictions = count_calls(monkeypatch, verify, "restriction")
+    namings = count_calls(monkeypatch, verify, "name_restriction")
+    cores = count_calls(monkeypatch, rigidity, "silting_core")
+    bases = count_calls(monkeypatch, quiver, "algebra_basis")
+    summary = verify.verify_idempotent_exhaustive(7)
+    assert summary.ok and summary.checked == len(namings) == 1400
+    assert len(restrictions) == len(pairs) == 541
+    assert len(cores) == 105 and len(bases) == 253
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_idempotent_sweep_makes_each_plan_at_the_instance_that_needs_it(monkeypatch, m):
+    # an instance's latency runs from the previous record to its own, and
+    # in that span it makes at most one restriction and one shortcut quiver:
+    # no instance pays for the plan of another
+    restrictions = count_calls(monkeypatch, verify, "restriction")
+    shortcuts = count_calls(monkeypatch, quiver, "_shortcut_quiver")
+    marks = [(0, 0)]
+    record = verify.VerifySummary.record
+
+    def marked(summary, instance, report):
+        marks.append((len(restrictions), len(shortcuts)))
+        record(summary, instance, report)
+
+    monkeypatch.setattr(verify.VerifySummary, "record", marked)
+    summary = verify.verify_idempotent_exhaustive(m)
+    assert summary.ok
+    steps = [(r1 - r0, s1 - s0) for (r0, s0), (r1, s1) in zip(marks, marks[1:])]
+    assert len(steps) == summary.checked
+    assert max(r for r, _ in steps) == 1 and max(s for _, s in steps) == 1
+
+
 def test_consistency_sweep_builds_one_basis_per_dissection_and_shortcut(monkeypatch):
     # one ambient basis per dissection for all its shortcut quivers and
     # subalgebra checks, and one basis per (dissection, subset) shortcut
