@@ -6,7 +6,7 @@ quiver of a dissection), `verify` runs the isomorphism checks, one instance
 or exhaustively over a polygon.  Identical inputs produce byte-identical
 outputs; exit codes are 0 pass, 1 verification failure, 2 input error
 (including unreadable files and invalid JSON), 3 unsupported algebra,
-4 internal invariant broken.
+4 internal invariant broken (every other package error).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from .accordion import accordion_complex
 from .complexes import LabeledComplex, complex_text, dual_graph, exchange_graph_dot
-from .errors import EmptySubsetError, InputError, InternalError, UnsupportedAlgebraError
+from .errors import AccordionTauError, EmptySubsetError, InputError, UnsupportedAlgebraError
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import GentleQuiver, quiver_from_json, quiver_of_dissection, vertex_label
 from .rigidity import silting_complex
@@ -335,7 +335,9 @@ def main(argv=None) -> int:
     except UnsupportedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalError as exc:
+    except AccordionTauError as exc:
+        # every other package error is a broken invariant: an impure
+        # complex, mismatched labels or algebras, a size limit
         print(f"error: internal invariant broken: {exc}", file=sys.stderr)
         return 4
 

@@ -1,37 +1,43 @@
 """Simplicial complexes with g-vector labeled vertices, and their comparisons.
 
 A LabeledComplex stores vertices carrying integer g-vectors (one coordinate
-per label in `coordinates`), plus the facet list.  The two complexes built
-elsewhere in the package (accordion complexes of dissections, 2-term silting
-complexes of gentle algebras) are both clique complexes of a pairwise
-compatibility relation, built by `clique_complex`, so the construction, the
-isomorphism checks, dual graphs and structural audits are shared.
+per label in `coordinates`) and its facets.  The two complexes built
+elsewhere in the package (accordion complexes of dissections, 2-term
+silting complexes of gentle algebras) are both clique complexes of a
+pairwise compatibility relation, built by `clique_complex`, so the
+construction, the isomorphism checks, dual graphs and structural audits are
+shared.  A clique complex carries its compatibility graph as one int
+bitmask of neighbours per vertex (`graph`), and builds its facets, the
+maximal cliques (`maximal_cliques`, Bron-Kerbosch on those masks), when
+they are first read; for a complex that `clique_complex` builds, that read
+also checks that every facet holds one vertex per coordinate.
+`make_complex` builds a complex from a facet family instead, with no graph.
 
-`clique_complex` stores each vertex's neighbours as an int bitmask and
-`maximal_cliques` runs Bron-Kerbosch on such masks.  `make_complex` checks
-that facets name only the complex's vertices and that no facet lies inside
-another.  A family of distinct facets of one size without repeated entries
-(every clique complex that passes the purity check) cannot fail the
-containment check, so only other families build the containment index:
-each vertex maps to the bitmask of the facets holding it, so the facets
-containing facet i are the AND of its vertices' masks without bit i: F*d
-mask ANDs in place of a scan over all F^2 facet pairs.
-Facet adjacency comes from one ridge index (each facet minus one vertex,
-mapped to the facets containing it): `dual_graph` reads its edges from it
-and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
-force dual-graph degree equal to the facet size, not to the number of
-coordinates, so a degree check against the coordinates is also a facet-size
-check.  `restrict_to_coordinates` is the one restriction: it takes the
-induced subcomplex on the vertices supported on some coordinates and slices
-their g-vectors down to those coordinates, building each kept vertex once.
-It has two halves: `restriction` reads the kept vertices, their restricted
-g-vectors and the facets off g-vectors and facets alone, and
-`name_restriction` names that from any complex with those g-vectors and
-facets, so complexes that differ only in labels share one `restriction`.
-It works on masks that each complex computes once: a vertex is kept when
-its g-vector support mask lies inside the coordinates' mask, a facet's
-trace is its vertex mask ANDed with the kept vertices' mask, and the
-maximal traces are those the containment index finds in no other trace.
+A clique complex is fixed by its vertices and its graph, so
+`iso_by_gvectors` matches vertices by g-vector and checks that the match
+carries compatible pairs onto compatible pairs; a failure names the first
+pair compatible on one side only.  Facet families are compared only when a
+side was built from facets.  `restrict_to_coordinates` is the one
+restriction: the induced subcomplex on the vertices whose g-vectors vanish
+off some coordinates, with g-vectors sliced down to those coordinates.  On a
+clique complex that is the induced subgraph, so `restriction` reads the
+kept vertices, their restricted g-vectors and the induced masks off the
+g-vectors and the graph alone (for a complex built from facets, the maximal
+traces of its facets), and `name_restriction` names that from any complex
+with those g-vectors and that graph, so complexes that differ only in
+labels share one `restriction`.
+
+`make_complex` checks that facets name only the complex's vertices and that
+no facet lies inside another.  A family of distinct facets of one size
+without repeated entries cannot fail the containment check, so only other
+families build the containment index (`_supersets`): each vertex maps to
+the bitmask of the facets holding it, so the facets containing facet i are
+the AND of its vertices' masks without bit i.  Facet adjacency comes from
+one ridge index (each facet minus one vertex, mapped to the facets
+containing it): `dual_graph` reads its edges from it and `is_pseudomanifold`
+its ridge counts.  Purity and two facets per ridge force dual-graph degree
+equal to the facet size, not to the number of coordinates, so a degree
+check against the coordinates is also a facet-size check.
 """
 
 from __future__ import annotations
@@ -57,11 +63,50 @@ class ComplexVertex:
     payload: dict = field(default_factory=dict, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledComplex:
+    """A complex on vertices 0..n-1, given by its facets or by its graph.
+
+    A clique complex is given its compatibility graph, each vertex's
+    neighbours as a bitmask (graph[v]); its facets, the maximal cliques, are
+    built on first read unless they are given too.  When kind is set, that
+    read raises NonPureComplexError, naming the complex by kind, unless
+    every facet holds one vertex per coordinate.  A complex given only its
+    facets has no graph.  Equality and hashing read coordinates, vertices
+    and facets, whichever way the complex was given.
+    """
+
     coordinates: tuple[str, ...]
     vertices: tuple[ComplexVertex, ...]
-    facets: tuple[tuple[int, ...], ...]
+    given_facets: tuple[tuple[int, ...], ...] | None = None
+    graph: tuple[int, ...] | None = None
+    kind: str | None = None
+
+    @cached_property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        if self.given_facets is not None:
+            return self.given_facets
+        facets = tuple(maximal_cliques(len(self.vertices), self.graph))
+        if self.kind is not None:
+            size = len(self.coordinates)
+            for f in facets:
+                if len(f) != size:
+                    raise NonPureComplexError(
+                        f"{self.kind} facet {f} has size {len(f)}, expected {size}"
+                    )
+        return facets
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledComplex):
+            return NotImplemented
+        return (self.coordinates, self.vertices, self.facets) == (
+            other.coordinates,
+            other.vertices,
+            other.facets,
+        )
+
+    def __hash__(self):
+        return hash((self.coordinates, self.vertices, self.facets))
 
     def facet_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.facets}
@@ -91,10 +136,8 @@ class LabeledComplex:
         }
 
 
-def make_complex(coordinates, vertices, facets) -> LabeledComplex:
-    """Normalize and sanity-check a complex before freezing it."""
-    coordinates = tuple(coordinates)
-    vertices = tuple(vertices)
+def _check_vertices(coordinates: tuple, vertices: tuple) -> None:
+    """Vertex ids must equal positions, g-vectors have one entry per coordinate."""
     for idx, v in enumerate(vertices):
         if v.id != idx:
             raise ValueError(f"vertex ids must equal positions, got {v.id} at {idx}")
@@ -103,6 +146,13 @@ def make_complex(coordinates, vertices, facets) -> LabeledComplex:
                 f"vertex {v.id} has g-vector length {len(v.gvec)}, "
                 f"expected {len(coordinates)}"
             )
+
+
+def make_complex(coordinates, vertices, facets) -> LabeledComplex:
+    """Normalize and sanity-check a facet family before freezing it."""
+    coordinates = tuple(coordinates)
+    vertices = tuple(vertices)
+    _check_vertices(coordinates, vertices)
     norm = sorted({tuple(sorted(f)) for f in facets})
     ids = set(range(len(vertices)))
     used = set().union(*norm)
@@ -197,23 +247,20 @@ def clique_complex(kind: str, coordinates, vertices, compatible) -> LabeledCompl
     """The clique complex of a pairwise compatibility relation on vertices.
 
     compatible(i, j) is asked once for each pair of positions i < j.  The
-    facets are the maximal cliques, and each must hold one vertex per
-    coordinate; kind names the complex in the NonPureComplexError otherwise.
+    facets are the maximal cliques, built when first read, and each must
+    hold one vertex per coordinate; kind names the complex in the
+    NonPureComplexError otherwise.
     """
     coordinates = tuple(coordinates)
+    vertices = tuple(vertices)
+    _check_vertices(coordinates, vertices)
     n = len(vertices)
     adj = [0] * n
     for i, j in itertools.combinations(range(n), 2):
         if compatible(i, j):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    facets = maximal_cliques(n, adj)
-    for f in facets:
-        if len(f) != len(coordinates):
-            raise NonPureComplexError(
-                f"{kind} facet {f} has size {len(f)}, expected {len(coordinates)}"
-            )
-    return make_complex(coordinates, vertices, facets)
+    return LabeledComplex(coordinates, vertices, None, tuple(adj), kind)
 
 
 @dataclass(frozen=True)
@@ -338,11 +385,15 @@ class IsoReport:
 
 
 def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
-    """Match vertices by exact g-vector equality and compare facet families.
+    """Match vertices by exact g-vector equality and compare the complexes.
 
-    On failure, a label-blind isomorphism search distinguishes a wrong
-    complex from a wrong labeling convention; above its size limit the
-    search is skipped, generic_found stays None and a failure line says so.
+    Two clique complexes match when the g-vector map carries compatible
+    pairs onto compatible pairs; a failure names the first pair, in c1's
+    order, compatible on one side only.  When a side was built from facets,
+    the facet families are compared instead.  On failure, a label-blind
+    isomorphism search distinguishes a wrong complex from a wrong labeling
+    convention; when it cannot run (above its size limit, or on impure
+    facets) generic_found stays None and a failure line says why.
     """
     failures: list[str] = []
     if len(c1.coordinates) != len(c2.coordinates):
@@ -365,7 +416,9 @@ def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
         failures.append(
             f"vertex counts differ: {len(c1.vertices)} vs {len(c2.vertices)}"
         )
-    if not failures:
+    elif not failures and len(set(vertex_map.values())) != len(vertex_map):
+        failures.append("two vertices on the left share a g-vector")
+    if not failures and (c1.graph is None or c2.graph is None):
         mapped = {frozenset(vertex_map[v] for v in f) for f in c1.facets}
         if mapped != c2.facet_sets():
             only1 = sorted(tuple(sorted(f)) for f in mapped - c2.facet_sets())
@@ -374,12 +427,23 @@ def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
                 f"facet families differ under the g-vector map: "
                 f"{only1[:3]} vs {only2[:3]}"
             )
+    elif not failures:
+        pair = _first_unmatched_pair(c1.graph, c2.graph, vertex_map)
+        if pair is not None:
+            u, w = pair
+            side = "left" if c1.graph[u] >> w & 1 else "right"
+            failures.append(
+                f"compatible pairs differ under the g-vector map: "
+                f"{c1.vertices[u].label} and {c1.vertices[w].label} (right: "
+                f"{c2.vertices[vertex_map[u]].label} and "
+                f"{c2.vertices[vertex_map[w]].label}) are compatible on the {side} only"
+            )
     if not failures:
         return IsoReport(True, vertex_map, [])
 
     try:
         found, _ = generic_iso(c1, c2)
-    except SizeLimitError as err:
+    except (SizeLimitError, NonPureComplexError) as err:
         failures.append(f"label-blind isomorphism search skipped: {err}")
         return IsoReport(False, None, failures)
     if found:
@@ -387,6 +451,29 @@ def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
             "complexes are abstractly isomorphic, so the g-vector labels disagree"
         )
     return IsoReport(False, None, failures, generic_found=found)
+
+
+def _first_unmatched_pair(
+    g1: tuple[int, ...], g2: tuple[int, ...], vertex_map: dict[int, int]
+) -> tuple[int, int] | None:
+    """The first pair u < w of vertices of g1 that is an edge of exactly one
+    of g1 and g2 under the bijection vertex_map, or None when there is none:
+    g2's masks are pulled back to g1's vertex ids, unless the map is the
+    identity."""
+    n = len(g1)
+    image = [vertex_map[u] for u in range(n)]
+    pulled = g2
+    if image != list(range(n)):
+        bit = [0] * n
+        for u, u2 in enumerate(image):
+            bit[u2] = 1 << u
+        pulled = tuple([sum([bit[v] for v in _bits(g2[u2])]) for u2 in image])
+    if g1 != pulled:
+        for u, (a, b) in enumerate(zip(g1, pulled)):
+            if a != b:
+                # a pair (w, u) with w < u would have shown at w
+                return u, _bits(a ^ b)[0]
+    return None
 
 
 def _facet_profile(cx: LabeledComplex) -> list[tuple[int, ...]]:
@@ -468,20 +555,25 @@ def generic_iso(
 class Restriction(NamedTuple):
     """The label-free part of a restriction to some coordinates: the ids of
     the kept vertices in order, their g-vectors on those coordinates, and
-    the facets on the kept vertices' new ids (their positions in keep)."""
+    on the kept vertices' new ids (their positions in keep) the induced
+    graph of a clique complex, or else the facets (the other one is None)."""
 
     keep: tuple[int, ...]
     gvecs: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...] | None
+    graph: tuple[int, ...] | None
 
 
 def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
     """What restrict_to_coordinates(cx, positions) keeps, read off the
-    g-vectors and facets of cx alone.
+    g-vectors and the graph (or the facets) of cx alone.
 
     A vertex is kept when its support mask lies inside the positions' mask.
-    A facet's trace is its facet mask ANDed with the kept vertices' mask;
-    the distinct traces that no other trace contains are the facets."""
+    A clique complex keeps its graph's masks ANDed with the kept vertices'
+    mask: the induced subgraph, whose maximal cliques are the facets.  For a
+    complex given by facets, a facet's trace is its facet mask ANDed with
+    the kept vertices' mask, and the distinct traces that no other trace
+    contains are the facets."""
     inside = 0
     for t in positions:
         inside |= 1 << t
@@ -489,28 +581,42 @@ def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
     keep_mask = 0
     for v in keep:
         keep_mask |= 1 << v
+    gvecs = tuple([tuple([cx.vertices[old].gvec[t] for t in positions]) for old in keep])
     renumber = {old: new for new, old in enumerate(keep)}
-    traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
-    facets = sorted(
-        tuple([renumber[v] for v in t])
-        for t, supersets in zip(traces, _supersets(traces))
-        if not supersets
-    )
-    gvecs = [tuple([cx.vertices[old].gvec[t] for t in positions]) for old in keep]
-    return Restriction(tuple(keep), tuple(gvecs), tuple(facets))
+    if cx.graph is None:
+        traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
+        facets = sorted(
+            tuple([renumber[v] for v in t])
+            for t, supersets in zip(traces, _supersets(traces))
+            if not supersets
+        )
+        return Restriction(tuple(keep), gvecs, tuple(facets), None)
+    graph = []
+    for old in keep:
+        mask, induced = cx.graph[old] & keep_mask, 0
+        while mask:
+            low = mask & -mask
+            induced |= 1 << renumber[low.bit_length() - 1]
+            mask ^= low
+        graph.append(induced)
+    return Restriction(tuple(keep), gvecs, None, tuple(graph))
 
 
 def name_restriction(
     cx: LabeledComplex, positions: tuple[int, ...], r: Restriction
 ) -> LabeledComplex:
     """The restriction r of cx to positions, its vertices named as in cx.
-    r may come from another complex with cx's g-vectors and facets."""
+    r may come from another complex with cx's g-vectors and graph (or
+    facets).  A restriction is not held to one vertex per coordinate."""
     vertices = cx.vertices
-    verts = [
-        ComplexVertex(new, g, vertices[old].label, vertices[old].payload)
-        for new, (old, g) in enumerate(zip(r.keep, r.gvecs))
-    ]
-    return make_complex(tuple([cx.coordinates[t] for t in positions]), verts, r.facets)
+    verts = tuple(
+        [
+            ComplexVertex(new, g, vertices[old].label, vertices[old].payload)
+            for new, (old, g) in enumerate(zip(r.keep, r.gvecs))
+        ]
+    )
+    coordinates = tuple([cx.coordinates[t] for t in positions])
+    return LabeledComplex(coordinates, verts, r.facets, r.graph)
 
 
 def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:

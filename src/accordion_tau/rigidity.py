@@ -18,8 +18,9 @@ those through dy are exactly the maps x.p1 -> H^0 y.
 
 The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
-facets), and label_silting, the one place that names silting vertices, turns
-a core and any quiver of its shape into that quiver's complex.
+facets, compatibility graph), and label_silting, the one place that names
+silting vertices, turns a core and any quiver of its shape into that
+quiver's complex.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -438,20 +439,22 @@ def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
 class SiltingCore(NamedTuple):
     """The silting complex of a quiver shape (GentleQuiver.shape), without
     vertex names: the g-vectors, letters and positions of its vertices (in
-    silting_vertices order), then the facets.
+    silting_vertices order), then the facets and the compatibility graph.
     """
 
     gvecs: tuple[tuple[int, ...], ...]
     letters: tuple[tuple[tuple[str, bool], ...] | None, ...]
     positions: tuple[int, ...]
     facets: tuple[tuple[int, ...], ...]
+    graph: tuple[int, ...]
 
 
 def silting_core(basis: AlgebraBasis) -> SiltingCore:
     """The label-free silting complex of basis.quiver's shape.
 
     Faces are the pairwise compatible sets; facets must all be full rank.
-    The clique complex is built and checked on unnamed vertices."""
+    The clique complex is built on unnamed vertices, and reading its facets
+    checks that, once per shape."""
     verts = _silting_vertices(basis)
 
     def compatible(i: int, j: int) -> bool:
@@ -465,15 +468,17 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
         tuple(sv.letters for sv in verts),
         tuple(sv.position for sv in verts),
         cx.facets,
+        cx.graph,
     )
 
 
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
     """The silting complex of q from the core of q's shape, sharing the
-    core's g-vectors and facets."""
+    core's g-vectors, facets and graph."""
     rows = enumerate(zip(core.gvecs, core.letters, core.positions))
     vertices = tuple(ComplexVertex(i, g, *_label(q, w, at)) for i, (g, w, at) in rows)
-    return LabeledComplex(tuple(map(vertex_label, q.vertices)), vertices, core.facets)
+    coordinates = tuple(map(vertex_label, q.vertices))
+    return LabeledComplex(coordinates, vertices, core.facets, core.graph)
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:

@@ -13,6 +13,16 @@ returns an IsoReport.  compare_nested(small, induced) is the nested
 comparison on built complexes; the idempotent comparison is iso_by_gvectors
 itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
 
+Both complexes are clique complexes, so every check compares compatibility
+graphs under the g-vector map (complexes.iso_by_gvectors), and a
+restriction to some coordinates is an induced subgraph: no theorem check
+enumerates cliques, except where purity is checked.  Facets, and with them
+the check that each holds one vertex per coordinate, are built once per
+silting core (rigidity.silting_core) and once per accordion complex the
+nested checks build.  The main check needs no accordion facets: a graph
+isomorphism onto the checked silting complex carries its purity over.
+Structural audits and printed complexes read facets.
+
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep: the nested sweep keeps one accordion complex per
 ordered diagonal tuple, and the idempotent sweep one silting complex (and
@@ -24,20 +34,20 @@ of the shape (rigidity.label_silting), as silting_complex does for one
 quiver; the idempotent sweep hands the ambient build the algebra basis it
 already holds.  Beside the shape cores, the idempotent sweep keeps a plan
 per (ambient shape, J positions): the shortcut quiver's shape and the
-label-free restriction (complexes.restriction), never a quiver, basis or
-labelled complex.  The instance that first meets a pair makes its plan, and
-every instance names its plan from its own ambient complex
-(complexes.name_restriction).  The sweeps compare the built complexes with
-the same comparison the single-instance checks use (compare_nested,
-iso_by_gvectors), and each induced complex is built once and shared by the
-comparison and the audit.  The consistency sweep builds one algebra basis
-per dissection, reads every shortcut quiver off it, and builds only each
-shortcut quiver's own basis besides.  The memos, plans included, are
-locals of one sweep, so a sweep split into chunks keeps them per chunk.
-DRIVERS lists the sweeps for the command line and the scripts.  With
-structural=True every complex that shows up also goes through the
-structural audit (pseudomanifold, regular dual graph, sign coherence, facet
-independence, injective g-vectors).
+label-free restriction (complexes.restriction: kept vertices, g-vectors and
+induced graph), never a quiver, basis or labelled complex.  The instance
+that first meets a pair makes its plan, and every instance names its plan
+from its own ambient complex (complexes.name_restriction).  The sweeps
+compare the built complexes with the same comparison the single-instance
+checks use (compare_nested, iso_by_gvectors), and each induced complex is
+built once and shared by the comparison and the audit.  The consistency
+sweep builds one algebra basis per dissection, reads every shortcut quiver
+off it, and builds only each shortcut quiver's own basis besides.  The
+memos, plans included, are locals of one sweep, so a sweep split into
+chunks keeps them per chunk.  DRIVERS lists the sweeps for the command line
+and the scripts.  With structural=True every complex that shows up also
+goes through the structural audit (pseudomanifold, regular dual graph, sign
+coherence, facet independence, injective g-vectors).
 """
 
 from __future__ import annotations
@@ -104,8 +114,16 @@ def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
             f"{d.white_pairs()} is not nested inside {d_prime.white_pairs()}"
         )
     positions = tuple(d_prime.diagonals.index(delta) for delta in d.diagonals)
-    induced = restrict_to_coordinates(accordion_complex(d_prime), positions)
-    return compare_nested(accordion_complex(d), induced)
+    induced = restrict_to_coordinates(_checked_accordion(d_prime), positions)
+    return compare_nested(_checked_accordion(d), induced)
+
+
+def _checked_accordion(d: Dissection) -> LabeledComplex:
+    """The accordion complex of d, its facets read once: the read raises
+    NonPureComplexError unless each facet has one vertex per diagonal."""
+    cx = accordion_complex(d)
+    cx.facets
+    return cx
 
 
 def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
@@ -241,7 +259,7 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     def accordion(d: Dissection) -> LabeledComplex:
         key = tuple(d.white_pairs())
         if key not in built:
-            cx = accordion_complex(d)
+            cx = _checked_accordion(d)
             built[key] = cx
             if structural:
                 summary.audit(_tag(d) + " accordion", audit_complex(cx))
@@ -288,7 +306,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     built: dict[tuple, tuple[LabeledComplex, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
-    # kept-vertex tuples, 190 g-vector tuples and 185 facet tuples, so they
+    # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
     # share one copy of each, and of each shortcut shape
     shared: dict[tuple, tuple] = {}
 

@@ -10,9 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accordion_tau.accordion as accordion
 import accordion_tau.cli as cli
+import accordion_tau.complexes as complexes
 from accordion_tau.complexes import IsoReport
-from accordion_tau.errors import InternalError
+from accordion_tau.errors import (
+    AlgebraMismatchError,
+    InternalError,
+    LabelLengthMismatchError,
+    NotAccordionError,
+    SizeLimitError,
+)
 from accordion_tau.geometry import all_dissections, validate_dissection
 from accordion_tau.quiver import quiver_of_dissection
 
@@ -252,6 +260,60 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+@pytest.mark.parametrize("command", ["accordion", "silting"])
+def test_an_impure_complex_exits_four_in_every_format(capsys, monkeypatch, command, fmt):
+    # every package error outside the input and unsupported-algebra
+    # branches is a broken invariant: one error line, never a traceback
+    real = complexes.maximal_cliques
+    monkeypatch.setattr(complexes, "maximal_cliques", lambda n, adj: real(n, adj) + [(0,)])
+    code, out, err = run(capsys, [command, *FAN, "--format", fmt])
+    assert code == 4
+    assert out == ""
+    kind = "accordion" if command == "accordion" else "silting"
+    assert err == (
+        f"error: internal invariant broken: {kind} facet (0,) has size 1, expected 3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        LabelLengthMismatchError(),
+        AlgebraMismatchError(),
+        SizeLimitError(65, 64),
+        NotAccordionError((0, 1, 2), ["0-2"]),
+    ],
+)
+def test_other_package_errors_exit_four(capsys, monkeypatch, error):
+    def broken(config):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_silting", broken)
+    code, out, err = run(capsys, ["silting", *FAN])
+    assert (code, out) == (4, "")
+    assert err == f"error: internal invariant broken: {error}\n"
+
+
+def test_an_impure_accordion_complex_fails_verify_with_a_witness(capsys, monkeypatch):
+    # b0-b2 and b1-b3 cross; calling them compatible makes the accordion
+    # complex impure, which is a failed instance (exit 1), not an error
+    real = accordion.crosses
+    pair = {"b0-b2", "b1-b3"}
+    monkeypatch.setattr(
+        accordion, "crosses", lambda x, y: real(x, y) and {x.label(), y.label()} != pair
+    )
+    code, out, err = run(capsys, ["verify", *FAN, "--format", "text"])
+    assert (code, err) == (1, "")
+    assert out == (
+        "status: fail\n"
+        "  compatible pairs differ under the g-vector map: b0-b2 and b1-b3 "
+        "(right: e_0-2 and e_0-3) are compatible on the left only\n"
+        "  label-blind isomorphism search skipped: "
+        "accordion facet (0, 1, 2, 3) has size 4, expected 3\n"
+    )
 
 
 def test_verify_nested_single(capsys):

@@ -107,8 +107,9 @@ def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monke
     monkeypatch.setattr(complexes, "maximal_cliques", recording)
     for m in range(4, 8):
         for d in all_dissections(m):
-            accordion_complex(d)
-            silting_complex(quiver_of_dissection(d))
+            # a clique complex enumerates its cliques when its facets are read
+            accordion_complex(d).facets
+            silting_complex(quiver_of_dissection(d)).facets
     assert len(graphs) == 2 * (2 + 10 + 44 + 196)
     for n, adj in graphs:
         adj_sets = [{v for v in range(n) if adj[u] >> v & 1} for u in range(n)]
@@ -361,6 +362,97 @@ def test_iso_skips_the_label_blind_search_above_its_size_limit():
     assert "isomorphic_ignoring_gvectors" not in report.to_json()
 
 
+def clique(gvecs, edges, kind=None):
+    """A clique complex on vertices with these g-vectors and compatible pairs."""
+    coords = tuple(f"c{t}" for t in range(len(gvecs[0])))
+    verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
+    pairs = {frozenset(e) for e in edges}
+    return complexes.clique_complex(
+        kind, coords, verts, lambda i, j: frozenset((i, j)) in pairs
+    )
+
+
+SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def test_clique_complex_builds_its_facets_when_read(monkeypatch):
+    calls = []
+    real = complexes.maximal_cliques
+    monkeypatch.setattr(
+        complexes, "maximal_cliques", lambda n, adj: calls.append(n) or real(n, adj)
+    )
+    cx = clique(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert cx.graph == (0b1010, 0b0101, 0b1010, 0b0101) and calls == []
+    assert cx.facets == ((0, 1), (0, 3), (1, 2), (2, 3)) and calls == [4]
+    assert cx.to_json()["facets"] == [[0, 1], [0, 3], [1, 2], [2, 3]] and calls == [4]
+    # equal to the same complex given by its facets
+    assert cx == mk(SQUARE, cx.facets) and hash(cx) == hash(mk(SQUARE, cx.facets))
+
+
+def test_clique_complex_checks_purity_when_its_facets_are_read():
+    cx = clique(SQUARE, [(0, 1), (1, 2), (0, 2)], kind="toy")
+    expected = r"^toy facet \(0, 1, 2\) has size 3, expected 2$"
+    with pytest.raises(NonPureComplexError, match=expected):
+        cx.facets
+    # a restriction is not held to one vertex per coordinate
+    assert restrict_to_coordinates(cx, (0, 1)).facets == ((0, 1, 2), (3,))
+
+
+def test_clique_complex_keeps_the_vertex_checks():
+    verts = [ComplexVertex(0, (1, 0), "a"), ComplexVertex(1, (1,), "b")]
+    with pytest.raises(LabelLengthMismatchError):
+        complexes.clique_complex("toy", ("x", "y"), verts, lambda i, j: True)
+    verts = [ComplexVertex(1, (1,), "a")]
+    with pytest.raises(ValueError, match="vertex ids must equal positions"):
+        complexes.clique_complex("toy", ("x",), verts, lambda i, j: True)
+
+
+def test_iso_of_clique_complexes_compares_graphs_and_names_the_first_pair():
+    c1 = clique(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # the same square listed in another order, so the map is no identity
+    c2 = clique(SQUARE[::-1], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    report = iso_by_gvectors(c1, c2)
+    assert report.passed and report.vertex_map == {0: 3, 1: 2, 2: 1, 3: 0}
+    # drop the pair v1, v2 on the right: the square becomes a path
+    c3 = clique(SQUARE[::-1], [(0, 1), (2, 3), (0, 3)])
+    report = iso_by_gvectors(c1, c3)
+    assert not report.passed and report.vertex_map is None
+    assert report.failures[0] == (
+        "compatible pairs differ under the g-vector map: "
+        "v1 and v2 (right: v2 and v1) are compatible on the left only"
+    )
+    assert report.generic_found is False
+
+
+def test_iso_reports_impure_facets_in_the_label_blind_search_as_a_failure():
+    # three pairwise compatible vertices over two coordinates: impure, so
+    # the label-blind search cannot read the facets
+    c1 = clique([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], kind="toy")
+    c2 = clique([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], kind="toy")
+    report = iso_by_gvectors(c1, c2)
+    assert not report.passed and report.generic_found is None
+    assert report.failures == [
+        "compatible pairs differ under the g-vector map: "
+        "v0 and v2 (right: v0 and v2) are compatible on the left only",
+        "label-blind isomorphism search skipped: toy facet (0, 1, 2) has size 3, expected 2",
+    ]
+
+
+def test_iso_of_a_clique_complex_and_a_facet_family_compares_facets():
+    c1 = clique(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert iso_by_gvectors(c1, mk(SQUARE, c1.facets)).passed
+    report = iso_by_gvectors(mk(SQUARE, c1.facets), clique(SQUARE, [(0, 1), (1, 2)]))
+    assert any("facet families differ" in f for f in report.failures)
+
+
+def test_iso_flags_a_shared_gvector_on_the_left():
+    c1 = clique([(1, 0), (1, 0)], [])
+    c2 = clique([(1, 0), (0, 1)], [])
+    report = iso_by_gvectors(c1, c2)
+    assert not report.passed
+    assert report.failures[0] == "two vertices on the left share a g-vector"
+
+
 # -- induced subcomplexes --
 
 
@@ -406,16 +498,18 @@ def sweep_restrictions(m: int):
 
 
 def test_restriction_matches_the_scan_oracle_on_every_sweep_restriction():
+    # the package restricts the compatibility graph, the oracle the facets
     checked = 0
-    for m in range(4, 7):
+    for m in range(4, 8):
         for cx, positions in sweep_restrictions(m):
             got = restrict_to_coordinates(cx, positions)
             want = oracles.restrict_to_coordinates(cx, positions)
+            assert got.graph is not None and want.graph is None
             assert got == want
             assert got.to_json() == want.to_json()
             checked += 1
     # nested pairs plus (dissection, J) pairs
-    assert checked == 2 * (2 + 20 + 170)
+    assert checked == 2 * (2 + 20 + 170 + 1400)
 
 
 @st.composite

@@ -444,7 +444,7 @@ def test_labelling_a_shape_core_equals_a_direct_build():
                 labelled, direct = label_silting(core, q), silting_complex(q)
                 assert labelled == direct
                 assert labelled.to_json() == direct.to_json()
-                assert labelled.facets is core.facets
+                assert labelled.facets is core.facets and labelled.graph is core.graph
                 assert all(
                     v.gvec is g for v, g in zip(labelled.vertices, core.gvecs)
                 )

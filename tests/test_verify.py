@@ -10,8 +10,10 @@ import accordion_tau.accordion as accordion
 import accordion_tau.quiver as quiver
 import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
+import accordion_tau.complexes as complexes
 from accordion_tau.complexes import ComplexVertex, make_complex
-from accordion_tau.geometry import all_dissections
+from accordion_tau.errors import NonPureComplexError
+from accordion_tau.geometry import all_dissections, crosses, validate_dissection
 from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
 
 
@@ -206,3 +208,54 @@ def test_audit_rejects_a_triangle_boundary_by_degree_alone():
         [(0, 1), (0, 2), (1, 2)],
     )
     assert verify.audit_complex(cx) == ["dual graph degrees [2] instead of 3"]
+
+
+def relabel_crossing(monkeypatch, pair: set[str], crossing: bool) -> None:
+    """Make the accordion side call the two black diagonals of pair crossing
+    (or not), whatever the geometry says."""
+    monkeypatch.setattr(
+        accordion,
+        "crosses",
+        lambda x, y: crossing if {x.label(), y.label()} == pair else crosses(x, y),
+    )
+
+
+def test_a_dropped_compatible_pair_fails_the_instance_and_is_named(monkeypatch):
+    # b0-b2 and b2-b4 do not cross; calling them crossing drops one edge of
+    # the accordion side's compatibility graph
+    fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
+    relabel_crossing(monkeypatch, {"b0-b2", "b2-b4"}, True)
+    report = verify.verify_main(fan)
+    assert not report.passed and report.vertex_map is None
+    assert report.failures == [
+        "compatible pairs differ under the g-vector map: "
+        "b0-b2 and b2-b4 (right: e_0-2 and e_0-4) are compatible on the right only"
+    ]
+
+
+def test_an_impure_accordion_complex_fails_the_main_check(monkeypatch):
+    # b0-b2 and b1-b3 cross; calling them compatible makes a four-vertex
+    # facet, which the label-blind search reports instead of raising
+    fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
+    relabel_crossing(monkeypatch, {"b0-b2", "b1-b3"}, False)
+    report = verify.verify_main(fan)
+    assert not report.passed and report.generic_found is None
+    assert report.failures == [
+        "compatible pairs differ under the g-vector map: "
+        "b0-b2 and b1-b3 (right: e_0-2 and e_0-3) are compatible on the left only",
+        "label-blind isomorphism search skipped: "
+        "accordion facet (0, 1, 2, 3) has size 4, expected 3",
+    ]
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_nested_checks_raise_on_an_impure_accordion_complex(monkeypatch, structural):
+    # the nested checks read each accordion complex's facets once, so an
+    # impure one raises as it did when the build itself checked purity
+    real = complexes.maximal_cliques
+    monkeypatch.setattr(complexes, "maximal_cliques", lambda n, adj: real(n, adj) + [(0,)])
+    with pytest.raises(NonPureComplexError, match=r"^accordion facet \(0,\) has size 1"):
+        verify.verify_nested_exhaustive(5, structural=structural)
+    fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
+    with pytest.raises(NonPureComplexError, match=r"^accordion facet \(0,\) has size 1"):
+        verify.verify_nested(validate_dissection(6, [(0, 2)]), fan)
