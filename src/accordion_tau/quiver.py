@@ -4,7 +4,9 @@ Quivers come from two sources: built from a dissection (one vertex per
 diagonal, arrows between consecutive diagonal sides of a cell, relations for
 consecutive triples) or loaded from JSON.  A quiver's shape forgets vertex
 names and keeps positions, so quivers that differ only in vertex names share
-it (and their algebras agree up to that renaming).  The path algebra uses left to
+it (and their algebras agree up to that renaming); quiver_isomorphism finds
+an explicit isomorphism between two shapes, if there is one, which is one
+of their algebras too.  The path algebra uses left to
 right composition: the product p * q means "walk p, then walk q", so paths
 from u to v span the subspace e_u A e_v.  Bases only exist for finite
 dimensional algebras; a relation-free cycle raises instead.
@@ -17,6 +19,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells
@@ -493,3 +496,130 @@ def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:
         failures.append("relation endpoint multisets differ")
     return failures
 
+
+def _vertex_profiles(shape: tuple) -> list[tuple[int, int, int]]:
+    """(out-degree, in-degree, relations through) of each vertex of a quiver
+    shape, in position order; a relation (x, y) runs through x's target."""
+    n, arrows, relations = shape
+    out, into, through = [0] * n, [0] * n, [0] * n
+    target = {}
+    for name, src, tgt in arrows:
+        out[src] += 1
+        into[tgt] += 1
+        target[name] = tgt
+    for first, _ in relations:
+        through[target[first]] += 1
+    return list(zip(out, into, through))
+
+
+def quiver_invariant(shape: tuple) -> tuple:
+    """What an isomorphism of quiver shapes keeps: the vertex, arrow and
+    relation counts and the sorted vertex profiles.  Shapes with different
+    invariants are not isomorphic."""
+    n, arrows, relations = shape
+    return (n, len(arrows), len(relations), tuple(sorted(_vertex_profiles(shape))))
+
+
+class _Search(NamedTuple):
+    """The state of one quiver_isomorphism search from shape a onto shape b."""
+
+    order: list  # a's arrows, each after one it shares a vertex with, if any
+    arrows_b: tuple
+    out_b: list  # b's arrows by source position
+    in_b: list  # b's arrows by target position
+    profile_a: list
+    profile_b: list
+    partners: dict  # a's arrow name -> the relations of a it is in
+    relations_b: frozenset
+    vmap: list  # a's vertex position -> b's, None while open
+    amap: dict  # a's arrow name -> b's
+    taken: set  # b's vertex positions in the image
+    used: set  # b's arrow names in the image
+
+
+def quiver_isomorphism(shape_a: tuple, shape_b: tuple) -> tuple[tuple, dict] | None:
+    """An isomorphism from the quiver of shape_a onto that of shape_b
+    (GentleQuiver.shape), or None when there is none.
+
+    It is (vertex_map, arrow_map): vertex_map[i] is the position in b of a's
+    i-th vertex, and arrow_map sends a's arrow names to b's.  The search
+    places a's arrows one at a time, each onto an open arrow of b whose ends
+    agree with the vertices placed so far, a vertex going only to one with
+    its (out-degree, in-degree, relations through) profile; every relation
+    of a is checked once both its arrows are placed.  With the counts equal,
+    a complete placement is an isomorphism, so a returned map is a proof."""
+    if quiver_invariant(shape_a) != quiver_invariant(shape_b):
+        return None
+    n, arrows_a, relations_a = shape_a
+    _, arrows_b, relations_b = shape_b
+    order, seen, rest = [], set(), list(arrows_a)
+    while rest:
+        k = next((k for k, (_, s, t) in enumerate(rest) if s in seen or t in seen), 0)
+        order.append(rest.pop(k))
+        seen.update(order[-1][1:])
+    out_b, in_b = [[] for _ in range(n)], [[] for _ in range(n)]
+    for arrow in arrows_b:
+        out_b[arrow[1]].append(arrow)
+        in_b[arrow[2]].append(arrow)
+    partners: dict = {name: [] for name, _, _ in arrows_a}
+    for pair in relations_a:
+        partners[pair[0]].append(pair)
+        if pair[1] != pair[0]:
+            partners[pair[1]].append(pair)
+    search = _Search(
+        order, arrows_b, out_b, in_b, _vertex_profiles(shape_a),
+        _vertex_profiles(shape_b), partners, relations_b, [None] * n, {}, set(), set(),
+    )
+    if not _extend(search, 0):
+        return None
+    # the vertices still open carry no arrow on either side
+    vmap = search.vmap
+    free = iter([j for j in range(n) if j not in search.taken])
+    return tuple([next(free) if j is None else j for j in vmap]), search.amap
+
+
+def _place(search: _Search, at: int, to: int, placed: list) -> bool:
+    """Send a's vertex at onto b's vertex to, unless that contradicts the
+    map so far; a new placement is appended to placed."""
+    if search.vmap[at] is not None:
+        return search.vmap[at] == to
+    if to in search.taken or search.profile_a[at] != search.profile_b[to]:
+        return False
+    search.vmap[at] = to
+    search.taken.add(to)
+    placed.append(at)
+    return True
+
+
+def _extend(search: _Search, k: int) -> bool:
+    """Place a's arrows from the k-th on, backtracking.  A module function,
+    not a closure: a closure that calls itself is a reference cycle."""
+    if k == len(search.order):
+        return True
+    name, src, tgt = search.order[k]
+    vmap, amap, used = search.vmap, search.amap, search.used
+    if vmap[src] is not None:
+        candidates = search.out_b[vmap[src]]
+    elif vmap[tgt] is not None:
+        candidates = search.in_b[vmap[tgt]]
+    else:
+        candidates = search.arrows_b
+    for image, src_b, tgt_b in candidates:
+        if image in used:
+            continue
+        placed: list = []
+        if _place(search, src, src_b, placed) and _place(search, tgt, tgt_b, placed):
+            amap[name] = image
+            used.add(image)
+            if all(
+                (amap[x], amap[y]) in search.relations_b
+                for x, y in search.partners[name]
+                if x in amap and y in amap
+            ) and _extend(search, k + 1):
+                return True
+            del amap[name]
+            used.discard(image)
+        for at in placed:
+            search.taken.discard(vmap[at])
+            vmap[at] = None
+    return False

@@ -20,7 +20,9 @@ The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
 facets, compatibility graph), and label_silting, the one place that names
 silting vertices, turns a core and any quiver of its shape into that
-quiver's complex.
+quiver's complex.  It is an invariant of the algebra, so transport_core
+carries the core of one shape onto any isomorphic shape
+(quiver.quiver_isomorphism) without building it again.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -85,7 +87,8 @@ def inverse_word(q: GentleQuiver, w: StringWord) -> StringWord:
 
 
 def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
-    """All strings up to formal inverse, shortest first.
+    """All strings up to formal inverse, shortest first, each in the
+    orientation the depth-first walk meets first (_first_met says which).
 
     A valid walk longer than twice the arrow count repeats a directed letter,
     which closes up into a relation-free cyclic walk; that is a band, and
@@ -470,6 +473,90 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
         cx.facets,
         cx.graph,
     )
+
+
+def transport_core(core: SiltingCore, iso: tuple, shape: tuple) -> SiltingCore | None:
+    """The core of a quiver shape from the core of an isomorphic one.
+
+    iso is quiver.quiver_isomorphism(core's shape, shape).  An isomorphism
+    of gentle quivers is one of their algebras, so it carries rigid strings,
+    presentations and compatibility across: g-vector coordinates follow the
+    vertex map, string letters the arrow map, and each string takes the
+    orientation enumerate_strings keeps on shape (_first_met).  Sorting by
+    g-vector then gives silting_vertices' order, and the graph and facets
+    are renumbered to it.  When two g-vectors are equal that order depends
+    on more than g-vectors, so this returns None and the caller builds the
+    core directly."""
+    vmap, amap = iso
+    n = len(vmap)
+    back = [0] * n
+    for i, j in enumerate(vmap):
+        back[j] = i
+    gvecs = [tuple([g[i] for i in back]) for g in core.gvecs]
+    if len(set(gvecs)) != len(gvecs):
+        return None
+    first_met = _first_met(shape)
+    # one tuple per letter, shared by the strings that use it
+    renamed = {(a, fwd): (b, fwd) for a, b in amap.items() for fwd in (True, False)}
+    letters, positions = [], []
+    for word, at in zip(core.letters, core.positions):
+        if word is not None:
+            word, at = first_met(tuple([renamed[x] for x in word]), vmap[at])
+        else:
+            at = vmap[at]
+        letters.append(word)
+        positions.append(at)
+    order = sorted(range(len(gvecs)), key=gvecs.__getitem__)
+    sorted_rows = [tuple([row[i] for i in order]) for row in (gvecs, letters, positions)]
+    if order == list(range(len(order))):
+        return SiltingCore(*sorted_rows, core.facets, core.graph)
+    new = [0] * len(order)
+    for k, i in enumerate(order):
+        new[i] = k
+    graph = [0] * len(order)
+    for i, mask in enumerate(core.graph):
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= 1 << new[low.bit_length() - 1]
+            mask ^= low
+        graph[new[i]] = image
+    facets = tuple(sorted([tuple(sorted([new[v] for v in f])) for f in core.facets]))
+    return SiltingCore(*sorted_rows, facets, tuple(graph))
+
+
+def _first_met(shape: tuple):
+    """For a quiver of this shape, a function from a string (its letters and
+    source position) to the orientation of it that enumerate_strings keeps:
+    the first its depth-first walk meets.  The walk finishes every string
+    from one vertex before the next vertex's, and at each step takes the
+    letters leaving a vertex in reverse of the order they were pushed in
+    (each arrow pushes its forward letter at its source, then its inverse
+    letter at its target).  So of a string and its inverse it meets first
+    the one with the lower source position, and on a tie (a closed string)
+    the one whose first letter that differs was pushed later."""
+    pushed: dict = {}
+    end: dict = {}
+    flip: dict = {}
+    count = [0] * shape[0]
+    for name, src, tgt in shape[1]:
+        forward, backward = (name, True), (name, False)
+        flip[forward], flip[backward] = backward, forward
+        for letter, start, stop in ((forward, src, tgt), (backward, tgt, src)):
+            pushed[letter] = -count[start]
+            count[start] += 1
+            end[letter] = stop
+
+    def orient(word: tuple, at: int) -> tuple[tuple, int]:
+        if not word:
+            return word, at
+        inverse = tuple([flip[x] for x in reversed(word)])
+        back_at = end[word[-1]]
+        if (back_at, [pushed[x] for x in inverse]) < (at, [pushed[x] for x in word]):
+            return inverse, back_at
+        return word, at
+
+    return orient
 
 
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:

@@ -26,13 +26,19 @@ Structural audits and printed complexes read facets.
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep: the nested sweep keeps one accordion complex per
 ordered diagonal tuple, and the idempotent sweep one silting complex (and
-its audit messages) per distinct quiver, ambient or shortcut.  A silting
-complex depends on its quiver's shape alone (GentleQuiver.shape: vertex
-positions, not names), so the main and idempotent sweeps build its core
-once per shape (rigidity.silting_core) and label that core for every quiver
-of the shape (rigidity.label_silting), as silting_complex does for one
-quiver; the idempotent sweep hands the ambient build the algebra basis it
-already holds.  Beside the shape cores, the idempotent sweep keeps a plan
+its audit messages) per distinct shortcut quiver, while each ambient
+complex lives for its own dissection only.  A silting complex depends on
+its quiver's shape alone (GentleQuiver.shape: vertex positions, not
+names), so the main and idempotent sweeps keep one label-free core per
+shape and label it for every quiver of the shape (rigidity.label_silting),
+as silting_complex does for one quiver.  An isomorphism of gentle quivers
+carries one silting complex onto the other with the g-vector coordinates
+permuted, so a core is built (rigidity.silting_core) once per isomorphism
+class: a new shape finds an isomorphic shape built before
+(quiver.quiver_isomorphism, among the shapes of its quiver_invariant) and
+takes that core, transported (rigidity.transport_core).  The idempotent
+sweep hands an ambient build the algebra basis it already holds.  Beside
+the cores, the idempotent sweep keeps a plan
 per (ambient shape, J positions): the shortcut quiver's shape and the
 label-free restriction (complexes.restriction: kept vertices, g-vectors and
 induced graph), never a quiver, basis or labelled complex.  The instance
@@ -78,6 +84,8 @@ from .quiver import (
     algebra_basis,
     idempotent_subalgebra_check,
     nonempty_subsets,
+    quiver_invariant,
+    quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
     shortcut_quiver,
@@ -91,6 +99,7 @@ from .rigidity import (
     silting_complex,
     silting_core,
     silting_vertices,
+    transport_core,
 )
 
 
@@ -222,24 +231,44 @@ def _tag(d: Dissection) -> str:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, SiltingCore], q: GentleQuiver, basis: AlgebraBasis | None = None
+    cores: dict[tuple, SiltingCore],
+    classes: dict[tuple, list[tuple]],
+    q: GentleQuiver,
+    basis: AlgebraBasis | None = None,
 ) -> LabeledComplex:
-    """The silting complex of q, labelled from the core of q's shape, which
-    is built when the shape is first met.  basis, when given, is q's."""
+    """The silting complex of q, labelled from the core of q's shape.
+
+    cores holds a core per shape met; classes lists, by quiver invariant,
+    the shapes whose cores were built, one per isomorphism class.  A new
+    shape takes the core of an isomorphic built shape, transported, and
+    only a shape with none (or a transport that gives up) builds its core;
+    basis, when given, is q's."""
     core = cores.get(q.shape)
     if core is None:
-        core = cores[q.shape] = silting_core(algebra_basis(q) if basis is None else basis)
+        shape = q.shape
+        built = classes.setdefault(quiver_invariant(shape), [])
+        for other in built:
+            iso = quiver_isomorphism(other, shape)
+            if iso is not None:
+                core = transport_core(cores[other], iso, shape)
+                break
+        else:
+            built.append(shape)
+        if core is None:
+            core = silting_core(algebra_basis(q) if basis is None else basis)
+        cores[shape] = core
     return label_silting(core, q)
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty dissection of the m-gon; one silting build per quiver
-    shape."""
+    isomorphism class."""
     summary = VerifySummary("main")
     cores: dict[tuple, SiltingCore] = {}
+    classes: dict[tuple, list[tuple]] = {}
     for d in all_dissections(m):
         acc = accordion_complex(d)
-        silt = _silting_by_shape(cores, quiver_of_dissection(d))
+        silt = _silting_by_shape(cores, classes, quiver_of_dissection(d))
         summary.record(_tag(d), iso_by_gvectors(acc, silt))
         if structural:
             summary.audit(_tag(d) + " accordion", audit_complex(acc))
@@ -289,43 +318,36 @@ class _Plan(NamedTuple):
 def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty vertex subset J of every dissection's quiver.
 
-    Shortcut quivers repeat across dissections and subsets, and some equal
-    the quiver of another dissection, so the sweep keeps one labelled
-    silting complex per distinct quiver, ambient or shortcut, keyed by its
-    value (shape, vertices) and labelled from one core per shape.  It keeps
+    Each dissection's ambient silting complex is labelled (and audited)
+    for that dissection alone.  Shortcut quivers repeat across dissections
+    and subsets, so the sweep keeps one labelled shortcut complex per
+    distinct shortcut quiver, keyed by its value (shape, vertices); all
+    complexes are labelled from the cores of _silting_by_shape.  It keeps
     one plan per (ambient shape, J positions), made by the first instance
     that meets the pair; each instance names its plan from its own ambient
     complex and builds its shortcut quiver only when that quiver's complex
     is new.  One algebra basis per dissection yields those shortcut quivers
-    and, when the shape is new, the ambient silting build.  With
-    structural=True each distinct complex is audited once and its messages
-    are kept beside it; every instance still counts and reports them.
+    and, when the ambient core is built, that build.  With structural=True
+    each shortcut complex is audited once and its messages are kept beside
+    it; every instance still counts and reports them.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, SiltingCore] = {}
-    built: dict[tuple, tuple[LabeledComplex, list[str]]] = {}
+    classes: dict[tuple, list[tuple]] = {}
+    shortcuts: dict[tuple, tuple[LabeledComplex, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
     # share one copy of each, and of each shortcut shape
     shared: dict[tuple, tuple] = {}
 
-    def silting(
-        q: GentleQuiver, basis: AlgebraBasis | None = None
-    ) -> tuple[LabeledComplex, list[str]]:
-        key = (q.shape, q.vertices)
-        if key not in built:
-            cx = _silting_by_shape(cores, q, basis)
-            built[key] = (cx, audit_complex(cx) if structural else [])
-        return built[key]
-
     for d in all_dissections(m):
         tag = _tag(d)
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
-        ambient, ambient_audit = silting(q, basis)
+        ambient = _silting_by_shape(cores, classes, q, basis)
         if structural:
-            summary.audit(tag + " silting", ambient_audit)
+            summary.audit(tag + " silting", audit_complex(ambient))
         shape_plans = plans.setdefault(q.shape, {})
         positions_of = nonempty_subsets(tuple(range(len(q.vertices))))
         for J, positions in zip(nonempty_subsets(q.vertices), positions_of):
@@ -337,9 +359,13 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
                 plan = shape_plans[positions] = _Plan(shape, kept)
-            entry = built.get((plan.shortcut_shape, J))
+            key = (plan.shortcut_shape, J)
+            entry = shortcuts.get(key)
             if entry is None:
-                entry = silting(shortcut or _shortcut_quiver(basis, set(J)))
+                small = _silting_by_shape(
+                    cores, classes, shortcut or _shortcut_quiver(basis, set(J))
+                )
+                entry = shortcuts[key] = (small, audit_complex(small) if structural else [])
             small, small_audit = entry
             induced = name_restriction(ambient, positions, plan.restriction)
             instance = f"{tag} J={list(J)}"

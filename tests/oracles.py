@@ -9,7 +9,8 @@ crossings from cyclic distances instead of index comparisons, maximal
 cliques, sign coherence and restrictions to vertex subsets on Python sets
 and per-coordinate scans instead of bitmasks, Hom dimensions from an
 intertwiner linear system with its own little elimination, and the
-hom-shift pairing from maps between projectives instead of H^0.  Agreement
+hom-shift pairing from maps between projectives instead of H^0, and quiver
+isomorphisms from vertex permutations instead of an arrow-by-arrow search.  Agreement
 between the two routes is the point of the tests.  Projectives as modules and as two-term complexes, which only the tests
 need, live here too.
 """
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from accordion_tau.errors import InputError, InternalError, NotAccordionError
 from accordion_tau.geometry import (
@@ -233,6 +234,40 @@ def check_sign_coherence(cx: LabeledComplex) -> list[str]:
 def nested_pair_count(m: int) -> int:
     """Ordered pairs (sub, ambient) of nonempty dissections with sub inside."""
     return sum(2 ** len(d) - 1 for d in dissections(m))
+
+
+def isomorphic_shapes(a: tuple, b: tuple) -> bool:
+    """Are two quiver shapes (GentleQuiver.shape) isomorphic?  By brute
+    force: some permutation of the vertex positions, with some matching of
+    the arrows between each pair of mapped ends, carries a's relations onto
+    b's (the package searches arrow by arrow instead)."""
+    n, arrows_a, relations_a = a
+    if (n, len(arrows_a), len(relations_a)) != (b[0], len(b[1]), len(b[2])):
+        return False
+    between: dict = {}
+    for name, src, tgt in b[1]:
+        between.setdefault((src, tgt), []).append(name)
+    for perm in permutations(range(n)):
+        mapped: dict = {}
+        for name, src, tgt in arrows_a:
+            mapped.setdefault((perm[src], perm[tgt]), []).append(name)
+        if {k: len(v) for k, v in mapped.items()} != {k: len(v) for k, v in between.items()}:
+            continue
+        ends = sorted(mapped)
+        for choice in product(*(permutations(between[k]) for k in ends)):
+            amap = {x: y for k, ys in zip(ends, choice) for x, y in zip(mapped[k], ys)}
+            if {(amap[x], amap[y]) for x, y in relations_a} == set(b[2]):
+                return True
+    return False
+
+
+def isomorphism_class_count(shapes) -> int:
+    """The number of isomorphism classes among quiver shapes."""
+    reps: list = []
+    for shape in shapes:
+        if not any(isomorphic_shapes(rep, shape) for rep in reps):
+            reps.append(shape)
+    return len(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Quiver extraction, gentleness, path algebra bases, and shortcuts."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from accordion_tau.errors import (
     EmptySubsetError,
@@ -20,6 +23,8 @@ from accordion_tau.quiver import (
     check_gentle,
     idempotent_subalgebra_check,
     quiver_from_json,
+    quiver_invariant,
+    quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
     shortcut_quiver,
@@ -344,6 +349,128 @@ def test_shape_forgets_vertex_names_only():
     # vertex order is part of the shape: reordering moves the arrow ends
     reordered = GentleQuiver((2, 1, 3), q.arrows, q.relations)
     assert reordered.shape != q.shape
+
+
+# -- isomorphisms of quiver shapes --
+
+
+def corpus_shapes(max_m: int) -> list[tuple]:
+    """Every ambient and shortcut quiver shape with m <= max_m, in the order
+    first met."""
+    shapes: dict = {}
+    for m in range(4, max_m + 1):
+        for d in all_dissections(m):
+            basis = algebra_basis(quiver_of_dissection(d))
+            for q in [basis.quiver] + [s for _, s in shortcut_quivers(basis)]:
+                shapes.setdefault(q.shape, None)
+    return list(shapes)
+
+
+def is_isomorphism(a: tuple, b: tuple, iso) -> bool:
+    """Does iso = (vertex map, arrow map) carry shape a onto shape b?"""
+    vmap, amap = iso
+    ends_b = {name: (src, tgt) for name, src, tgt in b[1]}
+    return (
+        sorted(vmap) == list(range(b[0])) == list(range(a[0]))
+        and sorted(amap.values()) == sorted(ends_b)
+        and all(ends_b[amap[name]] == (vmap[s], vmap[t]) for name, s, t in a[1])
+        and {(amap[x], amap[y]) for x, y in a[2]} == set(b[2])
+    )
+
+
+def relabelled(shape: tuple, rng: random.Random) -> tuple:
+    """A copy of shape with its vertex positions shuffled and arrows renamed,
+    listed in a shuffled order."""
+    n, arrows, relations = shape
+    perm = list(range(n))
+    rng.shuffle(perm)
+    name = {a: f"r{k}" for k, (a, _, _) in enumerate(arrows)}
+    moved = [(name[a], perm[s], perm[t]) for a, s, t in arrows]
+    rng.shuffle(moved)
+    return n, tuple(moved), frozenset((name[x], name[y]) for x, y in relations)
+
+
+def test_quiver_isomorphism_agrees_with_the_permutation_oracle():
+    # every pair of the 105 ambient and shortcut shapes with m <= 7 that
+    # agree in vertex, arrow and relation counts: the search finds a map
+    # exactly when the oracle does, and the map is an isomorphism; the
+    # shapes fall into 15 classes
+    shapes = corpus_shapes(7)
+    assert len(shapes) == 105
+    assert oracles.isomorphism_class_count(shapes) == 15
+    found = missed = 0
+    for a, b in itertools.product(shapes, repeat=2):
+        if (a[0], len(a[1]), len(a[2])) != (b[0], len(b[1]), len(b[2])):
+            continue
+        iso = quiver_isomorphism(a, b)
+        assert (iso is not None) == oracles.isomorphic_shapes(a, b), (a, b)
+        if iso is None:
+            missed += 1
+        else:
+            assert is_isomorphism(a, b, iso)
+            found += 1
+    assert found and missed
+
+
+def test_quiver_isomorphism_finds_relabelled_copies():
+    # shuffled positions, renamed and reordered arrows; also parallel
+    # arrows and a loop, which dissection quivers lack
+    rng = random.Random(17)
+    odd = (2, (("x", 0, 1), ("y", 0, 1), ("l", 1, 1)), frozenset({("x", "l")}))
+    for shape in corpus_shapes(7) + [odd]:
+        copy = relabelled(shape, rng)
+        iso = quiver_isomorphism(shape, copy)
+        assert iso is not None and is_isomorphism(shape, copy, iso)
+    swapped = (odd[0], odd[1], frozenset({("y", "l")}))
+    assert is_isomorphism(odd, swapped, quiver_isomorphism(odd, swapped))
+    # same counts and vertex profiles, but the relation sits on the loop
+    looped = (odd[0], odd[1], frozenset({("l", "l")}))
+    assert quiver_invariant(looped) == quiver_invariant(odd)
+    assert quiver_isomorphism(odd, looped) is None
+
+
+def mutants(shape: tuple) -> dict[str, list[tuple]]:
+    """shape with one arrow reversed, one relation dropped, or one relation
+    moved to another composable pair, by kind."""
+    n, arrows, relations = shape
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    out: dict = {"reversed": [], "dropped": [], "moved": []}
+    for k, (name, src, tgt) in enumerate(arrows):
+        flipped = {**ends, name: (tgt, src)}
+        kept = frozenset((x, y) for x, y in relations if flipped[x][1] == flipped[y][0])
+        out["reversed"].append((n, arrows[:k] + ((name, tgt, src),) + arrows[k + 1 :], kept))
+    for pair in relations:
+        out["dropped"].append((n, arrows, relations - {pair}))
+        for x, y in itertools.product(ends, repeat=2):
+            if ends[x][1] == ends[y][0] and (x, y) not in relations and x != y:
+                out["moved"].append((n, arrows, relations - {pair} | {(x, y)}))
+    return out
+
+
+def test_quiver_isomorphism_rejects_a_changed_quiver():
+    # one arrow reversed (relations it no longer composes in dropped), one
+    # relation dropped, or one relation moved: the search agrees with the
+    # oracle, and each kind yields non-isomorphic quivers; some moved
+    # relations keep the original's invariant, so the search itself
+    # rejects them
+    rejected = {"reversed": 0, "dropped": 0, "moved": 0}
+    by_search = 0
+    for shape in corpus_shapes(7):
+        for kind, changed in mutants(shape).items():
+            for mutant in changed:
+                iso = quiver_isomorphism(shape, mutant)
+                assert (iso is not None) == oracles.isomorphic_shapes(shape, mutant)
+                if iso is None:
+                    rejected[kind] += 1
+                    by_search += quiver_invariant(shape) == quiver_invariant(mutant)
+    assert all(rejected.values()) and by_search, (rejected, by_search)
+    # A4 with its relation moved from the first composable pair to the
+    # second: every count and vertex profile agrees, the quivers do not
+    line = (4, (("a", 0, 1), ("b", 1, 2), ("c", 2, 3)), frozenset({("a", "b")}))
+    moved = (4, line[1], frozenset({("b", "c")}))
+    assert quiver_invariant(line) == quiver_invariant(moved)
+    assert quiver_isomorphism(line, moved) is None
+    assert quiver_isomorphism(line, line) == ((0, 1, 2, 3), {"a": "a", "b": "b", "c": "c"})
 
 
 # -- properties over the dissection corpus --

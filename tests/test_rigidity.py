@@ -23,11 +23,14 @@ from accordion_tau.quiver import (
     Arrow,
     GentleQuiver,
     algebra_basis,
+    quiver_invariant,
+    quiver_isomorphism,
     quiver_of_dissection,
     shortcut_quivers,
 )
 from accordion_tau.rigidity import (
     StringWord,
+    _first_met,
     _top,
     direct_sum,
     enumerate_strings,
@@ -40,6 +43,7 @@ from accordion_tau.rigidity import (
     silting_core,
     silting_vertices,
     string_module,
+    transport_core,
     walk_vertices,
 )
 from accordion_tau.verify import additivity_spotcheck, verify_idempotent_reduction
@@ -476,6 +480,85 @@ def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
         labels = [v.label for v in silting_complex(q).vertices]
         assert [sv.label for sv in silting_vertices(q)] == labels
     assert len(first) == 105
+
+
+def test_transported_cores_equal_direct_builds():
+    # every ambient and shortcut quiver shape with m <= 7 and every ambient
+    # shape with m = 8: the core of the first isomorphic shape, transported,
+    # equals the shape's own core, and labels exactly q's silting complex
+    from accordion_tau.geometry import all_dissections
+
+    reps: dict = {}
+    seen, transported = set(), 0
+    for m in range(4, 9):
+        for d in all_dissections(m):
+            basis = algebra_basis(quiver_of_dissection(d))
+            quivers = [basis.quiver]
+            if m <= 7:
+                quivers += [s for _, s in shortcut_quivers(basis)]
+            for q in quivers:
+                if q.shape in seen:
+                    continue
+                seen.add(q.shape)
+                direct = silting_core(algebra_basis(q))
+                bucket = reps.setdefault(quiver_invariant(q.shape), [])
+                for shape, core in bucket:
+                    iso = quiver_isomorphism(shape, q.shape)
+                    if iso is not None:
+                        moved = transport_core(core, iso, q.shape)
+                        assert moved == direct
+                        labelled, built = label_silting(moved, q), silting_complex(q)
+                        assert labelled == built
+                        assert labelled.to_json() == built.to_json()
+                        transported += 1
+                        break
+                else:
+                    bucket.append((q.shape, direct))
+    assert (len(seen), transported) == (257, 257 - 47)
+
+
+def test_transport_keeps_the_orientation_enumerate_strings_keeps():
+    # the orientation _first_met picks for a string and for its inverse is
+    # the one enumerate_strings keeps, on every shape with m <= 7 and on
+    # quivers with a loop, whose closed strings tie on source position
+    from accordion_tau.geometry import all_dissections
+
+    quivers = {}
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            basis = algebra_basis(quiver_of_dissection(d))
+            for q in [basis.quiver] + [s for _, s in shortcut_quivers(basis)]:
+                quivers.setdefault(q.shape, q)
+    loop = GentleQuiver(
+        (1, 2),
+        (Arrow("l", 1, 1), Arrow("b", 1, 2)),
+        frozenset({("l", "l")}),
+    )
+    quivers[loop.shape] = loop
+    closed = 0
+    for q in quivers.values():
+        first_met = _first_met(q.shape)
+        for w in enumerate_strings(q):
+            at = q.vertices.index(w.source)
+            inverse = inverse_word(q, w)
+            assert first_met(w.letters, at) == (w.letters, at)
+            assert first_met(inverse.letters, q.vertices.index(inverse.source)) == (
+                w.letters,
+                at,
+            )
+            closed += bool(w.letters) and inverse.source == w.source
+    # l and b'.l.b close up; enumerate_strings keeps l' and b'.l'.b
+    assert closed == 2
+    assert {w.display() for w in enumerate_strings(loop)} >= {"l'", "b'.l'.b"}
+
+
+def test_transport_gives_up_on_a_repeated_gvector(fan_algebra):
+    q, basis = fan_algebra
+    core = silting_core(basis)
+    iso = quiver_isomorphism(q.shape, q.shape)
+    assert transport_core(core, iso, q.shape) == core
+    repeated = core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:])
+    assert transport_core(repeated, iso, q.shape) is None
 
 
 # -- invariants survive python -O --

@@ -49,8 +49,8 @@ def test_run_exhaustive_runs_every_registered_driver():
 
 
 def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
-    # main stops at m=9 whatever --max-m says, so an m=10 request has no sizes
-    result = run_exhaustive("--min-m", "10", "--max-m", "10", "--theorem", "main")
+    # main stops at m=10 whatever --max-m says, so an m=11 request has no sizes
+    result = run_exhaustive("--min-m", "11", "--max-m", "11", "--theorem", "main")
     assert result.returncode == 2
     assert result.stdout == ""
     assert "nothing to run" in result.stderr

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import oracles
 import accordion_tau.accordion as accordion
 import accordion_tau.quiver as quiver
 import accordion_tau.rigidity as rigidity
@@ -14,7 +15,7 @@ import accordion_tau.complexes as complexes
 from accordion_tau.complexes import ComplexVertex, make_complex
 from accordion_tau.errors import NonPureComplexError
 from accordion_tau.geometry import all_dissections, crosses, validate_dissection
-from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
+from accordion_tau.quiver import algebra_basis, quiver_of_dissection, shortcut_quiver
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -50,45 +51,83 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
             for J in itertools.combinations(q.vertices, size):
                 shortcuts.add(shortcut_quiver(q, J))
                 pairs += 1
-    # some ambient quivers are also shortcut quivers, and are built once;
-    # quivers that differ only in vertex names share one silting build
+    # quivers that differ only in vertex names share one shape, and
+    # isomorphic shapes share one silting build
     assert len(ambients) == len(dissections) and ambients & shortcuts
     shapes = {q.shape for q in ambients | shortcuts}
-    assert len(shapes) < len(ambients | shortcuts)
+    classes = oracles.isomorphism_class_count(shapes)
+    assert classes < len(shapes) < len(ambients | shortcuts)
     calls = count_calls(monkeypatch, rigidity, "silting_core")
     audits = count_calls(monkeypatch, verify, "audit_complex")
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
-    assert len(calls) == len(shapes)
-    # one audit per distinct complex and per induced complex, while every
-    # instance still counts its audited complexes
-    assert len(audits) == (len(ambients | shortcuts) + pairs if structural else 0)
+    assert len(calls) == classes == 7
+    # one audit per dissection's ambient complex, per distinct shortcut
+    # complex and per induced complex (an ambient quiver that is also a
+    # shortcut quiver is audited once as each), while every instance still
+    # counts its audited complexes
+    assert len(audits) == (len(ambients) + len(shortcuts) + pairs if structural else 0)
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
 @pytest.mark.parametrize(
-    "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
+    "name, m, cores, shapes",
+    [("main", 7, 15, 49), ("idempotent", 7, 15, 105), ("main", 8, 47, 201)],
 )
-def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
+def test_sweeps_build_one_silting_core_per_quiver_isomorphism_class(
+    monkeypatch, name, m, cores, shapes
+):
+    # the cores of the other shapes are transported, one per shape
     calls = count_calls(monkeypatch, rigidity, "silting_core")
+    moved = count_calls(monkeypatch, rigidity, "transport_core")
     assert verify.DRIVERS[name](m).ok
-    assert len(calls) == cores
+    assert (len(calls), len(moved)) == (cores, shapes - cores)
+
+
+def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
+    # a core with a repeated g-vector cannot be transported, so the next
+    # isomorphic shape builds its own core
+    fan = quiver_of_dissection(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
+    flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
+    assert fan.shape != flipped.shape
+    assert quiver.quiver_isomorphism(fan.shape, flipped.shape) is not None
+    for repeat, builds in ((False, 1), (True, 2)):
+        real = rigidity.silting_core
+
+        def core_of(basis, real=real, repeat=repeat):
+            core = real(basis)
+            return core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:]) if repeat else core
+
+        monkeypatch.setattr(verify, "silting_core", core_of)
+        calls = count_calls(monkeypatch, verify, "silting_core")
+        cores, classes = {}, {}
+        for q in (fan, flipped):
+            verify._silting_by_shape(cores, classes, q)
+        assert len(calls) == builds
+        assert cores[flipped.shape] == core_of(algebra_basis(flipped))
+        monkeypatch.undo()
 
 
 def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
     # one basis per dissection, shared by its shortcut quivers and its own
-    # silting build, and one more for each shape first met as a shortcut
+    # silting build, and one more for each isomorphism class first met as a
+    # shortcut
     dissections = all_dissections(7)
-    shapes, shortcut_builds = set(), 0
+    classes, shortcut_builds = [], 0
+
+    def new_class(shape) -> bool:
+        if any(oracles.isomorphic_shapes(rep, shape) for rep in classes):
+            return False
+        classes.append(shape)
+        return True
+
     for q in map(quiver_of_dissection, dissections):
-        shapes.add(q.shape)
+        new_class(q.shape)
         for J in quiver.nonempty_subsets(q.vertices):
-            shape = shortcut_quiver(q, J).shape
-            shortcut_builds += shape not in shapes
-            shapes.add(shape)
+            shortcut_builds += new_class(shortcut_quiver(q, J).shape)
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    assert len(calls) == len(dissections) + shortcut_builds == 253
+    assert len(calls) == len(dissections) + shortcut_builds == 202
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -125,7 +164,7 @@ def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkey
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     # a plan per (ambient shape, J positions): 541 label-free restrictions
     # for the 1,400 instances at m=7, with the silting cores and algebra
-    # bases of the sweep unchanged
+    # bases of the sweep unchanged: one core per isomorphism class
     pairs = {
         (q.shape, positions)
         for q in map(quiver_of_dissection, all_dissections(7))
@@ -138,7 +177,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 105 and len(bases) == 253
+    assert len(cores) == 15 and len(bases) == 202
 
 
 @pytest.mark.parametrize("m", [6, 7])
