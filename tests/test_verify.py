@@ -71,6 +71,17 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
 
 
 @pytest.mark.parametrize(
+    "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
+)
+def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
+    # every shape gets exactly one core, built or transported
+    calls = count_calls(monkeypatch, rigidity, "silting_core")
+    moved = count_calls(monkeypatch, rigidity, "transport_core")
+    assert verify.DRIVERS[name](m).ok
+    assert len(calls) + len(moved) == cores
+
+
+@pytest.mark.parametrize(
     "name, m, cores, shapes",
     [("main", 7, 15, 49), ("idempotent", 7, 15, 105), ("main", 8, 47, 201)],
 )
