@@ -11,33 +11,27 @@ bitmask of neighbours per vertex (`graph`), and builds its facets, the
 maximal cliques (`maximal_cliques`, Bron-Kerbosch on those masks), when
 they are first read; for a complex that `clique_complex` builds, that read
 also checks that every facet holds one vertex per coordinate.
-`make_complex` builds a complex from a facet family instead, with no graph.
 
 A clique complex is fixed by its vertices and its graph, so
 `iso_by_gvectors` matches vertices by g-vector and checks that the match
 carries compatible pairs onto compatible pairs; a failure names the first
-pair compatible on one side only.  Facet families are compared only when a
-side was built from facets.  `restrict_to_coordinates` is the one
+pair compatible on one side only.  `restrict_to_coordinates` is the one
 restriction: the induced subcomplex on the vertices whose g-vectors vanish
 off some coordinates, with g-vectors sliced down to those coordinates.  On a
 clique complex that is the induced subgraph, so `restriction` reads the
 kept vertices, their restricted g-vectors and the induced masks off the
-g-vectors and the graph alone (for a complex built from facets, the maximal
-traces of its facets), and `name_restriction` names that from any complex
-with those g-vectors and that graph, so complexes that differ only in
-labels share one `restriction`.
+g-vectors and the graph alone, and `name_restriction` names that from any
+complex with those g-vectors and that graph, so complexes that differ only
+in labels share one `restriction`.  `induced_graph` is the one renumbering
+of a bitmask graph through a vertex list, for restrictions and for vertex
+permutations alike.
 
-`make_complex` checks that facets name only the complex's vertices and that
-no facet lies inside another.  A family of distinct facets of one size
-without repeated entries cannot fail the containment check, so only other
-families build the containment index (`_supersets`): each vertex maps to
-the bitmask of the facets holding it, so the facets containing facet i are
-the AND of its vertices' masks without bit i.  Facet adjacency comes from
-one ridge index (each facet minus one vertex, mapped to the facets
-containing it): `dual_graph` reads its edges from it and `is_pseudomanifold`
-its ridge counts.  Purity and two facets per ridge force dual-graph degree
-equal to the facet size, not to the number of coordinates, so a degree
-check against the coordinates is also a facet-size check.
+Facet adjacency comes from one ridge index (each facet minus one vertex,
+mapped to the facets containing it): `dual_graph` reads its edges from it
+and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
+force dual-graph degree equal to the facet size, not to the number of
+coordinates, so a degree check against the coordinates is also a
+facet-size check.
 """
 
 from __future__ import annotations
@@ -65,14 +59,17 @@ class ComplexVertex:
 
 @dataclass(frozen=True, eq=False)
 class LabeledComplex:
-    """A complex on vertices 0..n-1, given by its facets or by its graph.
+    """A complex on vertices 0..n-1, given by its graph.
 
     A clique complex is given its compatibility graph, each vertex's
     neighbours as a bitmask (graph[v]); its facets, the maximal cliques, are
-    built on first read unless they are given too.  When kind is set, that
-    read raises NonPureComplexError, naming the complex by kind, unless
-    every facet holds one vertex per coordinate.  A complex given only its
-    facets has no graph.  Equality and hashing read coordinates, vertices
+    built on first read unless they are given too, as a cache.  When kind
+    is set, that read raises NonPureComplexError, naming the complex by
+    kind, unless every facet holds one vertex per coordinate.  Every
+    complex the package builds has a graph, and the comparisons and
+    restrictions read it.  A complex given only its facets (graph None)
+    is no clique complex; the audits and rendering read facets alone, so
+    they take one too.  Equality and hashing read coordinates, vertices
     and facets, whichever way the complex was given.
     """
 
@@ -112,11 +109,6 @@ class LabeledComplex:
         return {frozenset(f) for f in self.facets}
 
     @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        """Each facet as the bitmask of its vertex ids."""
-        return tuple(sum(1 << v for v in f) for f in self.facets)
-
-    @cached_property
     def support_masks(self) -> tuple[int, ...]:
         """Each vertex's nonzero g-vector coordinates, as a bitmask."""
         return tuple(
@@ -148,53 +140,6 @@ def _check_vertices(coordinates: tuple, vertices: tuple) -> None:
             )
 
 
-def make_complex(coordinates, vertices, facets) -> LabeledComplex:
-    """Normalize and sanity-check a facet family before freezing it."""
-    coordinates = tuple(coordinates)
-    vertices = tuple(vertices)
-    _check_vertices(coordinates, vertices)
-    norm = sorted({tuple(sorted(f)) for f in facets})
-    ids = set(range(len(vertices)))
-    used = set().union(*norm)
-    if not used <= ids:
-        raise ValueError(
-            f"facets name vertex ids {sorted(used - ids)} "
-            f"outside range({len(vertices)})"
-        )
-    # distinct sets of one size cannot contain one another
-    size = len(norm[0]) if norm else 0
-    if not all(len(f) == len(set(f)) == size for f in norm):
-        for i, supersets in enumerate(_supersets(norm)):
-            if supersets:
-                # lowest bit: the first facet j containing facet i
-                j = (supersets & -supersets).bit_length() - 1
-                raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
-    missing = ids - used
-    if missing:
-        raise ValueError(f"vertices {sorted(missing)} appear in no facet")
-    return LabeledComplex(coordinates, vertices, tuple(norm))
-
-
-def _supersets(sets: list[tuple[int, ...]]) -> list[int]:
-    """For each of the distinct sets, the bitmask of the other sets that
-    contain it, through the containment index: bit i of owners[v] is set
-    when set i holds v."""
-    owners: dict = {}
-    for i, f in enumerate(sets):
-        for v in f:
-            owners[v] = owners.get(v, 0) | 1 << i
-    everything = (1 << len(sets)) - 1
-    out = []
-    for i, f in enumerate(sets):
-        supersets = everything & ~(1 << i)
-        for v in f:
-            supersets &= owners[v]
-            if not supersets:
-                break
-        out.append(supersets)
-    return out
-
-
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of mask, lowest first."""
     out = []
@@ -202,6 +147,26 @@ def _bits(mask: int) -> tuple[int, ...]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+def induced_graph(graph: tuple[int, ...], rows) -> tuple[int, ...]:
+    """The subgraph of graph induced on the vertices rows, vertex rows[k]
+    renamed k.  graph[v] is the bitmask of the neighbours of v; a
+    permutation as rows renumbers the whole graph."""
+    bit = [0] * len(graph)
+    keep = 0
+    for k, v in enumerate(rows):
+        bit[v] = 1 << k
+        keep |= 1 << v
+    out = []
+    for v in rows:
+        mask, induced = graph[v] & keep, 0
+        while mask:
+            low = mask & -mask
+            induced |= bit[low.bit_length() - 1]
+            mask ^= low
+        out.append(induced)
     return tuple(out)
 
 
@@ -387,13 +352,12 @@ class IsoReport:
 def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
     """Match vertices by exact g-vector equality and compare the complexes.
 
-    Two clique complexes match when the g-vector map carries compatible
-    pairs onto compatible pairs; a failure names the first pair, in c1's
-    order, compatible on one side only.  When a side was built from facets,
-    the facet families are compared instead.  On failure, a label-blind
-    isomorphism search distinguishes a wrong complex from a wrong labeling
-    convention; when it cannot run (above its size limit, or on impure
-    facets) generic_found stays None and a failure line says why.
+    Both are clique complexes; they match when the g-vector map carries
+    compatible pairs onto compatible pairs, and a failure names the first
+    pair, in c1's order, compatible on one side only.  On failure, a
+    label-blind isomorphism search distinguishes a wrong complex from a
+    wrong labeling convention; when it cannot run (above its size limit, or
+    on impure facets) generic_found stays None and a failure line says why.
     """
     failures: list[str] = []
     if len(c1.coordinates) != len(c2.coordinates):
@@ -418,16 +382,7 @@ def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
         )
     elif not failures and len(set(vertex_map.values())) != len(vertex_map):
         failures.append("two vertices on the left share a g-vector")
-    if not failures and (c1.graph is None or c2.graph is None):
-        mapped = {frozenset(vertex_map[v] for v in f) for f in c1.facets}
-        if mapped != c2.facet_sets():
-            only1 = sorted(tuple(sorted(f)) for f in mapped - c2.facet_sets())
-            only2 = sorted(tuple(sorted(f)) for f in c2.facet_sets() - mapped)
-            failures.append(
-                f"facet families differ under the g-vector map: "
-                f"{only1[:3]} vs {only2[:3]}"
-            )
-    elif not failures:
+    if not failures:
         pair = _first_unmatched_pair(c1.graph, c2.graph, vertex_map)
         if pair is not None:
             u, w = pair
@@ -462,12 +417,7 @@ def _first_unmatched_pair(
     identity."""
     n = len(g1)
     image = [vertex_map[u] for u in range(n)]
-    pulled = g2
-    if image != list(range(n)):
-        bit = [0] * n
-        for u, u2 in enumerate(image):
-            bit[u2] = 1 << u
-        pulled = tuple([sum([bit[v] for v in _bits(g2[u2])]) for u2 in image])
+    pulled = g2 if image == list(range(n)) else induced_graph(g2, image)
     if g1 != pulled:
         for u, (a, b) in enumerate(zip(g1, pulled)):
             if a != b:
@@ -555,59 +505,35 @@ def generic_iso(
 class Restriction(NamedTuple):
     """The label-free part of a restriction to some coordinates: the ids of
     the kept vertices in order, their g-vectors on those coordinates, and
-    on the kept vertices' new ids (their positions in keep) the induced
-    graph of a clique complex, or else the facets (the other one is None)."""
+    the induced graph on the kept vertices' new ids (their positions in
+    keep)."""
 
     keep: tuple[int, ...]
     gvecs: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[int, ...], ...] | None
-    graph: tuple[int, ...] | None
+    graph: tuple[int, ...]
 
 
 def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
     """What restrict_to_coordinates(cx, positions) keeps, read off the
-    g-vectors and the graph (or the facets) of cx alone.
+    g-vectors and the graph of cx alone.
 
-    A vertex is kept when its support mask lies inside the positions' mask.
-    A clique complex keeps its graph's masks ANDed with the kept vertices'
-    mask: the induced subgraph, whose maximal cliques are the facets.  For a
-    complex given by facets, a facet's trace is its facet mask ANDed with
-    the kept vertices' mask, and the distinct traces that no other trace
-    contains are the facets."""
+    A vertex is kept when its support mask lies inside the positions' mask,
+    and the induced subgraph on the kept vertices has the facets of the
+    restriction as its maximal cliques."""
     inside = 0
     for t in positions:
         inside |= 1 << t
     keep = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
-    keep_mask = 0
-    for v in keep:
-        keep_mask |= 1 << v
     gvecs = tuple([tuple([cx.vertices[old].gvec[t] for t in positions]) for old in keep])
-    renumber = {old: new for new, old in enumerate(keep)}
-    if cx.graph is None:
-        traces = [_bits(t) for t in {mask & keep_mask for mask in cx.facet_masks}]
-        facets = sorted(
-            tuple([renumber[v] for v in t])
-            for t, supersets in zip(traces, _supersets(traces))
-            if not supersets
-        )
-        return Restriction(tuple(keep), gvecs, tuple(facets), None)
-    graph = []
-    for old in keep:
-        mask, induced = cx.graph[old] & keep_mask, 0
-        while mask:
-            low = mask & -mask
-            induced |= 1 << renumber[low.bit_length() - 1]
-            mask ^= low
-        graph.append(induced)
-    return Restriction(tuple(keep), gvecs, None, tuple(graph))
+    return Restriction(tuple(keep), gvecs, induced_graph(cx.graph, keep))
 
 
 def name_restriction(
     cx: LabeledComplex, positions: tuple[int, ...], r: Restriction
 ) -> LabeledComplex:
     """The restriction r of cx to positions, its vertices named as in cx.
-    r may come from another complex with cx's g-vectors and graph (or
-    facets).  A restriction is not held to one vertex per coordinate."""
+    r may come from another complex with cx's g-vectors and graph.  A
+    restriction is not held to one vertex per coordinate."""
     vertices = cx.vertices
     verts = tuple(
         [
@@ -616,7 +542,7 @@ def name_restriction(
         ]
     )
     coordinates = tuple([cx.coordinates[t] for t in positions])
-    return LabeledComplex(coordinates, verts, r.facets, r.graph)
+    return LabeledComplex(coordinates, verts, None, r.graph)
 
 
 def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
@@ -669,8 +595,9 @@ def check_gvector_injectivity(cx: LabeledComplex) -> list[str]:
 
 
 def structural_failures(cx: LabeledComplex) -> list[str]:
-    """Every structural audit in one list: label sanity comes from make_complex,
-    here we add sign coherence, facet independence and g-vector injectivity."""
+    """Every structural audit in one list: sign coherence, facet independence
+    and g-vector injectivity.  Vertex ids and g-vector lengths are checked
+    when clique_complex builds a complex."""
     return (
         check_sign_coherence(cx)
         + check_facet_independence(cx)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .complexes import ComplexVertex, LabeledComplex, clique_complex
+from .complexes import ComplexVertex, LabeledComplex, clique_complex, induced_graph
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace, kernel, mat_vec
 from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
@@ -513,16 +513,8 @@ def transport_core(core: SiltingCore, iso: tuple, shape: tuple) -> SiltingCore |
     new = [0] * len(order)
     for k, i in enumerate(order):
         new[i] = k
-    graph = [0] * len(order)
-    for i, mask in enumerate(core.graph):
-        image = 0
-        while mask:
-            low = mask & -mask
-            image |= 1 << new[low.bit_length() - 1]
-            mask ^= low
-        graph[new[i]] = image
     facets = tuple(sorted([tuple(sorted([new[v] for v in f])) for f in core.facets]))
-    return SiltingCore(*sorted_rows, facets, tuple(graph))
+    return SiltingCore(*sorted_rows, facets, induced_graph(core.graph, order))
 
 
 def _first_met(shape: tuple):

@@ -388,13 +388,9 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
         for sub, (J, shortcut) in pairs:
             d = Dissection(big.cycle, sub)
             instance = f"{_tag(d)} inside {big.white_pairs()}"
-            summary.checked += 1
             fails = quivers_match(shortcut, quiver_of_dissection(d))
             fails.extend(idempotent_subalgebra_check(basis, J, shortcut).failures)
-            if fails:
-                summary.failures.append(f"{instance}: {'; '.join(fails)}")
-            else:
-                summary.passed += 1
+            summary.record(instance, IsoReport(not fails, None, fails))
     return summary
 
 

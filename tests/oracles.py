@@ -6,10 +6,10 @@ compatibility DFS, triangulations from ear recursion, side-of-chord tests
 from floating point cross products, accordion g-vectors from the crossed
 chords ordered along the black diagonal instead of a vertex split, chord
 crossings from cyclic distances instead of index comparisons, maximal
-cliques, sign coherence and restrictions to vertex subsets on Python sets
-and per-coordinate scans instead of bitmasks, Hom dimensions from an
-intertwiner linear system with its own little elimination, and the
-hom-shift pairing from maps between projectives instead of H^0, and quiver
+cliques, induced graphs, sign coherence and restrictions to vertex subsets
+on Python sets and per-coordinate scans instead of bitmasks, Hom
+dimensions from an intertwiner linear system with its own little
+elimination, and the hom-shift pairing from maps between projectives instead of H^0, and quiver
 isomorphisms from vertex permutations instead of an arrow-by-arrow search.  Agreement
 between the two routes is the point of the tests.  Projectives as modules and as two-term complexes, which only the tests
 need, live here too.
@@ -32,7 +32,7 @@ from accordion_tau.geometry import (
     crosses,
     white_chord,
 )
-from accordion_tau.complexes import ComplexVertex, LabeledComplex, make_complex
+from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AlgebraMismatchError
 from accordion_tau.linalg import RowSpace
 from accordion_tau.rigidity import Representation, TwoTermComplex
@@ -143,30 +143,18 @@ def count_flip_edges(facets) -> int:
     return len(flip_edges(facets))
 
 
-def make_complex_error(n_vertices: int, facets) -> str | None:
-    """The message make_complex should reject a facet family with, or None,
-    by testing every ordered pair of facets for containment (the package
-    indexes facets by vertex instead)."""
-    norm = sorted({tuple(sorted(f)) for f in facets})
-    outside = sorted({v for f in norm for v in f if not 0 <= v < n_vertices})
-    if outside:
-        return f"facets name vertex ids {outside} outside range({n_vertices})"
-    sets = [frozenset(f) for f in norm]
-    for i, fi in enumerate(sets):
-        for j, fj in enumerate(sets):
-            if i != j and fi <= fj:
-                return f"facet {norm[i]} is contained in facet {norm[j]}"
-    covered = set().union(*sets) if sets else set()
-    missing = set(range(n_vertices)) - covered
-    if missing:
-        return f"vertices {sorted(missing)} appear in no facet"
-    return None
+def facet_complex(coordinates, vertices, facets) -> LabeledComplex:
+    """A complex given only its facets, with no compatibility graph, for the
+    audits of complexes that are no clique complexes (a triangle boundary,
+    say).  Facets are sorted and deduplicated; nothing else is checked."""
+    norm = tuple(sorted({tuple(sorted(f)) for f in facets}))
+    return LabeledComplex(tuple(coordinates), tuple(vertices), norm)
 
 
 def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
     """Maximal traces of facets on a vertex subset, kept by testing each
-    trace against every other one as frozensets (the package ANDs facet
-    bitmasks and indexes the traces by vertex)."""
+    trace against every other one as frozensets (the package restricts the
+    compatibility graph instead)."""
     keep = sorted(set(vertex_ids))
     renumber = {old: new for new, old in enumerate(keep)}
     verts = [
@@ -176,7 +164,7 @@ def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
     traces = {frozenset(renumber[v] for v in f if v in renumber) for f in cx.facets}
     maximal = [t for t in traces if not any(t < other for other in traces)]
     facets = sorted(tuple(sorted(t)) for t in maximal)
-    return make_complex(cx.coordinates, verts, facets)
+    return facet_complex(cx.coordinates, verts, facets)
 
 
 def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
@@ -196,6 +184,14 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
     )
     coords = tuple(cx.coordinates[t] for t in positions)
     return LabeledComplex(coords, verts, sub.facets)
+
+
+def induced_graph(adj: list[set[int]], rows) -> list[set[int]]:
+    """The subgraph induced on rows, vertex rows[k] renamed k, on neighbour
+    sets by looking each neighbour up in rows (the package renumbers
+    bitmasks through a bit table)."""
+    rows = list(rows)
+    return [{rows.index(w) for w in adj[v] if w in rows} for v in rows]
 
 
 def set_maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:

@@ -20,9 +20,9 @@ from accordion_tau.complexes import (
     dual_graph,
     exchange_graph_dot,
     generic_iso,
+    induced_graph,
     is_pseudomanifold,
     iso_by_gvectors,
-    make_complex,
     maximal_cliques,
     restrict_to_coordinates,
     structural_failures,
@@ -37,13 +37,21 @@ from accordion_tau.rigidity import silting_complex
 from accordion_tau.verify import subset_positions
 
 
-def mk(gvecs, facets, coords=None):
-    if coords is None:
-        coords = tuple(f"c{t}" for t in range(len(gvecs[0]) if gvecs else 0))
-    verts = [
-        ComplexVertex(i, tuple(g), f"v{i}", {}) for i, g in enumerate(gvecs)
-    ]
-    return make_complex(coords, verts, facets)
+def mk(gvecs, facets):
+    """A complex given only its facets, on vertices with these g-vectors."""
+    coords = tuple(f"c{t}" for t in range(len(gvecs[0]) if gvecs else 0))
+    verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
+    return oracles.facet_complex(coords, verts, facets)
+
+
+def clique(gvecs, edges, kind=None):
+    """A clique complex on vertices with these g-vectors and compatible pairs."""
+    coords = tuple(f"c{t}" for t in range(len(gvecs[0])))
+    verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
+    pairs = {frozenset(e) for e in edges}
+    return complexes.clique_complex(
+        kind, coords, verts, lambda i, j: frozenset((i, j)) in pairs
+    )
 
 
 TRIANGLE_BOUNDARY = [(0, 1), (1, 2), (0, 2)]
@@ -114,79 +122,6 @@ def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monke
     for n, adj in graphs:
         adj_sets = [{v for v in range(n) if adj[u] >> v & 1} for u in range(n)]
         assert real(n, adj) == oracles.set_maximal_cliques(n, adj_sets)
-
-
-# -- construction and validation --
-
-
-def test_make_complex_normalizes_facets():
-    cx = mk([(1,), (-1,)], [(1, 0), (0, 1)])
-    assert cx.facets == ((0, 1),)
-
-
-def test_make_complex_rejects_bad_ids():
-    verts = [ComplexVertex(1, (1,), "a", {}), ComplexVertex(0, (2,), "b", {})]
-    with pytest.raises(ValueError):
-        make_complex(("c",), verts, [(0, 1)])
-
-
-def test_make_complex_rejects_wrong_gvec_length():
-    with pytest.raises(LabelLengthMismatchError):
-        mk([(1, 0), (0,)], [(0, 1)])
-
-
-def test_make_complex_rejects_contained_facet():
-    with pytest.raises(ValueError):
-        mk([(1,), (2,), (3,)], [(0, 1, 2), (0, 1)])
-
-
-def test_make_complex_rejects_uncovered_vertex():
-    with pytest.raises(ValueError):
-        mk([(1,), (2,), (3,)], [(0, 1)])
-
-
-facet_families = st.integers(0, 6).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.lists(st.integers(0, n + 1), max_size=4), max_size=7),
-    )
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(facet_families)
-def test_make_complex_matches_pair_scan_oracle(family):
-    # vertex ids up to n + 1, repeats inside a facet and the empty facet
-    # all occur; the oracle scans every ordered pair of facets
-    n, facets = family
-    verts = [ComplexVertex(i, (), f"v{i}", {}) for i in range(n)]
-    expected = oracles.make_complex_error(n, facets)
-    if expected is None:
-        cx = make_complex((), verts, facets)
-        assert cx.facets == tuple(sorted({tuple(sorted(f)) for f in facets}))
-    else:
-        with pytest.raises(ValueError) as err:
-            make_complex((), verts, facets)
-        assert str(err.value) == expected
-
-
-def test_make_complex_rejects_facet_ids_outside_the_vertices():
-    verts = [ComplexVertex(0, (1,), "a")]
-    expected = "facets name vertex ids [5] outside range(1)"
-    assert oracles.make_complex_error(1, [(0,), (5,)]) == expected
-    with pytest.raises(ValueError) as err:
-        make_complex(("c",), verts, [(0,), (5,)])
-    assert str(err.value) == expected
-
-
-def test_make_complex_accepts_every_small_complex():
-    checked = 0
-    for m in range(4, 7):
-        for d in all_dissections(m):
-            for cx in (accordion_complex(d), silting_complex(quiver_of_dissection(d))):
-                assert oracles.make_complex_error(len(cx.vertices), cx.facets) is None
-                checked += 1
-    assert checked == 2 * (2 + 10 + 44)
 
 
 # -- dual graphs and pseudomanifolds --
@@ -274,7 +209,7 @@ def test_pseudomanifold_impure_short_circuits():
 
 
 def test_iso_identity():
-    c = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c = clique([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
     report = iso_by_gvectors(c, c)
     assert report.passed
     assert report.vertex_map == {0: 0, 1: 1, 2: 2}
@@ -282,16 +217,16 @@ def test_iso_identity():
 
 
 def test_iso_finds_permutation():
-    c1 = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    c2 = mk([(-1, -1), (1, 0), (0, 1)], TRIANGLE_BOUNDARY)
+    c1 = clique([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c2 = clique([(-1, -1), (1, 0), (0, 1)], TRIANGLE_BOUNDARY)
     report = iso_by_gvectors(c1, c2)
     assert report.passed
     assert report.vertex_map == {0: 1, 1: 2, 2: 0}
 
 
 def test_iso_label_mismatch_but_abstractly_isomorphic():
-    c1 = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    c2 = mk([(1, 0), (0, -1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c1 = clique([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c2 = clique([(1, 0), (0, -1), (-1, -1)], TRIANGLE_BOUNDARY)
     report = iso_by_gvectors(c1, c2)
     assert not report.passed
     assert report.generic_found is True
@@ -300,8 +235,8 @@ def test_iso_label_mismatch_but_abstractly_isomorphic():
 
 
 def test_iso_genuinely_different():
-    c1 = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    c2 = mk([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+    c1 = clique([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c2 = clique([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
     report = iso_by_gvectors(c1, c2)
     assert not report.passed
     assert report.generic_found is False
@@ -310,20 +245,20 @@ def test_iso_genuinely_different():
 def test_iso_facet_mismatch_with_same_gvectors():
     square = [(0, 1), (1, 2), (2, 3), (0, 3)]
     gv = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    c1 = mk(gv, square)
+    c1 = clique(gv, square)
     # same vertex labels, different pairing
-    c2 = mk(gv, [(0, 2), (2, 1), (1, 3), (0, 3)])
+    c2 = clique(gv, [(0, 2), (2, 1), (1, 3), (0, 3)])
     report = iso_by_gvectors(c1, c2)
     assert not report.passed
-    assert any("facet families differ" in f for f in report.failures)
+    assert any("compatible pairs differ" in f for f in report.failures)
     # the two are abstractly both 4-cycles
     assert report.generic_found is True
 
 
 def test_iso_with_coordinate_map():
-    c1 = mk([(1,), (-1,)], [(0,), (1,)], coords=("x",))
-    # vertex 2 lives off the "x" coordinate, so the restriction drops it
-    c2 = mk([(0, 1), (0, -1), (5, 0)], [(0,), (1,), (2,)], coords=("junk", "x"))
+    c1 = clique([(1,), (-1,)], [])
+    # vertex 2 lives off coordinate c1, so the restriction drops it
+    c2 = clique([(0, 1), (0, -1), (5, 0)], [])
     report = iso_by_gvectors(c1, restrict_to_coordinates(c2, (1,)))
     assert report.passed
     with pytest.raises(LabelLengthMismatchError):
@@ -331,8 +266,8 @@ def test_iso_with_coordinate_map():
 
 
 def test_iso_duplicate_gvectors_flagged():
-    c1 = mk([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
-    c2 = mk([(1, 0), (1, 0), (-1, -1)], TRIANGLE_BOUNDARY)
+    c1 = clique([(1, 0), (0, 1), (-1, -1)], TRIANGLE_BOUNDARY)
+    c2 = clique([(1, 0), (1, 0), (-1, -1)], TRIANGLE_BOUNDARY)
     report = iso_by_gvectors(c1, c2)
     assert not report.passed
     assert any("duplicate g-vector" in f for f in report.failures)
@@ -350,8 +285,8 @@ def test_generic_iso_runs_and_limits():
 
 def test_iso_skips_the_label_blind_search_above_its_size_limit():
     # 65 isolated vertices on each side, no g-vector in common
-    c1 = mk([(i,) for i in range(65)], [(i,) for i in range(65)])
-    c2 = mk([(i + 100,) for i in range(65)], [(i,) for i in range(65)])
+    c1 = clique([(i,) for i in range(65)], [])
+    c2 = clique([(i + 100,) for i in range(65)], [])
     report = iso_by_gvectors(c1, c2)
     assert not report.passed and report.vertex_map is None
     assert report.generic_found is None
@@ -360,16 +295,6 @@ def test_iso_skips_the_label_blind_search_above_its_size_limit():
         "complex has 65 vertices, above the search limit 64"
     )
     assert "isomorphic_ignoring_gvectors" not in report.to_json()
-
-
-def clique(gvecs, edges, kind=None):
-    """A clique complex on vertices with these g-vectors and compatible pairs."""
-    coords = tuple(f"c{t}" for t in range(len(gvecs[0])))
-    verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
-    pairs = {frozenset(e) for e in edges}
-    return complexes.clique_complex(
-        kind, coords, verts, lambda i, j: frozenset((i, j)) in pairs
-    )
 
 
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -438,13 +363,6 @@ def test_iso_reports_impure_facets_in_the_label_blind_search_as_a_failure():
     ]
 
 
-def test_iso_of_a_clique_complex_and_a_facet_family_compares_facets():
-    c1 = clique(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert iso_by_gvectors(c1, mk(SQUARE, c1.facets)).passed
-    report = iso_by_gvectors(mk(SQUARE, c1.facets), clique(SQUARE, [(0, 1), (1, 2)]))
-    assert any("facet families differ" in f for f in report.failures)
-
-
 def test_iso_flags_a_shared_gvector_on_the_left():
     c1 = clique([(1, 0), (1, 0)], [])
     c2 = clique([(1, 0), (0, 1)], [])
@@ -462,7 +380,7 @@ def units(n):
 
 
 def test_induced_subcomplex_takes_maximal_traces():
-    cx = mk(units(3), TRIANGLE_BOUNDARY)
+    cx = clique(units(3), TRIANGLE_BOUNDARY)
     sub = restrict_to_coordinates(cx, (0, 1))
     assert len(sub.vertices) == 2
     assert sub.facets == ((0, 1),)
@@ -471,14 +389,14 @@ def test_induced_subcomplex_takes_maximal_traces():
 
 def test_induced_subcomplex_restricts_coordinates():
     # vertex 1 has a nonzero c0 entry, so restricting to c1 keeps 0 and 2
-    cx = mk([(0, 5), (1, 7), (0, 9)], TRIANGLE_BOUNDARY)
+    cx = clique([(0, 5), (1, 7), (0, 9)], TRIANGLE_BOUNDARY)
     sub = restrict_to_coordinates(cx, (1,))
     assert sub.coordinates == ("c1",)
     assert [v.gvec for v in sub.vertices] == [(5,), (9,)]
 
 
 def test_induced_subcomplex_empty_is_the_empty_face():
-    cx = mk(units(3), TRIANGLE_BOUNDARY)
+    cx = clique(units(3), TRIANGLE_BOUNDARY)
     sub = restrict_to_coordinates(cx, ())
     assert sub.vertices == ()
     assert sub.facets == ((),)
@@ -512,32 +430,62 @@ def test_restriction_matches_the_scan_oracle_on_every_sweep_restriction():
     assert checked == 2 * (2 + 20 + 170 + 1400)
 
 
+def draw_edges(draw, n):
+    """A random set of pairs i < j of 0..n-1, in combinations order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [e for e, flag in zip(pairs, flags) if flag]
+
+
 @st.composite
-def facet_families_with_keep_sets(draw):
-    """A valid facet family, usually impure, on vertices 0..n-1, and a
-    vertex subset to keep (possibly empty)."""
-    raw = draw(
-        st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=5), max_size=8)
-    )
-    maximal = {f for f in raw if not any(f < g for g in raw)} or {frozenset({0})}
-    used = sorted(set().union(*maximal))
-    renumber = {v: k for k, v in enumerate(used)}
-    facets = [tuple(sorted(renumber[v] for v in f)) for f in maximal]
-    keep = draw(st.frozensets(st.integers(0, len(used) - 1)))
-    return len(used), facets, keep
+def graphs_with_keep_sets(draw):
+    """A graph on 1 to 10 vertices and a vertex subset to keep (possibly
+    empty)."""
+    n = draw(st.integers(1, 10))
+    return n, draw_edges(draw, n), draw(st.frozensets(st.integers(0, n - 1)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(facet_families_with_keep_sets())
+@given(graphs_with_keep_sets())
 def test_induced_subcomplex_matches_the_scan_oracle(case):
-    n, facets, keep = case
-    cx = mk(units(n), facets)
+    # the oracle takes the maximal traces of the maximal cliques
+    n, edges, keep = case
+    cx = clique(units(n), edges)
     positions = sorted(keep)
     got = restrict_to_coordinates(cx, positions)
     assert got == oracles.restrict_to_coordinates(cx, positions)
     assert [v.label for v in got.vertices] == [f"v{k}" for k in positions]
     if not keep:
         assert got.facets == ((),)
+
+
+@st.composite
+def graphs_with_rows(draw):
+    """A graph on 0 to 10 vertices as neighbour sets, and a list of distinct
+    vertices: an ordered subset or a permutation."""
+    n = draw(st.integers(0, 10))
+    adj = [set() for _ in range(n)]
+    for i, j in draw_edges(draw, n):
+        adj[i].add(j)
+        adj[j].add(i)
+    if draw(st.booleans()):
+        return adj, sorted(draw(st.frozensets(st.integers(0, max(n - 1, 0)), max_size=n)))
+    return adj, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_rows())
+def test_induced_graph_matches_the_set_oracle(case):
+    adj, rows = case
+    graph = tuple(masks(adj))
+    got = induced_graph(graph, rows)
+    assert list(got) == masks(oracles.induced_graph(adj, rows))
+    if sorted(rows) == list(range(len(adj))):
+        # a permutation followed by its inverse gives the graph back
+        inverse = [0] * len(rows)
+        for k, v in enumerate(rows):
+            inverse[v] = k
+        assert induced_graph(got, inverse) == graph
 
 
 # -- structural audits --

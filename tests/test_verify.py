@@ -12,7 +12,7 @@ import accordion_tau.quiver as quiver
 import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
 import accordion_tau.complexes as complexes
-from accordion_tau.complexes import ComplexVertex, make_complex
+from accordion_tau.complexes import ComplexVertex
 from accordion_tau.errors import NonPureComplexError
 from accordion_tau.geometry import all_dissections, crosses, validate_dissection
 from accordion_tau.quiver import algebra_basis, quiver_of_dissection, shortcut_quiver
@@ -252,7 +252,7 @@ def test_audit_rejects_a_triangle_boundary_by_degree_alone():
     # independent and injective: only the dual graph degree sees that the
     # facets have 2 vertices where there are 3 coordinates
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    cx = make_complex(
+    cx = oracles.facet_complex(
         ("x", "y", "z"),
         [ComplexVertex(i, g, f"v{i}") for i, g in enumerate(units)],
         [(0, 1), (0, 2), (1, 2)],
