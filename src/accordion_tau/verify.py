@@ -51,9 +51,19 @@ sweep builds one algebra basis per dissection, reads every shortcut quiver
 off it, and builds only each shortcut quiver's own basis besides.  The
 memos, plans included, are locals of one sweep, so a sweep split into
 chunks keeps them per chunk.  DRIVERS lists the sweeps for the command line
-and the scripts.  With structural=True every complex that shows up also
-goes through the structural audit (pseudomanifold, regular dual graph, sign
-coherence, facet independence, injective g-vectors).
+and the scripts.
+
+With structural=True every complex that shows up is accounted for by the
+structural audit (pseudomanifold, regular dual graph, sign coherence, facet
+independence, injective g-vectors), which reads only g-vectors and facets.
+A sweep runs it once per label-free complex and carries a clean result
+(_carried_audit): to every silting complex of a quiver shape audited clean,
+and across a passed g-vector match to a complex audited clean (main:
+accordion vs silting; nested: induced vs A(d); idempotent: induced vs
+shortcut silting).  That rests on one precondition: a matched complex's
+facets are the maximal cliques of its graph, as they are for every complex
+the sweeps build.  Any other complex is audited directly, so messages and
+complexes_audited read as if every complex were audited.
 """
 
 from __future__ import annotations
@@ -173,7 +183,11 @@ def verify_idempotent_reduction(q: GentleQuiver, J) -> IsoReport:
 
 
 def audit_complex(cx: LabeledComplex) -> list[str]:
-    """All structural expectations at once; empty list means clean."""
+    """All structural expectations at once; empty list means clean.
+
+    Every audit reads only g-vectors and facets, so the exhaustive sweeps
+    run it once per label-free complex and carry a clean result to the
+    complexes that provably equal it (_carried_audit)."""
     fails = structural_failures(cx)
     report = is_pseudomanifold(cx)
     fails.extend(report.failures)
@@ -184,6 +198,43 @@ def audit_complex(cx: LabeledComplex) -> list[str]:
         off = [deg for deg in report.graph.degrees() if deg != n]
         if off:
             fails.append(f"dual graph degrees {sorted(set(off))} instead of {n}")
+    return fails
+
+
+def _carried_audit(
+    cx: LabeledComplex,
+    clean: set[tuple],
+    key: tuple | None = None,
+    matched: tuple | None = None,
+) -> list[str]:
+    """audit_complex(cx), or [] without running it when cx provably equals
+    a complex of the same sweep whose audit came back clean.
+
+    clean holds the keys of the label-free complexes one sweep has audited
+    clean: a quiver shape for silting complexes, the ordered diagonals for
+    accordion complexes.  key is cx's own key, and joins clean when this
+    audit comes back clean.  matched is the key of the complex that a passed
+    iso_by_gvectors or compare_nested matched cx to, None when the match
+    failed.  A clean result carries by two rules:
+    - a labelled silting complex shares its core's g-vectors, facets and
+      graph (rigidity.label_silting), so every complex of a shape audited
+      clean is clean;
+    - a passed match is a bijection of vertices that keeps g-vectors and
+      carries one compatibility graph onto the other.
+
+    Precondition: the facets of a matched complex are the maximal cliques
+    of its graph.  That holds for every complex the sweeps build,
+    transported cores included, and then the match carries facets onto
+    facets, so purity, ridges, connectivity, dual-graph degrees, sign
+    coherence, facet independence and injective g-vectors read the same on
+    both sides.  Every other complex (a failed match, a dirty partner, a
+    partner not yet audited) is audited directly, so the messages, their
+    order and complexes_audited are those of auditing every complex."""
+    if key in clean or matched in clean:
+        return []
+    fails = audit_complex(cx)
+    if key is not None and not fails:
+        clean.add(key)
     return fails
 
 
@@ -266,13 +317,19 @@ def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     summary = VerifySummary("main")
     cores: dict[tuple, SiltingCore] = {}
     classes: dict[tuple, list[tuple]] = {}
+    clean: set[tuple] = set()
     for d in all_dissections(m):
         acc = accordion_complex(d)
-        silt = _silting_by_shape(cores, classes, quiver_of_dissection(d))
-        summary.record(_tag(d), iso_by_gvectors(acc, silt))
+        q = quiver_of_dissection(d)
+        silt = _silting_by_shape(cores, classes, q)
+        report = iso_by_gvectors(acc, silt)
+        summary.record(_tag(d), report)
         if structural:
-            summary.audit(_tag(d) + " accordion", audit_complex(acc))
-            summary.audit(_tag(d) + " silting", audit_complex(silt))
+            # the silting side first, so that a clean audit carries over
+            silt_audit = _carried_audit(silt, clean, key=q.shape)
+            matched = q.shape if report.passed else None
+            summary.audit(_tag(d) + " accordion", _carried_audit(acc, clean, matched=matched))
+            summary.audit(_tag(d) + " silting", silt_audit)
     return summary
 
 
@@ -284,25 +341,30 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     diagonals (their order fixes the coordinate order)."""
     summary = VerifySummary("nested")
     built: dict[tuple, LabeledComplex] = {}
+    clean: set[tuple] = set()
 
-    def accordion(d: Dissection) -> LabeledComplex:
-        key = tuple(d.white_pairs())
+    def accordion(d: Dissection, key: tuple) -> LabeledComplex:
         if key not in built:
             cx = _checked_accordion(d)
             built[key] = cx
             if structural:
-                summary.audit(_tag(d) + " accordion", audit_complex(cx))
+                summary.audit(_tag(d) + " accordion", _carried_audit(cx, clean, key=key))
         return built[key]
 
     for big in all_dissections(m):
-        big_cx = accordion(big)
+        big_cx = accordion(big, tuple(big.white_pairs()))
         for positions in nonempty_subsets(tuple(range(len(big.diagonals)))):
             d = Dissection(big.cycle, tuple(big.diagonals[t] for t in positions))
+            key = tuple(d.white_pairs())
             instance = f"{_tag(d)} inside {big.white_pairs()}"
             induced = restrict_to_coordinates(big_cx, positions)
-            summary.record(instance, compare_nested(accordion(d), induced))
+            report = compare_nested(accordion(d, key), induced)
+            summary.record(instance, report)
             if structural:
-                summary.audit(f"{instance} induced", audit_complex(induced))
+                matched = key if report.passed else None
+                summary.audit(
+                    f"{instance} induced", _carried_audit(induced, clean, matched=matched)
+                )
     return summary
 
 
@@ -328,12 +390,14 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     complex and builds its shortcut quiver only when that quiver's complex
     is new.  One algebra basis per dissection yields those shortcut quivers
     and, when the ambient core is built, that build.  With structural=True
-    each shortcut complex is audited once and its messages are kept beside
-    it; every instance still counts and reports them.
+    each shortcut complex's audit result (carried, when its shape audited
+    clean before) is kept beside it; every instance still counts and
+    reports it.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, SiltingCore] = {}
     classes: dict[tuple, list[tuple]] = {}
+    clean: set[tuple] = set()
     shortcuts: dict[tuple, tuple[LabeledComplex, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
@@ -347,7 +411,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         basis = algebra_basis(q)
         ambient = _silting_by_shape(cores, classes, q, basis)
         if structural:
-            summary.audit(tag + " silting", audit_complex(ambient))
+            summary.audit(tag + " silting", _carried_audit(ambient, clean, key=q.shape))
         shape_plans = plans.setdefault(q.shape, {})
         positions_of = nonempty_subsets(tuple(range(len(q.vertices))))
         for J, positions in zip(nonempty_subsets(q.vertices), positions_of):
@@ -365,14 +429,20 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 small = _silting_by_shape(
                     cores, classes, shortcut or _shortcut_quiver(basis, set(J))
                 )
-                entry = shortcuts[key] = (small, audit_complex(small) if structural else [])
+                shape = plan.shortcut_shape
+                audit = _carried_audit(small, clean, key=shape) if structural else []
+                entry = shortcuts[key] = (small, audit)
             small, small_audit = entry
             induced = name_restriction(ambient, positions, plan.restriction)
             instance = f"{tag} J={list(J)}"
-            summary.record(instance, iso_by_gvectors(small, induced))
+            report = iso_by_gvectors(small, induced)
+            summary.record(instance, report)
             if structural:
                 summary.audit(f"{instance} shortcut silting", small_audit)
-                summary.audit(f"{instance} induced", audit_complex(induced))
+                matched = plan.shortcut_shape if report.passed else None
+                summary.audit(
+                    f"{instance} induced", _carried_audit(induced, clean, matched=matched)
+                )
     return summary
 
 

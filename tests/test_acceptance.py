@@ -1,8 +1,9 @@
 """The eight headline acceptance criteria, one verdict line each.
 
 Criteria 3-6 share the exhaustive runs through module-scoped fixtures, so
-the expensive sweeps happen once; every complex built there is audited
-structurally (criterion 6 aggregates those audits).
+the expensive sweeps happen once; every complex built there is accounted
+for by the structural audit, run once per label-free complex (criterion 6
+aggregates those audits).
 """
 
 import time

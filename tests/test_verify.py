@@ -1,5 +1,6 @@
 """Exhaustive drivers build each complex once per sweep; the structural audit."""
 
+import dataclasses
 import gc
 import itertools
 import sys
@@ -13,7 +14,7 @@ import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
 import accordion_tau.complexes as complexes
 from accordion_tau.complexes import ComplexVertex
-from accordion_tau.errors import NonPureComplexError
+from accordion_tau.errors import AccordionTauError, NonPureComplexError
 from accordion_tau.geometry import all_dissections, crosses, validate_dissection
 from accordion_tau.quiver import algebra_basis, quiver_of_dissection, shortcut_quiver
 
@@ -62,11 +63,11 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
     assert len(calls) == classes == 7
-    # one audit per dissection's ambient complex, per distinct shortcut
-    # complex and per induced complex (an ambient quiver that is also a
-    # shortcut quiver is audited once as each), while every instance still
-    # counts its audited complexes
-    assert len(audits) == (len(ambients) + len(shortcuts) + pairs if structural else 0)
+    # one audit per quiver shape, ambient or shortcut: a clean silting audit
+    # carries to every quiver of the shape and, across each passed match, to
+    # the induced complex, while every instance still counts its audited
+    # complexes
+    assert len(audits) == (len(shapes) if structural else 0)
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
@@ -309,3 +310,93 @@ def test_nested_checks_raise_on_an_impure_accordion_complex(monkeypatch, structu
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
     with pytest.raises(NonPureComplexError, match=r"^accordion facet \(0,\) has size 1"):
         verify.verify_nested(validate_dissection(6, [(0, 2)]), fan)
+
+
+# -- audits carried across passed matches --
+
+
+def audit_directly(monkeypatch) -> None:
+    """Make every sweep audit each complex it meets, carrying nothing."""
+    monkeypatch.setattr(
+        verify,
+        "_carried_audit",
+        lambda cx, clean, key=None, matched=None: verify.audit_complex(cx),
+    )
+
+
+def flag_negative_facets(monkeypatch) -> None:
+    """Sign coherence also flags, in a complex with an odd number of
+    vertices, each facet whose g-vectors sum to a negative first entry.  The
+    flag reads g-vectors and facets alone, so it dirties both sides of a
+    passed match alike, and leaves the other complexes clean."""
+    real = complexes.check_sign_coherence
+
+    def flagging(cx):
+        flagged = [
+            f"facet {f}: flagged"
+            for f in cx.facets
+            if len(cx.vertices) % 2 and sum(cx.vertices[v].gvec[0] for v in f) < 0
+        ]
+        return real(cx) + flagged
+
+    monkeypatch.setattr(complexes, "check_sign_coherence", flagging)
+
+
+def without_first_pair(cx):
+    """cx, when it has an odd number of vertices, with the first compatible
+    pair of its graph dropped and its purity left to the audit."""
+    u = next((v for v, mask in enumerate(cx.graph) if mask), None)
+    if len(cx.vertices) % 2 == 0 or u is None:
+        return cx
+    w = (cx.graph[u] & -cx.graph[u]).bit_length() - 1
+    graph = list(cx.graph)
+    graph[u] ^= 1 << w
+    graph[w] ^= 1 << u
+    return dataclasses.replace(cx, graph=tuple(graph), kind=None)
+
+
+def drop_a_pair(monkeypatch) -> None:
+    """Drop a compatible pair on the accordion side (main, nested) and on
+    the induced side (idempotent, which builds no accordion complex), so
+    the matches of those complexes fail."""
+    accordion_complex, name_restriction = verify.accordion_complex, verify.name_restriction
+    monkeypatch.setattr(
+        verify, "accordion_complex", lambda d: without_first_pair(accordion_complex(d))
+    )
+    monkeypatch.setattr(
+        verify,
+        "name_restriction",
+        lambda cx, positions, r: without_first_pair(name_restriction(cx, positions, r)),
+    )
+
+
+MUTATIONS = {
+    "clean": lambda monkeypatch: None,
+    "dirty-audits": flag_negative_facets,
+    "dropped-pair": drop_a_pair,
+}
+
+
+def audited_outcome(name: str, m: int):
+    """to_json() of one audited sweep, or the package error it raises."""
+    try:
+        return verify.DRIVERS[name](m, structural=True).to_json()
+    except AccordionTauError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@pytest.mark.parametrize(
+    "name, m", [(name, m) for name in verify.DRIVERS for m in range(4, 8)] + [("main", 8)]
+)
+def test_carried_audits_read_as_direct_audits(monkeypatch, mutation, name, m):
+    # a clean audit carried to a shape's other quivers and across passed
+    # matches gives the summary of auditing every complex directly,
+    # messages and their order included, also when audits come back dirty
+    # on both sides or a dropped pair fails the match
+    MUTATIONS[mutation](monkeypatch)
+    carried = audited_outcome(name, m)
+    audit_directly(monkeypatch)
+    assert audited_outcome(name, m) == carried
+    if mutation != "clean" and name != "consistency" and m > 4:
+        assert carried["status"] == "fail"
