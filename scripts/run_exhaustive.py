@@ -40,9 +40,9 @@ def main() -> int:
         help="audit every complex that shows up (pseudomanifold, dual "
         "regularity, sign coherence, independence, injectivity); the audit "
         "runs once per label-free complex, and a clean result carries to the "
-        "other silting complexes of a quiver shape and across a passed "
-        "g-vector match (matched facets are the maximal cliques of the "
-        "graph)",
+        "other silting complexes of a quiver isomorphism class and across a "
+        "passed g-vector match (matched facets are the maximal cliques of "
+        "the graph)",
     )
     args = parser.parse_args()
     if args.min_m < 4:

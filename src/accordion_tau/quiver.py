@@ -4,9 +4,10 @@ Quivers come from two sources: built from a dissection (one vertex per
 diagonal, arrows between consecutive diagonal sides of a cell, relations for
 consecutive triples) or loaded from JSON.  A quiver's shape forgets vertex
 names and keeps positions, so quivers that differ only in vertex names share
-it (and their algebras agree up to that renaming); quiver_isomorphism finds
-an explicit isomorphism between two shapes, if there is one, which is one
-of their algebras too.  The path algebra uses left to
+it (and their algebras agree up to that renaming).  canonical_form numbers a
+shape by a walk that its isomorphisms keep, so isomorphic gentle shapes share
+one form, and quiver_isomorphism composes two shapes' forms into an explicit
+isomorphism, which is one of their algebras too.  The path algebra uses left to
 right composition: the product p * q means "walk p, then walk q", so paths
 from u to v span the subspace e_u A e_v.  Bases only exist for finite
 dimensional algebras; a relation-free cycle raises instead.
@@ -19,7 +20,6 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells
@@ -497,129 +497,107 @@ def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:
     return failures
 
 
-def _vertex_profiles(shape: tuple) -> list[tuple[int, int, int]]:
-    """(out-degree, in-degree, relations through) of each vertex of a quiver
-    shape, in position order; a relation (x, y) runs through x's target."""
+def _neighbours(shape: tuple) -> list[list[int]]:
+    """For each arrow of a quiver shape, by index, the arrows next to it in
+    the order canonical_form walks them: successors that compose to zero
+    with it, the other successors, the same two kinds of predecessor, the
+    other arrows out of its source and the other arrows into its target.
+    In a gentle quiver each kind holds at most one arrow."""
+    _, arrows, relations = shape
+    out = []
+    for a, (name, src, tgt) in enumerate(arrows):
+        kinds: list[list[int]] = [[] for _ in range(6)]
+        for b, (other, s, t) in enumerate(arrows):
+            if s == tgt:
+                kinds[(name, other) not in relations].append(b)
+            if t == src:
+                kinds[2 + ((other, name) not in relations)].append(b)
+            if s == src and b != a:
+                kinds[4].append(b)
+            if t == tgt and b != a:
+                kinds[5].append(b)
+        out.append([b for kind in kinds for b in kind])
+    return out
+
+
+def _walk(shape: tuple, neighbours: list[list[int]], start: int) -> tuple:
+    """The component of arrow start, numbered by a breadth-first walk from
+    it: (code, arrows in walk order, vertex positions in order first met).
+    code lists each arrow's ends by vertex number, then the relations as
+    pairs of arrow numbers, sorted."""
+    _, arrows, relations = shape
+    order, seen = [start], {start}
+    for a in order:
+        for b in neighbours[a]:
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    vertices: dict = {}
+    for a in order:
+        for v in arrows[a][1:]:
+            vertices.setdefault(v, len(vertices))
+    ends = tuple((vertices[arrows[a][1]], vertices[arrows[a][2]]) for a in order)
+    number = {arrows[a][0]: k for k, a in enumerate(order)}
+    pairs = sorted((number[x], number[y]) for x, y in relations if x in number)
+    return (ends, tuple(pairs)), order, list(vertices)
+
+
+def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
+    """The canonical form of a quiver shape (GentleQuiver.shape), and the
+    isomorphism onto it: (form, vertex_map, arrow_map).
+
+    form is itself a shape: n vertices, arrows named 0, 1, ... in order and
+    relations between those names.  vertex_map[i] is the position in form
+    of the shape's i-th vertex, and arrow_map sends the shape's arrow names
+    to form's.  In a gentle quiver an arrow has at most one neighbour of
+    each kind _neighbours lists, so a walk that takes them in that order
+    numbers a whole connected component from one start arrow.  Each
+    component keeps its smallest numbering over all start arrows, the
+    components follow in order of those numberings, and vertices with no
+    arrows come last.  So isomorphic gentle shapes have equal forms; for
+    any shape, equal forms give an isomorphism (quiver_isomorphism)."""
     n, arrows, relations = shape
-    out, into, through = [0] * n, [0] * n, [0] * n
-    target = {}
-    for name, src, tgt in arrows:
-        out[src] += 1
-        into[tgt] += 1
-        target[name] = tgt
-    for first, _ in relations:
-        through[target[first]] += 1
-    return list(zip(out, into, through))
+    neighbours = _neighbours(shape)
+    walks, seen = [], set()
+    for a in range(len(arrows)):
+        if a not in seen:
+            component = _walk(shape, neighbours, a)[1]
+            walk = min(_walk(shape, neighbours, b) for b in component)
+            seen.update(walk[1])
+            walks.append(walk)
+    walks.sort()
+    arrow_order = [a for _, order, _ in walks for a in order]
+    vertex_order = [v for _, _, vertices in walks for v in vertices]
+    placed = set(vertex_order)
+    vertex_order += [v for v in range(n) if v not in placed]
+    vertex_map = [0] * n
+    for k, v in enumerate(vertex_order):
+        vertex_map[v] = k
+    arrow_map = {arrows[a][0]: k for k, a in enumerate(arrow_order)}
+    form_arrows = tuple(
+        (k, vertex_map[arrows[a][1]], vertex_map[arrows[a][2]])
+        for k, a in enumerate(arrow_order)
+    )
+    form_relations = frozenset((arrow_map[x], arrow_map[y]) for x, y in relations)
+    return (n, form_arrows, form_relations), tuple(vertex_map), arrow_map
 
 
-def quiver_invariant(shape: tuple) -> tuple:
-    """What an isomorphism of quiver shapes keeps: the vertex, arrow and
-    relation counts and the sorted vertex profiles.  Shapes with different
-    invariants are not isomorphic."""
-    n, arrows, relations = shape
-    return (n, len(arrows), len(relations), tuple(sorted(_vertex_profiles(shape))))
-
-
-class _Search(NamedTuple):
-    """The state of one quiver_isomorphism search from shape a onto shape b."""
-
-    order: list  # a's arrows, each after one it shares a vertex with, if any
-    arrows_b: tuple
-    out_b: list  # b's arrows by source position
-    in_b: list  # b's arrows by target position
-    profile_a: list
-    profile_b: list
-    partners: dict  # a's arrow name -> the relations of a it is in
-    relations_b: frozenset
-    vmap: list  # a's vertex position -> b's, None while open
-    amap: dict  # a's arrow name -> b's
-    taken: set  # b's vertex positions in the image
-    used: set  # b's arrow names in the image
-
-
-def quiver_isomorphism(shape_a: tuple, shape_b: tuple) -> tuple[tuple, dict] | None:
-    """An isomorphism from the quiver of shape_a onto that of shape_b
-    (GentleQuiver.shape), or None when there is none.
+def quiver_isomorphism(canon_a: tuple, canon_b: tuple) -> tuple[tuple, dict] | None:
+    """An isomorphism from shape a onto shape b, given their canonical forms
+    (canonical_form(a), canonical_form(b)), or None when the forms differ.
 
     It is (vertex_map, arrow_map): vertex_map[i] is the position in b of a's
-    i-th vertex, and arrow_map sends a's arrow names to b's.  The search
-    places a's arrows one at a time, each onto an open arrow of b whose ends
-    agree with the vertices placed so far, a vertex going only to one with
-    its (out-degree, in-degree, relations through) profile; every relation
-    of a is checked once both its arrows are placed.  With the counts equal,
-    a complete placement is an isomorphism, so a returned map is a proof."""
-    if quiver_invariant(shape_a) != quiver_invariant(shape_b):
+    i-th vertex, and arrow_map sends a's arrow names to b's.  It is a's map
+    onto the form followed by the inverse of b's, so a returned map is a
+    proof; that none is returned proves no isomorphism only for gentle
+    shapes."""
+    form_a, vertices_a, arrows_a = canon_a
+    form_b, vertices_b, arrows_b = canon_b
+    if form_a != form_b:
         return None
-    n, arrows_a, relations_a = shape_a
-    _, arrows_b, relations_b = shape_b
-    order, seen, rest = [], set(), list(arrows_a)
-    while rest:
-        k = next((k for k, (_, s, t) in enumerate(rest) if s in seen or t in seen), 0)
-        order.append(rest.pop(k))
-        seen.update(order[-1][1:])
-    out_b, in_b = [[] for _ in range(n)], [[] for _ in range(n)]
-    for arrow in arrows_b:
-        out_b[arrow[1]].append(arrow)
-        in_b[arrow[2]].append(arrow)
-    partners: dict = {name: [] for name, _, _ in arrows_a}
-    for pair in relations_a:
-        partners[pair[0]].append(pair)
-        if pair[1] != pair[0]:
-            partners[pair[1]].append(pair)
-    search = _Search(
-        order, arrows_b, out_b, in_b, _vertex_profiles(shape_a),
-        _vertex_profiles(shape_b), partners, relations_b, [None] * n, {}, set(), set(),
-    )
-    if not _extend(search, 0):
-        return None
-    # the vertices still open carry no arrow on either side
-    vmap = search.vmap
-    free = iter([j for j in range(n) if j not in search.taken])
-    return tuple([next(free) if j is None else j for j in vmap]), search.amap
-
-
-def _place(search: _Search, at: int, to: int, placed: list) -> bool:
-    """Send a's vertex at onto b's vertex to, unless that contradicts the
-    map so far; a new placement is appended to placed."""
-    if search.vmap[at] is not None:
-        return search.vmap[at] == to
-    if to in search.taken or search.profile_a[at] != search.profile_b[to]:
-        return False
-    search.vmap[at] = to
-    search.taken.add(to)
-    placed.append(at)
-    return True
-
-
-def _extend(search: _Search, k: int) -> bool:
-    """Place a's arrows from the k-th on, backtracking.  A module function,
-    not a closure: a closure that calls itself is a reference cycle."""
-    if k == len(search.order):
-        return True
-    name, src, tgt = search.order[k]
-    vmap, amap, used = search.vmap, search.amap, search.used
-    if vmap[src] is not None:
-        candidates = search.out_b[vmap[src]]
-    elif vmap[tgt] is not None:
-        candidates = search.in_b[vmap[tgt]]
-    else:
-        candidates = search.arrows_b
-    for image, src_b, tgt_b in candidates:
-        if image in used:
-            continue
-        placed: list = []
-        if _place(search, src, src_b, placed) and _place(search, tgt, tgt_b, placed):
-            amap[name] = image
-            used.add(image)
-            if all(
-                (amap[x], amap[y]) in search.relations_b
-                for x, y in search.partners[name]
-                if x in amap and y in amap
-            ) and _extend(search, k + 1):
-                return True
-            del amap[name]
-            used.discard(image)
-        for at in placed:
-            search.taken.discard(vmap[at])
-            vmap[at] = None
-    return False
+    back = [0] * len(vertices_b)
+    for i, k in enumerate(vertices_b):
+        back[k] = i
+    name_b = {k: name for name, k in arrows_b.items()}
+    arrow_map = {x: name_b[k] for x, k in arrows_a.items()}
+    return tuple([back[k] for k in vertices_a]), arrow_map

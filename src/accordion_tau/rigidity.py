@@ -22,7 +22,9 @@ facets, compatibility graph), and label_silting, the one place that names
 silting vertices, turns a core and any quiver of its shape into that
 quiver's complex.  It is an invariant of the algebra, so transport_core
 carries the core of one shape onto any isomorphic shape
-(quiver.quiver_isomorphism) without building it again.
+(quiver.quiver_isomorphism, composed from the two shapes' canonical forms)
+without building it again; a transported core keeps the graph only, and
+its facets are the maximal cliques of that graph.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -442,13 +444,14 @@ def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
 class SiltingCore(NamedTuple):
     """The silting complex of a quiver shape (GentleQuiver.shape), without
     vertex names: the g-vectors, letters and positions of its vertices (in
-    silting_vertices order), then the facets and the compatibility graph.
+    silting_vertices order), then the facets (None for a transported core,
+    built from the graph on first read) and the compatibility graph.
     """
 
     gvecs: tuple[tuple[int, ...], ...]
     letters: tuple[tuple[tuple[str, bool], ...] | None, ...]
     positions: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...] | None
     graph: tuple[int, ...]
 
 
@@ -478,15 +481,18 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
 def transport_core(core: SiltingCore, iso: tuple, shape: tuple) -> SiltingCore | None:
     """The core of a quiver shape from the core of an isomorphic one.
 
-    iso is quiver.quiver_isomorphism(core's shape, shape).  An isomorphism
-    of gentle quivers is one of their algebras, so it carries rigid strings,
-    presentations and compatibility across: g-vector coordinates follow the
-    vertex map, string letters the arrow map, and each string takes the
-    orientation enumerate_strings keeps on shape (_first_met).  Sorting by
-    g-vector then gives silting_vertices' order, and the graph and facets
-    are renumbered to it.  When two g-vectors are equal that order depends
-    on more than g-vectors, so this returns None and the caller builds the
-    core directly."""
+    iso is quiver.quiver_isomorphism from core's shape onto shape.  An
+    isomorphism of gentle quivers is one of their algebras, so it carries
+    rigid strings, presentations and compatibility across: g-vector
+    coordinates follow the vertex map, string letters the arrow map, and
+    each string takes the orientation enumerate_strings keeps on shape
+    (_first_met).  Sorting by g-vector then gives silting_vertices' order,
+    and the graph is renumbered to it.  The facets are left None: a
+    labelled complex of the core builds them from the graph when they are
+    first read, and they are the renumbered facets of core, whose purity
+    was checked when it was built.  When two g-vectors are equal that order
+    depends on more than g-vectors, so this returns None and the caller
+    builds the core directly."""
     vmap, amap = iso
     n = len(vmap)
     back = [0] * n
@@ -508,13 +514,7 @@ def transport_core(core: SiltingCore, iso: tuple, shape: tuple) -> SiltingCore |
         positions.append(at)
     order = sorted(range(len(gvecs)), key=gvecs.__getitem__)
     sorted_rows = [tuple([row[i] for i in order]) for row in (gvecs, letters, positions)]
-    if order == list(range(len(order))):
-        return SiltingCore(*sorted_rows, core.facets, core.graph)
-    new = [0] * len(order)
-    for k, i in enumerate(order):
-        new[i] = k
-    facets = tuple(sorted([tuple(sorted([new[v] for v in f])) for f in core.facets]))
-    return SiltingCore(*sorted_rows, facets, induced_graph(core.graph, order))
+    return SiltingCore(*sorted_rows, None, induced_graph(core.graph, order))
 
 
 def _first_met(shape: tuple):
@@ -553,7 +553,7 @@ def _first_met(shape: tuple):
 
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
     """The silting complex of q from the core of q's shape, sharing the
-    core's g-vectors, facets and graph."""
+    core's g-vectors, facets (when it keeps them) and graph."""
     rows = enumerate(zip(core.gvecs, core.letters, core.positions))
     vertices = tuple(ComplexVertex(i, g, *_label(q, w, at)) for i, (g, w, at) in rows)
     coordinates = tuple(map(vertex_label, q.vertices))

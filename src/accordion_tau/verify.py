@@ -34,11 +34,11 @@ shape and label it for every quiver of the shape (rigidity.label_silting),
 as silting_complex does for one quiver.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
-class: a new shape finds an isomorphic shape built before
-(quiver.quiver_isomorphism, among the shapes of its quiver_invariant) and
-takes that core, transported (rigidity.transport_core).  The idempotent
-sweep hands an ambient build the algebra basis it already holds.  Beside
-the cores, the idempotent sweep keeps a plan
+class: a new shape computes its canonical form (quiver.canonical_form)
+once, and when a shape of that form was built before, takes its core,
+transported (quiver.quiver_isomorphism, rigidity.transport_core).  The
+idempotent sweep hands an ambient build the algebra basis it already
+holds.  Beside the cores, the idempotent sweep keeps a plan
 per (ambient shape, J positions): the shortcut quiver's shape and the
 label-free restriction (complexes.restriction: kept vertices, g-vectors and
 induced graph), never a quiver, basis or labelled complex.  The instance
@@ -57,13 +57,14 @@ With structural=True every complex that shows up is accounted for by the
 structural audit (pseudomanifold, regular dual graph, sign coherence, facet
 independence, injective g-vectors), which reads only g-vectors and facets.
 A sweep runs it once per label-free complex and carries a clean result
-(_carried_audit): to every silting complex of a quiver shape audited clean,
-and across a passed g-vector match to a complex audited clean (main:
-accordion vs silting; nested: induced vs A(d); idempotent: induced vs
-shortcut silting).  That rests on one precondition: a matched complex's
-facets are the maximal cliques of its graph, as they are for every complex
-the sweeps build.  Any other complex is audited directly, so messages and
-complexes_audited read as if every complex were audited.
+(_carried_audit): to every silting complex of a quiver isomorphism class
+audited clean, since a transported core only permutes coordinates and
+renumbers vertices, and across a passed g-vector match to a complex audited
+clean (main: accordion vs silting; nested: induced vs A(d); idempotent:
+induced vs shortcut silting).  That rests on one precondition: a matched
+complex's facets are the maximal cliques of its graph, as they are for
+every complex the sweeps build.  Any other complex is audited directly, so
+messages and complexes_audited read as if every complex were audited.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ from .quiver import (
     GentleQuiver,
     _shortcut_quiver,
     algebra_basis,
+    canonical_form,
     idempotent_subalgebra_check,
     nonempty_subsets,
-    quiver_invariant,
     quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
@@ -211,14 +212,17 @@ def _carried_audit(
     a complex of the same sweep whose audit came back clean.
 
     clean holds the keys of the label-free complexes one sweep has audited
-    clean: a quiver shape for silting complexes, the ordered diagonals for
-    accordion complexes.  key is cx's own key, and joins clean when this
-    audit comes back clean.  matched is the key of the complex that a passed
+    clean: the canonical form of a quiver isomorphism class for silting
+    complexes (_silting_by_shape), the ordered diagonals for accordion
+    complexes.  key is cx's own key, and joins clean when this audit comes
+    back clean.  matched is the key of the complex that a passed
     iso_by_gvectors or compare_nested matched cx to, None when the match
     failed.  A clean result carries by two rules:
     - a labelled silting complex shares its core's g-vectors, facets and
-      graph (rigidity.label_silting), so every complex of a shape audited
-      clean is clean;
+      graph (rigidity.label_silting), and the cores of one class are the
+      built core with its vertices renumbered and its coordinates permuted
+      (rigidity.transport_core), so every complex of a class audited clean
+      is clean;
     - a passed match is a bijection of vertices that keeps g-vectors and
       carries one compatibility graph onto the other.
 
@@ -282,52 +286,56 @@ def _tag(d: Dissection) -> str:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, SiltingCore],
-    classes: dict[tuple, list[tuple]],
+    cores: dict[tuple, tuple[tuple | None, SiltingCore]],
+    classes: dict[tuple, tuple[tuple, SiltingCore]],
     q: GentleQuiver,
     basis: AlgebraBasis | None = None,
-) -> LabeledComplex:
-    """The silting complex of q, labelled from the core of q's shape.
+) -> tuple[LabeledComplex, tuple | None]:
+    """The silting complex of q, labelled from the core of q's shape, and
+    the key its audit carries by (_carried_audit).
 
-    cores holds a core per shape met; classes lists, by quiver invariant,
-    the shapes whose cores were built, one per isomorphism class.  A new
-    shape takes the core of an isomorphic built shape, transported, and
-    only a shape with none (or a transport that gives up) builds its core;
-    basis, when given, is q's."""
-    core = cores.get(q.shape)
-    if core is None:
-        shape = q.shape
-        built = classes.setdefault(quiver_invariant(shape), [])
-        for other in built:
-            iso = quiver_isomorphism(other, shape)
-            if iso is not None:
-                core = transport_core(cores[other], iso, shape)
-                break
-        else:
-            built.append(shape)
+    cores holds, per shape met, that key and the shape's core; classes
+    holds, per canonical form, the canonical_form and core of the shape
+    built for it.  A new shape computes its form once and takes the core
+    of its class, transported; only the first shape of a class builds its
+    core (basis, when given, is q's).  The key is the form, since every
+    core of a class is the built one relabelled; a shape whose transport
+    gives up builds its own core, keyed None, and is audited directly."""
+    entry = cores.get(q.shape)
+    if entry is None:
+        canon = canonical_form(q.shape)
+        key, core = canon[0], None
+        if key in classes:
+            built, built_core = classes[key]
+            core = transport_core(built_core, quiver_isomorphism(built, canon), q.shape)
         if core is None:
             core = silting_core(algebra_basis(q) if basis is None else basis)
-        cores[shape] = core
-    return label_silting(core, q)
+            if key in classes:
+                key = None
+            else:
+                classes[key] = (canon, core)
+        entry = cores[q.shape] = (key, core)
+    key, core = entry
+    return label_silting(core, q), key
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty dissection of the m-gon; one silting build per quiver
     isomorphism class."""
     summary = VerifySummary("main")
-    cores: dict[tuple, SiltingCore] = {}
-    classes: dict[tuple, list[tuple]] = {}
+    cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
+    classes: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     for d in all_dissections(m):
         acc = accordion_complex(d)
         q = quiver_of_dissection(d)
-        silt = _silting_by_shape(cores, classes, q)
+        silt, key = _silting_by_shape(cores, classes, q)
         report = iso_by_gvectors(acc, silt)
         summary.record(_tag(d), report)
         if structural:
             # the silting side first, so that a clean audit carries over
-            silt_audit = _carried_audit(silt, clean, key=q.shape)
-            matched = q.shape if report.passed else None
+            silt_audit = _carried_audit(silt, clean, key=key)
+            matched = key if report.passed else None
             summary.audit(_tag(d) + " accordion", _carried_audit(acc, clean, matched=matched))
             summary.audit(_tag(d) + " silting", silt_audit)
     return summary
@@ -395,10 +403,10 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     reports it.
     """
     summary = VerifySummary("idempotent")
-    cores: dict[tuple, SiltingCore] = {}
-    classes: dict[tuple, list[tuple]] = {}
+    cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
+    classes: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
-    shortcuts: dict[tuple, tuple[LabeledComplex, list[str]]] = {}
+    shortcuts: dict[tuple, tuple[LabeledComplex, tuple | None, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
@@ -409,9 +417,9 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         tag = _tag(d)
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
-        ambient = _silting_by_shape(cores, classes, q, basis)
+        ambient, key = _silting_by_shape(cores, classes, q, basis)
         if structural:
-            summary.audit(tag + " silting", _carried_audit(ambient, clean, key=q.shape))
+            summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
         shape_plans = plans.setdefault(q.shape, {})
         positions_of = nonempty_subsets(tuple(range(len(q.vertices))))
         for J, positions in zip(nonempty_subsets(q.vertices), positions_of):
@@ -423,23 +431,21 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
                 plan = shape_plans[positions] = _Plan(shape, kept)
-            key = (plan.shortcut_shape, J)
-            entry = shortcuts.get(key)
+            entry = shortcuts.get((plan.shortcut_shape, J))
             if entry is None:
-                small = _silting_by_shape(
+                small, small_key = _silting_by_shape(
                     cores, classes, shortcut or _shortcut_quiver(basis, set(J))
                 )
-                shape = plan.shortcut_shape
-                audit = _carried_audit(small, clean, key=shape) if structural else []
-                entry = shortcuts[key] = (small, audit)
-            small, small_audit = entry
+                audit = _carried_audit(small, clean, key=small_key) if structural else []
+                entry = shortcuts[plan.shortcut_shape, J] = (small, small_key, audit)
+            small, small_key, small_audit = entry
             induced = name_restriction(ambient, positions, plan.restriction)
             instance = f"{tag} J={list(J)}"
             report = iso_by_gvectors(small, induced)
             summary.record(instance, report)
             if structural:
                 summary.audit(f"{instance} shortcut silting", small_audit)
-                matched = plan.shortcut_shape if report.passed else None
+                matched = small_key if report.passed else None
                 summary.audit(
                     f"{instance} induced", _carried_audit(induced, clean, matched=matched)
                 )

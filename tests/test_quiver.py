@@ -20,10 +20,10 @@ from accordion_tau.quiver import (
     GentleQuiver,
     Path,
     algebra_basis,
+    canonical_form,
     check_gentle,
     idempotent_subalgebra_check,
     quiver_from_json,
-    quiver_invariant,
     quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
@@ -392,17 +392,23 @@ def relabelled(shape: tuple, rng: random.Random) -> tuple:
 
 def test_quiver_isomorphism_agrees_with_the_permutation_oracle():
     # every pair of the 105 ambient and shortcut shapes with m <= 7 that
-    # agree in vertex, arrow and relation counts: the search finds a map
-    # exactly when the oracle does, and the map is an isomorphism; the
-    # shapes fall into 15 classes
+    # agree in vertex, arrow and relation counts: the forms are equal
+    # exactly when the oracle finds an isomorphism, and the composed map is
+    # one; the shapes fall into 15 classes, one per form
     shapes = corpus_shapes(7)
     assert len(shapes) == 105
-    assert oracles.isomorphism_class_count(shapes) == 15
+    forms = {shape: canonical_form(shape) for shape in shapes}
+    classes = {form for form, _, _ in forms.values()}
+    assert oracles.isomorphism_class_count(shapes) == len(classes) == 15
+    for shape, (form, vmap, amap) in forms.items():
+        assert is_isomorphism(shape, form, (vmap, amap))
+        assert canonical_form(form)[0] == form
     found = missed = 0
     for a, b in itertools.product(shapes, repeat=2):
         if (a[0], len(a[1]), len(a[2])) != (b[0], len(b[1]), len(b[2])):
             continue
-        iso = quiver_isomorphism(a, b)
+        iso = quiver_isomorphism(forms[a], forms[b])
+        assert (forms[a][0] == forms[b][0]) == (iso is not None)
         assert (iso is not None) == oracles.isomorphic_shapes(a, b), (a, b)
         if iso is None:
             missed += 1
@@ -413,20 +419,29 @@ def test_quiver_isomorphism_agrees_with_the_permutation_oracle():
 
 
 def test_quiver_isomorphism_finds_relabelled_copies():
-    # shuffled positions, renamed and reordered arrows; also parallel
-    # arrows and a loop, which dissection quivers lack
+    # shuffled positions, renamed and reordered arrows, and vertices with
+    # no arrows
     rng = random.Random(17)
-    odd = (2, (("x", 0, 1), ("y", 0, 1), ("l", 1, 1)), frozenset({("x", "l")}))
-    for shape in corpus_shapes(7) + [odd]:
+    isolated = (3, (("a", 2, 0),), frozenset())
+    for shape in corpus_shapes(7) + [isolated]:
         copy = relabelled(shape, rng)
-        iso = quiver_isomorphism(shape, copy)
-        assert iso is not None and is_isomorphism(shape, copy, iso)
+        canon = canonical_form(shape)
+        assert canonical_form(copy)[0] == canon[0]
+        iso = quiver_isomorphism(canon, canonical_form(copy))
+        assert is_isomorphism(shape, copy, iso)
+    assert canonical_form(isolated) == ((3, ((0, 0, 1),), frozenset()), (1, 2, 0), {"a": 0})
+    # forms promise completeness for gentle shapes only; for this one, with
+    # parallel arrows and a loop, a shared form still gives an isomorphism
+    odd = (2, (("x", 0, 1), ("y", 0, 1), ("l", 1, 1)), frozenset({("x", "l")}))
+    assert check_gentle(GentleQuiver((0, 1), tuple(Arrow(*a) for a in odd[1]), odd[2]))
     swapped = (odd[0], odd[1], frozenset({("y", "l")}))
-    assert is_isomorphism(odd, swapped, quiver_isomorphism(odd, swapped))
-    # same counts and vertex profiles, but the relation sits on the loop
+    for other in (relabelled(odd, rng), swapped):
+        iso = quiver_isomorphism(canonical_form(odd), canonical_form(other))
+        assert iso is not None and is_isomorphism(odd, other, iso)
+    # the same arrows, but the relation sits on the loop
     looped = (odd[0], odd[1], frozenset({("l", "l")}))
-    assert quiver_invariant(looped) == quiver_invariant(odd)
-    assert quiver_isomorphism(odd, looped) is None
+    assert canonical_form(odd)[0] != canonical_form(looped)[0]
+    assert quiver_isomorphism(canonical_form(odd), canonical_form(looped)) is None
 
 
 def mutants(shape: tuple) -> dict[str, list[tuple]]:
@@ -449,28 +464,26 @@ def mutants(shape: tuple) -> dict[str, list[tuple]]:
 
 def test_quiver_isomorphism_rejects_a_changed_quiver():
     # one arrow reversed (relations it no longer composes in dropped), one
-    # relation dropped, or one relation moved: the search agrees with the
-    # oracle, and each kind yields non-isomorphic quivers; some moved
-    # relations keep the original's invariant, so the search itself
-    # rejects them
+    # relation dropped, or one relation moved: the forms differ exactly when
+    # the oracle finds no isomorphism, and each kind yields non-isomorphic
+    # quivers
     rejected = {"reversed": 0, "dropped": 0, "moved": 0}
-    by_search = 0
     for shape in corpus_shapes(7):
+        form = canonical_form(shape)[0]
         for kind, changed in mutants(shape).items():
             for mutant in changed:
-                iso = quiver_isomorphism(shape, mutant)
-                assert (iso is not None) == oracles.isomorphic_shapes(shape, mutant)
-                if iso is None:
-                    rejected[kind] += 1
-                    by_search += quiver_invariant(shape) == quiver_invariant(mutant)
-    assert all(rejected.values()) and by_search, (rejected, by_search)
+                same = canonical_form(mutant)[0] == form
+                assert same == oracles.isomorphic_shapes(shape, mutant), (shape, mutant)
+                rejected[kind] += not same
+    assert all(rejected.values()), rejected
     # A4 with its relation moved from the first composable pair to the
-    # second: every count and vertex profile agrees, the quivers do not
+    # second: every count and vertex degree agrees, the quivers do not
     line = (4, (("a", 0, 1), ("b", 1, 2), ("c", 2, 3)), frozenset({("a", "b")}))
     moved = (4, line[1], frozenset({("b", "c")}))
-    assert quiver_invariant(line) == quiver_invariant(moved)
-    assert quiver_isomorphism(line, moved) is None
-    assert quiver_isomorphism(line, line) == ((0, 1, 2, 3), {"a": "a", "b": "b", "c": "c"})
+    assert canonical_form(line)[0] != canonical_form(moved)[0]
+    assert quiver_isomorphism(canonical_form(line), canonical_form(moved)) is None
+    canon = canonical_form(line)
+    assert quiver_isomorphism(canon, canon) == ((0, 1, 2, 3), {"a": "a", "b": "b", "c": "c"})
 
 
 # -- properties over the dissection corpus --

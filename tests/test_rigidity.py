@@ -23,7 +23,7 @@ from accordion_tau.quiver import (
     Arrow,
     GentleQuiver,
     algebra_basis,
-    quiver_invariant,
+    canonical_form,
     quiver_isomorphism,
     quiver_of_dissection,
     shortcut_quivers,
@@ -484,8 +484,9 @@ def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
 
 def test_transported_cores_equal_direct_builds():
     # every ambient and shortcut quiver shape with m <= 7 and every ambient
-    # shape with m = 8: the core of the first isomorphic shape, transported,
-    # equals the shape's own core, and labels exactly q's silting complex
+    # shape with m = 8: the core of the first shape of its canonical form,
+    # transported, equals the shape's own core but for the facets it leaves
+    # to the graph, and labels exactly q's silting complex, facets included
     from accordion_tau.geometry import all_dissections
 
     reps: dict = {}
@@ -501,19 +502,19 @@ def test_transported_cores_equal_direct_builds():
                     continue
                 seen.add(q.shape)
                 direct = silting_core(algebra_basis(q))
-                bucket = reps.setdefault(quiver_invariant(q.shape), [])
-                for shape, core in bucket:
-                    iso = quiver_isomorphism(shape, q.shape)
-                    if iso is not None:
-                        moved = transport_core(core, iso, q.shape)
-                        assert moved == direct
-                        labelled, built = label_silting(moved, q), silting_complex(q)
-                        assert labelled == built
-                        assert labelled.to_json() == built.to_json()
-                        transported += 1
-                        break
-                else:
-                    bucket.append((q.shape, direct))
+                canon = canonical_form(q.shape)
+                if canon[0] not in reps:
+                    reps[canon[0]] = (canon, direct)
+                    continue
+                other, core = reps[canon[0]]
+                moved = transport_core(core, quiver_isomorphism(other, canon), q.shape)
+                assert moved.facets is None
+                assert moved == direct._replace(facets=None)
+                labelled, built = label_silting(moved, q), silting_complex(q)
+                assert labelled.facets == built.facets == direct.facets
+                assert labelled == built
+                assert labelled.to_json() == built.to_json()
+                transported += 1
     assert (len(seen), transported) == (257, 257 - 47)
 
 
@@ -555,8 +556,9 @@ def test_transport_keeps_the_orientation_enumerate_strings_keeps():
 def test_transport_gives_up_on_a_repeated_gvector(fan_algebra):
     q, basis = fan_algebra
     core = silting_core(basis)
-    iso = quiver_isomorphism(q.shape, q.shape)
-    assert transport_core(core, iso, q.shape) == core
+    canon = canonical_form(q.shape)
+    iso = quiver_isomorphism(canon, canon)
+    assert transport_core(core, iso, q.shape) == core._replace(facets=None)
     repeated = core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:])
     assert transport_core(repeated, iso, q.shape) is None
 

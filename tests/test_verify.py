@@ -63,11 +63,11 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     summary = verify.verify_idempotent_exhaustive(6, structural=structural)
     assert summary.ok
     assert len(calls) == classes == 7
-    # one audit per quiver shape, ambient or shortcut: a clean silting audit
-    # carries to every quiver of the shape and, across each passed match, to
-    # the induced complex, while every instance still counts its audited
-    # complexes
-    assert len(audits) == (len(shapes) if structural else 0)
+    # one audit per quiver isomorphism class, ambient or shortcut: a clean
+    # silting audit carries to every quiver of the class and, across each
+    # passed match, to the induced complex, while every instance still
+    # counts its audited complexes
+    assert len(audits) == (classes if structural else 0)
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
@@ -102,7 +102,8 @@ def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
     fan = quiver_of_dissection(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
     flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
     assert fan.shape != flipped.shape
-    assert quiver.quiver_isomorphism(fan.shape, flipped.shape) is not None
+    forms = [quiver.canonical_form(q.shape) for q in (fan, flipped)]
+    assert quiver.quiver_isomorphism(*forms) is not None
     for repeat, builds in ((False, 1), (True, 2)):
         real = rigidity.silting_core
 
@@ -113,10 +114,14 @@ def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
         monkeypatch.setattr(verify, "silting_core", core_of)
         calls = count_calls(monkeypatch, verify, "silting_core")
         cores, classes = {}, {}
-        for q in (fan, flipped):
-            verify._silting_by_shape(cores, classes, q)
+        keys = [verify._silting_by_shape(cores, classes, q)[1] for q in (fan, flipped)]
         assert len(calls) == builds
-        assert cores[flipped.shape] == core_of(algebra_basis(flipped))
+        # a core built beside its class's core is audited on its own
+        assert keys == [forms[0][0], None if repeat else forms[0][0]]
+        built = core_of(algebra_basis(flipped))
+        # a transported core leaves its facets to the graph
+        moved = built if repeat else built._replace(facets=None)
+        assert cores[flipped.shape] == (keys[1], moved)
         monkeypatch.undo()
 
 
