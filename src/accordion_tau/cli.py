@@ -72,7 +72,12 @@ def load_dissection(config: argparse.Namespace) -> Dissection:
         with open(config.input) as fh:
             data = json.load(fh)
         try:
-            m, pairs = data["m"], [tuple(p) for p in data["diagonals"]]
+            m, diagonals = data["m"], data["diagonals"]
+            if not isinstance(diagonals, list):
+                raise InputError(
+                    f"malformed dissection JSON: diagonals must be a list, got {diagonals!r}"
+                )
+            pairs = [tuple(p) for p in diagonals]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed dissection JSON: {exc}") from exc
         if isinstance(m, bool) or not isinstance(m, int):

@@ -1,16 +1,17 @@
 """Gentle quivers, their path algebra bases, and vertex-subset shortcuts.
 
-Quivers come from two sources: built from a dissection (one vertex per
+Quivers come from three sources: built from a dissection (one vertex per
 diagonal, arrows between consecutive diagonal sides of a cell, relations for
-consecutive triples) or loaded from JSON.  A quiver's shape forgets vertex
-names and keeps positions, so quivers that differ only in vertex names share
-it (and their algebras agree up to that renaming).  canonical_form numbers a
-shape by a walk that its isomorphisms keep, so isomorphic gentle shapes share
-one form, and quiver_isomorphism composes two shapes' forms into an explicit
-isomorphism, which is one of their algebras too.  The path algebra uses left to
-right composition: the product p * q means "walk p, then walk q", so paths
-from u to v span the subspace e_u A e_v.  Bases only exist for finite
-dimensional algebras; a relation-free cycle raises instead.
+consecutive triples), loaded from JSON, or made from a shape (shape_quiver).
+A quiver's shape forgets vertex names and keeps positions, so quivers that
+differ only in vertex names share it (and their algebras agree up to that
+renaming).  canonical_form numbers a shape by a walk that its isomorphisms
+keep, so isomorphic gentle shapes share one form, itself a shape, and it
+returns the shape's isomorphism onto its form, which is one of their
+algebras too.  The path algebra uses left to right composition: the product
+p * q means "walk p, then walk q", so paths from u to v span the subspace
+e_u A e_v.  Bases only exist for finite dimensional algebras; a
+relation-free cycle raises instead.
 """
 
 from __future__ import annotations
@@ -546,16 +547,17 @@ def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
     """The canonical form of a quiver shape (GentleQuiver.shape), and the
     isomorphism onto it: (form, vertex_map, arrow_map).
 
-    form is itself a shape: n vertices, arrows named 0, 1, ... in order and
-    relations between those names.  vertex_map[i] is the position in form
-    of the shape's i-th vertex, and arrow_map sends the shape's arrow names
-    to form's.  In a gentle quiver an arrow has at most one neighbour of
-    each kind _neighbours lists, so a walk that takes them in that order
+    form is itself a shape: n vertices, arrows named a0, a1, ... in order
+    and relations between those names.  vertex_map[i] is the position in
+    form of the shape's i-th vertex, and arrow_map sends the shape's arrow
+    names to form's.  In a gentle quiver an arrow has at most one neighbour
+    of each kind _neighbours lists, so a walk that takes them in that order
     numbers a whole connected component from one start arrow.  Each
     component keeps its smallest numbering over all start arrows, the
     components follow in order of those numberings, and vertices with no
     arrows come last.  So isomorphic gentle shapes have equal forms; for
-    any shape, equal forms give an isomorphism (quiver_isomorphism)."""
+    any shape, equal forms give an isomorphism, one map followed by the
+    inverse of the other, and a form is its own form."""
     n, arrows, relations = shape
     neighbours = _neighbours(shape)
     walks, seen = [], set()
@@ -573,31 +575,17 @@ def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
     vertex_map = [0] * n
     for k, v in enumerate(vertex_order):
         vertex_map[v] = k
-    arrow_map = {arrows[a][0]: k for k, a in enumerate(arrow_order)}
+    arrow_map = {arrows[a][0]: f"a{k}" for k, a in enumerate(arrow_order)}
     form_arrows = tuple(
-        (k, vertex_map[arrows[a][1]], vertex_map[arrows[a][2]])
+        (f"a{k}", vertex_map[arrows[a][1]], vertex_map[arrows[a][2]])
         for k, a in enumerate(arrow_order)
     )
     form_relations = frozenset((arrow_map[x], arrow_map[y]) for x, y in relations)
     return (n, form_arrows, form_relations), tuple(vertex_map), arrow_map
 
 
-def quiver_isomorphism(canon_a: tuple, canon_b: tuple) -> tuple[tuple, dict] | None:
-    """An isomorphism from shape a onto shape b, given their canonical forms
-    (canonical_form(a), canonical_form(b)), or None when the forms differ.
-
-    It is (vertex_map, arrow_map): vertex_map[i] is the position in b of a's
-    i-th vertex, and arrow_map sends a's arrow names to b's.  It is a's map
-    onto the form followed by the inverse of b's, so a returned map is a
-    proof; that none is returned proves no isomorphism only for gentle
-    shapes."""
-    form_a, vertices_a, arrows_a = canon_a
-    form_b, vertices_b, arrows_b = canon_b
-    if form_a != form_b:
-        return None
-    back = [0] * len(vertices_b)
-    for i, k in enumerate(vertices_b):
-        back[k] = i
-    name_b = {k: name for name, k in arrows_b.items()}
-    arrow_map = {x: name_b[k] for x, k in arrows_a.items()}
-    return tuple([back[k] for k in vertices_a]), arrow_map
+def shape_quiver(shape: tuple) -> GentleQuiver:
+    """The quiver of a shape with string arrow names, such as a canonical
+    form: its vertices are the positions 0..n-1, so its shape is shape."""
+    n, arrows, relations = shape
+    return GentleQuiver(tuple(range(n)), tuple(Arrow(*a) for a in arrows), relations)

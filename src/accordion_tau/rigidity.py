@@ -18,13 +18,14 @@ those through dy are exactly the maps x.p1 -> H^0 y.
 
 The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
-facets, compatibility graph), and label_silting, the one place that names
-silting vertices, turns a core and any quiver of its shape into that
-quiver's complex.  It is an invariant of the algebra, so transport_core
-carries the core of one shape onto any isomorphic shape
-(quiver.quiver_isomorphism, composed from the two shapes' canonical forms)
-without building it again; a transported core keeps the graph only, and
-its facets are the maximal cliques of that graph.
+compatibility graph), and label_silting, the one place that names silting
+vertices, turns a core and any quiver of its shape into that quiver's
+complex.  A core keeps the graph only: silting_core checks the purity of
+its facets once, and a labelled complex builds them again, as the maximal
+cliques of the graph, when they are first read.  The core is an invariant of
+the algebra, so transport_core carries the core of a canonical form
+(quiver.canonical_form, built on quiver.shape_quiver) onto every shape of
+that form without building it again.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -444,14 +445,13 @@ def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
 class SiltingCore(NamedTuple):
     """The silting complex of a quiver shape (GentleQuiver.shape), without
     vertex names: the g-vectors, letters and positions of its vertices (in
-    silting_vertices order), then the facets (None for a transported core,
-    built from the graph on first read) and the compatibility graph.
+    silting_vertices order), then the compatibility graph, whose maximal
+    cliques are the facets.
     """
 
     gvecs: tuple[tuple[int, ...], ...]
     letters: tuple[tuple[tuple[str, bool], ...] | None, ...]
     positions: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...] | None
     graph: tuple[int, ...]
 
 
@@ -460,7 +460,7 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
 
     Faces are the pairwise compatible sets; facets must all be full rank.
     The clique complex is built on unnamed vertices, and reading its facets
-    checks that, once per shape."""
+    once checks that; the core keeps only its graph."""
     verts = _silting_vertices(basis)
 
     def compatible(i: int, j: int) -> bool:
@@ -469,52 +469,49 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
 
     unnamed = [ComplexVertex(i, sv.gvec, "") for i, sv in enumerate(verts)]
     cx = clique_complex("silting", basis.quiver.vertices, unnamed, compatible)
+    cx.facets
     return SiltingCore(
         tuple(sv.gvec for sv in verts),
         tuple(sv.letters for sv in verts),
         tuple(sv.position for sv in verts),
-        cx.facets,
         cx.graph,
     )
 
 
-def transport_core(core: SiltingCore, iso: tuple, shape: tuple) -> SiltingCore | None:
-    """The core of a quiver shape from the core of an isomorphic one.
+def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore | None:
+    """The core of a quiver shape from the core of its canonical form.
 
-    iso is quiver.quiver_isomorphism from core's shape onto shape.  An
-    isomorphism of gentle quivers is one of their algebras, so it carries
-    rigid strings, presentations and compatibility across: g-vector
-    coordinates follow the vertex map, string letters the arrow map, and
-    each string takes the orientation enumerate_strings keeps on shape
-    (_first_met).  Sorting by g-vector then gives silting_vertices' order,
-    and the graph is renumbered to it.  The facets are left None: a
-    labelled complex of the core builds them from the graph when they are
-    first read, and they are the renumbered facets of core, whose purity
-    was checked when it was built.  When two g-vectors are equal that order
-    depends on more than g-vectors, so this returns None and the caller
-    builds the core directly."""
-    vmap, amap = iso
-    n = len(vmap)
-    back = [0] * n
-    for i, j in enumerate(vmap):
-        back[j] = i
-    gvecs = [tuple([g[i] for i in back]) for g in core.gvecs]
+    canon is quiver.canonical_form(shape), and core is the core of the
+    form's quiver (quiver.shape_quiver).  An isomorphism of gentle quivers
+    is one of their algebras, so it carries rigid strings, presentations
+    and compatibility across: g-vector coordinates follow the vertex map,
+    string letters the arrow map back from the form, and each string takes
+    the orientation enumerate_strings keeps on shape (_first_met).  Sorting
+    by g-vector then gives silting_vertices' order, and the graph is
+    renumbered to it.  When two g-vectors are equal that order depends on
+    more than g-vectors, so this returns None and the caller builds the
+    core directly."""
+    _, vmap, amap = canon
+    back = [0] * len(vmap)
+    for i, k in enumerate(vmap):
+        back[k] = i
+    gvecs = [tuple([g[k] for k in vmap]) for g in core.gvecs]
     if len(set(gvecs)) != len(gvecs):
         return None
     first_met = _first_met(shape)
     # one tuple per letter, shared by the strings that use it
-    renamed = {(a, fwd): (b, fwd) for a, b in amap.items() for fwd in (True, False)}
+    renamed = {(b, fwd): (a, fwd) for a, b in amap.items() for fwd in (True, False)}
     letters, positions = [], []
     for word, at in zip(core.letters, core.positions):
         if word is not None:
-            word, at = first_met(tuple([renamed[x] for x in word]), vmap[at])
+            word, at = first_met(tuple([renamed[x] for x in word]), back[at])
         else:
-            at = vmap[at]
+            at = back[at]
         letters.append(word)
         positions.append(at)
     order = sorted(range(len(gvecs)), key=gvecs.__getitem__)
     sorted_rows = [tuple([row[i] for i in order]) for row in (gvecs, letters, positions)]
-    return SiltingCore(*sorted_rows, None, induced_graph(core.graph, order))
+    return SiltingCore(*sorted_rows, induced_graph(core.graph, order))
 
 
 def _first_met(shape: tuple):
@@ -553,11 +550,11 @@ def _first_met(shape: tuple):
 
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
     """The silting complex of q from the core of q's shape, sharing the
-    core's g-vectors, facets (when it keeps them) and graph."""
+    core's g-vectors and graph; its facets are built when first read."""
     rows = enumerate(zip(core.gvecs, core.letters, core.positions))
     vertices = tuple(ComplexVertex(i, g, *_label(q, w, at)) for i, (g, w, at) in rows)
     coordinates = tuple(map(vertex_label, q.vertices))
-    return LabeledComplex(coordinates, vertices, core.facets, core.graph)
+    return LabeledComplex(coordinates, vertices, None, core.graph)
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:

@@ -16,12 +16,12 @@ itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
 Both complexes are clique complexes, so every check compares compatibility
 graphs under the g-vector map (complexes.iso_by_gvectors), and a
 restriction to some coordinates is an induced subgraph: no theorem check
-enumerates cliques, except where purity is checked.  Facets, and with them
-the check that each holds one vertex per coordinate, are built once per
-silting core (rigidity.silting_core) and once per accordion complex the
-nested checks build.  The main check needs no accordion facets: a graph
-isomorphism onto the checked silting complex carries its purity over.
-Structural audits and printed complexes read facets.
+enumerates cliques, except where purity is checked.  The check that each
+facet holds one vertex per coordinate runs once per silting build
+(rigidity.silting_core) and once per accordion complex the nested checks
+build.  The main check needs no accordion facets: a graph isomorphism onto
+the checked silting complex carries its purity over.  Structural audits and
+printed complexes read facets.
 
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep: the nested sweep keeps one accordion complex per
@@ -34,14 +34,13 @@ shape and label it for every quiver of the shape (rigidity.label_silting),
 as silting_complex does for one quiver.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
-class: a new shape computes its canonical form (quiver.canonical_form)
-once, and when a shape of that form was built before, takes its core,
-transported (quiver.quiver_isomorphism, rigidity.transport_core).  The
-idempotent sweep hands an ambient build the algebra basis it already
-holds.  Beside the cores, the idempotent sweep keeps a plan
-per (ambient shape, J positions): the shortcut quiver's shape and the
-label-free restriction (complexes.restriction: kept vertices, g-vectors and
-induced graph), never a quiver, basis or labelled complex.  The instance
+class, on the quiver of the class's canonical form (quiver.canonical_form,
+quiver.shape_quiver): a new shape computes its form once and takes the
+form's core, transported (rigidity.transport_core).  Beside the cores, the
+idempotent sweep keeps a plan per (ambient shape, J positions): the
+shortcut quiver's shape and the label-free restriction
+(complexes.restriction: kept vertices, g-vectors and induced graph), never
+a quiver, basis or labelled complex.  The instance
 that first meets a pair makes its plan, and every instance names its plan
 from its own ambient complex (complexes.name_restriction).  The sweeps
 compare the built complexes with the same comparison the single-instance
@@ -58,13 +57,14 @@ structural audit (pseudomanifold, regular dual graph, sign coherence, facet
 independence, injective g-vectors), which reads only g-vectors and facets.
 A sweep runs it once per label-free complex and carries a clean result
 (_carried_audit): to every silting complex of a quiver isomorphism class
-audited clean, since a transported core only permutes coordinates and
-renumbers vertices, and across a passed g-vector match to a complex audited
-clean (main: accordion vs silting; nested: induced vs A(d); idempotent:
-induced vs shortcut silting).  That rests on one precondition: a matched
-complex's facets are the maximal cliques of its graph, as they are for
-every complex the sweeps build.  Any other complex is audited directly, so
-messages and complexes_audited read as if every complex were audited.
+audited clean, since each is the form's core with its coordinates
+permuted and its vertices renumbered, and across a passed g-vector match
+to a complex audited clean (main: accordion vs silting; nested: induced vs
+A(d); idempotent: induced vs shortcut silting).  That rests on one
+precondition: a matched complex's facets are the maximal cliques of its
+graph, as they are for every complex the sweeps build.  Any other complex
+is audited directly, so messages and complexes_audited read as if every
+complex were audited.
 """
 
 from __future__ import annotations
@@ -89,16 +89,15 @@ from .complexes import (
 from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections
 from .quiver import (
-    AlgebraBasis,
     GentleQuiver,
     _shortcut_quiver,
     algebra_basis,
     canonical_form,
     idempotent_subalgebra_check,
     nonempty_subsets,
-    quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
+    shape_quiver,
     shortcut_quiver,
     shortcut_quivers,
 )
@@ -218,20 +217,19 @@ def _carried_audit(
     back clean.  matched is the key of the complex that a passed
     iso_by_gvectors or compare_nested matched cx to, None when the match
     failed.  A clean result carries by two rules:
-    - a labelled silting complex shares its core's g-vectors, facets and
-      graph (rigidity.label_silting), and the cores of one class are the
-      built core with its vertices renumbered and its coordinates permuted
+    - a labelled silting complex shares its core's g-vectors and graph
+      (rigidity.label_silting), and the cores of one class are the form's
+      core with its vertices renumbered and its coordinates permuted
       (rigidity.transport_core), so every complex of a class audited clean
       is clean;
     - a passed match is a bijection of vertices that keeps g-vectors and
       carries one compatibility graph onto the other.
 
     Precondition: the facets of a matched complex are the maximal cliques
-    of its graph.  That holds for every complex the sweeps build,
-    transported cores included, and then the match carries facets onto
-    facets, so purity, ridges, connectivity, dual-graph degrees, sign
-    coherence, facet independence and injective g-vectors read the same on
-    both sides.  Every other complex (a failed match, a dirty partner, a
+    of its graph.  That holds for every complex the sweeps build, and then
+    the match carries facets onto facets, so purity, ridges, connectivity,
+    dual-graph degrees, sign coherence, facet independence and injective
+    g-vectors read the same on both sides.  Every other complex (a failed match, a dirty partner, a
     partner not yet audited) is audited directly, so the messages, their
     order and complexes_audited are those of auditing every complex."""
     if key in clean or matched in clean:
@@ -287,33 +285,28 @@ def _tag(d: Dissection) -> str:
 
 def _silting_by_shape(
     cores: dict[tuple, tuple[tuple | None, SiltingCore]],
-    classes: dict[tuple, tuple[tuple, SiltingCore]],
+    classes: dict[tuple, SiltingCore],
     q: GentleQuiver,
-    basis: AlgebraBasis | None = None,
 ) -> tuple[LabeledComplex, tuple | None]:
     """The silting complex of q, labelled from the core of q's shape, and
     the key its audit carries by (_carried_audit).
 
     cores holds, per shape met, that key and the shape's core; classes
-    holds, per canonical form, the canonical_form and core of the shape
-    built for it.  A new shape computes its form once and takes the core
-    of its class, transported; only the first shape of a class builds its
-    core (basis, when given, is q's).  The key is the form, since every
-    core of a class is the built one relabelled; a shape whose transport
-    gives up builds its own core, keyed None, and is audited directly."""
+    holds, per canonical form met, the core built on the form's quiver.  A
+    new shape computes its form once and takes the form's core,
+    transported, building it first when the form is new.  The key is the
+    form, since every core of a class is the form's core relabelled; a
+    shape whose transport gives up builds its own core, keyed None, and is
+    audited directly."""
     entry = cores.get(q.shape)
     if entry is None:
         canon = canonical_form(q.shape)
-        key, core = canon[0], None
-        if key in classes:
-            built, built_core = classes[key]
-            core = transport_core(built_core, quiver_isomorphism(built, canon), q.shape)
+        key = canon[0]
+        if key not in classes:
+            classes[key] = silting_core(algebra_basis(shape_quiver(key)))
+        core = transport_core(classes[key], canon, q.shape)
         if core is None:
-            core = silting_core(algebra_basis(q) if basis is None else basis)
-            if key in classes:
-                key = None
-            else:
-                classes[key] = (canon, core)
+            key, core = None, silting_core(algebra_basis(q))
         entry = cores[q.shape] = (key, core)
     key, core = entry
     return label_silting(core, q), key
@@ -324,7 +317,7 @@ def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     isomorphism class."""
     summary = VerifySummary("main")
     cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
-    classes: dict[tuple, tuple[tuple, SiltingCore]] = {}
+    classes: dict[tuple, SiltingCore] = {}
     clean: set[tuple] = set()
     for d in all_dissections(m):
         acc = accordion_complex(d)
@@ -396,15 +389,15 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     one plan per (ambient shape, J positions), made by the first instance
     that meets the pair; each instance names its plan from its own ambient
     complex and builds its shortcut quiver only when that quiver's complex
-    is new.  One algebra basis per dissection yields those shortcut quivers
-    and, when the ambient core is built, that build.  With structural=True
-    each shortcut complex's audit result (carried, when its shape audited
-    clean before) is kept beside it; every instance still counts and
-    reports it.
+    is new.  One algebra basis per dissection yields those shortcut
+    quivers; a silting build reads the basis of its form's quiver.  With
+    structural=True each shortcut complex's audit result (carried, when its
+    shape audited clean before) is kept beside it; every instance still
+    counts and reports it.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
-    classes: dict[tuple, tuple[tuple, SiltingCore]] = {}
+    classes: dict[tuple, SiltingCore] = {}
     clean: set[tuple] = set()
     shortcuts: dict[tuple, tuple[LabeledComplex, tuple | None, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
@@ -417,7 +410,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         tag = _tag(d)
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
-        ambient, key = _silting_by_shape(cores, classes, q, basis)
+        ambient, key = _silting_by_shape(cores, classes, q)
         if structural:
             summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
         shape_plans = plans.setdefault(q.shape, {})

@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import accordion_tau.accordion as accordion
@@ -111,6 +111,18 @@ def test_accordion_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, ["accordion", "--input", str(path)])
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("diagonals", ["0-2,0-4", {"0": 2, "2": 4}])
+def test_dissection_json_diagonals_must_be_a_list(capsys, tmp_path, diagonals):
+    # the inline syntax pasted into JSON, or an object, is not a list of pairs
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"m": 6, "diagonals": diagonals}))
+    code, out, err = run(capsys, ["accordion", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: malformed dissection JSON: diagonals must be a list, got {diagonals!r}\n"
+    )
 
 
 BAD_FILES = {
@@ -670,3 +682,50 @@ def test_cli_fuzz_exit_codes_and_error_lines(tmp_path_factory, command, fmt):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+# argv drawn from the real subcommands and flags, with small or invalid
+# values; "@name" stands for a file under the test's tmp_path
+SMALL_INT = st.sampled_from(["-1", "0", "3", "4", "5", "6", "9", "x", ""])
+DIAGONALS = st.sampled_from(["0-2", "0-2,0-3", "1-3,3-5", "0-2,1-3", "0-2,0-2", "02", "0-9", ""])
+FILES = st.sampled_from(["@dissection.json", "@quiver.json", "@bad.json", "@missing.json"])
+FLAG_VALUES = {
+    "--m": SMALL_INT,
+    "--exhaustive": SMALL_INT,
+    "--seed": SMALL_INT,
+    "--diagonals": DIAGONALS,
+    "--sub-diagonals": DIAGONALS,
+    "--j": st.sampled_from(["0-2", "0-2,0-3", "1,3", "1,1", "x", ""]),
+    "--theorem": st.sampled_from([*cli.DRIVERS, "all", "none"]),
+    "--format": st.sampled_from(["json", "dot", "text", "xml"]),
+    "--input": FILES,
+    "--quiver": FILES,
+    "--out": st.sampled_from(["@out.txt", "@absent/out.txt"]),
+}
+OPTION = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), FLAG_VALUES[flag])
+)
+ARGV = st.tuples(
+    st.sampled_from(["accordion", "silting", "verify", "bogus"]),
+    st.lists(OPTION, max_size=5),
+    st.sampled_from([(), ("--help",), ("extra",), ("--m",)]),
+).map(lambda t: [t[0], *(token for option in t[1] for token in option), *t[2]])
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=ARGV)
+def test_cli_fuzz_argv_returns_a_defined_exit_code(tmp_path, monkeypatch, argv):
+    # a low safety cap keeps every sweep small; main returns an exit code
+    # for every argv and raises nothing
+    monkeypatch.setenv("ACCORDION_TAU_MAX_M", "5")
+    dissection = {"m": 5, "diagonals": [[0, 2], [0, 3]]}
+    (tmp_path / "dissection.json").write_text(json.dumps(dissection))
+    (tmp_path / "quiver.json").write_text(json.dumps(A3_QUIVER))
+    (tmp_path / "bad.json").write_text('{"m": 5, "diagonals": [[0, 2]')
+    argv = [str(tmp_path / token[1:]) if token.startswith("@") else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert type(code) is int and code in (0, 1, 2, 3, 4)

@@ -115,10 +115,11 @@ def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monke
     monkeypatch.setattr(complexes, "maximal_cliques", recording)
     for m in range(4, 8):
         for d in all_dissections(m):
-            # a clique complex enumerates its cliques when its facets are read
+            # a clique complex enumerates its cliques when its facets are
+            # read; a silting build also reads them once to check purity
             accordion_complex(d).facets
             silting_complex(quiver_of_dissection(d)).facets
-    assert len(graphs) == 2 * (2 + 10 + 44 + 196)
+    assert len(graphs) == 3 * (2 + 10 + 44 + 196)
     for n, adj in graphs:
         adj_sets = [{v for v in range(n) if adj[u] >> v & 1} for u in range(n)]
         assert real(n, adj) == oracles.set_maximal_cliques(n, adj_sets)

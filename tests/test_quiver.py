@@ -22,11 +22,12 @@ from accordion_tau.quiver import (
     algebra_basis,
     canonical_form,
     check_gentle,
+    ensure_gentle,
     idempotent_subalgebra_check,
     quiver_from_json,
-    quiver_isomorphism,
     quiver_of_dissection,
     quivers_match,
+    shape_quiver,
     shortcut_quiver,
     shortcut_quivers,
 )
@@ -390,11 +391,11 @@ def relabelled(shape: tuple, rng: random.Random) -> tuple:
     return n, tuple(moved), frozenset((name[x], name[y]) for x, y in relations)
 
 
-def test_quiver_isomorphism_agrees_with_the_permutation_oracle():
+def test_canonical_forms_agree_with_the_permutation_oracle():
     # every pair of the 105 ambient and shortcut shapes with m <= 7 that
     # agree in vertex, arrow and relation counts: the forms are equal
-    # exactly when the oracle finds an isomorphism, and the composed map is
-    # one; the shapes fall into 15 classes, one per form
+    # exactly when the oracle finds an isomorphism, and each shape's maps
+    # carry it onto its form; the shapes fall into 15 classes, one per form
     shapes = corpus_shapes(7)
     assert len(shapes) == 105
     forms = {shape: canonical_form(shape) for shape in shapes}
@@ -402,46 +403,58 @@ def test_quiver_isomorphism_agrees_with_the_permutation_oracle():
     assert oracles.isomorphism_class_count(shapes) == len(classes) == 15
     for shape, (form, vmap, amap) in forms.items():
         assert is_isomorphism(shape, form, (vmap, amap))
-        assert canonical_form(form)[0] == form
     found = missed = 0
     for a, b in itertools.product(shapes, repeat=2):
         if (a[0], len(a[1]), len(a[2])) != (b[0], len(b[1]), len(b[2])):
             continue
-        iso = quiver_isomorphism(forms[a], forms[b])
-        assert (forms[a][0] == forms[b][0]) == (iso is not None)
-        assert (iso is not None) == oracles.isomorphic_shapes(a, b), (a, b)
-        if iso is None:
-            missed += 1
-        else:
-            assert is_isomorphism(a, b, iso)
-            found += 1
+        same = forms[a][0] == forms[b][0]
+        assert same == oracles.isomorphic_shapes(a, b), (a, b)
+        found += same
+        missed += not same
     assert found and missed
 
 
-def test_quiver_isomorphism_finds_relabelled_copies():
+def test_form_quivers_are_gentle_quivers_of_their_own_form():
+    # every form met with m <= 8, ambient or shortcut: the quiver made from
+    # it has the form as its shape and as its canonical form, with identity
+    # maps, is gentle, and names its arrows by strings
+    forms = {canonical_form(shape)[0] for shape in corpus_shapes(8)}
+    assert len(forms) == 47
+    for form in forms:
+        q = shape_quiver(form)
+        assert q.shape == form
+        identity = {name: name for name, _, _ in form[1]}
+        assert canonical_form(form) == (form, tuple(range(form[0])), identity)
+        assert ensure_gentle(q) is q
+        assert all(isinstance(a.name, str) for a in q.arrows)
+
+
+def test_canonical_forms_find_relabelled_copies():
     # shuffled positions, renamed and reordered arrows, and vertices with
     # no arrows
     rng = random.Random(17)
     isolated = (3, (("a", 2, 0),), frozenset())
     for shape in corpus_shapes(7) + [isolated]:
         copy = relabelled(shape, rng)
-        canon = canonical_form(shape)
-        assert canonical_form(copy)[0] == canon[0]
-        iso = quiver_isomorphism(canon, canonical_form(copy))
-        assert is_isomorphism(shape, copy, iso)
-    assert canonical_form(isolated) == ((3, ((0, 0, 1),), frozenset()), (1, 2, 0), {"a": 0})
+        form, vmap, amap = canonical_form(copy)
+        assert form == canonical_form(shape)[0]
+        assert is_isomorphism(copy, form, (vmap, amap))
+    assert canonical_form(isolated) == (
+        (3, (("a0", 0, 1),), frozenset()), (1, 2, 0), {"a": "a0"}
+    )
     # forms promise completeness for gentle shapes only; for this one, with
-    # parallel arrows and a loop, a shared form still gives an isomorphism
+    # parallel arrows and a loop, a shared form still gives an isomorphism,
+    # each shape's map onto the form followed by the inverse of the other's
     odd = (2, (("x", 0, 1), ("y", 0, 1), ("l", 1, 1)), frozenset({("x", "l")}))
     assert check_gentle(GentleQuiver((0, 1), tuple(Arrow(*a) for a in odd[1]), odd[2]))
     swapped = (odd[0], odd[1], frozenset({("y", "l")}))
-    for other in (relabelled(odd, rng), swapped):
-        iso = quiver_isomorphism(canonical_form(odd), canonical_form(other))
-        assert iso is not None and is_isomorphism(odd, other, iso)
+    form = canonical_form(odd)[0]
+    for shape in (odd, relabelled(odd, rng), swapped):
+        canon = canonical_form(shape)
+        assert canon[0] == form and is_isomorphism(shape, form, canon[1:])
     # the same arrows, but the relation sits on the loop
     looped = (odd[0], odd[1], frozenset({("l", "l")}))
-    assert canonical_form(odd)[0] != canonical_form(looped)[0]
-    assert quiver_isomorphism(canonical_form(odd), canonical_form(looped)) is None
+    assert canonical_form(looped)[0] != form
 
 
 def mutants(shape: tuple) -> dict[str, list[tuple]]:
@@ -462,7 +475,7 @@ def mutants(shape: tuple) -> dict[str, list[tuple]]:
     return out
 
 
-def test_quiver_isomorphism_rejects_a_changed_quiver():
+def test_canonical_forms_reject_a_changed_quiver():
     # one arrow reversed (relations it no longer composes in dropped), one
     # relation dropped, or one relation moved: the forms differ exactly when
     # the oracle finds no isomorphism, and each kind yields non-isomorphic
@@ -480,10 +493,8 @@ def test_quiver_isomorphism_rejects_a_changed_quiver():
     # second: every count and vertex degree agrees, the quivers do not
     line = (4, (("a", 0, 1), ("b", 1, 2), ("c", 2, 3)), frozenset({("a", "b")}))
     moved = (4, line[1], frozenset({("b", "c")}))
+    assert not oracles.isomorphic_shapes(line, moved)
     assert canonical_form(line)[0] != canonical_form(moved)[0]
-    assert quiver_isomorphism(canonical_form(line), canonical_form(moved)) is None
-    canon = canonical_form(line)
-    assert quiver_isomorphism(canon, canon) == ((0, 1, 2, 3), {"a": "a", "b": "b", "c": "c"})
 
 
 # -- properties over the dissection corpus --

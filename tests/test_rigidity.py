@@ -24,8 +24,8 @@ from accordion_tau.quiver import (
     GentleQuiver,
     algebra_basis,
     canonical_form,
-    quiver_isomorphism,
     quiver_of_dissection,
+    shape_quiver,
     shortcut_quivers,
 )
 from accordion_tau.rigidity import (
@@ -448,7 +448,7 @@ def test_labelling_a_shape_core_equals_a_direct_build():
                 labelled, direct = label_silting(core, q), silting_complex(q)
                 assert labelled == direct
                 assert labelled.to_json() == direct.to_json()
-                assert labelled.facets is core.facets and labelled.graph is core.graph
+                assert labelled.graph is core.graph
                 assert all(
                     v.gvec is g for v, g in zip(labelled.vertices, core.gvecs)
                 )
@@ -484,13 +484,13 @@ def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
 
 def test_transported_cores_equal_direct_builds():
     # every ambient and shortcut quiver shape with m <= 7 and every ambient
-    # shape with m = 8: the core of the first shape of its canonical form,
-    # transported, equals the shape's own core but for the facets it leaves
-    # to the graph, and labels exactly q's silting complex, facets included
+    # shape with m = 8, the first of each class included: the core of its
+    # canonical form, transported, equals the shape's own core and labels
+    # exactly q's silting complex, facets included
     from accordion_tau.geometry import all_dissections
 
-    reps: dict = {}
-    seen, transported = set(), 0
+    forms: dict = {}
+    seen = set()
     for m in range(4, 9):
         for d in all_dissections(m):
             basis = algebra_basis(quiver_of_dissection(d))
@@ -501,21 +501,16 @@ def test_transported_cores_equal_direct_builds():
                 if q.shape in seen:
                     continue
                 seen.add(q.shape)
-                direct = silting_core(algebra_basis(q))
                 canon = canonical_form(q.shape)
-                if canon[0] not in reps:
-                    reps[canon[0]] = (canon, direct)
-                    continue
-                other, core = reps[canon[0]]
-                moved = transport_core(core, quiver_isomorphism(other, canon), q.shape)
-                assert moved.facets is None
-                assert moved == direct._replace(facets=None)
+                if canon[0] not in forms:
+                    forms[canon[0]] = silting_core(algebra_basis(shape_quiver(canon[0])))
+                moved = transport_core(forms[canon[0]], canon, q.shape)
+                assert moved == silting_core(algebra_basis(q))
                 labelled, built = label_silting(moved, q), silting_complex(q)
-                assert labelled.facets == built.facets == direct.facets
+                assert labelled.facets == built.facets
                 assert labelled == built
                 assert labelled.to_json() == built.to_json()
-                transported += 1
-    assert (len(seen), transported) == (257, 257 - 47)
+    assert (len(seen), len(forms)) == (257, 47)
 
 
 def test_transport_keeps_the_orientation_enumerate_strings_keeps():
@@ -554,13 +549,20 @@ def test_transport_keeps_the_orientation_enumerate_strings_keeps():
 
 
 def test_transport_gives_up_on_a_repeated_gvector(fan_algebra):
-    q, basis = fan_algebra
-    core = silting_core(basis)
-    canon = canonical_form(q.shape)
-    iso = quiver_isomorphism(canon, canon)
-    assert transport_core(core, iso, q.shape) == core._replace(facets=None)
+    # a form core with a repeated g-vector gives up on every shape of its
+    # class, the form itself included
+    from accordion_tau.geometry import validate_dissection
+
+    q, _ = fan_algebra
+    flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
+    form = canonical_form(q.shape)[0]
+    assert flipped.shape != q.shape and canonical_form(flipped.shape)[0] == form
+    core = silting_core(algebra_basis(shape_quiver(form)))
+    assert transport_core(core, canonical_form(form), form) == core
     repeated = core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:])
-    assert transport_core(repeated, iso, q.shape) is None
+    for shape in (form, q.shape, flipped.shape):
+        assert transport_core(core, canonical_form(shape), shape) is not None
+        assert transport_core(repeated, canonical_form(shape), shape) is None
 
 
 # -- invariants survive python -O --

@@ -75,11 +75,10 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
 )
 def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
-    # every shape gets exactly one core, built or transported
-    calls = count_calls(monkeypatch, rigidity, "silting_core")
+    # every shape gets exactly one core, transported from its form's core
     moved = count_calls(monkeypatch, rigidity, "transport_core")
     assert verify.DRIVERS[name](m).ok
-    assert len(calls) + len(moved) == cores
+    assert len(moved) == cores
 
 
 @pytest.mark.parametrize(
@@ -89,22 +88,23 @@ def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, co
 def test_sweeps_build_one_silting_core_per_quiver_isomorphism_class(
     monkeypatch, name, m, cores, shapes
 ):
-    # the cores of the other shapes are transported, one per shape
+    # one core built per class, on its form's quiver, and one transported
+    # per shape, the first shape of each class included
     calls = count_calls(monkeypatch, rigidity, "silting_core")
     moved = count_calls(monkeypatch, rigidity, "transport_core")
     assert verify.DRIVERS[name](m).ok
-    assert (len(calls), len(moved)) == (cores, shapes - cores)
+    assert (len(calls), len(moved)) == (cores, shapes)
 
 
 def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
-    # a core with a repeated g-vector cannot be transported, so the next
-    # isomorphic shape builds its own core
+    # a form core with a repeated g-vector cannot be transported, so every
+    # shape of its class builds its own core, keyed None
     fan = quiver_of_dissection(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
     flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
     assert fan.shape != flipped.shape
-    forms = [quiver.canonical_form(q.shape) for q in (fan, flipped)]
-    assert quiver.quiver_isomorphism(*forms) is not None
-    for repeat, builds in ((False, 1), (True, 2)):
+    form = quiver.canonical_form(fan.shape)[0]
+    assert quiver.canonical_form(flipped.shape)[0] == form
+    for repeat, builds in ((False, 1), (True, 3)):
         real = rigidity.silting_core
 
         def core_of(basis, real=real, repeat=repeat):
@@ -115,36 +115,30 @@ def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
         calls = count_calls(monkeypatch, verify, "silting_core")
         cores, classes = {}, {}
         keys = [verify._silting_by_shape(cores, classes, q)[1] for q in (fan, flipped)]
+        # the form's core, then, on giving up, each shape's own
         assert len(calls) == builds
+        assert list(classes) == [form]
+        assert calls[0][0].quiver == quiver.shape_quiver(form)
         # a core built beside its class's core is audited on its own
-        assert keys == [forms[0][0], None if repeat else forms[0][0]]
-        built = core_of(algebra_basis(flipped))
-        # a transported core leaves its facets to the graph
-        moved = built if repeat else built._replace(facets=None)
-        assert cores[flipped.shape] == (keys[1], moved)
+        assert keys == ([None, None] if repeat else [form, form])
+        for q in (fan, flipped):
+            own = core_of(algebra_basis(q))
+            assert cores[q.shape] == (None if repeat else form, own)
         monkeypatch.undo()
 
 
 def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
-    # one basis per dissection, shared by its shortcut quivers and its own
-    # silting build, and one more for each isomorphism class first met as a
-    # shortcut
+    # one basis per dissection, shared by its shortcut quivers, and one per
+    # silting build: one per isomorphism class, on its form's quiver
     dissections = all_dissections(7)
-    classes, shortcut_builds = [], 0
-
-    def new_class(shape) -> bool:
-        if any(oracles.isomorphic_shapes(rep, shape) for rep in classes):
-            return False
-        classes.append(shape)
-        return True
-
+    shapes = set()
     for q in map(quiver_of_dissection, dissections):
-        new_class(q.shape)
-        for J in quiver.nonempty_subsets(q.vertices):
-            shortcut_builds += new_class(shortcut_quiver(q, J).shape)
+        shapes.add(q.shape)
+        shapes.update(shortcut_quiver(q, J).shape for J in quiver.nonempty_subsets(q.vertices))
+    classes = oracles.isomorphism_class_count(shapes)
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    assert len(calls) == len(dissections) + shortcut_builds == 202
+    assert len(calls) == len(dissections) + classes == 211
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -194,7 +188,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 15 and len(bases) == 202
+    assert len(cores) == 15 and len(bases) == 211
 
 
 @pytest.mark.parametrize("m", [6, 7])
