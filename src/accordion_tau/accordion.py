@@ -11,8 +11,11 @@ diagonal gets an integer g-vector with one coordinate per diagonal of d:
 diagonal share their lone vertex, and otherwise a sign read off from the
 lone vertex of the cell the walk from b_i reaches first.  The accordion
 complex collects pairwise noncrossing accordion diagonals; facets are the
-maximal such sets.  This module only builds the complex; the theorem checks
-that compare it (main and nested) live in verify.
+maximal such sets.  Cells are label tuples and their sides label pairs,
+so the split compares integers, and a black Chord is built only for the
+accordion diagonals that become vertices.  This module only builds the
+complex; the theorem checks that compare it (main and nested) live in
+verify.
 """
 
 from __future__ import annotations
@@ -21,47 +24,55 @@ from dataclasses import dataclass
 
 from .complexes import ComplexVertex, LabeledComplex, clique_complex
 from .errors import NotAccordionError
-from .geometry import Cell, Chord, Dissection, all_black_diagonal_chords, cells, crosses
+from .geometry import (
+    Chord,
+    Dissection,
+    all_white_diagonal_pairs,
+    black_chord,
+    cells,
+    crosses,
+    sides,
+)
 
 
 def _g_vector_of(d: Dissection):
     """The g-vector function of d, with the cells of d and the two cells
-    on either side of each diagonal found once.  It returns the g-vector of
-    an accordion diagonal, and for any other black diagonal the first cell
-    with two or more vertices on each side of S, so that callers who skip
-    those diagonals build no error message."""
+    on either side of each diagonal found once.  Called on the black labels
+    (i, j), i < j, it returns the g-vector of an accordion diagonal, and for
+    any other black diagonal the index of the first cell with two or more
+    vertices on each side of S, so that callers who skip those diagonals
+    build no error message."""
     faces = cells(d)
-    # a cell's vertices increase counterclockwise from its smallest, so the
-    # cell lies inside the arc p..q of its closing side (p, q) and outside
-    # the arcs of its other sides
-    inside: dict[Chord, int] = {}
-    outside: dict[Chord, int] = {}
+    # a cell's labels increase counterclockwise, so the cell lies inside the
+    # arc p..q of its closing side (p, q) and outside the arcs of its other
+    # sides
+    inside: dict[tuple[int, int], int] = {}
+    outside: dict[tuple[int, int], int] = {}
     for c, cell in enumerate(faces):
-        *steps, closing = cell.sides
+        *steps, closing = sides(cell)
         inside[closing] = c
         outside.update((side, c) for side in steps)
-    pairs = [delta.vertex_pair() for delta in d.diagonals]
+    pairs = d.white_pairs()
 
-    def g_vector_of(black: Chord) -> tuple[int, ...] | Cell:
-        i, j = black.vertex_pair()
+    def g_vector_of(i: int, j: int) -> tuple[int, ...] | int:
         lone: list[int | None] = []
-        for cell in faces:
-            in_s = [v for v in cell.vertices if i < v <= j]
-            out_s = [v for v in cell.vertices if not i < v <= j]
+        for c, cell in enumerate(faces):
+            in_s = [v for v in cell if i < v <= j]
+            out_s = [v for v in cell if not i < v <= j]
             if len(in_s) == 1:
                 lone.append(in_s[0])
             elif len(out_s) == 1:
                 lone.append(out_s[0])
             elif in_s and out_s:
-                return cell
+                return c
             else:
                 lone.append(None)
         gvec = []
-        for delta, (p, q) in zip(d.diagonals, pairs):
+        for p, q in pairs:
             if (i < p <= j) == (i < q <= j):
                 gvec.append(0)
                 continue
-            first, second = lone[inside[delta]], lone[outside[delta]]
+            first, second = lone[inside[p, q]], lone[outside[p, q]]
             if not p <= i < q:
                 first, second = second, first
             gvec.append(0 if first == second else -1 if i < first <= j else 1)
@@ -83,15 +94,12 @@ def g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
     Raises NotAccordionError, naming the first cell with two or more
     vertices on each side of S and its crossed sides in side order.
     """
-    gvec = _g_vector_of(d)(black)
-    if isinstance(gvec, Cell):
-        i, j = black.vertex_pair()
-        crossed = [
-            s.label()
-            for s in gvec.sides
-            if sum(i < v <= j for v in s.vertex_pair()) == 1
-        ]
-        raise NotAccordionError(gvec.vertices, crossed)
+    i, j = black.vertex_pair()
+    gvec = _g_vector_of(d)(i, j)
+    if isinstance(gvec, int):
+        cell = cells(d)[gvec]
+        crossed = [f"{p}-{q}" for p, q in sides(cell) if (i < p <= j) != (i < q <= j)]
+        raise NotAccordionError(cell, crossed)
     return gvec
 
 
@@ -105,10 +113,10 @@ def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
     """All accordion diagonals of d with their g-vectors, by black label."""
     g_vector_of = _g_vector_of(d)
     out = []
-    for black in all_black_diagonal_chords(d.cycle):
-        gvec = g_vector_of(black)
-        if not isinstance(gvec, Cell):
-            out.append(AccordionVertex(black, gvec))
+    for i, j in all_white_diagonal_pairs(d.cycle.m):
+        gvec = g_vector_of(i, j)
+        if not isinstance(gvec, int):
+            out.append(AccordionVertex(black_chord(d.cycle, i, j), gvec))
     return out
 
 

@@ -5,8 +5,9 @@ Three subcommands: `accordion` builds the accordion complex of a dissection,
 quiver of a dissection), `verify` runs the isomorphism checks, one instance
 or exhaustively over a polygon.  Identical inputs produce byte-identical
 outputs; exit codes are 0 pass, 1 verification failure, 2 input error
-(including unreadable files and invalid JSON), 3 unsupported algebra,
-4 internal invariant broken (every other package error).
+(including unreadable files, files that are not UTF-8 and invalid JSON),
+3 unsupported algebra, 4 internal invariant broken (every other package
+error).
 """
 
 from __future__ import annotations
@@ -64,13 +65,23 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _read_json(path: str):
+    """The JSON value in a UTF-8 file; undecodable bytes, invalid JSON, an
+    integer too long to convert and nesting too deep to parse are all
+    InputErrors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid JSON: {exc}") from exc
+
+
 def load_dissection(config: argparse.Namespace) -> Dissection:
     inline = config.m is not None or config.diagonals is not None
     if config.input and inline:
         raise InputError("give either --input or --m/--diagonals, not both")
     if config.input:
-        with open(config.input) as fh:
-            data = json.load(fh)
+        data = _read_json(config.input)
         try:
             m, diagonals = data["m"], data["diagonals"]
             if not isinstance(diagonals, list):
@@ -97,8 +108,7 @@ def load_quiver(config: argparse.Namespace) -> GentleQuiver:
         return quiver_of_dissection(load_dissection(config))
     if config.m is not None or config.diagonals is not None or config.input:
         raise InputError("give either --quiver or a dissection, not both")
-    with open(config.quiver) as fh:
-        return quiver_from_json(json.load(fh))
+    return quiver_from_json(_read_json(config.quiver))
 
 
 def resolve_subset(q: GentleQuiver, text: str | None) -> tuple:
@@ -333,9 +343,6 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except UnsupportedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 2m boundary points sit counterclockwise on a circle and alternate colors:
 white vertex k is point 2k, black vertex k is point 2k+1, indices mod 2m.
 White chords (boundary edges and diagonals) carve the polygon into cells,
-one diagonal cut at a time;
-black diagonals are the probes whose crossing patterns the rest of the
+one diagonal cut at a time; a cell is the increasing tuple of its white
+labels, which is its counterclockwise order, and its sides are label pairs.
+Black diagonals are the probes whose crossing patterns the rest of the
 package measures.  All incidence tests are integer comparisons of point
 indices, no floating point anywhere.
 """
@@ -142,45 +143,31 @@ def validate_dissection(m: int, pairs) -> Dissection:
     return Dissection(cycle, tuple(chords))
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One face of the dissected polygon.
-
-    vertices: white labels counterclockwise, rotated to start at the smallest.
-    sides: chords along the same traversal, sides[i] joining vertices[i] to
-    vertices[i+1] (cyclically).
-    """
-
-    vertices: tuple[int, ...]
-    sides: tuple[Chord, ...]
-
-
-def cells(d: Dissection) -> list[Cell]:
-    """Faces of the dissection, cut out one diagonal at a time.
+def cells(d: Dissection) -> list[tuple[int, ...]]:
+    """Faces of the dissection, cut out one diagonal at a time, each the
+    increasing tuple of its white labels.
 
     The polygon (0, ..., m-1) starts as the only face.  Each diagonal (i, j)
     lies in the one face that holds both endpoints, and replaces it by the
-    two counterclockwise arcs it cuts off: i around to j, and j around to i.
-    Each cell lists its vertices counterclockwise from its smallest label,
-    and the result does not depend on the order of the diagonals.
+    two arcs it cuts off: i around to j, and j around to i.  Labels increase
+    counterclockwise, so both arcs stay increasing and each tuple lists its
+    cell counterclockwise from the smallest label.  The result does not
+    depend on the order of the diagonals.
     """
     faces = [tuple(range(d.cycle.m))]
     for i, j in d.white_pairs():
         face = next(f for f in faces if i in f and j in f)
         faces.remove(face)
         a, b = sorted((face.index(i), face.index(j)))
-        faces += [face[a : b + 1], face[b:] + face[: a + 1]]
-    out: list[Cell] = []
-    for face in faces:
-        start = face.index(min(face))
-        verts = face[start:] + face[:start]
-        sides = tuple(
-            white_chord(d.cycle, verts[t], verts[(t + 1) % len(verts)])
-            for t in range(len(verts))
-        )
-        out.append(Cell(verts, sides))
-    out.sort(key=lambda c: c.vertices)
-    return out
+        faces += [face[a : b + 1], face[: a + 1] + face[b:]]
+    return sorted(faces)
+
+
+def sides(cell: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The sides of a cell counterclockwise, each as its label pair (p, q)
+    with p < q: consecutive labels first, then the closing side from the
+    largest label back to the smallest."""
+    return [*zip(cell, cell[1:]), (cell[0], cell[-1])]
 
 
 def all_white_diagonal_pairs(m: int) -> list[tuple[int, int]]:
@@ -190,10 +177,6 @@ def all_white_diagonal_pairs(m: int) -> list[tuple[int, int]]:
         for j in range(i + 2, m)
         if not (i == 0 and j == m - 1)
     ]
-
-
-def all_black_diagonal_chords(cycle: PointCycle) -> list[Chord]:
-    return [black_chord(cycle, i, j) for i, j in all_white_diagonal_pairs(cycle.m)]
 
 
 def all_dissections(m: int) -> list[Dissection]:

@@ -1,8 +1,9 @@
 """Gentle quivers, their path algebra bases, and vertex-subset shortcuts.
 
 Quivers come from three sources: built from a dissection (one vertex per
-diagonal, arrows between consecutive diagonal sides of a cell, relations for
-consecutive triples), loaded from JSON, or made from a shape (shape_quiver).
+diagonal, named by its label pair, arrows between consecutive diagonal
+sides of a cell, relations for consecutive triples), loaded from JSON, or
+made from a shape (shape_quiver).
 A quiver's shape forgets vertex names and keeps positions, so quivers that
 differ only in vertex names share it (and their algebras agree up to that
 renaming).  canonical_form numbers a shape by a walk that its isomorphisms
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
-from .geometry import Dissection, cells
+from .geometry import Dissection, cells, sides
 
 Vertex = object
 
@@ -136,29 +137,24 @@ def quiver_of_dissection(d: Dissection) -> GentleQuiver:
     sides give an arrow (earlier to later) and three consecutive diagonal
     sides additionally give a relation between the two arrows.
     """
-    diagonals = set(d.diagonals)
-    vertices = tuple(c.vertex_pair() for c in d.diagonals)
+    vertices = tuple(d.white_pairs())
+    diagonals = set(vertices)
     arrows: list[Arrow] = []
     name_of: dict[tuple, str] = {}
     relations: set[tuple[str, str]] = set()
     for cell in cells(d):
-        sides = cell.sides
-        k = len(sides)
+        walk = sides(cell)
+        k = len(walk)
         for t in range(k):
-            s, s2 = sides[t], sides[(t + 1) % k]
+            s, s2 = walk[t], walk[(t + 1) % k]
             if s in diagonals and s2 in diagonals:
                 name = f"a{len(arrows)}"
-                arrows.append(Arrow(name, s.vertex_pair(), s2.vertex_pair()))
-                name_of[(s.vertex_pair(), s2.vertex_pair())] = name
+                arrows.append(Arrow(name, s, s2))
+                name_of[(s, s2)] = name
         for t in range(k):
-            s, s2, s3 = sides[t], sides[(t + 1) % k], sides[(t + 2) % k]
+            s, s2, s3 = walk[t], walk[(t + 1) % k], walk[(t + 2) % k]
             if k > 2 and s in diagonals and s2 in diagonals and s3 in diagonals:
-                relations.add(
-                    (
-                        name_of[(s.vertex_pair(), s2.vertex_pair())],
-                        name_of[(s2.vertex_pair(), s3.vertex_pair())],
-                    )
-                )
+                relations.add((name_of[(s, s2)], name_of[(s2, s3)]))
     return GentleQuiver(vertices, tuple(arrows), frozenset(relations))
 
 

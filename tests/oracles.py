@@ -368,11 +368,12 @@ def crossing_sequence(d: Dissection, black: Chord) -> CrossingSequence:
     crossed_set = set(crossed)
 
     for cell in cells(d):
-        hit = [s for s in cell.sides if s in crossed_set]
+        ring = [white_chord(cycle, u, v) for u, v in zip(cell, cell[1:] + cell[:1])]
+        hit = [s for s in ring if s in crossed_set]
         if not hit:
             continue
         if len(hit) != 2 or not (set(hit[0].endpoints()) & set(hit[1].endpoints())):
-            raise NotAccordionError(cell.vertices, [s.label() for s in hit])
+            raise NotAccordionError(cell, [s.label() for s in hit])
 
     start, other = black.a, black.b
 

@@ -10,8 +10,8 @@ from accordion_tau.errors import (
 )
 from accordion_tau.geometry import (
     Dissection,
-    all_black_diagonal_chords,
     all_dissections,
+    all_white_diagonal_pairs,
     black_chord,
     validate_dissection,
 )
@@ -153,7 +153,8 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
     for m in (4, 5, 6, 7):
         for d in all_dissections(m):
             want = []
-            for black in all_black_diagonal_chords(d.cycle):
+            for i, j in all_white_diagonal_pairs(m):
+                black = black_chord(d.cycle, i, j)
                 try:
                     want.append((black.label(), walk_g_vector(d, black)))
                 except NotAccordionError:
@@ -162,7 +163,8 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
             assert got == want, (m, d.white_pairs())
     for m in (4, 5, 6):
         for d in dissections_with_empty(m):
-            for black in all_black_diagonal_chords(d.cycle):
+            for i, j in all_white_diagonal_pairs(m):
+                black = black_chord(d.cycle, i, j)
                 try:
                     want = walk_g_vector(d, black)
                 except NotAccordionError as exc:

@@ -688,7 +688,17 @@ def test_cli_fuzz_exit_codes_and_error_lines(tmp_path_factory, command, fmt):
 # values; "@name" stands for a file under the test's tmp_path
 SMALL_INT = st.sampled_from(["-1", "0", "3", "4", "5", "6", "9", "x", ""])
 DIAGONALS = st.sampled_from(["0-2", "0-2,0-3", "1-3,3-5", "0-2,1-3", "0-2,0-2", "02", "0-9", ""])
-FILES = st.sampled_from(["@dissection.json", "@quiver.json", "@bad.json", "@missing.json"])
+# files json.load rejects with UnicodeDecodeError, RecursionError and a
+# ValueError for an integer too long to convert
+HOSTILE_FILES = {
+    "not-utf8.json": b'\xff\xfe{"m": 5, "diagonals": []}',
+    "deep.json": b"[" * 200_000,
+    "long-int.json": b'{"m": ' + b"9" * 5_000 + b', "diagonals": []}',
+}
+FILES = st.sampled_from(
+    ["@dissection.json", "@quiver.json", "@bad.json", "@missing.json"]
+    + [f"@{name}" for name in HOSTILE_FILES]
+)
 FLAG_VALUES = {
     "--m": SMALL_INT,
     "--exhaustive": SMALL_INT,
@@ -724,8 +734,28 @@ def test_cli_fuzz_argv_returns_a_defined_exit_code(tmp_path, monkeypatch, argv):
     (tmp_path / "dissection.json").write_text(json.dumps(dissection))
     (tmp_path / "quiver.json").write_text(json.dumps(A3_QUIVER))
     (tmp_path / "bad.json").write_text('{"m": 5, "diagonals": [[0, 2]')
+    for name, raw in HOSTILE_FILES.items():
+        (tmp_path / name).write_bytes(raw)
     argv = [str(tmp_path / token[1:]) if token.startswith("@") else token for token in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert type(code) is int and code in (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("name", HOSTILE_FILES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["accordion", "--input"],
+        ["silting", "--quiver"],
+        ["verify", "--theorem", "idempotent", "--j", "1", "--quiver"],
+    ],
+    ids=["accordion-input", "silting-quiver", "verify-idempotent-quiver"],
+)
+def test_undecodable_json_files_are_input_errors(capsys, tmp_path, name, argv):
+    path = tmp_path / name
+    path.write_bytes(HOSTILE_FILES[name])
+    code, out, err = run(capsys, [*argv, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1

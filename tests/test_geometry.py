@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,11 @@ from accordion_tau.geometry import (
     black_chord,
     cells,
     crosses,
+    sides,
     validate_dissection,
     white_chord,
 )
+from accordion_tau.quiver import quiver_of_dissection
 
 
 def test_point_cycle_layout():
@@ -106,20 +109,17 @@ def test_in_open_arc_basics():
 
 def test_cells_of_hexagon_fan(hexagon_fan):
     got = cells(hexagon_fan)
-    assert [c.vertices for c in got] == [
+    assert got == [
         (0, 1, 2),
         (0, 2, 3),
         (0, 3, 4),
         (0, 4, 5),
     ]
-    # each cell's sides join consecutive listed vertices
+    # each cell's sides join consecutive listed vertices, the closing side last
     for cell in got:
-        for t, side in enumerate(cell.sides):
-            expected = {
-                cell.vertices[t],
-                cell.vertices[(t + 1) % len(cell.vertices)],
-            }
-            assert {side.a // 2, side.b // 2} == expected
+        for t, side in enumerate(sides(cell)):
+            expected = {cell[t], cell[(t + 1) % len(cell)]}
+            assert set(side) == expected and side[0] < side[1]
 
 
 def test_cells_count_is_diagonals_plus_one():
@@ -131,7 +131,29 @@ def test_cells_count_is_diagonals_plus_one():
 def test_cell_interior_angles_sum():
     d = validate_dissection(8, [(0, 4)])
     two = cells(d)
-    assert [c.vertices for c in two] == [(0, 1, 2, 3, 4), (0, 4, 5, 6, 7)]
+    assert two == [(0, 1, 2, 3, 4), (0, 4, 5, 6, 7)]
+
+
+def test_cells_are_increasing_and_each_chord_bounds_the_right_cells():
+    # the incidence the accordion g-vector walk reads its inside/outside
+    # cells from: each diagonal closes exactly one cell and is a
+    # consecutive side of exactly one other, each boundary edge is a side
+    # of exactly one cell
+    for m in range(4, 9):
+        boundary = [(k, k + 1) for k in range(m - 1)] + [(0, m - 1)]
+        for d in dissections_with_empty(m):
+            faces = cells(d)
+            closing: list[tuple[int, int]] = []
+            steps: list[tuple[int, int]] = []
+            for cell in faces:
+                assert all(u < v for u, v in zip(cell, cell[1:])), (m, cell)
+                *consecutive, last = sides(cell)
+                closing.append(last)
+                steps += consecutive
+            for pair in d.white_pairs():
+                assert (closing.count(pair), steps.count(pair)) == (1, 1), (m, pair)
+            for edge in boundary:
+                assert closing.count(edge) + steps.count(edge) == 1, (m, edge)
 
 
 # sha256 of every dissection's cells for 4 <= m <= 8, empty ones included,
@@ -143,9 +165,23 @@ def test_cells_digest_is_frozen():
     h = hashlib.sha256()
     for m in range(4, 9):
         for d in dissections_with_empty(m):
-            faces = [(c.vertices, [s.label() for s in c.sides]) for c in cells(d)]
+            faces = [(cell, [f"{p}-{q}" for p, q in sides(cell)]) for cell in cells(d)]
             h.update((repr((m, d.white_pairs(), faces)) + "\n").encode())
     assert h.hexdigest() == CELLS_DIGEST
+
+
+# sha256 of every dissection's quiver for 4 <= m <= 8, empty ones included,
+# frozen from the quiver built on Chord sides before cells became label tuples
+QUIVER_DIGEST = "37a5ac3cffaad08e0fd0e50cc9c6a5786a44f6ea905d209140fa59808ea48150"
+
+
+def test_quiver_of_every_dissection_is_frozen():
+    h = hashlib.sha256()
+    for m in range(4, 9):
+        for d in dissections_with_empty(m):
+            q = json.dumps(quiver_of_dissection(d).to_json(), sort_keys=True)
+            h.update((repr((m, d.white_pairs(), q)) + "\n").encode())
+    assert h.hexdigest() == QUIVER_DIGEST
 
 
 def test_cells_ignore_the_order_of_the_diagonals():
