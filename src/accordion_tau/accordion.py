@@ -11,11 +11,10 @@ diagonal gets an integer g-vector with one coordinate per diagonal of d:
 diagonal share their lone vertex, and otherwise a sign read off from the
 lone vertex of the cell the walk from b_i reaches first.  The accordion
 complex collects pairwise noncrossing accordion diagonals; facets are the
-maximal such sets.  Cells are label tuples and their sides label pairs,
-so the split compares integers, and a black Chord is built only for the
-accordion diagonals that become vertices.  This module only builds the
-complex; the theorem checks that compare it (main and nested) live in
-verify.
+maximal such sets.  Every diagonal is its label pair, cells are label
+tuples and their sides label pairs, so the split and the crossing test
+compare integers.  This module only builds the complex; the theorem
+checks that compare it (main and nested) live in verify.
 """
 
 from __future__ import annotations
@@ -24,15 +23,7 @@ from dataclasses import dataclass
 
 from .complexes import ComplexVertex, LabeledComplex, clique_complex
 from .errors import NotAccordionError
-from .geometry import (
-    Chord,
-    Dissection,
-    all_white_diagonal_pairs,
-    black_chord,
-    cells,
-    crosses,
-    sides,
-)
+from .geometry import Dissection, all_white_diagonal_pairs, cells, crosses, sides
 
 
 def _g_vector_of(d: Dissection):
@@ -81,20 +72,21 @@ def _g_vector_of(d: Dissection):
     return g_vector_of
 
 
-def g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
+def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
     """One coordinate per diagonal of d, in dissection order.
 
-    For black = b_i-b_j, i < j, and S = {i+1, ..., j}: a diagonal (p, q),
-    p < q, with both or neither endpoint in S is not crossed and gets 0.  A
-    crossed one gets 0 when its two cells have the same lone vertex.
-    Otherwise take the lone vertex of the cell reached first from b_i, the
-    cell inside the arc p..q when p <= i < q and the other one otherwise:
-    the coordinate is +1 when that vertex lies outside S and -1 when inside.
+    For black = (i, j), the black diagonal b_i-b_j with i < j, and
+    S = {i+1, ..., j}: a diagonal (p, q), p < q, with both or neither
+    endpoint in S is not crossed and gets 0.  A crossed one gets 0 when its
+    two cells have the same lone vertex.  Otherwise take the lone vertex of
+    the cell reached first from b_i, the cell inside the arc p..q when
+    p <= i < q and the other one otherwise: the coordinate is +1 when that
+    vertex lies outside S and -1 when inside.
 
     Raises NotAccordionError, naming the first cell with two or more
     vertices on each side of S and its crossed sides in side order.
     """
-    i, j = black.vertex_pair()
+    i, j = black
     gvec = _g_vector_of(d)(i, j)
     if isinstance(gvec, int):
         cell = cells(d)[gvec]
@@ -105,7 +97,7 @@ def g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AccordionVertex:
-    black: Chord
+    black: tuple[int, int]
     gvec: tuple[int, ...]
 
 
@@ -116,7 +108,7 @@ def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
     for i, j in all_white_diagonal_pairs(d.cycle.m):
         gvec = g_vector_of(i, j)
         if not isinstance(gvec, int):
-            out.append(AccordionVertex(black_chord(d.cycle, i, j), gvec))
+            out.append(AccordionVertex((i, j), gvec))
     return out
 
 
@@ -124,12 +116,12 @@ def accordion_complex(d: Dissection) -> LabeledComplex:
     """Vertices: accordion diagonals; faces: pairwise noncrossing sets."""
     verts = accordion_vertices(d)
     cxverts = [
-        ComplexVertex(i, v.gvec, v.black.label(), {"black": list(v.black.vertex_pair())})
-        for i, v in enumerate(verts)
+        ComplexVertex(k, v.gvec, "b{}-b{}".format(*v.black), {"black": list(v.black)})
+        for k, v in enumerate(verts)
     ]
     return clique_complex(
         "accordion",
-        (delta.label() for delta in d.diagonals),
+        (f"{p}-{q}" for p, q in d.diagonals),
         cxverts,
         lambda i, j: not crosses(verts[i].black, verts[j].black),
     )

@@ -274,6 +274,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
             lines.extend(f"    {msg}" for msg in s["failures"][:10])
         if "report" in report:
             lines.extend(f"  {msg}" for msg in report["report"]["failures"])
+        for msg in report.get("spot_checks", {}).get("failures", []):
+            lines.append(f"  spot check: {msg}")
         emit(config, "\n".join(lines) + "\n")
     else:
         emit(config, _json_dump(report))

@@ -137,7 +137,7 @@ def quiver_of_dissection(d: Dissection) -> GentleQuiver:
     sides give an arrow (earlier to later) and three consecutive diagonal
     sides additionally give a relation between the two arrows.
     """
-    vertices = tuple(d.white_pairs())
+    vertices = d.diagonals
     diagonals = set(vertices)
     arrows: list[Arrow] = []
     name_of: dict[tuple, str] = {}

@@ -5,7 +5,8 @@ the package: dissections come from a base-edge cell recursion instead of a
 compatibility DFS, triangulations from ear recursion, side-of-chord tests
 from floating point cross products, accordion g-vectors from the crossed
 chords ordered along the black diagonal instead of a vertex split, chord
-crossings from cyclic distances instead of index comparisons, maximal
+crossings from cyclic distances between the oracle's own 2m points
+instead of label comparisons, maximal
 cliques, induced graphs, sign coherence and restrictions to vertex subsets
 on Python sets and per-coordinate scans instead of bitmasks, Hom
 dimensions from an intertwiner linear system with its own little
@@ -24,14 +25,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from accordion_tau.errors import InputError, InternalError, NotAccordionError
-from accordion_tau.geometry import (
-    Chord,
-    Dissection,
-    PointCycle,
-    cells,
-    crosses,
-    white_chord,
-)
+from accordion_tau.geometry import Dissection, PointCycle, cells
 from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AlgebraMismatchError
 from accordion_tau.linalg import RowSpace
@@ -267,12 +261,29 @@ def isomorphism_class_count(shapes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# geometry via floating point and cyclic distances
+# geometry on 2m points, via floating point and cyclic distances
+#
+# The oracle's own model of the polygon: 2m points sit counterclockwise on a
+# circle and alternate colours, white vertex k at point 2k and black vertex k
+# at point 2k+1, indices mod 2m.  A chord is the tuple (a, b), a < b, of its
+# two points.  The package never sees points: its diagonals are label pairs.
+
+
+def white_arc(cycle: PointCycle, p: int, q: int) -> tuple[int, int]:
+    """The chord between white vertices p and q, as its points."""
+    a, b = (2 * p) % (2 * cycle.m), (2 * q) % (2 * cycle.m)
+    return (min(a, b), max(a, b))
+
+
+def black_arc(cycle: PointCycle, i: int, j: int) -> tuple[int, int]:
+    """The chord between black vertices b_i and b_j, as its points."""
+    a, b = (2 * i + 1) % (2 * cycle.m), (2 * j + 1) % (2 * cycle.m)
+    return (min(a, b), max(a, b))
 
 
 def dist(cycle: PointCycle, a: int, b: int) -> int:
     """Counterclockwise steps from point a to point b."""
-    return (b - a) % cycle.n_points
+    return (b - a) % (2 * cycle.m)
 
 
 def float_left_of(m: int, p: int, q: int, x: int) -> bool:
@@ -307,12 +318,13 @@ def in_open_arc(cycle: PointCycle, start: int, end: int, x: int) -> bool:
     return 0 < dist(cycle, start, x) < dist(cycle, start, end)
 
 
-def arc_crosses(cycle: PointCycle, c1: Chord, c2: Chord) -> bool:
-    """Crossing by cyclic distances: no shared endpoint, and exactly one
-    endpoint of c2 inside the ccw arc of c1 (the package compares indices)."""
-    if set(c1.endpoints()) & set(c2.endpoints()):
+def arc_crosses(cycle: PointCycle, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
+    """Crossing of two chords, given as points, by cyclic distances: no
+    shared endpoint, and exactly one endpoint of c2 inside the ccw arc of c1
+    (the package compares labels)."""
+    if set(c1) & set(c2):
         return False
-    inside = in_open_arc(cycle, c1.a, c1.b, c2.a) + in_open_arc(cycle, c1.a, c1.b, c2.b)
+    inside = in_open_arc(cycle, *c1, c2[0]) + in_open_arc(cycle, *c1, c2[1])
     return inside == 1
 
 
@@ -325,12 +337,15 @@ class NotCrossedError(InputError):
         super().__init__(msg)
 
 
-def is_boundary(cycle: PointCycle, chord: Chord) -> bool:
-    return dist(cycle, chord.a, chord.b) in (2, cycle.n_points - 2)
+def is_boundary(cycle: PointCycle, chord: tuple[int, int]) -> bool:
+    """Does the chord, given as points, join two neighbouring vertices?"""
+    return dist(cycle, *chord) in (2, 2 * cycle.m - 2)
 
 
-def boundary_edges(cycle: PointCycle) -> list[Chord]:
-    return [white_chord(cycle, k, (k + 1) % cycle.m) for k in range(cycle.m)]
+def boundary_edges(cycle: PointCycle) -> list[tuple[int, int]]:
+    """The m boundary edges, as white label pairs (p, q) with p < q."""
+    m = cycle.m
+    return [(min(k, (k + 1) % m), max(k, (k + 1) % m)) for k in range(m)]
 
 
 def left_of(cycle: PointCycle, p: int, q: int, x: int) -> bool:
@@ -342,57 +357,72 @@ def left_of(cycle: PointCycle, p: int, q: int, x: int) -> bool:
     return 0 < dist(cycle, q, x) < dist(cycle, q, p)
 
 
+def _pair_label(pair: tuple[int, int]) -> str:
+    return f"{pair[0]}-{pair[1]}"
+
+
 @dataclass(frozen=True)
 class CrossingSequence:
     """The white chords crossed by a black diagonal, ordered along it.
 
-    start is the endpoint of the black chord the ordering begins at (the
-    smaller point index).  The first and last entries are always boundary
-    edges; diagonals of the dissection sit in between.
+    black is the black chord as its points, and start the point the
+    ordering begins at (the smaller one).  entries are white label pairs;
+    the first and last are always boundary edges, and diagonals of the
+    dissection sit in between.
     """
 
-    black: Chord
-    entries: tuple[Chord, ...]
+    black: tuple[int, int]
+    entries: tuple[tuple[int, int], ...]
     start: int
 
 
-def crossing_sequence(d: Dissection, black: Chord) -> CrossingSequence:
-    """Crossed sides of the dissection, in order along the black diagonal.
+def crossing_sequence(d: Dissection, black: tuple[int, int]) -> CrossingSequence:
+    """Crossed sides of the dissection, in order along the black diagonal
+    b_i-b_j, given by its labels (i, j).
 
     Raises NotAccordionError as soon as some cell sees the black diagonal
     enter and leave through sides with no common white vertex.
     """
     cycle = d.cycle
-    crossed = [e for e in boundary_edges(cycle) if crosses(black, e)]
-    crossed += [w for w in d.diagonals if crosses(black, w)]
+    arc = black_arc(cycle, *black)
+
+    def hit(pair):
+        return arc_crosses(cycle, arc, white_arc(cycle, *pair))
+
+    crossed = [e for e in boundary_edges(cycle) if hit(e)]
+    crossed += [w for w in d.diagonals if hit(w)]
     crossed_set = set(crossed)
 
     for cell in cells(d):
-        ring = [white_chord(cycle, u, v) for u, v in zip(cell, cell[1:] + cell[:1])]
-        hit = [s for s in ring if s in crossed_set]
-        if not hit:
+        ring = [(min(u, v), max(u, v)) for u, v in zip(cell, cell[1:] + cell[:1])]
+        sides_hit = [s for s in ring if s in crossed_set]
+        if not sides_hit:
             continue
-        if len(hit) != 2 or not (set(hit[0].endpoints()) & set(hit[1].endpoints())):
-            raise NotAccordionError(cell, [s.label() for s in hit])
+        if len(sides_hit) != 2 or not (set(sides_hit[0]) & set(sides_hit[1])):
+            raise NotAccordionError(cell, [_pair_label(s) for s in sides_hit])
 
-    start, other = black.a, black.b
+    start, other = arc
 
-    def key(chord: Chord):
+    def key(pair):
         # exactly one endpoint lies on the arc swept from start toward other
-        if in_open_arc(cycle, start, other, chord.a):
-            right, left = chord.a, chord.b
+        a, b = white_arc(cycle, *pair)
+        if in_open_arc(cycle, start, other, a):
+            right, left = a, b
         else:
-            right, left = chord.b, chord.a
+            right, left = b, a
         return (dist(cycle, start, right), -dist(cycle, start, left))
 
     ordered = tuple(sorted(crossed, key=key))
     # the walk starts and ends by stepping over the boundary next to an endpoint
-    if not (is_boundary(cycle, ordered[0]) and is_boundary(cycle, ordered[-1])):
-        raise InternalError(f"crossing sequence of {black.label()} must end on the boundary")
-    return CrossingSequence(black, ordered, start)
+    ends = (white_arc(cycle, *ordered[0]), white_arc(cycle, *ordered[-1]))
+    if not all(is_boundary(cycle, end) for end in ends):
+        raise InternalError(
+            f"crossing sequence of b{black[0]}-b{black[1]} must end on the boundary"
+        )
+    return CrossingSequence(arc, ordered, start)
 
 
-def sign(delta: Chord, d: Dissection, seq: CrossingSequence) -> int:
+def sign(delta: tuple[int, int], d: Dissection, seq: CrossingSequence) -> int:
     """Turn direction of the zigzag at a crossed diagonal: +1, -1 or 0.
 
     Looks at the white vertices the crossing sequence pivots around just
@@ -404,21 +434,26 @@ def sign(delta: Chord, d: Dissection, seq: CrossingSequence) -> int:
     try:
         k = seq.entries.index(delta)
     except ValueError:
-        raise NotCrossedError(f"{delta.label()} is not crossed by {seq.black.label()}") from None
-    prev_shared = set(seq.entries[k - 1].endpoints()) & set(delta.endpoints())
-    next_shared = set(seq.entries[k + 1].endpoints()) & set(delta.endpoints())
+        a, b = seq.black
+        raise NotCrossedError(
+            f"{_pair_label(delta)} is not crossed by b{(a - 1) // 2}-b{(b - 1) // 2}"
+        ) from None
+    prev_shared = set(seq.entries[k - 1]) & set(delta)
+    next_shared = set(seq.entries[k + 1]) & set(delta)
     if len(prev_shared) != 1 or len(next_shared) != 1:
-        raise InternalError(f"{delta.label()} must share one endpoint with each neighbor")
+        raise InternalError(f"{_pair_label(delta)} must share one endpoint with each neighbor")
     (x,) = prev_shared
     (y,) = next_shared
     if x == y:
         return 0
-    other = seq.black.b if seq.start == seq.black.a else seq.black.a
-    return 1 if left_of(cycle, seq.start, other, x) else -1
+    a, b = seq.black
+    other = b if seq.start == a else a
+    return 1 if left_of(cycle, seq.start, other, 2 * x) else -1
 
 
-def walk_g_vector(d: Dissection, black: Chord) -> tuple[int, ...]:
-    """The accordion g-vector read off the ordered crossing sequence."""
+def walk_g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
+    """The accordion g-vector of b_i-b_j, given by its labels (i, j), read
+    off the ordered crossing sequence."""
     seq = crossing_sequence(d, black)
     crossed = set(seq.entries)
     return tuple(

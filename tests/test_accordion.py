@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -12,12 +13,19 @@ from accordion_tau.geometry import (
     Dissection,
     all_dissections,
     all_white_diagonal_pairs,
-    black_chord,
     validate_dissection,
 )
 from accordion_tau.verify import verify_nested
 from conftest import dissections_with_empty
-from oracles import CrossingSequence, NotCrossedError, crossing_sequence, sign, walk_g_vector
+from oracles import (
+    CrossingSequence,
+    NotCrossedError,
+    arc_crosses,
+    black_arc,
+    crossing_sequence,
+    sign,
+    walk_g_vector,
+)
 
 # all nine accordion g-vectors of the hexagon fan, worked out by hand
 # before the implementation existed
@@ -35,19 +43,19 @@ FAN_GVECTORS = {
 
 
 def test_fan_gvectors_match_hand_computation(hexagon_fan):
-    got = {v.black.vertex_pair(): v.gvec for v in accordion_vertices(hexagon_fan)}
+    got = {v.black: v.gvec for v in accordion_vertices(hexagon_fan)}
     assert got == FAN_GVECTORS
 
 
 def test_fan_crossing_sequence_order(hexagon_fan):
-    seq = crossing_sequence(hexagon_fan, black_chord(hexagon_fan.cycle, 0, 3))
-    assert [c.label() for c in seq.entries] == ["0-1", "0-2", "0-3", "3-4"]
+    seq = crossing_sequence(hexagon_fan, (0, 3))
+    assert seq.entries == ((0, 1), (0, 2), (0, 3), (3, 4))
     assert seq.start == 1
 
 
 def test_single_diagonal_hexagon():
     d = validate_dissection(6, [(0, 3)])
-    got = {v.black.vertex_pair(): v.gvec for v in accordion_vertices(d)}
+    got = {v.black: v.gvec for v in accordion_vertices(d)}
     assert got == {(0, 3): (1,), (2, 5): (-1,)}
     cx = accordion_complex(d)
     assert len(cx.facets) == 2
@@ -56,12 +64,12 @@ def test_single_diagonal_hexagon():
 def test_perpendicular_black_diagonal_is_rejected():
     d = validate_dissection(6, [(0, 3)])
     with pytest.raises(NotAccordionError) as exc:
-        g_vector(d, black_chord(d.cycle, 1, 4))
+        g_vector(d, (1, 4))
     assert "not an accordion" in str(exc.value)
 
 
 def test_sign_raises_on_uncrossed_diagonal(hexagon_fan):
-    seq = crossing_sequence(hexagon_fan, black_chord(hexagon_fan.cycle, 0, 2))
+    seq = crossing_sequence(hexagon_fan, (0, 2))
     with pytest.raises(NotCrossedError):
         sign(hexagon_fan.diagonals[2], hexagon_fan, seq)
 
@@ -74,7 +82,7 @@ def test_sign_is_reversal_invariant():
             for v in accordion_vertices(d):
                 seq = crossing_sequence(d, v.black)
                 flipped = CrossingSequence(
-                    v.black, tuple(reversed(seq.entries)), v.black.b
+                    seq.black, tuple(reversed(seq.entries)), seq.black[1]
                 )
                 for delta in d.diagonals:
                     if delta in seq.entries:
@@ -82,7 +90,7 @@ def test_sign_is_reversal_invariant():
 
 
 def test_gvector_support_is_the_crossed_set(hexagon_fan):
-    black = black_chord(hexagon_fan.cycle, 1, 3)
+    black = (1, 3)
     seq = crossing_sequence(hexagon_fan, black)
     g = g_vector(hexagon_fan, black)
     for k, delta in enumerate(hexagon_fan.diagonals):
@@ -110,7 +118,7 @@ def test_verify_nested_v_shape_restriction(hexagon_fan):
     # (b1, b4) crosses all three fan diagonals with a V at the middle one,
     # so its g-vector has a zero on a crossed coordinate; dropping that
     # coordinate must reproduce the sub-dissection's g-vector exactly
-    black = black_chord(hexagon_fan.cycle, 1, 4)
+    black = (1, 4)
     seq = crossing_sequence(hexagon_fan, black)
     assert hexagon_fan.diagonals[1] in seq.entries
     assert g_vector(hexagon_fan, black) == (-1, 0, 1)
@@ -143,7 +151,7 @@ def test_every_accordion_gvector_is_nonzero():
     for m in (4, 5, 6, 7):
         for d in all_dissections(m):
             for v in accordion_vertices(d):
-                assert any(x != 0 for x in v.gvec), (m, d.white_pairs(), v.black.label())
+                assert any(x != 0 for x in v.gvec), (m, d.white_pairs(), v.black)
 
 
 def test_accordion_vertices_match_the_crossing_walk_oracle():
@@ -153,18 +161,16 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
     for m in (4, 5, 6, 7):
         for d in all_dissections(m):
             want = []
-            for i, j in all_white_diagonal_pairs(m):
-                black = black_chord(d.cycle, i, j)
+            for black in all_white_diagonal_pairs(m):
                 try:
-                    want.append((black.label(), walk_g_vector(d, black)))
+                    want.append((black, walk_g_vector(d, black)))
                 except NotAccordionError:
                     continue
-            got = [(v.black.label(), v.gvec) for v in accordion_vertices(d)]
+            got = [(v.black, v.gvec) for v in accordion_vertices(d)]
             assert got == want, (m, d.white_pairs())
     for m in (4, 5, 6):
         for d in dissections_with_empty(m):
-            for i, j in all_white_diagonal_pairs(m):
-                black = black_chord(d.cycle, i, j)
+            for black in all_white_diagonal_pairs(m):
                 try:
                     want = walk_g_vector(d, black)
                 except NotAccordionError as exc:
@@ -173,7 +179,7 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
                     got = g_vector(d, black)
                 except NotAccordionError as exc:
                     got = str(exc)
-                assert got == want, (m, d.white_pairs(), black.label())
+                assert got == want, (m, d.white_pairs(), black)
 
 
 # sha256 of every dissection's (black label, g-vector) list for 4 <= m <= 8,
@@ -185,6 +191,38 @@ def test_accordion_vertices_digest_is_frozen():
     h = hashlib.sha256()
     for m in range(4, 9):
         for d in all_dissections(m):
-            verts = [(v.black.label(), v.gvec) for v in accordion_vertices(d)]
+            verts = [("b{}-b{}".format(*v.black), v.gvec) for v in accordion_vertices(d)]
             h.update((repr((m, d.white_pairs(), verts)) + "\n").encode())
     assert h.hexdigest() == ACCORDION_DIGEST
+
+
+# sha256 of every dissection's accordion complex for 4 <= m <= 8, empty ones
+# included, frozen from the complex built on black Chords with their colour
+ACCORDION_COMPLEX_DIGEST = "657e5dacd9312da6f97a6478adddac5056a993de32a3433689554474f3da36eb"
+
+
+def test_accordion_complex_of_every_dissection_is_frozen():
+    h = hashlib.sha256()
+    for m in range(4, 9):
+        for d in dissections_with_empty(m):
+            cx = json.dumps(accordion_complex(d).to_json(), sort_keys=True)
+            h.update((repr((m, d.white_pairs(), cx)) + "\n").encode())
+    assert h.hexdigest() == ACCORDION_COMPLEX_DIGEST
+
+
+def test_accordion_graph_is_the_oracle_noncrossing_relation():
+    # two accordion diagonals are adjacent exactly when their black chords,
+    # as points, do not cross by cyclic distances
+    for m in range(4, 8):
+        for d in dissections_with_empty(m):
+            cx = accordion_complex(d)
+            arcs = [black_arc(d.cycle, *v.payload["black"]) for v in cx.vertices]
+            want = [
+                sum(
+                    1 << v
+                    for v, b in enumerate(arcs)
+                    if v != u and not arc_crosses(d.cycle, a, b)
+                )
+                for u, a in enumerate(arcs)
+            ]
+            assert list(cx.graph) == want, (m, d.white_pairs())

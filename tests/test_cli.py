@@ -313,10 +313,8 @@ def test_an_impure_accordion_complex_fails_verify_with_a_witness(capsys, monkeyp
     # b0-b2 and b1-b3 cross; calling them compatible makes the accordion
     # complex impure, which is a failed instance (exit 1), not an error
     real = accordion.crosses
-    pair = {"b0-b2", "b1-b3"}
-    monkeypatch.setattr(
-        accordion, "crosses", lambda x, y: real(x, y) and {x.label(), y.label()} != pair
-    )
+    pair = {(0, 2), (1, 3)}
+    monkeypatch.setattr(accordion, "crosses", lambda x, y: real(x, y) and {x, y} != pair)
     code, out, err = run(capsys, ["verify", *FAN, "--format", "text"])
     assert (code, err) == (1, "")
     assert out == (
@@ -455,6 +453,31 @@ def test_verify_exhaustive_with_seed(capsys):
     data = json.loads(out)
     assert data["spot_checks"]["failures"] == []
     assert data["spot_checks"]["instances"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        ([*FAN], ["status: fail"]),
+        (["--exhaustive", "4"], ["status: fail", "  main: 2/2 passed"]),
+    ],
+    ids=["single", "exhaustive"],
+)
+def test_verify_text_names_each_failed_spot_check(capsys, monkeypatch, argv, head):
+    # a failed additivity check must show its witness, not only the status
+    def broken(q, seed):
+        return [f"hom_shift on {len(q.vertices)} vertices, seed {seed}, is not additive"]
+
+    monkeypatch.setattr(cli, "additivity_spotcheck", broken)
+    code, out, err = run(capsys, ["verify", *argv, "--seed", "5", "--format", "text"])
+    assert (code, err) == (1, "")
+    # the fan's quiver has 3 vertices; both 4-gon dissections' quivers have 1
+    sizes = [3] if argv == FAN else [1, 1]
+    failures = [f"hom_shift on {n} vertices, seed 5, is not additive" for n in sizes]
+    assert out.splitlines() == head + [f"  spot check: {msg}" for msg in failures]
+    code, out, _ = run(capsys, ["verify", *argv, "--seed", "5"])
+    assert code == 1
+    assert json.loads(out)["spot_checks"]["failures"] == failures
 
 
 def test_verify_all_needs_exhaustive(capsys):

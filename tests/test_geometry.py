@@ -17,21 +17,32 @@ from accordion_tau.geometry import (
     PointCycle,
     all_dissections,
     all_white_diagonal_pairs,
-    black_chord,
     cells,
     crosses,
     sides,
     validate_dissection,
-    white_chord,
 )
 from accordion_tau.quiver import quiver_of_dissection
 
 
 def test_point_cycle_layout():
+    # the oracle's own point model: white k is point 2k, black k is point
+    # 2k+1, and a chord lists its smaller point first
     cycle = PointCycle(4)
-    assert cycle.n_points == 8
-    assert [cycle.white(k) for k in range(4)] == [0, 2, 4, 6]
-    assert [cycle.black(k) for k in range(4)] == [1, 3, 5, 7]
+    assert [oracles.white_arc(cycle, k, k + 1) for k in range(4)] == [
+        (0, 2),
+        (2, 4),
+        (4, 6),
+        (0, 6),
+    ]
+    assert [oracles.black_arc(cycle, k, k + 2) for k in range(4)] == [
+        (1, 5),
+        (3, 7),
+        (1, 5),
+        (3, 7),
+    ]
+    with pytest.raises(InputError):
+        PointCycle(2)
 
 
 def test_oracle_dist_counts_counterclockwise_steps():
@@ -74,13 +85,15 @@ chord_pairs = st.integers(min_value=4, max_value=9).flatmap(
 
 @given(chord_pairs)
 def test_crosses_symmetric_and_matches_float(case):
+    # the same label pairs name a white and a black diagonal pair, and both
+    # cross exactly when the labels interleave
     m, (p1, p2) = case
     cycle = PointCycle(m)
-    c1, c2 = white_chord(cycle, *p1), white_chord(cycle, *p2)
-    assert crosses(c1, c2) == crosses(c2, c1)
-    assert crosses(c1, c2) == oracles.float_crosses(
-        m, c1.endpoints(), c2.endpoints()
-    )
+    assert crosses(p1, p2) == crosses(p2, p1)
+    for arc in (oracles.white_arc, oracles.black_arc):
+        assert crosses(p1, p2) == oracles.float_crosses(
+            m, arc(cycle, *p1), arc(cycle, *p2)
+        )
 
 
 @given(
@@ -227,29 +240,47 @@ def test_triangulations_against_ear_oracle():
 @given(st.integers(min_value=4, max_value=8), st.data())
 @settings(max_examples=40)
 def test_black_chord_crossing_is_antisymmetric_in_arcs(m, data):
+    # mixed colours cross only in the oracle's point model: a black and a
+    # white chord share no point, so they cross when exactly one white
+    # endpoint lies inside the black chord's arc
     pairs = all_white_diagonal_pairs(m)
     cycle = PointCycle(m)
-    b = black_chord(cycle, *data.draw(st.sampled_from(pairs)))
-    w = white_chord(cycle, *data.draw(st.sampled_from(pairs)))
+    b = oracles.black_arc(cycle, *data.draw(st.sampled_from(pairs)))
+    w = oracles.white_arc(cycle, *data.draw(st.sampled_from(pairs)))
     arc = oracles.in_open_arc
-    inside = arc(cycle, b.a, b.b, w.a) + arc(cycle, b.a, b.b, w.b)
-    assert crosses(b, w) == (inside == 1)
+    inside = arc(cycle, *b, w[0]) + arc(cycle, *b, w[1])
+    assert oracles.arc_crosses(cycle, b, w) == (inside == 1)
+    assert oracles.arc_crosses(cycle, w, b) == (inside == 1)
 
 
 def test_crosses_matches_the_cyclic_distance_oracle_on_every_chord_pair():
-    # boundary edges included; white-white, black-black and mixed pairs
+    # boundary edges included; white-white and black-black pairs, each
+    # diagonal its label pair for the package and its points for the oracle
     checked = 0
     for m in range(3, 9):
         cycle = PointCycle(m)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        chords = [white_chord(cycle, *p) for p in pairs]
-        chords += [black_chord(cycle, *p) for p in pairs]
-        for c1 in chords:
-            for c2 in chords:
-                assert crosses(c1, c2) == oracles.arc_crosses(cycle, c1, c2), (
-                    m,
-                    c1,
-                    c2,
-                )
+        for arc in (oracles.white_arc, oracles.black_arc):
+            for p1 in pairs:
+                for p2 in pairs:
+                    want = oracles.arc_crosses(cycle, arc(cycle, *p1), arc(cycle, *p2))
+                    assert crosses(p1, p2) == want, (m, arc.__name__, p1, p2)
+                    checked += 1
+    assert checked == sum(2 * (m * (m - 1) // 2) ** 2 for m in range(3, 9))
+
+
+def test_mixed_colour_crossing_matches_float_on_every_chord_pair():
+    # the package never crosses a black diagonal with a white one; the
+    # oracle does, and its cyclic distances must agree with float geometry
+    checked = 0
+    for m in range(3, 9):
+        cycle = PointCycle(m)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for p1 in pairs:
+            for p2 in pairs:
+                b, w = oracles.black_arc(cycle, *p1), oracles.white_arc(cycle, *p2)
+                want = oracles.float_crosses(m, b, w)
+                assert oracles.arc_crosses(cycle, b, w) == want, (m, p1, p2)
+                assert oracles.arc_crosses(cycle, w, b) == want, (m, p1, p2)
                 checked += 1
-    assert checked == sum((m * (m - 1)) ** 2 for m in range(3, 9))
+    assert checked == sum((m * (m - 1) // 2) ** 2 for m in range(3, 9))

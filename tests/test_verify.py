@@ -260,13 +260,13 @@ def test_audit_rejects_a_triangle_boundary_by_degree_alone():
     assert verify.audit_complex(cx) == ["dual graph degrees [2] instead of 3"]
 
 
-def relabel_crossing(monkeypatch, pair: set[str], crossing: bool) -> None:
-    """Make the accordion side call the two black diagonals of pair crossing
-    (or not), whatever the geometry says."""
+def relabel_crossing(monkeypatch, pair: set[tuple[int, int]], crossing: bool) -> None:
+    """Make the accordion side call the two black diagonals of pair, given by
+    their label pairs, crossing (or not), whatever the geometry says."""
     monkeypatch.setattr(
         accordion,
         "crosses",
-        lambda x, y: crossing if {x.label(), y.label()} == pair else crosses(x, y),
+        lambda x, y: crossing if {x, y} == pair else crosses(x, y),
     )
 
 
@@ -274,7 +274,7 @@ def test_a_dropped_compatible_pair_fails_the_instance_and_is_named(monkeypatch):
     # b0-b2 and b2-b4 do not cross; calling them crossing drops one edge of
     # the accordion side's compatibility graph
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
-    relabel_crossing(monkeypatch, {"b0-b2", "b2-b4"}, True)
+    relabel_crossing(monkeypatch, {(0, 2), (2, 4)}, True)
     report = verify.verify_main(fan)
     assert not report.passed and report.vertex_map is None
     assert report.failures == [
@@ -287,7 +287,7 @@ def test_an_impure_accordion_complex_fails_the_main_check(monkeypatch):
     # b0-b2 and b1-b3 cross; calling them compatible makes a four-vertex
     # facet, which the label-blind search reports instead of raising
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
-    relabel_crossing(monkeypatch, {"b0-b2", "b1-b3"}, False)
+    relabel_crossing(monkeypatch, {(0, 2), (1, 3)}, False)
     report = verify.verify_main(fan)
     assert not report.passed and report.generic_found is None
     assert report.failures == [
