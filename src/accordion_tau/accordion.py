@@ -11,65 +11,131 @@ diagonal gets an integer g-vector with one coordinate per diagonal of d:
 diagonal share their lone vertex, and otherwise a sign read off from the
 lone vertex of the cell the walk from b_i reaches first.  The accordion
 complex collects pairwise noncrossing accordion diagonals; facets are the
-maximal such sets.  Every diagonal is its label pair, cells are label
-tuples and their sides label pairs, so the split and the crossing test
-compare integers.  This module only builds the complex; the theorem
-checks that compare it (main and nested) live in verify.
+maximal such sets.
+
+Everything is computed for all black diagonals at once, on bitmasks whose
+bit k stands for the k-th pair of all_white_diagonal_pairs(m).  Two split
+masks depend only on m and are built once per m: member[v] holds the black
+diagonals whose S holds white vertex v, and below[p] those (i, j) with
+i < p, so below[q] ^ below[p] holds those with p <= i < q.  One pass over
+the cells of d then folds each cell's member masks into in1, in2, out1 and
+out2, the black diagonals with at least one or two of the cell's vertices
+inside S, or outside.  The cell straddles the diagonals in in2 & out2, and
+the accordion diagonals are those no cell straddles.  lone_in = in1 & ~in2
+holds those for which the cell's lone vertex lies inside S.
+
+A diagonal (p, q) of d is crossed by the black diagonals in
+member[p] ^ member[q].  Its two cells, A inside the arc p..q and B outside,
+meet only in p and q, so where the diagonal is crossed and neither cell
+straddles, each cell's lone vertex is p or q, whichever is alone on its
+side, and the two lone vertices differ exactly when lone_in[A] and
+lone_in[B] differ: nonzero = (member[p] ^ member[q]) & (lone_in[A] ^
+lone_in[B]).  The walk from b_i reaches A first when p <= i < q, so with
+arc = below[q] ^ below[p] the first lone vertex lies in S on
+first_in = (arc & lone_in[A]) | (~arc & lone_in[B]).  Then
+minus = nonzero & first_in and plus = nonzero & ~first_in, and coordinate
+t of black diagonal k is +1, -1 or 0 by bit k of plus_t and minus_t.
+
+The compatibility graph is the subgraph that geometry.noncrossing(m)
+induces on the accordion diagonals, since black diagonals are indexed by
+the same label pairs as white ones.  This module only builds the complex;
+the theorem checks that compare it (main and nested) live in verify.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .complexes import ComplexVertex, LabeledComplex, clique_complex
-from .errors import NotAccordionError
-from .geometry import Dissection, all_white_diagonal_pairs, cells, crosses, sides
+from .complexes import ComplexVertex, LabeledComplex, clique_complex, induced_graph
+from .errors import InputError, NotAccordionError
+from .geometry import Dissection, all_white_diagonal_pairs, cells, noncrossing, sides
 
 
-def _g_vector_of(d: Dissection):
-    """The g-vector function of d, with the cells of d and the two cells
-    on either side of each diagonal found once.  Called on the black labels
-    (i, j), i < j, it returns the g-vector of an accordion diagonal, and for
-    any other black diagonal the index of the first cell with two or more
-    vertices on each side of S, so that callers who skip those diagonals
-    build no error message."""
+class _Split(NamedTuple):
+    """The split masks of the m-gon's black diagonals, in
+    all_white_diagonal_pairs(m) order: their pairs, their labels, member[v]
+    for each white vertex v and below[p] for 0 <= p <= m."""
+
+    blacks: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    member: tuple[int, ...]
+    below: tuple[int, ...]
+
+
+@functools.cache
+def _split(m: int) -> _Split:
+    blacks = tuple(all_white_diagonal_pairs(m))
+    return _Split(
+        blacks,
+        tuple(f"b{i}-b{j}" for i, j in blacks),
+        tuple(
+            sum(1 << k for k, (i, j) in enumerate(blacks) if i < v <= j)
+            for v in range(m)
+        ),
+        tuple(
+            sum(1 << k for k, (i, _) in enumerate(blacks) if i < p)
+            for p in range(m + 1)
+        ),
+    )
+
+
+def _split_pass(d: Dissection, split: _Split):
+    """The cells of d, each cell's straddle mask, and the plus and minus
+    masks of each diagonal of d, in dissection order."""
+    member, below = split.member, split.below
+    full = below[-1]
     faces = cells(d)
+    straddle: list[int] = []
+    lone_in: list[int] = []
     # a cell's labels increase counterclockwise, so the cell lies inside the
     # arc p..q of its closing side (p, q) and outside the arcs of its other
     # sides
     inside: dict[tuple[int, int], int] = {}
     outside: dict[tuple[int, int], int] = {}
     for c, cell in enumerate(faces):
+        in1 = in2 = out1 = out2 = 0
+        for v in cell:
+            s = member[v]
+            in2 |= in1 & s
+            in1 |= s
+            s ^= full
+            out2 |= out1 & s
+            out1 |= s
+        straddle.append(in2 & out2)
+        lone_in.append(in1 & ~in2)
         *steps, closing = sides(cell)
         inside[closing] = c
         outside.update((side, c) for side in steps)
-    pairs = d.white_pairs()
+    plus: list[int] = []
+    minus: list[int] = []
+    for p, q in d.diagonals:
+        a, b = lone_in[inside[p, q]], lone_in[outside[p, q]]
+        arc = below[q] ^ below[p]
+        nonzero = (member[p] ^ member[q]) & (a ^ b)
+        first_in = (arc & a) | (~arc & b)
+        minus.append(nonzero & first_in)
+        plus.append(nonzero & ~first_in)
+    return faces, straddle, plus, minus
 
-    def g_vector_of(i: int, j: int) -> tuple[int, ...] | int:
-        lone: list[int | None] = []
-        for c, cell in enumerate(faces):
-            in_s = [v for v in cell if i < v <= j]
-            out_s = [v for v in cell if not i < v <= j]
-            if len(in_s) == 1:
-                lone.append(in_s[0])
-            elif len(out_s) == 1:
-                lone.append(out_s[0])
-            elif in_s and out_s:
-                return c
-            else:
-                lone.append(None)
-        gvec = []
-        for p, q in pairs:
-            if (i < p <= j) == (i < q <= j):
-                gvec.append(0)
-                continue
-            first, second = lone[inside[p, q]], lone[outside[p, q]]
-            if not p <= i < q:
-                first, second = second, first
-            gvec.append(0 if first == second else -1 if i < first <= j else 1)
-        return tuple(gvec)
 
-    return g_vector_of
+def _gvecs(rows, plus: list[int], minus: list[int]) -> list[tuple[int, ...]]:
+    """The g-vectors of the black diagonals at positions rows."""
+    signs = list(zip(plus, minus))
+    return [tuple([(a >> k & 1) - (b >> k & 1) for a, b in signs]) for k in rows]
+
+
+def _accordion(d: Dissection):
+    """The split masks of d's m-gon, the positions of d's accordion
+    diagonals in increasing order, and their g-vectors."""
+    split = _split(d.cycle.m)
+    _, straddle, plus, minus = _split_pass(d, split)
+    rejected = 0
+    for s in straddle:
+        rejected |= s
+    rows = [k for k in range(len(split.blacks)) if not rejected >> k & 1]
+    return split, rows, _gvecs(rows, plus, minus)
 
 
 def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
@@ -83,16 +149,26 @@ def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
     p <= i < q and the other one otherwise: the coordinate is +1 when that
     vertex lies outside S and -1 when inside.
 
-    Raises NotAccordionError, naming the first cell with two or more
-    vertices on each side of S and its crossed sides in side order.
+    Raises InputError when black is not a black diagonal of d's m-gon, and
+    NotAccordionError, naming the first cell with two or more vertices on
+    each side of S and its crossed sides in side order.
     """
+    m = d.cycle.m
+    split = _split(m)
+    black = tuple(black)
+    if black not in split.blacks:
+        raise InputError(
+            f"{black} is not a black diagonal of the {m}-gon: "
+            f"need labels 0 <= i < j < {m}, not adjacent, and not (0, {m - 1})"
+        )
+    k = split.blacks.index(black)
+    faces, straddle, plus, minus = _split_pass(d, split)
     i, j = black
-    gvec = _g_vector_of(d)(i, j)
-    if isinstance(gvec, int):
-        cell = cells(d)[gvec]
-        crossed = [f"{p}-{q}" for p, q in sides(cell) if (i < p <= j) != (i < q <= j)]
-        raise NotAccordionError(cell, crossed)
-    return gvec
+    for cell, s in zip(faces, straddle):
+        if s >> k & 1:
+            crossed = [f"{p}-{q}" for p, q in sides(cell) if (i < p <= j) != (i < q <= j)]
+            raise NotAccordionError(cell, crossed)
+    return _gvecs([k], plus, minus)[0]
 
 
 @dataclass(frozen=True)
@@ -103,25 +179,20 @@ class AccordionVertex:
 
 def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
     """All accordion diagonals of d with their g-vectors, by black label."""
-    g_vector_of = _g_vector_of(d)
-    out = []
-    for i, j in all_white_diagonal_pairs(d.cycle.m):
-        gvec = g_vector_of(i, j)
-        if not isinstance(gvec, int):
-            out.append(AccordionVertex((i, j), gvec))
-    return out
+    split, rows, gvecs = _accordion(d)
+    return [AccordionVertex(split.blacks[k], g) for k, g in zip(rows, gvecs)]
 
 
 def accordion_complex(d: Dissection) -> LabeledComplex:
     """Vertices: accordion diagonals; faces: pairwise noncrossing sets."""
-    verts = accordion_vertices(d)
-    cxverts = [
-        ComplexVertex(k, v.gvec, "b{}-b{}".format(*v.black), {"black": list(v.black)})
-        for k, v in enumerate(verts)
+    split, rows, gvecs = _accordion(d)
+    verts = [
+        ComplexVertex(n, g, split.labels[k], {"black": list(split.blacks[k])})
+        for n, (k, g) in enumerate(zip(rows, gvecs))
     ]
     return clique_complex(
         "accordion",
         (f"{p}-{q}" for p, q in d.diagonals),
-        cxverts,
-        lambda i, j: not crosses(verts[i].black, verts[j].black),
+        verts,
+        induced_graph(noncrossing(d.cycle.m), rows),
     )

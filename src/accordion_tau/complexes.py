@@ -7,10 +7,12 @@ silting complexes of gentle algebras) are both clique complexes of a
 pairwise compatibility relation, built by `clique_complex`, so the
 construction, the isomorphism checks, dual graphs and structural audits are
 shared.  A clique complex carries its compatibility graph as one int
-bitmask of neighbours per vertex (`graph`), and builds its facets, the
-maximal cliques (`maximal_cliques`, Bron-Kerbosch on those masks), when
-they are first read; for a complex that `clique_complex` builds, that read
-also checks that every facet holds one vertex per coordinate.
+bitmask of neighbours per vertex (`graph`): the accordion side reads it off
+a per-m table, and `compatibility_graph` asks a predicate once per pair
+for the silting side.  The complex builds its facets, the maximal cliques
+(`maximal_cliques`, Bron-Kerbosch on those masks), when they are first
+read; for a complex that `clique_complex` builds, that read also checks
+that every facet holds one vertex per coordinate.
 
 A clique complex is fixed by its vertices and its graph, so
 `iso_by_gvectors` matches vertices by g-vector and checks that the match
@@ -208,24 +210,32 @@ def _expand(adj: list[int], cliques: list, r: int, p: int, x: int) -> None:
         candidates ^= low
 
 
-def clique_complex(kind: str, coordinates, vertices, compatible) -> LabeledComplex:
-    """The clique complex of a pairwise compatibility relation on vertices.
-
-    compatible(i, j) is asked once for each pair of positions i < j.  The
-    facets are the maximal cliques, built when first read, and each must
-    hold one vertex per coordinate; kind names the complex in the
-    NonPureComplexError otherwise.
-    """
-    coordinates = tuple(coordinates)
-    vertices = tuple(vertices)
-    _check_vertices(coordinates, vertices)
-    n = len(vertices)
+def compatibility_graph(n: int, compatible) -> tuple[int, ...]:
+    """The neighbour masks of a pairwise relation on 0..n-1: compatible(i, j)
+    is asked once for each pair i < j."""
     adj = [0] * n
     for i, j in itertools.combinations(range(n), 2):
         if compatible(i, j):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return LabeledComplex(coordinates, vertices, None, tuple(adj), kind)
+    return tuple(adj)
+
+
+def clique_complex(kind: str, coordinates, vertices, graph) -> LabeledComplex:
+    """The clique complex of a compatibility graph on vertices.
+
+    graph[v] is the bitmask of the neighbours of vertex v.  The facets are
+    the maximal cliques, built when first read, and each must hold one
+    vertex per coordinate; kind names the complex in the
+    NonPureComplexError otherwise.
+    """
+    coordinates = tuple(coordinates)
+    vertices = tuple(vertices)
+    _check_vertices(coordinates, vertices)
+    graph = tuple(graph)
+    if len(graph) != len(vertices):
+        raise ValueError(f"graph has {len(graph)} rows for {len(vertices)} vertices")
+    return LabeledComplex(coordinates, vertices, None, graph, kind)
 
 
 @dataclass(frozen=True)

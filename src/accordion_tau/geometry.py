@@ -9,11 +9,15 @@ sides are label pairs.  Black diagonals are the probes whose crossing
 patterns the rest of the package measures.  Labels increase
 counterclockwise for both colours, so two diagonals of the same colour
 cross when their label pairs interleave: integer comparisons, no floating
-point anywhere.
+point anywhere.  Both colours index their diagonals by the same label
+pairs, so `noncrossing(m)`, one table per m built from `crosses`, holds the
+noncrossing relation of either: `all_dissections` grows white dissections
+on it, and the accordion side reads its compatibility graph off it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -133,17 +137,24 @@ def all_white_diagonal_pairs(m: int) -> list[tuple[int, int]]:
     ]
 
 
+@functools.cache
+def noncrossing(m: int) -> tuple[int, ...]:
+    """The noncrossing table of the m-gon's diagonals, of either colour: bit
+    y of entry x is set when pairs x != y of all_white_diagonal_pairs(m) do
+    not cross.  No entry holds its own bit."""
+    pairs = all_white_diagonal_pairs(m)
+    return tuple(
+        sum(1 << y for y, c in enumerate(pairs) if y != x and not crosses(pair, c))
+        for x, pair in enumerate(pairs)
+    )
+
+
 def all_dissections(m: int) -> list[Dissection]:
     """Nonempty dissections of the m-gon, in lexicographic order of diagonal lists."""
     cycle = PointCycle(m)
     pairs = all_white_diagonal_pairs(m)
-    # bit y of compatible[x] is set when diagonals x and y do not cross
-    compatible = [
-        sum(1 << y for y, c in enumerate(pairs) if not crosses(pair, c))
-        for pair in pairs
-    ]
     out: list[Dissection] = []
-    _grow(cycle, pairs, compatible, (), (1 << len(pairs)) - 1, out)
+    _grow(cycle, pairs, noncrossing(m), (), (1 << len(pairs)) - 1, out)
     return out
 
 

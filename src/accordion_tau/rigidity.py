@@ -36,7 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .complexes import ComplexVertex, LabeledComplex, clique_complex, induced_graph
+from .complexes import (
+    ComplexVertex,
+    LabeledComplex,
+    clique_complex,
+    compatibility_graph,
+    induced_graph,
+)
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace, kernel, mat_vec
 from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
@@ -54,9 +60,15 @@ class StringWord:
     letters: tuple[tuple[str, bool], ...]
 
     def display(self) -> str:
-        if not self.letters:
-            return f"e_{vertex_label(self.source)}"
-        return ".".join(name if fwd else name + "'" for name, fwd in self.letters)
+        return _word_text(self.source, self.letters)
+
+
+def _word_text(source, letters) -> str:
+    """The text of the string from source along letters: e_<source> when
+    there are none, else the arrow names joined by dots, inverse ones primed."""
+    if not letters:
+        return f"e_{vertex_label(source)}"
+    return ".".join(name if fwd else name + "'" for name, fwd in letters)
 
 
 def _letter_end(q: GentleQuiver, letter: tuple[str, bool]):
@@ -438,7 +450,7 @@ def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
     if letters is None:
         name = vertex_label(v)
         return f"P_{name}[1]", {"kind": "shifted", "projective": name}
-    text = StringWord(v, letters).display()
+    text = _word_text(v, letters)
     return text, {"kind": "module", "string": text}
 
 
@@ -468,7 +480,8 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
         return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
 
     unnamed = [ComplexVertex(i, sv.gvec, "") for i, sv in enumerate(verts)]
-    cx = clique_complex("silting", basis.quiver.vertices, unnamed, compatible)
+    graph = compatibility_graph(len(verts), compatible)
+    cx = clique_complex("silting", basis.quiver.vertices, unnamed, graph)
     cx.facets
     return SiltingCore(
         tuple(sv.gvec for sv in verts),

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
 from accordion_tau.accordion import accordion_complex, accordion_vertices, g_vector
 from accordion_tau.errors import (
+    CrossingPairError,
     EmptyDissectionError,
+    InputError,
     NotAccordionError,
     NotNestedError,
 )
@@ -66,6 +70,13 @@ def test_perpendicular_black_diagonal_is_rejected():
     with pytest.raises(NotAccordionError) as exc:
         g_vector(d, (1, 4))
     assert "not an accordion" in str(exc.value)
+
+
+@pytest.mark.parametrize("black", [(0, 1), (3, 1), (0, 9), (-1, 2), (0, 5), (2, 2)])
+def test_g_vector_rejects_a_pair_that_is_no_black_diagonal(hexagon_fan, black):
+    # adjacent, reversed, out of range, the adjacent pair b5, b0, and equal
+    with pytest.raises(InputError, match="^" + re.escape(f"{black} is not a black diagonal")):
+        g_vector(hexagon_fan, black)
 
 
 def test_sign_raises_on_uncrossed_diagonal(hexagon_fan):
@@ -226,3 +237,49 @@ def test_accordion_graph_is_the_oracle_noncrossing_relation():
                 for u, a in enumerate(arcs)
             ]
             assert list(cx.graph) == want, (m, d.white_pairs())
+
+
+def greedy_dissection(m: int, rng: random.Random) -> Dissection:
+    """A dissection of the m-gon by seeded greedy insertion: the diagonals in
+    shuffled order, each kept when validate_dissection accepts it, until a
+    drawn number of them, from none to a triangulation, is kept."""
+    pairs = all_white_diagonal_pairs(m)
+    rng.shuffle(pairs)
+    size = rng.randrange(m - 2)
+    chosen: list[tuple[int, int]] = []
+    for pair in pairs:
+        if len(chosen) == size:
+            break
+        try:
+            validate_dissection(m, chosen + [pair])
+        except CrossingPairError:
+            continue
+        chosen.append(pair)
+    return validate_dissection(m, chosen)
+
+
+@pytest.mark.parametrize("m", [13, 16])
+def test_masks_wider_than_a_machine_word_match_the_oracles(m):
+    # 65 and 104 black diagonals: the split masks span two machine words
+    rng = random.Random(m)
+    blacks = all_white_diagonal_pairs(m)
+    for _ in range(15):
+        d = greedy_dissection(m, rng)
+        want, want_texts, got_texts = [], [], []
+        for black in blacks:
+            try:
+                want.append((black, walk_g_vector(d, black)))
+            except NotAccordionError as exc:
+                want_texts.append(str(exc))
+            try:
+                g_vector(d, black)
+            except NotAccordionError as exc:
+                got_texts.append(str(exc))
+        assert [(v.black, v.gvec) for v in accordion_vertices(d)] == want, d.white_pairs()
+        assert got_texts == want_texts, d.white_pairs()
+        cx = accordion_complex(d)
+        arcs = [black_arc(d.cycle, *black) for black, _ in want]
+        assert list(cx.graph) == [
+            sum(1 << v for v, b in enumerate(arcs) if v != u and not arc_crosses(d.cycle, a, b))
+            for u, a in enumerate(arcs)
+        ], d.white_pairs()

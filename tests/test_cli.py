@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import accordion_tau.accordion as accordion
 import accordion_tau.cli as cli
 import accordion_tau.complexes as complexes
 from accordion_tau.complexes import IsoReport
@@ -23,6 +22,7 @@ from accordion_tau.errors import (
 )
 from accordion_tau.geometry import all_dissections, validate_dissection
 from accordion_tau.quiver import quiver_of_dissection
+from conftest import flip_crossing
 
 FAN = ["--m", "6", "--diagonals", "0-2,0-3,0-4"]
 
@@ -312,9 +312,7 @@ def test_other_package_errors_exit_four(capsys, monkeypatch, error):
 def test_an_impure_accordion_complex_fails_verify_with_a_witness(capsys, monkeypatch):
     # b0-b2 and b1-b3 cross; calling them compatible makes the accordion
     # complex impure, which is a failed instance (exit 1), not an error
-    real = accordion.crosses
-    pair = {(0, 2), (1, 3)}
-    monkeypatch.setattr(accordion, "crosses", lambda x, y: real(x, y) and {x, y} != pair)
+    flip_crossing(monkeypatch, {(0, 2), (1, 3)})
     code, out, err = run(capsys, ["verify", *FAN, "--format", "text"])
     assert (code, err) == (1, "")
     assert out == (

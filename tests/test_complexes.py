@@ -49,9 +49,8 @@ def clique(gvecs, edges, kind=None):
     coords = tuple(f"c{t}" for t in range(len(gvecs[0])))
     verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
     pairs = {frozenset(e) for e in edges}
-    return complexes.clique_complex(
-        kind, coords, verts, lambda i, j: frozenset((i, j)) in pairs
-    )
+    graph = complexes.compatibility_graph(len(verts), lambda i, j: frozenset((i, j)) in pairs)
+    return complexes.clique_complex(kind, coords, verts, graph)
 
 
 TRIANGLE_BOUNDARY = [(0, 1), (1, 2), (0, 2)]
@@ -327,10 +326,13 @@ def test_clique_complex_checks_purity_when_its_facets_are_read():
 def test_clique_complex_keeps_the_vertex_checks():
     verts = [ComplexVertex(0, (1, 0), "a"), ComplexVertex(1, (1,), "b")]
     with pytest.raises(LabelLengthMismatchError):
-        complexes.clique_complex("toy", ("x", "y"), verts, lambda i, j: True)
+        complexes.clique_complex("toy", ("x", "y"), verts, (0b10, 0b01))
     verts = [ComplexVertex(1, (1,), "a")]
     with pytest.raises(ValueError, match="vertex ids must equal positions"):
-        complexes.clique_complex("toy", ("x",), verts, lambda i, j: True)
+        complexes.clique_complex("toy", ("x",), verts, (0,))
+    verts = [ComplexVertex(0, (1,), "a")]
+    with pytest.raises(ValueError, match="graph has 2 rows for 1 vertices"):
+        complexes.clique_complex("toy", ("x",), verts, (0, 0))
 
 
 def test_iso_of_clique_complexes_compares_graphs_and_names_the_first_pair():

@@ -19,6 +19,7 @@ from accordion_tau.geometry import (
     all_white_diagonal_pairs,
     cells,
     crosses,
+    noncrossing,
     sides,
     validate_dissection,
 )
@@ -284,3 +285,13 @@ def test_mixed_colour_crossing_matches_float_on_every_chord_pair():
                 assert oracles.arc_crosses(cycle, w, b) == want, (m, p1, p2)
                 checked += 1
     assert checked == sum((m * (m - 1) // 2) ** 2 for m in range(3, 9))
+
+
+def test_noncrossing_table_has_no_self_bits_and_is_symmetric():
+    for m in range(3, 13):
+        table = noncrossing(m)
+        assert len(table) == len(all_white_diagonal_pairs(m))
+        for x, row in enumerate(table):
+            assert not row >> x & 1, (m, x)
+            for y in range(len(table)):
+                assert (row >> y & 1) == (table[y] >> x & 1), (m, x, y)

@@ -15,8 +15,9 @@ import accordion_tau.verify as verify
 import accordion_tau.complexes as complexes
 from accordion_tau.complexes import ComplexVertex
 from accordion_tau.errors import AccordionTauError, NonPureComplexError
-from accordion_tau.geometry import all_dissections, crosses, validate_dissection
+from accordion_tau.geometry import all_dissections, validate_dissection
 from accordion_tau.quiver import algebra_basis, quiver_of_dissection, shortcut_quiver
+from conftest import flip_crossing
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -260,21 +261,11 @@ def test_audit_rejects_a_triangle_boundary_by_degree_alone():
     assert verify.audit_complex(cx) == ["dual graph degrees [2] instead of 3"]
 
 
-def relabel_crossing(monkeypatch, pair: set[tuple[int, int]], crossing: bool) -> None:
-    """Make the accordion side call the two black diagonals of pair, given by
-    their label pairs, crossing (or not), whatever the geometry says."""
-    monkeypatch.setattr(
-        accordion,
-        "crosses",
-        lambda x, y: crossing if {x, y} == pair else crosses(x, y),
-    )
-
-
 def test_a_dropped_compatible_pair_fails_the_instance_and_is_named(monkeypatch):
     # b0-b2 and b2-b4 do not cross; calling them crossing drops one edge of
     # the accordion side's compatibility graph
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
-    relabel_crossing(monkeypatch, {(0, 2), (2, 4)}, True)
+    flip_crossing(monkeypatch, {(0, 2), (2, 4)})
     report = verify.verify_main(fan)
     assert not report.passed and report.vertex_map is None
     assert report.failures == [
@@ -287,7 +278,7 @@ def test_an_impure_accordion_complex_fails_the_main_check(monkeypatch):
     # b0-b2 and b1-b3 cross; calling them compatible makes a four-vertex
     # facet, which the label-blind search reports instead of raising
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
-    relabel_crossing(monkeypatch, {(0, 2), (1, 3)}, False)
+    flip_crossing(monkeypatch, {(0, 2), (1, 3)})
     report = verify.verify_main(fan)
     assert not report.passed and report.generic_found is None
     assert report.failures == [
