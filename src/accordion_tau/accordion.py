@@ -45,7 +45,6 @@ the theorem checks that compare it (main and nested) live in verify.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import ComplexVertex, LabeledComplex, clique_complex, induced_graph
@@ -169,18 +168,6 @@ def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
             crossed = [f"{p}-{q}" for p, q in sides(cell) if (i < p <= j) != (i < q <= j)]
             raise NotAccordionError(cell, crossed)
     return _gvecs([k], plus, minus)[0]
-
-
-@dataclass(frozen=True)
-class AccordionVertex:
-    black: tuple[int, int]
-    gvec: tuple[int, ...]
-
-
-def accordion_vertices(d: Dissection) -> list[AccordionVertex]:
-    """All accordion diagonals of d with their g-vectors, by black label."""
-    split, rows, gvecs = _accordion(d)
-    return [AccordionVertex(split.blacks[k], g) for k, g in zip(rows, gvecs)]
 
 
 def accordion_complex(d: Dissection) -> LabeledComplex:

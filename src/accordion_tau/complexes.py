@@ -30,10 +30,7 @@ permutations alike.
 
 Facet adjacency comes from one ridge index (each facet minus one vertex,
 mapped to the facets containing it): `dual_graph` reads its edges from it
-and `is_pseudomanifold` its ridge counts.  Purity and two facets per ridge
-force dual-graph degree equal to the facet size, not to the number of
-coordinates, so a degree check against the coordinates is also a
-facet-size check.
+and `is_pseudomanifold` its ridge counts.
 """
 
 from __future__ import annotations
@@ -291,7 +288,6 @@ class PseudomanifoldReport:
     ridges_ok: bool
     connected: bool
     failures: tuple[str, ...]
-    graph: ExchangeGraph | None  # the dual graph; None when the complex is impure
 
     @property
     def passed(self) -> bool:
@@ -305,7 +301,7 @@ def is_pseudomanifold(cx: LabeledComplex) -> PseudomanifoldReport:
     pure = len(sizes) <= 1
     if not pure:
         failures.append(f"facet sizes {sorted(sizes)} differ")
-        return PseudomanifoldReport(False, False, False, tuple(failures), None)
+        return PseudomanifoldReport(False, False, False, tuple(failures))
 
     graph = dual_graph(cx)
     bad = sorted(
@@ -334,7 +330,7 @@ def is_pseudomanifold(cx: LabeledComplex) -> PseudomanifoldReport:
         failures.append(
             f"facet adjacency graph has {len(graph.nodes) - len(reach)} unreachable facets"
         )
-    return PseudomanifoldReport(pure, ridges_ok, connected, tuple(failures), graph)
+    return PseudomanifoldReport(pure, ridges_ok, connected, tuple(failures))
 
 
 @dataclass

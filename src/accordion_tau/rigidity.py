@@ -21,11 +21,12 @@ builds it without vertex names (g-vectors, string letters, vertex positions,
 compatibility graph), and label_silting, the one place that names silting
 vertices, turns a core and any quiver of its shape into that quiver's
 complex.  A core keeps the graph only: silting_core checks the purity of
-its facets once, and a labelled complex builds them again, as the maximal
-cliques of the graph, when they are first read.  The core is an invariant of
-the algebra, so transport_core carries the core of a canonical form
-(quiver.canonical_form, built on quiver.shape_quiver) onto every shape of
-that form without building it again.
+its facets once, and a complex labelled from a core builds them again, as
+the maximal cliques of the graph, when they are first read; silting_complex
+keeps the facets its purity check read.  The core is an invariant of the
+algebra, so transport_core carries the core of a canonical form
+(quiver.canonical_form, built on quiver.shape_quiver) onto every other shape
+of that form without building it again.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -33,7 +34,7 @@ compare it (main and idempotent) live in verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .complexes import (
@@ -473,6 +474,11 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
     Faces are the pairwise compatible sets; facets must all be full rank.
     The clique complex is built on unnamed vertices, and reading its facets
     once checks that; the core keeps only its graph."""
+    return _core_and_facets(basis)[0]
+
+
+def _core_and_facets(basis: AlgebraBasis) -> tuple[SiltingCore, tuple]:
+    """silting_core(basis) and the facets its purity check read."""
     verts = _silting_vertices(basis)
 
     def compatible(i: int, j: int) -> bool:
@@ -482,16 +488,16 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
     unnamed = [ComplexVertex(i, sv.gvec, "") for i, sv in enumerate(verts)]
     graph = compatibility_graph(len(verts), compatible)
     cx = clique_complex("silting", basis.quiver.vertices, unnamed, graph)
-    cx.facets
-    return SiltingCore(
+    core = SiltingCore(
         tuple(sv.gvec for sv in verts),
         tuple(sv.letters for sv in verts),
         tuple(sv.position for sv in verts),
         cx.graph,
     )
+    return core, cx.facets
 
 
-def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore | None:
+def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore:
     """The core of a quiver shape from the core of its canonical form.
 
     canon is quiver.canonical_form(shape), and core is the core of the
@@ -501,16 +507,15 @@ def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore
     string letters the arrow map back from the form, and each string takes
     the orientation enumerate_strings keeps on shape (_first_met).  Sorting
     by g-vector then gives silting_vertices' order, and the graph is
-    renumbered to it.  When two g-vectors are equal that order depends on
-    more than g-vectors, so this returns None and the caller builds the
-    core directly."""
+    renumbered to it.  A rigid presentation is determined by its g-vector
+    (Adachi, Iyama and Reiten, "tau-tilting theory"), so the g-vectors of a
+    correct core are distinct and fix that order; a repeated one is kept
+    and fails the comparison that reads it (complexes.iso_by_gvectors)."""
     _, vmap, amap = canon
     back = [0] * len(vmap)
     for i, k in enumerate(vmap):
         back[k] = i
     gvecs = [tuple([g[k] for k in vmap]) for g in core.gvecs]
-    if len(set(gvecs)) != len(gvecs):
-        return None
     first_met = _first_met(shape)
     # one tuple per letter, shared by the strings that use it
     renamed = {(b, fwd): (a, fwd) for a, b in amap.items() for fwd in (True, False)}
@@ -571,5 +576,7 @@ def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:
-    """Faces are the pairwise compatible sets; facets must all be full rank."""
-    return label_silting(silting_core(algebra_basis(q)), q)
+    """Faces are the pairwise compatible sets; facets must all be full rank.
+    The facets that the purity check read are kept, not enumerated again."""
+    core, facets = _core_and_facets(algebra_basis(q))
+    return replace(label_silting(core, q), given_facets=facets)

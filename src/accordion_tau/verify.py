@@ -35,8 +35,13 @@ as silting_complex does for one quiver.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
 class, on the quiver of the class's canonical form (quiver.canonical_form,
-quiver.shape_quiver): a new shape computes its form once and takes the
-form's core, transported (rigidity.transport_core).  Beside the cores, the
+quiver.shape_quiver): a new shape computes its form once, the form keeps
+the core built on it (a form is itself a shape and its own form), and
+every other shape takes that core, transported (rigidity.transport_core).
+One dict holds them all, per shape its form and its core.  A repeated
+g-vector in a core is transported as it is and fails every instance that
+reads it (iso_by_gvectors' "duplicate g-vector" line, the audit's
+injectivity check).  Beside the cores, the
 idempotent sweep keeps a plan per (ambient shape, J positions): the
 shortcut quiver's shape and the label-free restriction
 (complexes.restriction: kept vertices, g-vectors and induced graph), never
@@ -53,7 +58,7 @@ chunks keeps them per chunk.  DRIVERS lists the sweeps for the command line
 and the scripts.
 
 With structural=True every complex that shows up is accounted for by the
-structural audit (pseudomanifold, regular dual graph, sign coherence, facet
+structural audit (pseudomanifold, facet size, sign coherence, facet
 independence, injective g-vectors), which reads only g-vectors and facets.
 A sweep runs it once per label-free complex and carries a clean result
 (_carried_audit): to every silting complex of a quiver isomorphism class
@@ -189,15 +194,11 @@ def audit_complex(cx: LabeledComplex) -> list[str]:
     run it once per label-free complex and carry a clean result to the
     complexes that provably equal it (_carried_audit)."""
     fails = structural_failures(cx)
-    report = is_pseudomanifold(cx)
-    fails.extend(report.failures)
-    if report.graph is not None:
-        # the other checks force degree = facet size, so this is the check
-        # that every facet has one vertex per coordinate
-        n = len(cx.coordinates)
-        off = [deg for deg in report.graph.degrees() if deg != n]
-        if off:
-            fails.append(f"dual graph degrees {sorted(set(off))} instead of {n}")
+    fails.extend(is_pseudomanifold(cx).failures)
+    n = len(cx.coordinates)
+    off = sorted({len(f) for f in cx.facets} - {n})
+    if off:
+        fails.append(f"facet sizes {off} instead of {n}")
     return fails
 
 
@@ -228,7 +229,7 @@ def _carried_audit(
     Precondition: the facets of a matched complex are the maximal cliques
     of its graph.  That holds for every complex the sweeps build, and then
     the match carries facets onto facets, so purity, ridges, connectivity,
-    dual-graph degrees, sign coherence, facet independence and injective
+    facet sizes, sign coherence, facet independence and injective
     g-vectors read the same on both sides.  Every other complex (a failed match, a dirty partner, a
     partner not yet audited) is audited directly, so the messages, their
     order and complexes_audited are those of auditing every complex."""
@@ -284,45 +285,39 @@ def _tag(d: Dissection) -> str:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, tuple[tuple | None, SiltingCore]],
-    classes: dict[tuple, SiltingCore],
-    q: GentleQuiver,
-) -> tuple[LabeledComplex, tuple | None]:
+    cores: dict[tuple, tuple[tuple, SiltingCore]], q: GentleQuiver
+) -> tuple[LabeledComplex, tuple]:
     """The silting complex of q, labelled from the core of q's shape, and
-    the key its audit carries by (_carried_audit).
+    the key its audit carries by (_carried_audit): the canonical form of
+    q's shape, since every core of a class is the form's core relabelled.
 
-    cores holds, per shape met, that key and the shape's core; classes
-    holds, per canonical form met, the core built on the form's quiver.  A
-    new shape computes its form once and takes the form's core,
-    transported, building it first when the form is new.  The key is the
-    form, since every core of a class is the form's core relabelled; a
-    shape whose transport gives up builds its own core, keyed None, and is
-    audited directly."""
+    cores holds, per shape met, its form and its core.  A form is itself a
+    shape and its own form, so the core built on the form's quiver is the
+    form's entry, and every other shape of the class takes that core,
+    transported."""
     entry = cores.get(q.shape)
     if entry is None:
         canon = canonical_form(q.shape)
-        key = canon[0]
-        if key not in classes:
-            classes[key] = silting_core(algebra_basis(shape_quiver(key)))
-        core = transport_core(classes[key], canon, q.shape)
-        if core is None:
-            key, core = None, silting_core(algebra_basis(q))
-        entry = cores[q.shape] = (key, core)
-    key, core = entry
-    return label_silting(core, q), key
+        form = canon[0]
+        if form not in cores:
+            cores[form] = (form, silting_core(algebra_basis(shape_quiver(form))))
+        if q.shape != form:
+            cores[q.shape] = (form, transport_core(cores[form][1], canon, q.shape))
+        entry = cores[q.shape]
+    form, core = entry
+    return label_silting(core, q), form
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty dissection of the m-gon; one silting build per quiver
     isomorphism class."""
     summary = VerifySummary("main")
-    cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
-    classes: dict[tuple, SiltingCore] = {}
+    cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     for d in all_dissections(m):
         acc = accordion_complex(d)
         q = quiver_of_dissection(d)
-        silt, key = _silting_by_shape(cores, classes, q)
+        silt, key = _silting_by_shape(cores, q)
         report = iso_by_gvectors(acc, silt)
         summary.record(_tag(d), report)
         if structural:
@@ -396,10 +391,9 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     counts and reports it.
     """
     summary = VerifySummary("idempotent")
-    cores: dict[tuple, tuple[tuple | None, SiltingCore]] = {}
-    classes: dict[tuple, SiltingCore] = {}
+    cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
-    shortcuts: dict[tuple, tuple[LabeledComplex, tuple | None, list[str]]] = {}
+    shortcuts: dict[tuple, tuple[LabeledComplex, tuple, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
@@ -410,7 +404,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         tag = _tag(d)
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
-        ambient, key = _silting_by_shape(cores, classes, q)
+        ambient, key = _silting_by_shape(cores, q)
         if structural:
             summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
         shape_plans = plans.setdefault(q.shape, {})
@@ -427,7 +421,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
             entry = shortcuts.get((plan.shortcut_shape, J))
             if entry is None:
                 small, small_key = _silting_by_shape(
-                    cores, classes, shortcut or _shortcut_quiver(basis, set(J))
+                    cores, shortcut or _shortcut_quiver(basis, set(J))
                 )
                 audit = _carried_audit(small, clean, key=small_key) if structural else []
                 entry = shortcuts[plan.shortcut_shape, J] = (small, small_key, audit)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from accordion_tau.accordion import accordion_complex, accordion_vertices, g_vector
+from accordion_tau.accordion import accordion_complex, g_vector
 from accordion_tau.errors import (
     CrossingPairError,
     EmptyDissectionError,
@@ -31,6 +31,12 @@ from oracles import (
     walk_g_vector,
 )
 
+def accordion_vertices(d: Dissection) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+    """The vertices of d's accordion complex, in order, each as its black
+    diagonal's labels (i, j) and its g-vector."""
+    return [(tuple(v.payload["black"]), v.gvec) for v in accordion_complex(d).vertices]
+
+
 # all nine accordion g-vectors of the hexagon fan, worked out by hand
 # before the implementation existed
 FAN_GVECTORS = {
@@ -47,7 +53,7 @@ FAN_GVECTORS = {
 
 
 def test_fan_gvectors_match_hand_computation(hexagon_fan):
-    got = {v.black: v.gvec for v in accordion_vertices(hexagon_fan)}
+    got = dict(accordion_vertices(hexagon_fan))
     assert got == FAN_GVECTORS
 
 
@@ -59,7 +65,7 @@ def test_fan_crossing_sequence_order(hexagon_fan):
 
 def test_single_diagonal_hexagon():
     d = validate_dissection(6, [(0, 3)])
-    got = {v.black: v.gvec for v in accordion_vertices(d)}
+    got = dict(accordion_vertices(d))
     assert got == {(0, 3): (1,), (2, 5): (-1,)}
     cx = accordion_complex(d)
     assert len(cx.facets) == 2
@@ -90,8 +96,8 @@ def test_sign_is_reversal_invariant():
     # any coordinate
     for m in (5, 6, 7):
         for d in all_dissections(m):
-            for v in accordion_vertices(d):
-                seq = crossing_sequence(d, v.black)
+            for black, _ in accordion_vertices(d):
+                seq = crossing_sequence(d, black)
                 flipped = CrossingSequence(
                     seq.black, tuple(reversed(seq.entries)), seq.black[1]
                 )
@@ -161,8 +167,8 @@ def test_every_accordion_gvector_is_nonzero():
     # through that vertex fail the facet-independence audit)
     for m in (4, 5, 6, 7):
         for d in all_dissections(m):
-            for v in accordion_vertices(d):
-                assert any(x != 0 for x in v.gvec), (m, d.white_pairs(), v.black)
+            for black, gvec in accordion_vertices(d):
+                assert any(x != 0 for x in gvec), (m, d.white_pairs(), black)
 
 
 def test_accordion_vertices_match_the_crossing_walk_oracle():
@@ -177,7 +183,7 @@ def test_accordion_vertices_match_the_crossing_walk_oracle():
                     want.append((black, walk_g_vector(d, black)))
                 except NotAccordionError:
                     continue
-            got = [(v.black, v.gvec) for v in accordion_vertices(d)]
+            got = accordion_vertices(d)
             assert got == want, (m, d.white_pairs())
     for m in (4, 5, 6):
         for d in dissections_with_empty(m):
@@ -202,7 +208,7 @@ def test_accordion_vertices_digest_is_frozen():
     h = hashlib.sha256()
     for m in range(4, 9):
         for d in all_dissections(m):
-            verts = [("b{}-b{}".format(*v.black), v.gvec) for v in accordion_vertices(d)]
+            verts = [(v.label, v.gvec) for v in accordion_complex(d).vertices]
             h.update((repr((m, d.white_pairs(), verts)) + "\n").encode())
     assert h.hexdigest() == ACCORDION_DIGEST
 
@@ -275,7 +281,7 @@ def test_masks_wider_than_a_machine_word_match_the_oracles(m):
                 g_vector(d, black)
             except NotAccordionError as exc:
                 got_texts.append(str(exc))
-        assert [(v.black, v.gvec) for v in accordion_vertices(d)] == want, d.white_pairs()
+        assert accordion_vertices(d) == want, d.white_pairs()
         assert got_texts == want_texts, d.white_pairs()
         cx = accordion_complex(d)
         arcs = [black_arc(d.cycle, *black) for black, _ in want]

@@ -115,10 +115,10 @@ def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monke
     for m in range(4, 8):
         for d in all_dissections(m):
             # a clique complex enumerates its cliques when its facets are
-            # read; a silting build also reads them once to check purity
+            # read; silting_complex keeps the ones its purity check read
             accordion_complex(d).facets
             silting_complex(quiver_of_dissection(d)).facets
-    assert len(graphs) == 3 * (2 + 10 + 44 + 196)
+    assert len(graphs) == 2 * (2 + 10 + 44 + 196)
     for n, adj in graphs:
         adj_sets = [{v for v in range(n) if adj[u] >> v & 1} for u in range(n)]
         assert real(n, adj) == oracles.set_maximal_cliques(n, adj_sets)
@@ -172,7 +172,6 @@ def test_dual_graph_ridge_in_three_facets():
     assert report.failures == (
         "ridges with facet count != 2: [([0], 3), ([1], 1), ([2], 1), ([3], 1)]",
     )
-    assert report.graph == g
 
 
 def test_pseudomanifold_positive():
@@ -202,7 +201,7 @@ def test_pseudomanifold_impure_short_circuits():
     cx = mk([(1,), (2,), (3,), (4,)], [(0, 1, 2), (2, 3)])
     report = is_pseudomanifold(cx)
     assert not report.pure and not report.passed
-    assert report.graph is None
+    assert report.failures == ("facet sizes [2, 3] differ",)
 
 
 # -- isomorphism checks --

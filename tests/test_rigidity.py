@@ -548,23 +548,6 @@ def test_transport_keeps_the_orientation_enumerate_strings_keeps():
     assert {w.display() for w in enumerate_strings(loop)} >= {"l'", "b'.l'.b"}
 
 
-def test_transport_gives_up_on_a_repeated_gvector(fan_algebra):
-    # a form core with a repeated g-vector gives up on every shape of its
-    # class, the form itself included
-    from accordion_tau.geometry import validate_dissection
-
-    q, _ = fan_algebra
-    flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
-    form = canonical_form(q.shape)[0]
-    assert flipped.shape != q.shape and canonical_form(flipped.shape)[0] == form
-    core = silting_core(algebra_basis(shape_quiver(form)))
-    assert transport_core(core, canonical_form(form), form) == core
-    repeated = core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:])
-    for shape in (form, q.shape, flipped.shape):
-        assert transport_core(core, canonical_form(shape), shape) is not None
-        assert transport_core(repeated, canonical_form(shape), shape) is None
-
-
 # -- invariants survive python -O --
 
 

@@ -15,8 +15,8 @@ import accordion_tau.verify as verify
 import accordion_tau.complexes as complexes
 from accordion_tau.complexes import ComplexVertex
 from accordion_tau.errors import AccordionTauError, NonPureComplexError
-from accordion_tau.geometry import all_dissections, validate_dissection
-from accordion_tau.quiver import algebra_basis, quiver_of_dissection, shortcut_quiver
+from accordion_tau.geometry import Dissection, all_dissections, validate_dissection
+from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
 from conftest import flip_crossing
 
 
@@ -72,14 +72,28 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
+def shapes_met(labelled: list) -> set:
+    """The quiver shapes of the label_silting(core, q) calls of a sweep."""
+    return {q.shape for _, q in labelled}
+
+
 @pytest.mark.parametrize(
     "name, m, cores", [("main", 7, 49), ("idempotent", 7, 105)]
 )
 def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, cores):
-    # every shape gets exactly one core, transported from its form's core
+    # every shape gets exactly one core: a shape that is its own canonical
+    # form takes the core built on it, every other shape is transported once
     moved = count_calls(monkeypatch, rigidity, "transport_core")
+    labelled = count_calls(monkeypatch, rigidity, "label_silting")
     assert verify.DRIVERS[name](m).ok
-    assert len(moved) == cores
+    shapes = shapes_met(labelled)
+    others = {shape for shape in shapes if quiver.canonical_form(shape)[0] != shape}
+    assert len(shapes) == cores
+    assert sorted(shape for _, _, shape in moved) == sorted(others)
+
+
+# transport_core calls per sweep: one per shape met that is not its own form
+TRANSPORTS = {("main", 7): 43, ("idempotent", 7): 99, ("main", 8): 192}
 
 
 @pytest.mark.parametrize(
@@ -89,43 +103,33 @@ def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, co
 def test_sweeps_build_one_silting_core_per_quiver_isomorphism_class(
     monkeypatch, name, m, cores, shapes
 ):
-    # one core built per class, on its form's quiver, and one transported
-    # per shape, the first shape of each class included
+    # one core built per class, on its form's quiver, and one transport per
+    # shape, except for the shapes that equal their own form
     calls = count_calls(monkeypatch, rigidity, "silting_core")
     moved = count_calls(monkeypatch, rigidity, "transport_core")
+    labelled = count_calls(monkeypatch, rigidity, "label_silting")
     assert verify.DRIVERS[name](m).ok
-    assert (len(calls), len(moved)) == (cores, shapes)
+    met = shapes_met(labelled)
+    forms = {shape for shape in met if quiver.canonical_form(shape)[0] == shape}
+    assert (len(calls), len(met), len(moved)) == (cores, shapes, TRANSPORTS[name, m])
+    assert len(moved) == len(met) - len(forms)
 
 
-def test_memo_builds_a_core_when_its_transport_gives_up(monkeypatch):
-    # a form core with a repeated g-vector cannot be transported, so every
-    # shape of its class builds its own core, keyed None
-    fan = quiver_of_dissection(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
-    flipped = quiver_of_dissection(validate_dissection(6, [(2, 4), (1, 4), (0, 4)]))
-    assert fan.shape != flipped.shape
-    form = quiver.canonical_form(fan.shape)[0]
-    assert quiver.canonical_form(flipped.shape)[0] == form
-    for repeat, builds in ((False, 1), (True, 3)):
-        real = rigidity.silting_core
+def test_a_repeated_gvector_in_a_form_core_fails_the_sweeps(monkeypatch):
+    # a form core with a repeated g-vector is transported as it is to every
+    # shape of its class, and the comparison names the repeat: no sweep that
+    # reads such a core passes
+    real = rigidity.silting_core
 
-        def core_of(basis, real=real, repeat=repeat):
-            core = real(basis)
-            return core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:]) if repeat else core
+    def repeated(basis):
+        core = real(basis)
+        return core._replace(gvecs=(core.gvecs[1],) + core.gvecs[1:])
 
-        monkeypatch.setattr(verify, "silting_core", core_of)
-        calls = count_calls(monkeypatch, verify, "silting_core")
-        cores, classes = {}, {}
-        keys = [verify._silting_by_shape(cores, classes, q)[1] for q in (fan, flipped)]
-        # the form's core, then, on giving up, each shape's own
-        assert len(calls) == builds
-        assert list(classes) == [form]
-        assert calls[0][0].quiver == quiver.shape_quiver(form)
-        # a core built beside its class's core is audited on its own
-        assert keys == ([None, None] if repeat else [form, form])
-        for q in (fan, flipped):
-            own = core_of(algebra_basis(q))
-            assert cores[q.shape] == (None if repeat else form, own)
-        monkeypatch.undo()
+    monkeypatch.setattr(verify, "silting_core", repeated)
+    for driver in (verify.verify_main_exhaustive, verify.verify_idempotent_exhaustive):
+        summary = driver(6).to_json()
+        assert summary["status"] == "fail" and summary["passed"] == 0
+        assert any("duplicate g-vector" in line for line in summary["failures"])
 
 
 def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
@@ -145,7 +149,10 @@ def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monk
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
     # the two complexes each instance hands to iso_by_gvectors, in sweep
     # order, equal those verify_idempotent_reduction builds for (q, J): a
-    # plan reused for the wrong shape or positions would show here
+    # plan reused for the wrong shape or positions would show here.  The
+    # benchmark's gate hashes the vertex map of every iso_by_gvectors call
+    # (perfbench/workloads.py, match_digest), so a sweep that stops making
+    # one call per instance needs that gate changed first
     direct: dict = {}
 
     def silting(q):
@@ -171,6 +178,40 @@ def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkey
             assert small == want_small and small.to_json() == want_small.to_json()
             assert induced == want_induced
             assert induced.to_json() == want_induced.to_json()
+
+
+def single_instance_pairs(name: str, m: int):
+    """The two complexes the single-instance check of each instance of the
+    main or nested sweep hands to iso_by_gvectors, in sweep order."""
+    accordion = verify.accordion_complex
+    if name == "main":
+        for d in all_dissections(m):
+            yield accordion(d), verify.silting_complex(quiver_of_dissection(d))
+        return
+    for big in all_dissections(m):
+        for sub in quiver.nonempty_subsets(big.diagonals):
+            d = Dissection(big.cycle, sub)
+            positions = tuple(big.diagonals.index(delta) for delta in sub)
+            yield accordion(d), verify.restrict_to_coordinates(accordion(big), positions)
+
+
+@pytest.mark.parametrize("name", ["main", "nested"])
+def test_main_and_nested_sweeps_compare_the_complexes_a_single_instance_builds(
+    monkeypatch, name
+):
+    # one iso_by_gvectors call per checked instance, in instance order, on
+    # the complexes verify_main or verify_nested builds for it: the
+    # benchmark's gate hashes these calls as it does the idempotent ones
+    calls = count_calls(monkeypatch, verify, "iso_by_gvectors")
+    for m in range(4, 8):
+        calls.clear()
+        summary = verify.DRIVERS[name](m)
+        assert summary.ok and len(calls) == summary.checked
+        expected = list(single_instance_pairs(name, m))
+        assert len(calls) == len(expected)
+        for (left, right), (want_left, want_right) in zip(calls, expected):
+            assert left == want_left and left.to_json() == want_left.to_json()
+            assert right == want_right and right.to_json() == want_right.to_json()
 
 
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
@@ -248,9 +289,9 @@ def test_builder_modules_hold_no_comparison():
             assert not hasattr(module, name), f"{module.__name__} binds {name}"
 
 
-def test_audit_rejects_a_triangle_boundary_by_degree_alone():
+def test_audit_rejects_a_triangle_boundary_by_facet_size_alone():
     # pure, every ridge (a vertex) in two facets, connected, sign-coherent,
-    # independent and injective: only the dual graph degree sees that the
+    # independent and injective: only the facet size check sees that the
     # facets have 2 vertices where there are 3 coordinates
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     cx = oracles.facet_complex(
@@ -258,7 +299,7 @@ def test_audit_rejects_a_triangle_boundary_by_degree_alone():
         [ComplexVertex(i, g, f"v{i}") for i, g in enumerate(units)],
         [(0, 1), (0, 2), (1, 2)],
     )
-    assert verify.audit_complex(cx) == ["dual graph degrees [2] instead of 3"]
+    assert verify.audit_complex(cx) == ["facet sizes [2] instead of 3"]
 
 
 def test_a_dropped_compatible_pair_fails_the_instance_and_is_named(monkeypatch):
