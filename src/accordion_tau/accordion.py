@@ -38,27 +38,34 @@ t of black diagonal k is +1, -1 or 0 by bit k of plus_t and minus_t.
 
 The compatibility graph is the subgraph that geometry.noncrossing(m)
 induces on the accordion diagonals, since black diagonals are indexed by
-the same label pairs as white ones.  This module only builds the complex;
-the theorem checks that compare it (main and nested) live in verify.
+the same label pairs as white ones.  A vertex's key is its black
+diagonal's index k, and one naming function per m gives its label b<i>-b<j>
+and payload {"black": [i, j]} when the complex's vertices are first read.
+accordion_complex_of_cells takes the cells of d from its caller, so a check
+that also reads d's quiver off them cuts d once.  This module only builds
+the complex; the theorem checks that compare it (main and nested) live in
+verify.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from typing import NamedTuple
 
-from .complexes import ComplexVertex, LabeledComplex, clique_complex, induced_graph
+from .complexes import LabeledComplex, induced_graph
 from .errors import InputError, NotAccordionError
 from .geometry import Dissection, all_white_diagonal_pairs, cells, noncrossing, sides
 
 
 class _Split(NamedTuple):
     """The split masks of the m-gon's black diagonals, in
-    all_white_diagonal_pairs(m) order: their pairs, their labels, member[v]
-    for each white vertex v and below[p] for 0 <= p <= m."""
+    all_white_diagonal_pairs(m) order: their pairs, the naming function of
+    their indices, member[v] for each white vertex v and below[p] for
+    0 <= p <= m."""
 
     blacks: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
+    name_of: Callable[[int], tuple[str, dict]]
     member: tuple[int, ...]
     below: tuple[int, ...]
 
@@ -66,9 +73,14 @@ class _Split(NamedTuple):
 @functools.cache
 def _split(m: int) -> _Split:
     blacks = tuple(all_white_diagonal_pairs(m))
+    labels = tuple(f"b{i}-b{j}" for i, j in blacks)
+
+    def name_of(k: int) -> tuple[str, dict]:
+        return labels[k], {"black": list(blacks[k])}
+
     return _Split(
         blacks,
-        tuple(f"b{i}-b{j}" for i, j in blacks),
+        name_of,
         tuple(
             sum(1 << k for k, (i, j) in enumerate(blacks) if i < v <= j)
             for v in range(m)
@@ -80,12 +92,11 @@ def _split(m: int) -> _Split:
     )
 
 
-def _split_pass(d: Dissection, split: _Split):
-    """The cells of d, each cell's straddle mask, and the plus and minus
-    masks of each diagonal of d, in dissection order."""
+def _split_pass(d: Dissection, split: _Split, faces: list[tuple[int, ...]]):
+    """Each cell's straddle mask, and the plus and minus masks of each
+    diagonal of d, in dissection order; faces is cells(d)."""
     member, below = split.member, split.below
     full = below[-1]
-    faces = cells(d)
     straddle: list[int] = []
     lone_in: list[int] = []
     # a cell's labels increase counterclockwise, so the cell lies inside the
@@ -116,24 +127,24 @@ def _split_pass(d: Dissection, split: _Split):
         first_in = (arc & a) | (~arc & b)
         minus.append(nonzero & first_in)
         plus.append(nonzero & ~first_in)
-    return faces, straddle, plus, minus
+    return straddle, plus, minus
 
 
-def _gvecs(rows, plus: list[int], minus: list[int]) -> list[tuple[int, ...]]:
+def _gvecs(rows, plus: list[int], minus: list[int]) -> tuple[tuple[int, ...], ...]:
     """The g-vectors of the black diagonals at positions rows."""
     signs = list(zip(plus, minus))
-    return [tuple([(a >> k & 1) - (b >> k & 1) for a, b in signs]) for k in rows]
+    return tuple([tuple([(a >> k & 1) - (b >> k & 1) for a, b in signs]) for k in rows])
 
 
-def _accordion(d: Dissection):
+def _accordion(d: Dissection, faces: list[tuple[int, ...]]):
     """The split masks of d's m-gon, the positions of d's accordion
-    diagonals in increasing order, and their g-vectors."""
+    diagonals in increasing order, and their g-vectors; faces is cells(d)."""
     split = _split(d.cycle.m)
-    _, straddle, plus, minus = _split_pass(d, split)
+    straddle, plus, minus = _split_pass(d, split, faces)
     rejected = 0
     for s in straddle:
         rejected |= s
-    rows = [k for k in range(len(split.blacks)) if not rejected >> k & 1]
+    rows = tuple([k for k in range(len(split.blacks)) if not rejected >> k & 1])
     return split, rows, _gvecs(rows, plus, minus)
 
 
@@ -161,7 +172,8 @@ def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
             f"need labels 0 <= i < j < {m}, not adjacent, and not (0, {m - 1})"
         )
     k = split.blacks.index(black)
-    faces, straddle, plus, minus = _split_pass(d, split)
+    faces = cells(d)
+    straddle, plus, minus = _split_pass(d, split, faces)
     i, j = black
     for cell, s in zip(faces, straddle):
         if s >> k & 1:
@@ -172,14 +184,19 @@ def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
 
 def accordion_complex(d: Dissection) -> LabeledComplex:
     """Vertices: accordion diagonals; faces: pairwise noncrossing sets."""
-    split, rows, gvecs = _accordion(d)
-    verts = [
-        ComplexVertex(n, g, split.labels[k], {"black": list(split.blacks[k])})
-        for n, (k, g) in enumerate(zip(rows, gvecs))
-    ]
-    return clique_complex(
-        "accordion",
-        (f"{p}-{q}" for p, q in d.diagonals),
-        verts,
-        induced_graph(noncrossing(d.cycle.m), rows),
+    return accordion_complex_of_cells(d, cells(d))
+
+
+def accordion_complex_of_cells(
+    d: Dissection, faces: list[tuple[int, ...]]
+) -> LabeledComplex:
+    """accordion_complex(d), given faces = cells(d)."""
+    split, rows, gvecs = _accordion(d, faces)
+    return LabeledComplex.from_columns(
+        tuple([f"{p}-{q}" for p, q in d.diagonals]),
+        gvecs,
+        rows,
+        split.name_of,
+        graph=induced_graph(noncrossing(d.cycle.m), rows),
+        kind="accordion",
     )

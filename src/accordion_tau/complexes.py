@@ -1,18 +1,27 @@
 """Simplicial complexes with g-vector labeled vertices, and their comparisons.
 
-A LabeledComplex stores vertices carrying integer g-vectors (one coordinate
-per label in `coordinates`) and its facets.  The two complexes built
-elsewhere in the package (accordion complexes of dissections, 2-term
-silting complexes of gentle algebras) are both clique complexes of a
-pairwise compatibility relation, built by `clique_complex`, so the
-construction, the isomorphism checks, dual graphs and structural audits are
-shared.  A clique complex carries its compatibility graph as one int
-bitmask of neighbours per vertex (`graph`): the accordion side reads it off
-a per-m table, and `compatibility_graph` asks a predicate once per pair
-for the silting side.  The complex builds its facets, the maximal cliques
-(`maximal_cliques`, Bron-Kerbosch on those masks), when they are first
-read; for a complex that `clique_complex` builds, that read also checks
-that every facet holds one vertex per coordinate.
+A LabeledComplex keeps its vertices as columns: integer g-vectors in vertex
+order (`gvecs`, one coordinate per label in `coordinates`), the
+compatibility graph (`graph`) and, for naming, one key per vertex and a
+naming function (`keys`, `name_of`).  Its vertex records (`vertices`,
+ComplexVertex: id, g-vector, label and payload) are built from those
+columns when first read, so a complex that no one prints is never named:
+the comparisons, restrictions and audits read g-vectors and the graph
+alone, and labels feed failure text, `to_json`, the renderers, equality
+and hashing.  A complex given its records keeps them, and its columns are
+read off them.
+
+The two complexes built elsewhere in the package (accordion complexes of
+dissections, 2-term silting complexes of gentle algebras) are both clique
+complexes of a pairwise compatibility relation, so the construction, the
+isomorphism checks, dual graphs and structural audits are shared.  A clique
+complex carries its compatibility graph as one int bitmask of neighbours
+per vertex: the accordion side reads it off a per-m table, and
+`compatibility_graph` asks a predicate once per pair for the silting side.
+The complex builds its facets, the maximal cliques (`maximal_cliques`,
+Bron-Kerbosch on those masks), when they are first read; when the complex
+has a kind (an accordion complex, or the silting build's own check), that
+read also checks that every facet holds one vertex per coordinate.
 
 A clique complex is fixed by its vertices and its graph, so
 `iso_by_gvectors` matches vertices by g-vector and checks that the match
@@ -22,11 +31,11 @@ restriction: the induced subcomplex on the vertices whose g-vectors vanish
 off some coordinates, with g-vectors sliced down to those coordinates.  On a
 clique complex that is the induced subgraph, so `restriction` reads the
 kept vertices, their restricted g-vectors and the induced masks off the
-g-vectors and the graph alone, and `name_restriction` names that from any
-complex with those g-vectors and that graph, so complexes that differ only
-in labels share one `restriction`.  `induced_graph` is the one renumbering
-of a bitmask graph through a vertex list, for restrictions and for vertex
-permutations alike.
+g-vectors and the graph alone, and `name_restriction` makes that a complex
+whose vertices are named as the kept ones of any complex with those
+g-vectors and that graph, so complexes that differ only in labels share one
+`restriction`.  `induced_graph` is the one renumbering of a bitmask graph
+through a vertex list, for restrictions and for vertex permutations alike.
 
 Facet adjacency comes from one ridge index (each facet minus one vertex,
 mapped to the facets containing it): `dual_graph` reads its edges from it
@@ -35,7 +44,9 @@ and `is_pseudomanifold` its ridge counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -56,6 +67,19 @@ class ComplexVertex:
     payload: dict = field(default_factory=dict, compare=False)
 
 
+def _record_name(records: tuple[ComplexVertex, ...], k: int) -> tuple[str, dict]:
+    """The label and payload of records[k]."""
+    return records[k].label, records[k].payload
+
+
+def _vertex_records(gvecs, keys, name_of) -> tuple[ComplexVertex, ...]:
+    """Vertex k is ComplexVertex(k, gvecs[k], *name_of(keys[k])): the one
+    place that names the vertices of a complex built from columns."""
+    return tuple(
+        [ComplexVertex(k, g, *name_of(key)) for k, (g, key) in enumerate(zip(gvecs, keys))]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledComplex:
     """A complex on vertices 0..n-1, given by its graph.
@@ -68,8 +92,15 @@ class LabeledComplex:
     complex the package builds has a graph, and the comparisons and
     restrictions read it.  A complex given only its facets (graph None)
     is no clique complex; the audits and rendering read facets alone, so
-    they take one too.  Equality and hashing read coordinates, vertices
-    and facets, whichever way the complex was given.
+    they take one too.
+
+    Built from its records, a complex reads its columns off them: gvecs,
+    keys 0..n-1 and a name_of that looks a key up in the records.  Built
+    from columns (from_columns), it builds its records when .vertices is
+    first read, vertex k as ComplexVertex(k, gvecs[k], *name_of(keys[k])).
+    So one naming function and equal keys give one label and payload
+    (named_alike).  Equality and hashing read coordinates, vertices and
+    facets, whichever way the complex was given.
     """
 
     coordinates: tuple[str, ...]
@@ -77,12 +108,54 @@ class LabeledComplex:
     given_facets: tuple[tuple[int, ...], ...] | None = None
     graph: tuple[int, ...] | None = None
     kind: str | None = None
+    gvecs: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    keys: Sequence = field(init=False, repr=False)
+    name_of: Callable[..., tuple[str, dict]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        records = self.vertices
+        object.__setattr__(self, "gvecs", tuple([v.gvec for v in records]))
+        object.__setattr__(self, "keys", range(len(records)))
+        object.__setattr__(self, "name_of", functools.partial(_record_name, records))
+
+    @classmethod
+    def from_columns(
+        cls, coordinates, gvecs, keys, name_of, graph=None, kind=None, given_facets=None
+    ) -> LabeledComplex:
+        """The complex on vertices 0..n-1 with these g-vectors, keys and
+        naming function, its records built when .vertices is first read."""
+        cx = object.__new__(cls)
+        cx.__dict__.update(
+            coordinates=coordinates,
+            gvecs=gvecs,
+            keys=keys,
+            name_of=name_of,
+            graph=graph,
+            kind=kind,
+            given_facets=given_facets,
+        )
+        return cx
+
+    def __getattr__(self, attr):
+        # reached only for an attribute the instance lacks: the records of
+        # a complex built from columns, before their first read
+        if attr != "vertices":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        records = _vertex_records(self.gvecs, self.keys, self.name_of)
+        object.__setattr__(self, "vertices", records)
+        return records
+
+    def named_alike(self, v: int, other: LabeledComplex, w: int) -> bool:
+        """True when vertex v of this complex and vertex w of other share
+        their naming function and key, so their labels and payloads agree
+        without naming either; False says nothing."""
+        return self.name_of is other.name_of and self.keys[v] == other.keys[w]
 
     @cached_property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         if self.given_facets is not None:
             return self.given_facets
-        facets = tuple(maximal_cliques(len(self.vertices), self.graph))
+        facets = tuple(maximal_cliques(len(self.gvecs), self.graph))
         if self.kind is not None:
             size = len(self.coordinates)
             for f in facets:
@@ -110,9 +183,7 @@ class LabeledComplex:
     @cached_property
     def support_masks(self) -> tuple[int, ...]:
         """Each vertex's nonzero g-vector coordinates, as a bitmask."""
-        return tuple(
-            sum(1 << t for t, x in enumerate(v.gvec) if x) for v in self.vertices
-        )
+        return tuple(sum(1 << t for t, x in enumerate(g) if x) for g in self.gvecs)
 
     def to_json(self) -> dict:
         verts = []
@@ -244,13 +315,6 @@ class ExchangeGraph:
         default_factory=dict, compare=False, repr=False
     )
 
-    def degrees(self) -> list[int]:
-        deg = [0] * len(self.nodes)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def to_json(self) -> dict:
         return {
             "nodes": [list(f) for f in self.nodes],
@@ -370,22 +434,20 @@ def iso_by_gvectors(c1: LabeledComplex, c2: LabeledComplex) -> IsoReport:
         raise LabelLengthMismatchError(
             f"coordinate counts differ: {len(c1.coordinates)} vs {len(c2.coordinates)}"
         )
-    g2 = {}
-    for v in c2.vertices:
-        if v.gvec in g2:
-            failures.append(f"duplicate g-vector {v.gvec} on the right")
-        g2[v.gvec] = v.id
+    g2: dict[tuple[int, ...], int] = {}
+    for k, g in enumerate(c2.gvecs):
+        if g in g2:
+            failures.append(f"duplicate g-vector {g} on the right")
+        g2[g] = k
 
     vertex_map: dict[int, int] = {}
-    for v in c1.vertices:
-        if v.gvec in g2:
-            vertex_map[v.id] = g2[v.gvec]
+    for k, g in enumerate(c1.gvecs):
+        if g in g2:
+            vertex_map[k] = g2[g]
         else:
-            failures.append(f"g-vector {v.gvec} of {v.label} missing on the right")
-    if len(c1.vertices) != len(c2.vertices):
-        failures.append(
-            f"vertex counts differ: {len(c1.vertices)} vs {len(c2.vertices)}"
-        )
+            failures.append(f"g-vector {g} of {c1.vertices[k].label} missing on the right")
+    if len(c1.gvecs) != len(c2.gvecs):
+        failures.append(f"vertex counts differ: {len(c1.gvecs)} vs {len(c2.gvecs)}")
     elif not failures and len(set(vertex_map.values())) != len(vertex_map):
         failures.append("two vertices on the left share a g-vector")
     if not failures:
@@ -434,8 +496,8 @@ def _first_unmatched_pair(
 
 def _facet_profile(cx: LabeledComplex) -> list[tuple[int, ...]]:
     prof = []
-    for v in cx.vertices:
-        sizes = sorted(len(f) for f in cx.facets if v.id in f)
+    for v in range(len(cx.gvecs)):
+        sizes = sorted(len(f) for f in cx.facets if v in f)
         prof.append(tuple(sizes))
     return prof
 
@@ -448,8 +510,8 @@ def generic_iso(
     c1: LabeledComplex, c2: LabeledComplex
 ) -> tuple[bool, dict[int, int] | None]:
     """Label-blind facet-preserving bijection search (backtracking)."""
-    n = len(c1.vertices)
-    if n != len(c2.vertices) or len(c1.facets) != len(c2.facets):
+    n = len(c1.gvecs)
+    if n != len(c2.gvecs) or len(c1.facets) != len(c2.facets):
         return False, None
     if n > GENERIC_ISO_LIMIT:
         raise SizeLimitError(n, GENERIC_ISO_LIMIT)
@@ -530,25 +592,27 @@ def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
     for t in positions:
         inside |= 1 << t
     keep = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
-    gvecs = tuple([tuple([cx.vertices[old].gvec[t] for t in positions]) for old in keep])
+    rows = cx.gvecs
+    gvecs = tuple([tuple([rows[old][t] for t in positions]) for old in keep])
     return Restriction(tuple(keep), gvecs, induced_graph(cx.graph, keep))
 
 
 def name_restriction(
     cx: LabeledComplex, positions: tuple[int, ...], r: Restriction
 ) -> LabeledComplex:
-    """The restriction r of cx to positions, its vertices named as in cx.
-    r may come from another complex with cx's g-vectors and graph.  A
-    restriction is not held to one vertex per coordinate."""
-    vertices = cx.vertices
-    verts = tuple(
-        [
-            ComplexVertex(new, g, vertices[old].label, vertices[old].payload)
-            for new, (old, g) in enumerate(zip(r.keep, r.gvecs))
-        ]
+    """The restriction r of cx to positions, its vertices named as cx names
+    the kept ones: their keys and cx's naming function, so nothing is named
+    until its vertices are read.  r may come from another complex with cx's
+    g-vectors and graph.  A restriction is not held to one vertex per
+    coordinate."""
+    keys = cx.keys
+    return LabeledComplex.from_columns(
+        tuple([cx.coordinates[t] for t in positions]),
+        r.gvecs,
+        tuple([keys[old] for old in r.keep]),
+        cx.name_of,
+        graph=r.graph,
     )
-    coordinates = tuple([cx.coordinates[t] for t in positions])
-    return LabeledComplex(coordinates, verts, None, r.graph)
 
 
 def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
@@ -564,9 +628,9 @@ def check_sign_coherence(cx: LabeledComplex) -> list[str]:
     Each vertex carries a mask of its positive and one of its negative
     coordinates; a facet fails at the coordinates set in both ORs."""
     pos, neg = [], []
-    for v in cx.vertices:
-        pos.append(sum(1 << c for c, x in enumerate(v.gvec) if x > 0))
-        neg.append(sum(1 << c for c, x in enumerate(v.gvec) if x < 0))
+    for g in cx.gvecs:
+        pos.append(sum(1 << c for c, x in enumerate(g) if x > 0))
+        neg.append(sum(1 << c for c, x in enumerate(g) if x < 0))
     failures = []
     for f in cx.facets:
         up = down = 0
@@ -581,8 +645,9 @@ def check_sign_coherence(cx: LabeledComplex) -> list[str]:
 def check_facet_independence(cx: LabeledComplex) -> list[str]:
     """g-vectors within a facet must be linearly independent over the rationals."""
     failures = []
+    gvecs = cx.gvecs
     for f in cx.facets:
-        if linalg.rank([cx.vertices[v].gvec for v in f]) != len(f):
+        if linalg.rank([gvecs[v] for v in f]) != len(f):
             failures.append(f"facet {f}: g-vectors are linearly dependent")
     return failures
 
@@ -590,13 +655,11 @@ def check_facet_independence(cx: LabeledComplex) -> list[str]:
 def check_gvector_injectivity(cx: LabeledComplex) -> list[str]:
     seen: dict[tuple[int, ...], int] = {}
     failures = []
-    for v in cx.vertices:
-        if v.gvec in seen:
-            failures.append(
-                f"vertices {seen[v.gvec]} and {v.id} share g-vector {v.gvec}"
-            )
+    for k, g in enumerate(cx.gvecs):
+        if g in seen:
+            failures.append(f"vertices {seen[g]} and {k} share g-vector {g}")
         else:
-            seen[v.gvec] = v.id
+            seen[g] = k
     return failures
 
 

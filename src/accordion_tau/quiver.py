@@ -3,7 +3,9 @@
 Quivers come from three sources: built from a dissection (one vertex per
 diagonal, named by its label pair, arrows between consecutive diagonal
 sides of a cell, relations for consecutive triples), loaded from JSON, or
-made from a shape (shape_quiver).
+made from a shape (shape_quiver).  A dissection's quiver is its shape
+(dissection_shape, read off its cells) on its diagonals, so a check that
+needs only the shape builds no quiver.
 A quiver's shape forgets vertex names and keeps positions, so quivers that
 differ only in vertex names share it (and their algebras agree up to that
 renaming).  canonical_form numbers a shape by a walk that its isomorphisms
@@ -135,27 +137,34 @@ def quiver_of_dissection(d: Dissection) -> GentleQuiver:
 
     Walking the sides of a cell counterclockwise, two consecutive diagonal
     sides give an arrow (earlier to later) and three consecutive diagonal
-    sides additionally give a relation between the two arrows.
+    sides additionally give a relation between the two arrows.  The quiver
+    on d's diagonals of the shape dissection_shape reads off d's cells.
     """
-    vertices = d.diagonals
-    diagonals = set(vertices)
-    arrows: list[Arrow] = []
-    name_of: dict[tuple, str] = {}
+    return _quiver_on(dissection_shape(d, cells(d)), d.diagonals)
+
+
+def dissection_shape(d: Dissection, faces: list[tuple[int, ...]]) -> tuple:
+    """The shape of quiver_of_dissection(d) (GentleQuiver.shape), read off
+    faces = cells(d) without building the quiver.  Arrows are named a0,
+    a1, ... in the order the cells' walks meet them."""
+    position = {delta: k for k, delta in enumerate(d.diagonals)}
+    arrows: list[tuple[str, int, int]] = []
     relations: set[tuple[str, str]] = set()
-    for cell in cells(d):
-        walk = sides(cell)
-        k = len(walk)
-        for t in range(k):
-            s, s2 = walk[t], walk[(t + 1) % k]
-            if s in diagonals and s2 in diagonals:
+    for cell in faces:
+        # the cell's sides as vertex positions, None for polygon sides, and
+        # the arrow from each side to the next, None where there is none
+        walk = [position.get(side) for side in sides(cell)]
+        names: list[str | None] = []
+        for s, s2 in zip(walk, walk[1:] + walk[:1]):
+            name = None
+            if s is not None and s2 is not None:
                 name = f"a{len(arrows)}"
-                arrows.append(Arrow(name, s, s2))
-                name_of[(s, s2)] = name
-        for t in range(k):
-            s, s2, s3 = walk[t], walk[(t + 1) % k], walk[(t + 2) % k]
-            if k > 2 and s in diagonals and s2 in diagonals and s3 in diagonals:
-                relations.add((name_of[(s, s2)], name_of[(s2, s3)]))
-    return GentleQuiver(vertices, tuple(arrows), frozenset(relations))
+                arrows.append((name, s, s2))
+            names.append(name)
+        for a, b in zip(names, names[1:] + names[:1]):
+            if a is not None and b is not None:
+                relations.add((a, b))
+    return (len(position), tuple(arrows), frozenset(relations))
 
 
 @dataclass(frozen=True)
@@ -583,5 +592,11 @@ def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
 def shape_quiver(shape: tuple) -> GentleQuiver:
     """The quiver of a shape with string arrow names, such as a canonical
     form: its vertices are the positions 0..n-1, so its shape is shape."""
-    n, arrows, relations = shape
-    return GentleQuiver(tuple(range(n)), tuple(Arrow(*a) for a in arrows), relations)
+    return _quiver_on(shape, tuple(range(shape[0])))
+
+
+def _quiver_on(shape: tuple, vertices: tuple) -> GentleQuiver:
+    """The quiver of shape whose k-th vertex is vertices[k]."""
+    _, arrows, relations = shape
+    named = tuple(Arrow(name, vertices[s], vertices[t]) for name, s, t in arrows)
+    return GentleQuiver(vertices, named, relations)

@@ -18,15 +18,17 @@ those through dy are exactly the maps x.p1 -> H^0 y.
 
 The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
-compatibility graph), and label_silting, the one place that names silting
-vertices, turns a core and any quiver of its shape into that quiver's
-complex.  A core keeps the graph only: silting_core checks the purity of
-its facets once, and a complex labelled from a core builds them again, as
-the maximal cliques of the graph, when they are first read; silting_complex
-keeps the facets its purity check read.  The core is an invariant of the
-algebra, so transport_core carries the core of a canonical form
-(quiver.canonical_form, built on quiver.shape_quiver) onto every other shape
-of that form without building it again.
+compatibility graph), and label_silting turns a core and any quiver of its
+shape into that quiver's complex.  It shares the core's g-vectors and
+graph, and its one naming function (_label on the quiver's vertices and
+the core's letters and positions) names a vertex only when the complex's
+vertices are first read.  A core keeps the graph only: silting_core checks
+the purity of its facets once, and a complex labelled from a core builds
+them again, as the maximal cliques of the graph, when they are first read;
+silting_complex keeps the facets its purity check read.  The core is an
+invariant of the algebra, so transport_core carries the core of a
+canonical form (quiver.canonical_form, built on quiver.shape_quiver) onto
+every other shape of that form without building it again.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -34,16 +36,10 @@ compare it (main and idempotent) live in verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .complexes import (
-    ComplexVertex,
-    LabeledComplex,
-    clique_complex,
-    compatibility_graph,
-    induced_graph,
-)
+from .complexes import LabeledComplex, compatibility_graph, induced_graph
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace, kernel, mat_vec
 from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
@@ -422,7 +418,8 @@ class SiltingVertex(NamedTuple):
 
     @property
     def label(self) -> str:
-        return _label(self.complex.basis.quiver, self.letters, self.position)[0]
+        vertices = self.complex.basis.quiver.vertices
+        return _label(vertices, self.letters, self.position)[0]
 
 
 def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
@@ -445,9 +442,10 @@ def _silting_vertices(basis: AlgebraBasis) -> list[SiltingVertex]:
     return sorted(out, key=lambda sv: sv.gvec)
 
 
-def _label(q: GentleQuiver, letters, position: int) -> tuple[str, dict]:
-    """The label and payload of a silting vertex of q."""
-    v = q.vertices[position]
+def _label(vertices: tuple, letters, position: int) -> tuple[str, dict]:
+    """The label and payload of a silting vertex of a quiver with these
+    vertices."""
+    v = vertices[position]
     if letters is None:
         name = vertex_label(v)
         return f"P_{name}[1]", {"kind": "shifted", "projective": name}
@@ -485,16 +483,13 @@ def _core_and_facets(basis: AlgebraBasis) -> tuple[SiltingCore, tuple]:
         x, y = verts[i].complex, verts[j].complex
         return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
 
-    unnamed = [ComplexVertex(i, sv.gvec, "") for i, sv in enumerate(verts)]
-    graph = compatibility_graph(len(verts), compatible)
-    cx = clique_complex("silting", basis.quiver.vertices, unnamed, graph)
     core = SiltingCore(
         tuple(sv.gvec for sv in verts),
         tuple(sv.letters for sv in verts),
         tuple(sv.position for sv in verts),
-        cx.graph,
+        compatibility_graph(len(verts), compatible),
     )
-    return core, cx.facets
+    return core, _label_core(core, basis.quiver.vertices, kind="silting").facets
 
 
 def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore:
@@ -569,14 +564,34 @@ def _first_met(shape: tuple):
 def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
     """The silting complex of q from the core of q's shape, sharing the
     core's g-vectors and graph; its facets are built when first read."""
-    rows = enumerate(zip(core.gvecs, core.letters, core.positions))
-    vertices = tuple(ComplexVertex(i, g, *_label(q, w, at)) for i, (g, w, at) in rows)
-    coordinates = tuple(map(vertex_label, q.vertices))
-    return LabeledComplex(coordinates, vertices, None, core.graph)
+    return _label_core(core, q.vertices)
+
+
+def _label_core(
+    core: SiltingCore, vertices: tuple, kind=None, given_facets=None
+) -> LabeledComplex:
+    """The complex of core on a quiver with these vertices: vertex k is
+    named by _label from vertices and the core's letters and positions at
+    k, when the complex's vertices are first read.  The naming function
+    holds those three tuples, not the core or a quiver."""
+    letters, positions = core.letters, core.positions
+
+    def name_of(k: int) -> tuple[str, dict]:
+        return _label(vertices, letters[k], positions[k])
+
+    return LabeledComplex.from_columns(
+        tuple(map(vertex_label, vertices)),
+        core.gvecs,
+        range(len(core.gvecs)),
+        name_of,
+        graph=core.graph,
+        kind=kind,
+        given_facets=given_facets,
+    )
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank.
     The facets that the purity check read are kept, not enumerated again."""
     core, facets = _core_and_facets(algebra_basis(q))
-    return replace(label_silting(core, q), given_facets=facets)
+    return _label_core(core, q.vertices, given_facets=facets)

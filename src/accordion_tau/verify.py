@@ -16,12 +16,15 @@ itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
 Both complexes are clique complexes, so every check compares compatibility
 graphs under the g-vector map (complexes.iso_by_gvectors), and a
 restriction to some coordinates is an induced subgraph: no theorem check
-enumerates cliques, except where purity is checked.  The check that each
-facet holds one vertex per coordinate runs once per silting build
-(rigidity.silting_core) and once per accordion complex the nested checks
-build.  The main check needs no accordion facets: a graph isomorphism onto
-the checked silting complex carries its purity over.  Structural audits and
-printed complexes read facets.
+enumerates cliques, except where purity is checked.  The checks read each
+complex's columns (g-vectors, graph, and for the nested check the keys
+that name black diagonals), so a passed instance names no vertex: labels
+are built, when first read, for failure text and printed complexes.  The
+check that each facet holds one vertex per coordinate runs once per
+silting build (rigidity.silting_core) and once per accordion complex the
+nested checks build.  The main check needs no accordion facets: a graph
+isomorphism onto the checked silting complex carries its purity over.
+Structural audits and printed complexes read facets.
 
 Exhaustive runs iterate all dissections of one polygon and build each
 complex once per sweep: the nested sweep keeps one accordion complex per
@@ -30,8 +33,13 @@ its audit messages) per distinct shortcut quiver, while each ambient
 complex lives for its own dissection only.  A silting complex depends on
 its quiver's shape alone (GentleQuiver.shape: vertex positions, not
 names), so the main and idempotent sweeps keep one label-free core per
-shape and label it for every quiver of the shape (rigidity.label_silting),
-as silting_complex does for one quiver.  An isomorphism of gentle quivers
+shape and label it for every quiver of the shape (rigidity._label_core,
+as label_silting and silting_complex do for one quiver).  The main sweep
+cuts each dissection into cells once, reads the accordion complex and the
+quiver's shape off them (quiver.dissection_shape), and labels the silting
+complex on the dissection's diagonals, so it builds no quiver per
+dissection; a shape met for the first time builds its quiver once, for
+GentleQuiver's checks.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
 class, on the quiver of the class's canonical form (quiver.canonical_form,
@@ -79,7 +87,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .accordion import accordion_complex
+from .accordion import accordion_complex, accordion_complex_of_cells
 from .complexes import (
     IsoReport,
     LabeledComplex,
@@ -92,12 +100,13 @@ from .complexes import (
     structural_failures,
 )
 from .errors import EmptyDissectionError, NotNestedError
-from .geometry import Dissection, all_dissections
+from .geometry import Dissection, all_dissections, cells
 from .quiver import (
     GentleQuiver,
     _shortcut_quiver,
     algebra_basis,
     canonical_form,
+    dissection_shape,
     idempotent_subalgebra_check,
     nonempty_subsets,
     quiver_of_dissection,
@@ -108,9 +117,9 @@ from .quiver import (
 )
 from .rigidity import (
     SiltingCore,
+    _label_core,
     direct_sum,
     hom_shift,
-    label_silting,
     silting_complex,
     silting_core,
     silting_vertices,
@@ -158,6 +167,10 @@ def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
     report = iso_by_gvectors(small, induced)
     if report.passed:
         for vid, wid in report.vertex_map.items():
+            # the nested sweep's pairs share the accordion naming function,
+            # so equal black diagonals show as equal keys, and nothing is named
+            if small.named_alike(vid, induced, wid):
+                continue
             b1 = small.vertices[vid].payload["black"]
             b2 = induced.vertices[wid].payload["black"]
             if b1 != b2:
@@ -219,7 +232,7 @@ def _carried_audit(
     iso_by_gvectors or compare_nested matched cx to, None when the match
     failed.  A clean result carries by two rules:
     - a labelled silting complex shares its core's g-vectors and graph
-      (rigidity.label_silting), and the cores of one class are the form's
+      (rigidity._label_core), and the cores of one class are the form's
       core with its vertices renumbered and its coordinates permuted
       (rigidity.transport_core), so every complex of a class audited clean
       is clean;
@@ -285,47 +298,54 @@ def _tag(d: Dissection) -> str:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, tuple[tuple, SiltingCore]], q: GentleQuiver
+    cores: dict[tuple, tuple[tuple, SiltingCore]], shape: tuple, vertices: tuple
 ) -> tuple[LabeledComplex, tuple]:
-    """The silting complex of q, labelled from the core of q's shape, and
-    the key its audit carries by (_carried_audit): the canonical form of
-    q's shape, since every core of a class is the form's core relabelled.
+    """The silting complex of the quiver of this shape on these vertices,
+    labelled from the core of the shape (rigidity._label_core), and the key
+    its audit carries by (_carried_audit): the canonical form of the shape,
+    since every core of a class is the form's core relabelled.
 
     cores holds, per shape met, its form and its core.  A form is itself a
     shape and its own form, so the core built on the form's quiver is the
     form's entry, and every other shape of the class takes that core,
-    transported."""
-    entry = cores.get(q.shape)
+    transported.  A shape met for the first time builds its quiver once,
+    so GentleQuiver's checks run on every shape a sweep reads."""
+    entry = cores.get(shape)
     if entry is None:
-        canon = canonical_form(q.shape)
+        shape_quiver(shape)  # for GentleQuiver's checks, once per shape
+        canon = canonical_form(shape)
         form = canon[0]
         if form not in cores:
             cores[form] = (form, silting_core(algebra_basis(shape_quiver(form))))
-        if q.shape != form:
-            cores[q.shape] = (form, transport_core(cores[form][1], canon, q.shape))
-        entry = cores[q.shape]
+        if shape != form:
+            cores[shape] = (form, transport_core(cores[form][1], canon, shape))
+        entry = cores[shape]
     form, core = entry
-    return label_silting(core, q), form
+    return _label_core(core, vertices), form
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty dissection of the m-gon; one silting build per quiver
-    isomorphism class."""
+    isomorphism class.  Each dissection is cut into cells once: the
+    accordion complex and the quiver's shape are both read off them, and
+    the silting complex is labelled from the shape's core on d's diagonals,
+    with no quiver built for d."""
     summary = VerifySummary("main")
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     for d in all_dissections(m):
-        acc = accordion_complex(d)
-        q = quiver_of_dissection(d)
-        silt, key = _silting_by_shape(cores, q)
+        tag = _tag(d)
+        faces = cells(d)
+        acc = accordion_complex_of_cells(d, faces)
+        silt, key = _silting_by_shape(cores, dissection_shape(d, faces), d.diagonals)
         report = iso_by_gvectors(acc, silt)
-        summary.record(_tag(d), report)
+        summary.record(tag, report)
         if structural:
             # the silting side first, so that a clean audit carries over
             silt_audit = _carried_audit(silt, clean, key=key)
             matched = key if report.passed else None
-            summary.audit(_tag(d) + " accordion", _carried_audit(acc, clean, matched=matched))
-            summary.audit(_tag(d) + " silting", silt_audit)
+            summary.audit(tag + " accordion", _carried_audit(acc, clean, matched=matched))
+            summary.audit(tag + " silting", silt_audit)
     return summary
 
 
@@ -404,7 +424,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         tag = _tag(d)
         q = quiver_of_dissection(d)
         basis = algebra_basis(q)
-        ambient, key = _silting_by_shape(cores, q)
+        ambient, key = _silting_by_shape(cores, q.shape, q.vertices)
         if structural:
             summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
         shape_plans = plans.setdefault(q.shape, {})
@@ -420,9 +440,8 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 plan = shape_plans[positions] = _Plan(shape, kept)
             entry = shortcuts.get((plan.shortcut_shape, J))
             if entry is None:
-                small, small_key = _silting_by_shape(
-                    cores, shortcut or _shortcut_quiver(basis, set(J))
-                )
+                shortcut = shortcut or _shortcut_quiver(basis, set(J))
+                small, small_key = _silting_by_shape(cores, shortcut.shape, shortcut.vertices)
                 audit = _carried_audit(small, clean, key=small_key) if structural else []
                 entry = shortcuts[plan.shortcut_shape, J] = (small, small_key, audit)
             small, small_key, small_audit = entry

@@ -137,6 +137,15 @@ def count_flip_edges(facets) -> int:
     return len(flip_edges(facets))
 
 
+def degrees(graph) -> list[int]:
+    """The degree of each node of an exchange graph, counted off its edges."""
+    deg = [0] * len(graph.nodes)
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
 def facet_complex(coordinates, vertices, facets) -> LabeledComplex:
     """A complex given only its facets, with no compatibility graph, for the
     audits of complexes that are no clique complexes (a triangle boundary,

@@ -78,7 +78,7 @@ def test_criterion_1_hexagon_fan():
         len(acc.vertices) == len(silt.vertices) == 6 * 3 // 2
         and len(acc.facets) == len(silt.facets) == len(tris) == 14
         and iso.passed
-        and set(dual_acc.degrees()) == set(dual_silt.degrees()) == {3}
+        and set(oracles.degrees(dual_acc)) == set(oracles.degrees(dual_silt)) == {3}
         and len(dual_acc.edges) == len(dual_silt.edges) == flips == 21
         and elapsed < 5.0
     )
@@ -104,7 +104,7 @@ def test_criterion_2_heptagon_zigzag():
         and len(acc.vertices) == len(silt.vertices) == 8
         and len(acc.facets) == len(silt.facets) == 12
         and iso.passed
-        and set(dual_acc.degrees()) == set(dual_silt.degrees()) == {3}
+        and set(oracles.degrees(dual_acc)) == set(oracles.degrees(dual_silt)) == {3}
         and len(dual_acc.edges) == len(dual_silt.edges) == 18
         and elapsed < 5.0
     )

@@ -14,7 +14,7 @@ from accordion_tau.errors import (
     InfiniteDimensionalError,
     InputError,
 )
-from accordion_tau.geometry import all_dissections, validate_dissection
+from accordion_tau.geometry import all_dissections, cells, validate_dissection
 from accordion_tau.quiver import (
     Arrow,
     GentleQuiver,
@@ -22,6 +22,7 @@ from accordion_tau.quiver import (
     algebra_basis,
     canonical_form,
     check_gentle,
+    dissection_shape,
     ensure_gentle,
     idempotent_subalgebra_check,
     quiver_from_json,
@@ -330,6 +331,19 @@ def test_quivers_match_detects_differences(heptagon_zigzag, hexagon_fan):
     # same shape, relation dropped
     q3 = GentleQuiver(q1.vertices, q1.arrows, frozenset())
     assert any("relation" in f for f in quivers_match(q1, q3))
+
+
+def test_the_shape_read_off_the_cells_is_the_quivers_shape():
+    # dissection_shape reads the shape without building a quiver, and
+    # quiver_of_dissection names that shape's vertices by d's diagonals
+    count = 0
+    for m in range(4, 10):
+        for d in all_dissections(m):
+            q = quiver_of_dissection(d)
+            assert dissection_shape(d, cells(d)) == q.shape
+            assert q.vertices == d.diagonals
+            count += 1
+    assert count == 2 + 10 + 44 + 196 + 902 + 4278
 
 
 def test_shape_forgets_vertex_names_only():

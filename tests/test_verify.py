@@ -72,9 +72,12 @@ def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, str
     assert summary.complexes_audited == (len(dissections) + 2 * pairs if structural else 0)
 
 
-def shapes_met(labelled: list) -> set:
-    """The quiver shapes of the label_silting(core, q) calls of a sweep."""
-    return {q.shape for _, q in labelled}
+def shapes_met(monkeypatch, name: str, m: int) -> set:
+    """The quiver shapes of the silting complexes a passed sweep labels,
+    read off its _silting_by_shape(cores, shape, vertices) calls."""
+    calls = count_calls(monkeypatch, verify, "_silting_by_shape")
+    assert verify.DRIVERS[name](m).ok
+    return {shape for _, shape, _ in calls}
 
 
 @pytest.mark.parametrize(
@@ -84,9 +87,7 @@ def test_sweeps_build_one_silting_core_per_quiver_shape(monkeypatch, name, m, co
     # every shape gets exactly one core: a shape that is its own canonical
     # form takes the core built on it, every other shape is transported once
     moved = count_calls(monkeypatch, rigidity, "transport_core")
-    labelled = count_calls(monkeypatch, rigidity, "label_silting")
-    assert verify.DRIVERS[name](m).ok
-    shapes = shapes_met(labelled)
+    shapes = shapes_met(monkeypatch, name, m)
     others = {shape for shape in shapes if quiver.canonical_form(shape)[0] != shape}
     assert len(shapes) == cores
     assert sorted(shape for _, _, shape in moved) == sorted(others)
@@ -107,9 +108,7 @@ def test_sweeps_build_one_silting_core_per_quiver_isomorphism_class(
     # shape, except for the shapes that equal their own form
     calls = count_calls(monkeypatch, rigidity, "silting_core")
     moved = count_calls(monkeypatch, rigidity, "transport_core")
-    labelled = count_calls(monkeypatch, rigidity, "label_silting")
-    assert verify.DRIVERS[name](m).ok
-    met = shapes_met(labelled)
+    met = shapes_met(monkeypatch, name, m)
     forms = {shape for shape in met if quiver.canonical_form(shape)[0] == shape}
     assert (len(calls), len(met), len(moved)) == (cores, shapes, TRANSPORTS[name, m])
     assert len(moved) == len(met) - len(forms)
@@ -212,6 +211,75 @@ def test_main_and_nested_sweeps_compare_the_complexes_a_single_instance_builds(
         for (left, right), (want_left, want_right) in zip(calls, expected):
             assert left == want_left and left.to_json() == want_left.to_json()
             assert right == want_right and right.to_json() == want_right.to_json()
+
+
+def main_instances_up_to_7() -> bool:
+    return all(verify.verify_main(d).passed for m in range(4, 8) for d in all_dissections(m))
+
+
+PASSED_RUNS = {
+    "main-7-structural": lambda: verify.DRIVERS["main"](7, structural=True).ok,
+    "nested-6": lambda: verify.DRIVERS["nested"](6).ok,
+    "idempotent-6": lambda: verify.DRIVERS["idempotent"](6).ok,
+    "verify_main-up-to-7": main_instances_up_to_7,
+}
+
+
+@pytest.mark.parametrize("run", list(PASSED_RUNS))
+def test_passed_checks_name_no_vertex(monkeypatch, run):
+    # labels feed only failure text, output, equality and hashing: a
+    # passed check compares g-vectors and graphs, and builds no vertex
+    # record of any complex it reads
+    named = count_calls(monkeypatch, complexes, "_vertex_records")
+    assert PASSED_RUNS[run]()
+    assert named == []
+
+
+def test_failure_text_names_the_vertices_it_cites(monkeypatch):
+    # the naming path is the one the failure text reads
+    named = count_calls(monkeypatch, complexes, "_vertex_records")
+    flip_crossing(monkeypatch, {(0, 2), (2, 4)})
+    assert not verify.verify_main(validate_dissection(6, [(0, 2), (0, 3), (0, 4)])).passed
+    assert len(named) == 2
+
+
+def test_compare_nested_reads_records_when_keys_cannot_tell():
+    # a complex built from records has its own naming function, so its
+    # black diagonals are read off its records; swapping two of them fails
+    # the match with the text that names both
+    fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
+    small = verify.accordion_complex(validate_dissection(6, [(0, 3)]))
+    induced = verify.restrict_to_coordinates(verify.accordion_complex(fan), (1,))
+    assert verify.compare_nested(small, induced).passed
+    records = [dataclasses.replace(v, payload=dict(v.payload)) for v in induced.vertices]
+    copy = complexes.LabeledComplex(induced.coordinates, tuple(records), None, induced.graph)
+    assert verify.compare_nested(small, copy).passed
+    records[0].payload["black"], records[1].payload["black"] = [2, 5], [0, 3]
+    report = verify.compare_nested(small, copy)
+    assert not report.passed and report.vertex_map is None
+    assert report.failures == [
+        "g-vector match sends black diagonal [0, 3] to [2, 5]",
+        "g-vector match sends black diagonal [2, 5] to [0, 3]",
+    ]
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_main_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dissection(
+    monkeypatch, structural
+):
+    # one cells(d) per dissection serves both sides; the quiver's shape is
+    # read off those cells, and a GentleQuiver is built only when a shape
+    # is first met (for its checks) and for each class's form
+    dissections = all_dissections(7)
+    cut = count_calls(monkeypatch, quiver, "cells")
+    built = count_calls(monkeypatch, quiver, "quiver_of_dissection")
+    shapes = count_calls(monkeypatch, verify, "shape_quiver")
+    summary = verify.verify_main_exhaustive(7, structural=structural)
+    assert summary.ok and summary.checked == len(dissections)
+    assert len(cut) == len(dissections) and built == []
+    # 49 shapes in 15 classes; 3 forms are met after another shape of
+    # their class, which already made their entry
+    assert len(shapes) == 49 - 3 + 15
 
 
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
@@ -391,8 +459,14 @@ def drop_a_pair(monkeypatch) -> None:
     the induced side (idempotent, which builds no accordion complex), so
     the matches of those complexes fail."""
     accordion_complex, name_restriction = verify.accordion_complex, verify.name_restriction
+    of_cells = verify.accordion_complex_of_cells
     monkeypatch.setattr(
         verify, "accordion_complex", lambda d: without_first_pair(accordion_complex(d))
+    )
+    monkeypatch.setattr(
+        verify,
+        "accordion_complex_of_cells",
+        lambda d, faces: without_first_pair(of_cells(d, faces)),
     )
     monkeypatch.setattr(
         verify,
