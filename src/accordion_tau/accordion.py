@@ -192,7 +192,7 @@ def accordion_complex_of_cells(
 ) -> LabeledComplex:
     """accordion_complex(d), given faces = cells(d)."""
     split, rows, gvecs = _accordion(d, faces)
-    return LabeledComplex.from_columns(
+    return LabeledComplex(
         tuple([f"{p}-{q}" for p, q in d.diagonals]),
         gvecs,
         rows,

@@ -1,27 +1,25 @@
 """Simplicial complexes with g-vector labeled vertices, and their comparisons.
 
-A LabeledComplex keeps its vertices as columns: integer g-vectors in vertex
-order (`gvecs`, one coordinate per label in `coordinates`), the
-compatibility graph (`graph`) and, for naming, one key per vertex and a
-naming function (`keys`, `name_of`).  Its vertex records (`vertices`,
-ComplexVertex: id, g-vector, label and payload) are built from those
-columns when first read, so a complex that no one prints is never named:
-the comparisons, restrictions and audits read g-vectors and the graph
-alone, and labels feed failure text, `to_json`, the renderers, equality
-and hashing.  A complex given its records keeps them, and its columns are
-read off them.
+A LabeledComplex is its columns: integer g-vectors in vertex order
+(`gvecs`, one coordinate per label in `coordinates`), the compatibility
+graph (`graph`) and, for naming, one key per vertex and a naming function
+(`keys`, `name_of`).  Its vertex records (`vertices`, ComplexVertex: id,
+g-vector, label and payload) are built from those columns when first read,
+so a complex that no one prints is never named: the comparisons,
+restrictions and audits read g-vectors and the graph alone, and labels
+feed failure text, `to_json`, the renderers, equality and hashing.
 
-The two complexes built elsewhere in the package (accordion complexes of
-dissections, 2-term silting complexes of gentle algebras) are both clique
-complexes of a pairwise compatibility relation, so the construction, the
-isomorphism checks, dual graphs and structural audits are shared.  A clique
-complex carries its compatibility graph as one int bitmask of neighbours
-per vertex: the accordion side reads it off a per-m table, and
-`compatibility_graph` asks a predicate once per pair for the silting side.
-The complex builds its facets, the maximal cliques (`maximal_cliques`,
-Bron-Kerbosch on those masks), when they are first read; when the complex
-has a kind (an accordion complex, or the silting build's own check), that
-read also checks that every facet holds one vertex per coordinate.
+The two complexes the package builds (accordion complexes of dissections,
+2-term silting complexes of gentle algebras) are both clique complexes of
+a pairwise compatibility relation, so the construction, the isomorphism
+checks, dual graphs and structural audits are shared.  A complex carries
+its compatibility graph as one int bitmask of neighbours per vertex: the
+accordion side reads it off a per-m table, and `compatibility_graph` asks
+a predicate once per pair for the silting side.  The complex builds its
+facets, the maximal cliques (`maximal_cliques`, Bron-Kerbosch on those
+masks), when they are first read; when the complex has a kind (an
+accordion complex, or the silting build's own check), that read also
+checks that every facet holds one vertex per coordinate.
 
 A clique complex is fixed by its vertices and its graph, so
 `iso_by_gvectors` matches vertices by g-vector and checks that the match
@@ -44,7 +42,6 @@ and `is_pseudomanifold` its ridge counts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -67,14 +64,9 @@ class ComplexVertex:
     payload: dict = field(default_factory=dict, compare=False)
 
 
-def _record_name(records: tuple[ComplexVertex, ...], k: int) -> tuple[str, dict]:
-    """The label and payload of records[k]."""
-    return records[k].label, records[k].payload
-
-
 def _vertex_records(gvecs, keys, name_of) -> tuple[ComplexVertex, ...]:
     """Vertex k is ComplexVertex(k, gvecs[k], *name_of(keys[k])): the one
-    place that names the vertices of a complex built from columns."""
+    place that names the vertices of a complex."""
     return tuple(
         [ComplexVertex(k, g, *name_of(key)) for k, (g, key) in enumerate(zip(gvecs, keys))]
     )
@@ -82,68 +74,31 @@ def _vertex_records(gvecs, keys, name_of) -> tuple[ComplexVertex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LabeledComplex:
-    """A complex on vertices 0..n-1, given by its graph.
+    """The clique complex of a compatibility graph on vertices 0..n-1.
 
-    A clique complex is given its compatibility graph, each vertex's
-    neighbours as a bitmask (graph[v]); its facets, the maximal cliques, are
-    built on first read unless they are given too, as a cache.  When kind
-    is set, that read raises NonPureComplexError, naming the complex by
-    kind, unless every facet holds one vertex per coordinate.  Every
-    complex the package builds has a graph, and the comparisons and
-    restrictions read it.  A complex given only its facets (graph None)
-    is no clique complex; the audits and rendering read facets alone, so
-    they take one too.
-
-    Built from its records, a complex reads its columns off them: gvecs,
-    keys 0..n-1 and a name_of that looks a key up in the records.  Built
-    from columns (from_columns), it builds its records when .vertices is
-    first read, vertex k as ComplexVertex(k, gvecs[k], *name_of(keys[k])).
-    So one naming function and equal keys give one label and payload
+    Its fields are its whole state: the coordinates, each vertex's g-vector
+    (gvecs[v], one entry per coordinate), a key per vertex and a naming
+    function, each vertex's neighbours as a bitmask (graph[v]) and an
+    optional kind.  Its facets, the maximal cliques of the graph, are built
+    when first read; when kind is set, that read raises NonPureComplexError,
+    naming the complex by kind, unless every facet holds one vertex per
+    coordinate.  Its records (.vertices) are built when first read too,
+    vertex k as ComplexVertex(k, gvecs[k], *name_of(keys[k])), so one
+    naming function and equal keys give one label and payload
     (named_alike).  Equality and hashing read coordinates, vertices and
-    facets, whichever way the complex was given.
+    facets.
     """
 
     coordinates: tuple[str, ...]
-    vertices: tuple[ComplexVertex, ...]
-    given_facets: tuple[tuple[int, ...], ...] | None = None
-    graph: tuple[int, ...] | None = None
+    gvecs: tuple[tuple[int, ...], ...]
+    keys: Sequence
+    name_of: Callable[..., tuple[str, dict]]
+    graph: tuple[int, ...]
     kind: str | None = None
-    gvecs: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    keys: Sequence = field(init=False, repr=False)
-    name_of: Callable[..., tuple[str, dict]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        records = self.vertices
-        object.__setattr__(self, "gvecs", tuple([v.gvec for v in records]))
-        object.__setattr__(self, "keys", range(len(records)))
-        object.__setattr__(self, "name_of", functools.partial(_record_name, records))
-
-    @classmethod
-    def from_columns(
-        cls, coordinates, gvecs, keys, name_of, graph=None, kind=None, given_facets=None
-    ) -> LabeledComplex:
-        """The complex on vertices 0..n-1 with these g-vectors, keys and
-        naming function, its records built when .vertices is first read."""
-        cx = object.__new__(cls)
-        cx.__dict__.update(
-            coordinates=coordinates,
-            gvecs=gvecs,
-            keys=keys,
-            name_of=name_of,
-            graph=graph,
-            kind=kind,
-            given_facets=given_facets,
-        )
-        return cx
-
-    def __getattr__(self, attr):
-        # reached only for an attribute the instance lacks: the records of
-        # a complex built from columns, before their first read
-        if attr != "vertices":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        records = _vertex_records(self.gvecs, self.keys, self.name_of)
-        object.__setattr__(self, "vertices", records)
-        return records
+    @cached_property
+    def vertices(self) -> tuple[ComplexVertex, ...]:
+        return _vertex_records(self.gvecs, self.keys, self.name_of)
 
     def named_alike(self, v: int, other: LabeledComplex, w: int) -> bool:
         """True when vertex v of this complex and vertex w of other share
@@ -153,8 +108,6 @@ class LabeledComplex:
 
     @cached_property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        if self.given_facets is not None:
-            return self.given_facets
         facets = tuple(maximal_cliques(len(self.gvecs), self.graph))
         if self.kind is not None:
             size = len(self.coordinates)
@@ -196,18 +149,6 @@ class LabeledComplex:
             "vertices": verts,
             "facets": [list(f) for f in self.facets],
         }
-
-
-def _check_vertices(coordinates: tuple, vertices: tuple) -> None:
-    """Vertex ids must equal positions, g-vectors have one entry per coordinate."""
-    for idx, v in enumerate(vertices):
-        if v.id != idx:
-            raise ValueError(f"vertex ids must equal positions, got {v.id} at {idx}")
-        if len(v.gvec) != len(coordinates):
-            raise LabelLengthMismatchError(
-                f"vertex {v.id} has g-vector length {len(v.gvec)}, "
-                f"expected {len(coordinates)}"
-            )
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -287,23 +228,6 @@ def compatibility_graph(n: int, compatible) -> tuple[int, ...]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return tuple(adj)
-
-
-def clique_complex(kind: str, coordinates, vertices, graph) -> LabeledComplex:
-    """The clique complex of a compatibility graph on vertices.
-
-    graph[v] is the bitmask of the neighbours of vertex v.  The facets are
-    the maximal cliques, built when first read, and each must hold one
-    vertex per coordinate; kind names the complex in the
-    NonPureComplexError otherwise.
-    """
-    coordinates = tuple(coordinates)
-    vertices = tuple(vertices)
-    _check_vertices(coordinates, vertices)
-    graph = tuple(graph)
-    if len(graph) != len(vertices):
-        raise ValueError(f"graph has {len(graph)} rows for {len(vertices)} vertices")
-    return LabeledComplex(coordinates, vertices, None, graph, kind)
 
 
 @dataclass(frozen=True)
@@ -606,7 +530,7 @@ def name_restriction(
     g-vectors and graph.  A restriction is not held to one vertex per
     coordinate."""
     keys = cx.keys
-    return LabeledComplex.from_columns(
+    return LabeledComplex(
         tuple([cx.coordinates[t] for t in positions]),
         r.gvecs,
         tuple([keys[old] for old in r.keep]),
@@ -665,8 +589,9 @@ def check_gvector_injectivity(cx: LabeledComplex) -> list[str]:
 
 def structural_failures(cx: LabeledComplex) -> list[str]:
     """Every structural audit in one list: sign coherence, facet independence
-    and g-vector injectivity.  Vertex ids and g-vector lengths are checked
-    when clique_complex builds a complex."""
+    and g-vector injectivity.  Vertex ids are positions by construction
+    (LabeledComplex.vertices), and each builder gives every g-vector one
+    entry per coordinate."""
     return (
         check_sign_coherence(cx)
         + check_facet_independence(cx)

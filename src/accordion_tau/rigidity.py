@@ -18,14 +18,15 @@ those through dy are exactly the maps x.p1 -> H^0 y.
 
 The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
-compatibility graph), and label_silting turns a core and any quiver of its
-shape into that quiver's complex.  It shares the core's g-vectors and
-graph, and its one naming function (_label on the quiver's vertices and
-the core's letters and positions) names a vertex only when the complex's
-vertices are first read.  A core keeps the graph only: silting_core checks
-the purity of its facets once, and a complex labelled from a core builds
-them again, as the maximal cliques of the graph, when they are first read;
-silting_complex keeps the facets its purity check read.  The core is an
+compatibility graph), and _label_core turns a core and the vertices of any
+quiver of its shape into that quiver's complex.  It shares the core's
+g-vectors and graph, and its one naming function (_label on the quiver's
+vertices and the core's letters and positions) names a vertex only when
+the complex's vertices are first read.  A core keeps the graph only:
+silting_core checks the purity of its facets once, and a complex labelled
+from a core builds them again, as the maximal cliques of the graph, when
+they are first read; silting_complex returns the complex whose facets the
+purity check read.  The core is an
 invariant of the algebra, so transport_core carries the core of a
 canonical form (quiver.canonical_form, built on quiver.shape_quiver) onto
 every other shape of that form without building it again.
@@ -470,13 +471,15 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
     """The label-free silting complex of basis.quiver's shape.
 
     Faces are the pairwise compatible sets; facets must all be full rank.
-    The clique complex is built on unnamed vertices, and reading its facets
-    once checks that; the core keeps only its graph."""
-    return _core_and_facets(basis)[0]
+    The complex is checked once, by reading its facets; the core keeps only
+    its graph."""
+    return _checked_silting(basis)[0]
 
 
-def _core_and_facets(basis: AlgebraBasis) -> tuple[SiltingCore, tuple]:
-    """silting_core(basis) and the facets its purity check read."""
+def _checked_silting(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
+    """silting_core(basis) and basis.quiver's silting complex, its facets
+    read once: the read raises NonPureComplexError unless each facet holds
+    one vertex per coordinate."""
     verts = _silting_vertices(basis)
 
     def compatible(i: int, j: int) -> bool:
@@ -489,7 +492,9 @@ def _core_and_facets(basis: AlgebraBasis) -> tuple[SiltingCore, tuple]:
         tuple(sv.position for sv in verts),
         compatibility_graph(len(verts), compatible),
     )
-    return core, _label_core(core, basis.quiver.vertices, kind="silting").facets
+    cx = _label_core(core, basis.quiver.vertices, kind="silting")
+    cx.facets
+    return core, cx
 
 
 def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore:
@@ -561,37 +566,29 @@ def _first_met(shape: tuple):
     return orient
 
 
-def label_silting(core: SiltingCore, q: GentleQuiver) -> LabeledComplex:
-    """The silting complex of q from the core of q's shape, sharing the
-    core's g-vectors and graph; its facets are built when first read."""
-    return _label_core(core, q.vertices)
-
-
-def _label_core(
-    core: SiltingCore, vertices: tuple, kind=None, given_facets=None
-) -> LabeledComplex:
-    """The complex of core on a quiver with these vertices: vertex k is
-    named by _label from vertices and the core's letters and positions at
-    k, when the complex's vertices are first read.  The naming function
-    holds those three tuples, not the core or a quiver."""
+def _label_core(core: SiltingCore, vertices: tuple, kind=None) -> LabeledComplex:
+    """The complex of core on a quiver with these vertices, sharing the
+    core's g-vectors and graph: vertex k is named by _label from vertices
+    and the core's letters and positions at k, when the complex's vertices
+    are first read.  The naming function holds those three tuples, not the
+    core or a quiver."""
     letters, positions = core.letters, core.positions
 
     def name_of(k: int) -> tuple[str, dict]:
         return _label(vertices, letters[k], positions[k])
 
-    return LabeledComplex.from_columns(
+    return LabeledComplex(
         tuple(map(vertex_label, vertices)),
         core.gvecs,
         range(len(core.gvecs)),
         name_of,
         graph=core.graph,
         kind=kind,
-        given_facets=given_facets,
     )
 
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank.
-    The facets that the purity check read are kept, not enumerated again."""
-    core, facets = _core_and_facets(algebra_basis(q))
-    return _label_core(core, q.vertices, given_facets=facets)
+    The complex is the one whose facets the purity check read, so they are
+    not enumerated again."""
+    return _checked_silting(algebra_basis(q))[1]

@@ -34,7 +34,7 @@ complex lives for its own dissection only.  A silting complex depends on
 its quiver's shape alone (GentleQuiver.shape: vertex positions, not
 names), so the main and idempotent sweeps keep one label-free core per
 shape and label it for every quiver of the shape (rigidity._label_core,
-as label_silting and silting_complex do for one quiver).  The main sweep
+as silting_complex does for one quiver).  The main sweep
 cuts each dissection into cells once, reads the accordion complex and the
 quiver's shape off them (quiver.dissection_shape), and labels the silting
 complex on the dissection's diagonals, so it builds no quiver per

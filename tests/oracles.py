@@ -146,12 +146,55 @@ def degrees(graph) -> list[int]:
     return deg
 
 
+def _record_columns(coordinates, vertices) -> tuple:
+    """The coordinates, g-vectors, keys and naming function of a complex
+    on these records: vertex k is named from vertices[k] by a naming
+    function of its own, so no package-built complex is named alike."""
+    coordinates, vertices = tuple(coordinates), tuple(vertices)
+    for k, v in enumerate(vertices):
+        assert v.id == k, f"vertex ids must equal positions, got {v.id} at {k}"
+        assert len(v.gvec) == len(coordinates), (
+            f"vertex {k} has g-vector length {len(v.gvec)}, expected {len(coordinates)}"
+        )
+
+    def name_of(k: int) -> tuple[str, dict]:
+        return vertices[k].label, vertices[k].payload
+
+    return coordinates, tuple(v.gvec for v in vertices), range(len(vertices)), name_of
+
+
+def records_complex(coordinates, vertices, graph, kind=None) -> LabeledComplex:
+    """The clique complex of graph on vertices given as records, each named
+    from its own record."""
+    graph = tuple(graph)
+    assert len(graph) == len(vertices), (
+        f"graph has {len(graph)} rows for {len(vertices)} vertices"
+    )
+    return LabeledComplex(*_record_columns(coordinates, vertices), graph, kind)
+
+
+def records_copy(cx: LabeledComplex) -> LabeledComplex:
+    """cx built again from its vertex records."""
+    return records_complex(cx.coordinates, cx.vertices, cx.graph, cx.kind)
+
+
+@dataclass(frozen=True, eq=False)
+class FacetComplex(LabeledComplex):
+    """A complex given only its facets, with no compatibility graph."""
+
+    given_facets: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        return self.given_facets
+
+
 def facet_complex(coordinates, vertices, facets) -> LabeledComplex:
-    """A complex given only its facets, with no compatibility graph, for the
-    audits of complexes that are no clique complexes (a triangle boundary,
-    say).  Facets are sorted and deduplicated; nothing else is checked."""
+    """A complex given only its facets, for the audits of complexes that are
+    no clique complexes (a triangle boundary, say).  Facets are sorted and
+    deduplicated."""
     norm = tuple(sorted({tuple(sorted(f)) for f in facets}))
-    return LabeledComplex(tuple(coordinates), tuple(vertices), norm)
+    return FacetComplex(*_record_columns(coordinates, vertices), graph=None, given_facets=norm)
 
 
 def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:
@@ -186,7 +229,7 @@ def restrict_to_coordinates(cx: LabeledComplex, positions) -> LabeledComplex:
         for v in sub.vertices
     )
     coords = tuple(cx.coordinates[t] for t in positions)
-    return LabeledComplex(coords, verts, sub.facets)
+    return facet_complex(coords, verts, sub.facets)
 
 
 def induced_graph(adj: list[set[int]], rows) -> list[set[int]]:

@@ -50,7 +50,7 @@ def clique(gvecs, edges, kind=None):
     verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
     pairs = {frozenset(e) for e in edges}
     graph = complexes.compatibility_graph(len(verts), lambda i, j: frozenset((i, j)) in pairs)
-    return complexes.clique_complex(kind, coords, verts, graph)
+    return oracles.records_complex(coords, verts, graph, kind)
 
 
 TRIANGLE_BOUNDARY = [(0, 1), (1, 2), (0, 2)]
@@ -299,7 +299,7 @@ def test_iso_skips_the_label_blind_search_above_its_size_limit():
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
-def test_clique_complex_builds_its_facets_when_read(monkeypatch):
+def test_a_complex_builds_its_facets_when_read(monkeypatch):
     calls = []
     real = complexes.maximal_cliques
     monkeypatch.setattr(
@@ -313,25 +313,13 @@ def test_clique_complex_builds_its_facets_when_read(monkeypatch):
     assert cx == mk(SQUARE, cx.facets) and hash(cx) == hash(mk(SQUARE, cx.facets))
 
 
-def test_clique_complex_checks_purity_when_its_facets_are_read():
+def test_a_complex_with_a_kind_checks_purity_when_its_facets_are_read():
     cx = clique(SQUARE, [(0, 1), (1, 2), (0, 2)], kind="toy")
     expected = r"^toy facet \(0, 1, 2\) has size 3, expected 2$"
     with pytest.raises(NonPureComplexError, match=expected):
         cx.facets
     # a restriction is not held to one vertex per coordinate
     assert restrict_to_coordinates(cx, (0, 1)).facets == ((0, 1, 2), (3,))
-
-
-def test_clique_complex_keeps_the_vertex_checks():
-    verts = [ComplexVertex(0, (1, 0), "a"), ComplexVertex(1, (1,), "b")]
-    with pytest.raises(LabelLengthMismatchError):
-        complexes.clique_complex("toy", ("x", "y"), verts, (0b10, 0b01))
-    verts = [ComplexVertex(1, (1,), "a")]
-    with pytest.raises(ValueError, match="vertex ids must equal positions"):
-        complexes.clique_complex("toy", ("x",), verts, (0,))
-    verts = [ComplexVertex(0, (1,), "a")]
-    with pytest.raises(ValueError, match="graph has 2 rows for 1 vertices"):
-        complexes.clique_complex("toy", ("x",), verts, (0, 0))
 
 
 def test_iso_of_clique_complexes_compares_graphs_and_names_the_first_pair():
@@ -432,13 +420,6 @@ def test_restriction_matches_the_scan_oracle_on_every_sweep_restriction():
     assert checked == 2 * (2 + 20 + 170 + 1400)
 
 
-def records_copy(cx):
-    """cx built again from its vertex records, read off a second build."""
-    return complexes.LabeledComplex(
-        cx.coordinates, cx.vertices, cx.given_facets, cx.graph, cx.kind
-    )
-
-
 def test_complexes_named_when_read_equal_complexes_built_from_records():
     # every accordion and silting complex with m <= 7 names its vertices
     # only when they are read, and then equals, hashes and renders as the
@@ -448,8 +429,9 @@ def test_complexes_named_when_read_equal_complexes_built_from_records():
     for m in range(4, 8):
         for d in all_dissections(m):
             for build in builds:
-                lazy, eager = build(d), records_copy(build(d))
-                assert "vertices" not in vars(lazy) and "vertices" in vars(eager)
+                lazy, second = build(d), build(d)
+                eager = oracles.records_copy(second)
+                assert "vertices" not in vars(lazy) and "vertices" in vars(second)
                 assert lazy.gvecs == eager.gvecs and lazy.graph == eager.graph
                 assert lazy == eager and hash(lazy) == hash(eager)
                 assert lazy.to_json() == eager.to_json()
@@ -468,7 +450,23 @@ def test_a_restriction_names_only_its_kept_vertices_as_its_parent_does():
     assert [v.label for v in sub.vertices] == ["b0-b3", "b2-b5"]
     assert [(v.label, v.payload) for v in sub.vertices] == list(map(fan.name_of, sub.keys))
     assert "vertices" not in vars(fan)
-    assert sub == oracles.restrict_to_coordinates(records_copy(fan), (1,))
+    assert sub == oracles.restrict_to_coordinates(oracles.records_copy(fan), (1,))
+
+
+def test_a_complex_with_another_graph_keeps_its_naming_columns():
+    # dataclasses.replace on the graph keeps keys and naming function, so
+    # the copy's vertices are named alike with the original's, and neither
+    # complex names a vertex to tell
+    cx = accordion_complex(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
+    assert [f.name for f in dataclasses.fields(cx)] == [
+        "coordinates", "gvecs", "keys", "name_of", "graph", "kind"
+    ]
+    moved = dataclasses.replace(cx, graph=(0,) * len(cx.graph))
+    assert moved.keys is cx.keys and moved.name_of is cx.name_of
+    assert moved.gvecs is cx.gvecs and moved.kind == cx.kind
+    assert all(moved.named_alike(v, cx, v) for v in range(len(cx.gvecs)))
+    assert "vertices" not in vars(cx) and "vertices" not in vars(moved)
+    assert moved.vertices == cx.vertices
 
 
 def draw_edges(draw, n):
@@ -553,7 +551,7 @@ def flip_signs(cx, whole=False):
                     g = [-y for y in g] if whole else g[:c] + [-x] + g[c + 1 :]
                     verts = list(cx.vertices)
                     verts[u] = dataclasses.replace(verts[u], gvec=tuple(g))
-                    return dataclasses.replace(cx, vertices=tuple(verts))
+                    return oracles.records_complex(cx.coordinates, verts, cx.graph, cx.kind)
     return None
 
 

@@ -31,12 +31,12 @@ from accordion_tau.quiver import (
 from accordion_tau.rigidity import (
     StringWord,
     _first_met,
+    _label_core,
     _top,
     direct_sum,
     enumerate_strings,
     hom_shift,
     inverse_word,
-    label_silting,
     min_presentation,
     shifted_projective,
     silting_complex,
@@ -445,7 +445,7 @@ def test_labelling_a_shape_core_equals_a_direct_build():
                     cores[q.shape] = silting_core(algebra_basis(q))
                     continue
                 core = cores[q.shape]
-                labelled, direct = label_silting(core, q), silting_complex(q)
+                labelled, direct = _label_core(core, q.vertices), silting_complex(q)
                 assert labelled == direct
                 assert labelled.to_json() == direct.to_json()
                 assert labelled.graph is core.graph
@@ -506,7 +506,7 @@ def test_transported_cores_equal_direct_builds():
                     forms[canon[0]] = silting_core(algebra_basis(shape_quiver(canon[0])))
                 moved = transport_core(forms[canon[0]], canon, q.shape)
                 assert moved == silting_core(algebra_basis(q))
-                labelled, built = label_silting(moved, q), silting_complex(q)
+                labelled, built = _label_core(moved, q.vertices), silting_complex(q)
                 assert labelled.facets == built.facets
                 assert labelled == built
                 assert labelled.to_json() == built.to_json()

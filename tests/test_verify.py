@@ -252,7 +252,7 @@ def test_compare_nested_reads_records_when_keys_cannot_tell():
     induced = verify.restrict_to_coordinates(verify.accordion_complex(fan), (1,))
     assert verify.compare_nested(small, induced).passed
     records = [dataclasses.replace(v, payload=dict(v.payload)) for v in induced.vertices]
-    copy = complexes.LabeledComplex(induced.coordinates, tuple(records), None, induced.graph)
+    copy = oracles.records_complex(induced.coordinates, records, induced.graph)
     assert verify.compare_nested(small, copy).passed
     records[0].payload["black"], records[1].payload["black"] = [2, 5], [0, 3]
     report = verify.compare_nested(small, copy)
