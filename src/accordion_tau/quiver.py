@@ -329,9 +329,10 @@ def shortcut_quivers(basis: AlgebraBasis) -> Iterator[tuple[tuple, GentleQuiver]
     all read off the algebra basis of q = basis.quiver.
 
     Besides the tests, its one caller is the consistency sweep
-    (verify.verify_consistency_exhaustive).  The idempotent sweep builds a
-    shortcut quiver only when it has no plan or complex for it yet, so it
-    calls _shortcut_quiver per subset instead."""
+    (verify.verify_consistency_exhaustive).  The idempotent sweep reads a
+    shortcut quiver's shape only to make a plan, once per (ambient shape,
+    J positions), on the shape's own quiver, so it calls _shortcut_quiver
+    per subset instead."""
     for J in nonempty_subsets(basis.quiver.vertices):
         yield J, _shortcut_quiver(basis, set(J))
 

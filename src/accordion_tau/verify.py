@@ -26,20 +26,19 @@ nested checks build.  The main check needs no accordion facets: a graph
 isomorphism onto the checked silting complex carries its purity over.
 Structural audits and printed complexes read facets.
 
-Exhaustive runs iterate all dissections of one polygon and build each
-complex once per sweep: the nested sweep keeps one accordion complex per
-ordered diagonal tuple, and the idempotent sweep one silting complex (and
-its audit messages) per distinct shortcut quiver, while each ambient
-complex lives for its own dissection only.  A silting complex depends on
-its quiver's shape alone (GentleQuiver.shape: vertex positions, not
-names), so the main and idempotent sweeps keep one label-free core per
+Exhaustive runs iterate all dissections of one polygon.  The nested sweep
+keeps one accordion complex per ordered diagonal tuple; every other
+complex lives for its own dissection or instance only.  A silting complex
+depends on its quiver's shape alone (GentleQuiver.shape: vertex positions,
+not names), so the main and idempotent sweeps keep one label-free core per
 shape and label it for every quiver of the shape (rigidity._label_core,
-as silting_complex does for one quiver).  The main sweep
-cuts each dissection into cells once, reads the accordion complex and the
-quiver's shape off them (quiver.dissection_shape), and labels the silting
-complex on the dissection's diagonals, so it builds no quiver per
+as silting_complex does for one quiver).  The main and idempotent sweeps
+read a dissection one way: they cut it into cells once, read the quiver's
+shape off them (quiver.dissection_shape), and label the ambient silting
+complex on the dissection's diagonals, so they build no quiver per
 dissection; a shape met for the first time builds its quiver once, for
-GentleQuiver's checks.  An isomorphism of gentle quivers
+GentleQuiver's checks.  The main sweep reads the accordion complex off the
+same cells, as verify_main does.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
 class, on the quiver of the class's canonical form (quiver.canonical_form,
@@ -53,9 +52,11 @@ injectivity check).  Beside the cores, the
 idempotent sweep keeps a plan per (ambient shape, J positions): the
 shortcut quiver's shape and the label-free restriction
 (complexes.restriction: kept vertices, g-vectors and induced graph), never
-a quiver, basis or labelled complex.  The instance
-that first meets a pair makes its plan, and every instance names its plan
-from its own ambient complex (complexes.name_restriction).  The sweeps
+a quiver, basis or labelled complex.  The instance that first meets a pair
+makes its plan on the shape's own quiver (quiver.shape_quiver), so a plan
+reads no vertex name.  Every instance names its plan from its own ambient
+complex (complexes.name_restriction) and labels its shortcut complex from
+the core of the plan's shortcut shape on J.  The sweeps
 compare the built complexes with the same comparison the single-instance
 checks use (compare_nested, iso_by_gvectors), and each induced complex is
 built once and shared by the comparison and the audit.  The consistency
@@ -103,6 +104,7 @@ from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections, cells
 from .quiver import (
     GentleQuiver,
+    _quiver_on,
     _shortcut_quiver,
     algebra_basis,
     canonical_form,
@@ -128,10 +130,12 @@ from .rigidity import (
 
 
 def verify_main(d: Dissection) -> IsoReport:
-    """The headline comparison for a single dissection."""
-    return iso_by_gvectors(
-        accordion_complex(d), silting_complex(quiver_of_dissection(d))
-    )
+    """The headline comparison for a single dissection, cut into cells
+    once: the accordion complex and the quiver are both read off them."""
+    faces = cells(d)
+    acc = accordion_complex_of_cells(d, faces)
+    q = _quiver_on(dissection_shape(d, faces), d.diagonals)
+    return iso_by_gvectors(acc, silting_complex(q))
 
 
 def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
@@ -368,10 +372,10 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
         return built[key]
 
     for big in all_dissections(m):
-        big_cx = accordion(big, tuple(big.white_pairs()))
+        big_cx = accordion(big, big.diagonals)
         for positions in nonempty_subsets(tuple(range(len(big.diagonals)))):
             d = Dissection(big.cycle, tuple(big.diagonals[t] for t in positions))
-            key = tuple(d.white_pairs())
+            key = d.diagonals
             instance = f"{_tag(d)} inside {big.white_pairs()}"
             induced = restrict_to_coordinates(big_cx, positions)
             report = compare_nested(accordion(d, key), induced)
@@ -396,24 +400,18 @@ class _Plan(NamedTuple):
 def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     """Every nonempty vertex subset J of every dissection's quiver.
 
-    Each dissection's ambient silting complex is labelled (and audited)
-    for that dissection alone.  Shortcut quivers repeat across dissections
-    and subsets, so the sweep keeps one labelled shortcut complex per
-    distinct shortcut quiver, keyed by its value (shape, vertices); all
-    complexes are labelled from the cores of _silting_by_shape.  It keeps
-    one plan per (ambient shape, J positions), made by the first instance
-    that meets the pair; each instance names its plan from its own ambient
-    complex and builds its shortcut quiver only when that quiver's complex
-    is new.  One algebra basis per dissection yields those shortcut
-    quivers; a silting build reads the basis of its form's quiver.  With
-    structural=True each shortcut complex's audit result (carried, when its
-    shape audited clean before) is kept beside it; every instance still
-    counts and reports it.
+    Each dissection is read as the main sweep reads it, and its ambient
+    silting complex is labelled (and audited) for it alone.  The plan of
+    (ambient shape, J positions) is made by the first instance that meets
+    the pair, on the shape's own quiver, from one algebra basis that the
+    shape's first dissection (which meets every J position) builds and
+    drops.  Each instance names its plan from its own ambient complex and
+    labels its shortcut complex from the plan's shortcut shape on J; with
+    structural=True it audits that complex, carrying a clean class audit.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
-    shortcuts: dict[tuple, tuple[LabeledComplex, tuple, list[str]]] = {}
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
@@ -422,34 +420,30 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
 
     for d in all_dissections(m):
         tag = _tag(d)
-        q = quiver_of_dissection(d)
-        basis = algebra_basis(q)
-        ambient, key = _silting_by_shape(cores, q.shape, q.vertices)
+        shape = dissection_shape(d, cells(d))
+        ambient, key = _silting_by_shape(cores, shape, d.diagonals)
         if structural:
             summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
-        shape_plans = plans.setdefault(q.shape, {})
-        positions_of = nonempty_subsets(tuple(range(len(q.vertices))))
-        for J, positions in zip(nonempty_subsets(q.vertices), positions_of):
-            shortcut = None
+        shape_plans = plans.setdefault(shape, {})
+        basis = None
+        positions_of = nonempty_subsets(tuple(range(len(d.diagonals))))
+        for J, positions in zip(nonempty_subsets(d.diagonals), positions_of):
             plan = shape_plans.get(positions)
             if plan is None:
-                shortcut = _shortcut_quiver(basis, set(J))
-                shape = shared.setdefault(shortcut.shape, shortcut.shape)
+                if basis is None:
+                    basis = algebra_basis(shape_quiver(shape))
+                small_shape = _shortcut_quiver(basis, set(positions)).shape
+                small_shape = shared.setdefault(small_shape, small_shape)
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
-                plan = shape_plans[positions] = _Plan(shape, kept)
-            entry = shortcuts.get((plan.shortcut_shape, J))
-            if entry is None:
-                shortcut = shortcut or _shortcut_quiver(basis, set(J))
-                small, small_key = _silting_by_shape(cores, shortcut.shape, shortcut.vertices)
-                audit = _carried_audit(small, clean, key=small_key) if structural else []
-                entry = shortcuts[plan.shortcut_shape, J] = (small, small_key, audit)
-            small, small_key, small_audit = entry
+                plan = shape_plans[positions] = _Plan(small_shape, kept)
+            small, small_key = _silting_by_shape(cores, plan.shortcut_shape, J)
             induced = name_restriction(ambient, positions, plan.restriction)
             instance = f"{tag} J={list(J)}"
             report = iso_by_gvectors(small, induced)
             summary.record(instance, report)
             if structural:
+                small_audit = _carried_audit(small, clean, key=small_key)
                 summary.audit(f"{instance} shortcut silting", small_audit)
                 matched = small_key if report.passed else None
                 summary.audit(

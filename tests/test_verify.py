@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import sys
 
 import pytest
@@ -131,18 +133,19 @@ def test_a_repeated_gvector_in_a_form_core_fails_the_sweeps(monkeypatch):
         assert any("duplicate g-vector" in line for line in summary["failures"])
 
 
-def test_idempotent_sweep_builds_one_basis_per_dissection_and_silting_build(monkeypatch):
-    # one basis per dissection, shared by its shortcut quivers, and one per
-    # silting build: one per isomorphism class, on its form's quiver
-    dissections = all_dissections(7)
-    shapes = set()
-    for q in map(quiver_of_dissection, dissections):
-        shapes.add(q.shape)
+def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(monkeypatch):
+    # one basis per ambient shape, on the shape's own quiver, shared by the
+    # plans of its first dissection, and one per silting build: one per
+    # isomorphism class, on its form's quiver
+    ambients, shapes = set(), set()
+    for q in map(quiver_of_dissection, all_dissections(7)):
+        ambients.add(q.shape)
         shapes.update(shortcut_quiver(q, J).shape for J in quiver.nonempty_subsets(q.vertices))
-    classes = oracles.isomorphism_class_count(shapes)
+    classes = oracles.isomorphism_class_count(ambients | shapes)
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    assert len(calls) == len(dissections) + classes == 211
+    assert len(calls) == len(ambients) + classes == 49 + 15
+    assert {q for q, in calls} >= set(map(quiver.shape_quiver, ambients))
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -282,6 +285,30 @@ def test_main_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dissectio
     assert len(shapes) == 49 - 3 + 15
 
 
+@pytest.mark.parametrize("structural", [False, True])
+def test_idempotent_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dissection(
+    monkeypatch, structural
+):
+    # the idempotent sweep reads each dissection as the main sweep does:
+    # one cells(d), the quiver's shape off it, and no GentleQuiver for d;
+    # its plans are made on the shape's own quiver
+    dissections = all_dissections(7)
+    cut = count_calls(monkeypatch, quiver, "cells")
+    built = count_calls(monkeypatch, quiver, "quiver_of_dissection")
+    summary = verify.verify_idempotent_exhaustive(7, structural=structural)
+    assert summary.ok and summary.checked == 1400
+    assert len(cut) == len(dissections) and built == []
+
+
+def test_verify_main_cuts_its_dissection_once(monkeypatch):
+    # one cells(d) serves the accordion complex and the quiver
+    cut = count_calls(monkeypatch, quiver, "cells")
+    for d in all_dissections(9)[::500]:
+        cut.clear()
+        assert verify.verify_main(d).passed
+        assert len(cut) == 1
+
+
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     # a plan per (ambient shape, J positions): 541 label-free restrictions
     # for the 1,400 instances at m=7, with the silting cores and algebra
@@ -298,7 +325,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 15 and len(bases) == 211
+    assert len(cores) == 15 and len(bases) == 49 + 15
 
 
 @pytest.mark.parametrize("m", [6, 7])
@@ -505,3 +532,25 @@ def test_carried_audits_read_as_direct_audits(monkeypatch, mutation, name, m):
     assert audited_outcome(name, m) == carried
     if mutation != "clean" and name != "consistency" and m > 4:
         assert carried["status"] == "fail"
+
+
+def test_sweep_summaries_are_frozen():
+    # one sha256 over every DRIVERS summary, m=4..7, without and with
+    # structural audits, under each of MUTATIONS (a package error's type
+    # and text where a sweep raises), taken before a refactor of the sweeps
+    # and unchanged by it: passes, failures, audit messages and their order
+    digest = hashlib.sha256()
+    for mutation in MUTATIONS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            MUTATIONS[mutation](monkeypatch)
+            for name, m, structural in itertools.product(
+                verify.DRIVERS, range(4, 8), (False, True)
+            ):
+                try:
+                    outcome = verify.DRIVERS[name](m, structural=structural).to_json()
+                except AccordionTauError as err:
+                    outcome = [type(err).__name__, str(err)]
+                digest.update(json.dumps(outcome, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "d17672328bb2367837c6acfab0702991666a67d4f09c1ba2b0ed843011b5a9ed"
+    )
