@@ -2,20 +2,13 @@
 
 RowSpace is an incremental row echelon form.  Its elimination is
 division-free: a candidate row is cross-multiplied against each stored row,
-so integer input stays integer.  Ranks, kernels and tops of modules all go
-through it; nothing here divides.
+so integer input stays integer.  Ranks, the hom-shift pairing and the
+tops of kernels all go through it; nothing here divides.
 """
 
 from __future__ import annotations
 
-import operator
-
-Vector = list
 Matrix = list
-
-
-def mat_vec(mat: Matrix, vec: Vector) -> Vector:
-    return [sum(map(operator.mul, row, vec)) for row in mat]
 
 
 class RowSpace:
@@ -58,16 +51,3 @@ def rank(rows: Matrix) -> int:
         space.add(row)
     return space.rank
 
-
-def kernel(vectors: list[Vector], width: int) -> list[Vector]:
-    """Basis of the relations {x : sum_k x[k] * vectors[k] == 0}.
-
-    Eliminates the tagged rows [vectors[k] | e_k]: a stored row whose pivot
-    falls in the tag part is zero on the first width entries, so its tag
-    part is a relation, and those rows span every relation.
-    """
-    n = len(vectors)
-    space = RowSpace(width + n)
-    for k, vec in enumerate(vectors):
-        space.add(list(vec) + [int(t == k) for t in range(n)])
-    return [row[width:] for row, piv in zip(space.rows, space.pivots) if piv >= width]

@@ -1,20 +1,21 @@
 """String modules, minimal two-term presentations, and the silting complex.
 
-Modules are right modules presented as representations of the quiver: a
-vector space per vertex and a matrix per arrow (an arrow u -> v acts by a
-matrix of shape dim_v x dim_u, and a relation (a, b) forces M_b @ M_a = 0).
-The indecomposable rigid objects we need are presentations of string
-modules together with shifted projectives; compatibility of two objects is
-vanishing of the hom-shift pairing in both directions, computed exactly
-by integer elimination.
+Modules are right modules presented as representations of the quiver, all
+monomial (string modules, their direct sums, projectives): an arrow u -> v
+sends each basis vector at u to one basis vector at v or to zero, so it
+acts by an index list (-1 for zero), and a relation (a, b) sends every
+vector to -1.  The indecomposable rigid objects we need are presentations
+of string modules together with shifted projectives; compatibility of two
+objects is vanishing of the hom-shift pairing in both directions, computed
+exactly by integer elimination.
 
 Each representation builds one path-image table per basis (every basis
-vector pushed along every basis path), and both minimal presentations and
-the hom-shift pairing read it.  Every two-term complex x carries its
-cohomology H^0 x as a representation, and Hom(x, y[1]) is the cokernel of
-Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
-"tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
-those through dy are exactly the maps x.p1 -> H^0 y.
+vector's index pushed along every basis path), and both minimal
+presentations and the hom-shift pairing read it.  Every two-term complex x
+carries its cohomology H^0 x as a representation, and Hom(x, y[1]) is the
+cokernel of Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and
+Reiten, "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0
+modulo those through dy are exactly the maps x.p1 -> H^0 y.
 
 The silting complex depends on the quiver's shape alone, so silting_core
 builds it without vertex names (g-vectors, string letters, vertex positions,
@@ -22,11 +23,13 @@ compatibility graph), and _label_core turns a core and the vertices of any
 quiver of its shape into that quiver's complex.  It shares the core's
 g-vectors and graph, and its one naming function (_label on the quiver's
 vertices and the core's letters and positions) names a vertex only when
-the complex's vertices are first read.  A core keeps the graph only:
-silting_core checks the purity of its facets once, and a complex labelled
-from a core builds them again, as the maximal cliques of the graph, when
-they are first read; silting_complex returns the complex whose facets the
-purity check read.  The core is an
+the complex's vertices are first read.  The graph asks the hom-shift
+pairing only for pairs where one of its two widths can be nonzero: a P1
+summand of one object at a vertex where H^0 of the other lives.  A core
+keeps the graph only: silting_core checks the purity of its facets once,
+on the masks of the clique walk (LabeledComplex.check_purity), and a
+complex labelled from a core builds its facets, as the maximal cliques of
+the graph, when they are first read.  The core is an
 invariant of the algebra, so transport_core carries the core of a
 canonical form (quiver.canonical_form, built on quiver.shape_quiver) onto
 every other shape of that form without building it again.
@@ -40,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .complexes import LabeledComplex, compatibility_graph, induced_graph
+from .complexes import LabeledComplex, induced_graph
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
-from .linalg import RowSpace, kernel, mat_vec
+from .linalg import RowSpace
 from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
 
 
@@ -129,7 +132,7 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
         canon = min(key(w), key(inverse_word(q, w)))
         if canon not in chosen:
             chosen[canon] = w
-        end = walk_vertices(q, w)[-1] if w.letters else w.source
+        end = _letter_end(q, w.letters[-1]) if w.letters else w.source
         for letter in starts[end]:
             if w.letters and not _valid_pair(q, w.letters[-1], letter):
                 continue
@@ -148,29 +151,30 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
 class Representation:
     quiver: GentleQuiver
     dims: dict
-    mats: dict[str, list[list[int]]]
+    # per arrow u -> v, the index at v of each basis vector's image at u, -1 for zero
+    action: dict[str, list[int]]
     # (basis, table) of the last path_images call; not compared, not rendered
     _images: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def dim_at(self, v) -> int:
         return self.dims.get(v, 0)
 
-    def path_images(self, basis: AlgebraBasis) -> list[list[list[int]]]:
-        """images[i][t]: basis vector t at the source of path i pushed along it.
+    def path_images(self, basis: AlgebraBasis) -> list[list[int]]:
+        """images[i][t]: the index of basis vector t at the source of path i
+        pushed along it, -1 when the path kills it.
 
         Built once per basis: a path's images are its prefix path's images
-        times the matrix of its last arrow.
+        sent on by its last arrow.
         """
         if self._images is None or self._images[0] is not basis:
-            images: list[list[list[int]]] = []
+            images: list[list[int]] = []
             for p, prefix in zip(basis.paths, basis.prefix):
                 if prefix is None:
-                    dim = self.dim_at(p.source)
-                    images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
+                    images.append(list(range(self.dim_at(p.source))))
                 else:
                     j, name = prefix
-                    mat = self.mats[name]
-                    images.append([mat_vec(mat, vec) for vec in images[j]])
+                    act = self.action[name]
+                    images.append([-1 if t < 0 else act[t] for t in images[j]])
             self._images = (basis, images)
         return self._images[1]
 
@@ -183,28 +187,25 @@ def string_module(q: GentleQuiver, w: StringWord) -> Representation:
     for v in verts:
         local.append(dims[v])
         dims[v] += 1
-    mats = {
-        a.name: [[0] * dims[a.src] for _ in range(dims[a.tgt])]
-        for a in q.arrows
-    }
+    action = {a.name: [-1] * dims[a.src] for a in q.arrows}
     for t, (name, fwd) in enumerate(w.letters):
         if fwd:
-            mats[name][local[t + 1]][local[t]] = 1
+            action[name][local[t]] = local[t + 1]
         else:
-            mats[name][local[t]][local[t + 1]] = 1
-    return Representation(q, dims, mats)
+            action[name][local[t + 1]] = local[t]
+    return Representation(q, dims, action)
 
 
 def _sum_representations(x: Representation, y: Representation) -> Representation:
     """Block-diagonal direct sum, x's basis vectors first at every vertex."""
     dims = {v: x.dim_at(v) + y.dim_at(v) for v in x.quiver.vertices}
-    mats = {}
+    action = {}
     for a in x.quiver.arrows:
-        xs, ys = x.dim_at(a.src), y.dim_at(a.src)
-        mats[a.name] = [row + [0] * ys for row in x.mats[a.name]] + [
-            [0] * xs + row for row in y.mats[a.name]
+        shift = x.dim_at(a.tgt)
+        action[a.name] = x.action[a.name] + [
+            -1 if t < 0 else t + shift for t in y.action[a.name]
         ]
-    return Representation(x.quiver, dims, mats)
+    return Representation(x.quiver, dims, action)
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +260,35 @@ def _top(width: int, radical, candidates) -> list[int]:
     return top
 
 
-def _top_lifts(basis: AlgebraBasis, rep: Representation, images) -> list[tuple]:
-    """Standard basis vectors completing the radical, one (vertex, index) each.
-
-    The radical at v is spanned by the images of the arrows ending at v, and
-    the standard basis at the k-th vertex is the image table of path k, the
-    lazy path there."""
-    q = basis.quiver
-    radical: dict = {v: [] for v in q.vertices}
+def _top_lifts(rep: Representation) -> list[tuple]:
+    """The top of a monomial module, one (vertex, index) per basis vector
+    that no arrow hits: the arrows' images are basis vectors, so the ones
+    they hit span the radical."""
+    q = rep.quiver
+    hit: dict = {v: set() for v in q.vertices}
     for a in q.arrows:
-        radical[a.tgt].extend(images[basis.arrow_path[a.name]])
-    lifts = []
-    for k, v in enumerate(q.vertices):
-        dim = rep.dim_at(v)
-        if dim:
-            lifts.extend((v, t) for t in _top(dim, radical[v], images[k]))
-    return lifts
+        hit[a.tgt].update(rep.action[a.name])
+    return [(v, t) for v in q.vertices for t in range(rep.dim_at(v)) if t not in hit[v]]
 
 
 def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex:
-    """Minimal projective presentation P1 -> P0 of a representation.
+    """Minimal projective presentation P1 -> P0 of a monomial representation.
 
     P0 covers the top of the module.  The kernel of the cover is computed
-    vertexwise and kept in P0 coordinates; at each vertex, P1 covers the
-    kernel vectors outside the span of the arrow images of the kernel at
-    neighbouring vertices (the top of the kernel).  The differential
-    collects, per (P0 summand, P1 summand), the paths with their
-    coefficients.  The cover reads the module's path-image table, and only
-    vertices where P0 or the module is nonzero do any work.
+    vertexwise and kept in P0 coordinates: each P0 basis element goes to
+    one basis vector of the module or to zero (the path-image table says
+    which), so the kernel is spanned by the elements sent to zero and by
+    each element minus the first one sent to the same vector.  At each
+    vertex, P1 covers the kernel vectors outside the span of the arrow
+    images of the kernel at neighbouring vertices (the top of the kernel).
+    The differential collects, per (P0 summand, P1 summand), the paths with
+    their coefficients.  Only vertices where P0 or the module is nonzero do
+    any work.
     """
     q = basis.quiver
     images = rep.path_images(basis)
 
-    summands0 = _top_lifts(basis, rep, images)  # (vertex, basis index in rep)
+    summands0 = _top_lifts(rep)  # (vertex, basis index in rep)
     # P0 basis elements at a vertex u: pairs (summand position, path index)
     p0_at: dict = {u: [] for u in q.vertices}
     for s, (v, _) in enumerate(summands0):
@@ -303,11 +300,19 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
         dim = rep.dim_at(u)
         if not (p0_at[u] or dim):
             continue
-        # the images of the P0 basis elements in rep; their rank is their
-        # number minus the dimension of the relations among them
-        value = [images[i][summands0[s][1]] for s, i in p0_at[u]]
-        kernel_at[u] = kernel(value, dim)
-        if len(value) - len(kernel_at[u]) != dim:
+        width = len(p0_at[u])
+        first: dict = {}  # basis vector of rep -> the first element sent to it
+        for k, (s, i) in enumerate(p0_at[u]):
+            t = images[i][summands0[s][1]]
+            if t >= 0 and t not in first:
+                first[t] = k
+                continue
+            kvec = [0] * width
+            kvec[k] = 1
+            if t >= 0:
+                kvec[first[t]] = -1
+            kernel_at[u].append(kvec)
+        if len(first) != dim:
             raise InternalError("projective cover must be surjective")
 
     # arrow images of the kernel, in P0 coordinates at the arrow's target
@@ -374,10 +379,10 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y), composition with dx (Adachi,
     Iyama and Reiten, "tau-tilting theory"): x.p1 is projective, so
     Hom(x.p1, y.p0) modulo dy . Hom(x.p1, y.p1) is Hom(x.p1, H^0 y).  With
-    Hom(P_v, M) = M_v, the map sends a vector of M at a P0 summand to its
-    images along the paths of dx; the answer is the sum of dim H^0 y over
-    x.p1 minus the rank of that map.  Both objects are rigid-compatible
-    when this vanishes in both directions.
+    Hom(P_v, M) = M_v, the map sends a basis vector of M at a P0 summand
+    to its images along the paths of dx, each a basis vector or zero; the
+    answer is the sum of dim H^0 y over x.p1 minus the rank of that map.
+    Both objects are rigid-compatible when this vanishes in both directions.
     """
     if x.basis is not y.basis:
         raise AlgebraMismatchError()
@@ -397,8 +402,9 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
             vec = [0] * width
             for at, entry in zip(offsets, row):
                 for p, coeff in entry.items():
-                    for k, val in enumerate(images[p][t]):
-                        vec[at + k] += coeff * val
+                    k = images[p][t]
+                    if k >= 0:
+                        vec[at + k] += coeff
             image.add(vec)
     return width - image.rank
 
@@ -471,29 +477,44 @@ def silting_core(basis: AlgebraBasis) -> SiltingCore:
     """The label-free silting complex of basis.quiver's shape.
 
     Faces are the pairwise compatible sets; facets must all be full rank.
-    The complex is checked once, by reading its facets; the core keeps only
-    its graph."""
+    The complex is checked once, on the masks of its maximal cliques; the
+    core keeps only its graph."""
     return _checked_silting(basis)[0]
 
 
 def _checked_silting(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
-    """silting_core(basis) and basis.quiver's silting complex, its facets
-    read once: the read raises NonPureComplexError unless each facet holds
-    one vertex per coordinate."""
-    verts = _silting_vertices(basis)
+    """silting_core(basis) and basis.quiver's silting complex, checked once:
+    check_purity raises NonPureComplexError unless each maximal clique holds
+    one vertex per coordinate.
 
-    def compatible(i: int, j: int) -> bool:
-        x, y = verts[i].complex, verts[j].complex
-        return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
+    Hom(x, y[1]) has width zero unless a P1 summand of x sits at a vertex
+    where H^0 y lives; each vertex keeps both as bitmasks, and a pair where
+    neither way has width is compatible without asking hom_shift."""
+    verts = _silting_vertices(basis)
+    vertices = basis.quiver.vertices
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    p1, support = [], []
+    for sv in verts:
+        p1.append(sum({bit[v] for v in sv.complex.p1}))
+        support.append(sum(bit[v] for v in vertices if sv.complex.module.dim_at(v)))
+    graph = [0] * len(verts)
+    for i, sv in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            if p1[i] & support[j] or p1[j] & support[i]:
+                x, y = sv.complex, verts[j].complex
+                if hom_shift(x, y) or hom_shift(y, x):
+                    continue
+            graph[i] |= 1 << j
+            graph[j] |= 1 << i
 
     core = SiltingCore(
         tuple(sv.gvec for sv in verts),
         tuple(sv.letters for sv in verts),
         tuple(sv.position for sv in verts),
-        compatibility_graph(len(verts), compatible),
+        tuple(graph),
     )
-    cx = _label_core(core, basis.quiver.vertices, kind="silting")
-    cx.facets
+    cx = _label_core(core, vertices, kind="silting")
+    cx.check_purity()
     return core, cx
 
 
@@ -589,6 +610,6 @@ def _label_core(core: SiltingCore, vertices: tuple, kind=None) -> LabeledComplex
 
 def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank.
-    The complex is the one whose facets the purity check read, so they are
-    not enumerated again."""
+    The purity check builds no facets, so they are enumerated once, when
+    first read."""
     return _checked_silting(algebra_basis(q))[1]

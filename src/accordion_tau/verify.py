@@ -302,7 +302,7 @@ def _tag(d: Dissection) -> str:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, tuple[tuple, SiltingCore]], shape: tuple, vertices: tuple
+    cores: dict[tuple, tuple[tuple, SiltingCore]], shape: tuple, vertices: tuple, basis=None
 ) -> tuple[LabeledComplex, tuple]:
     """The silting complex of the quiver of this shape on these vertices,
     labelled from the core of the shape (rigidity._label_core), and the key
@@ -313,14 +313,18 @@ def _silting_by_shape(
     shape and its own form, so the core built on the form's quiver is the
     form's entry, and every other shape of the class takes that core,
     transported.  A shape met for the first time builds its quiver once,
-    so GentleQuiver's checks run on every shape a sweep reads."""
+    unless the caller gives its algebra basis, so GentleQuiver's checks run
+    on every shape a sweep reads; a form met as itself builds its core on
+    that quiver or basis."""
     entry = cores.get(shape)
     if entry is None:
-        shape_quiver(shape)  # for GentleQuiver's checks, once per shape
+        q = shape_quiver(shape) if basis is None else basis.quiver
         canon = canonical_form(shape)
         form = canon[0]
         if form not in cores:
-            cores[form] = (form, silting_core(algebra_basis(shape_quiver(form))))
+            if form != shape:
+                basis = algebra_basis(shape_quiver(form))
+            cores[form] = (form, silting_core(basis or algebra_basis(q)))
         if shape != form:
             cores[shape] = (form, transport_core(cores[form][1], canon, shape))
         entry = cores[shape]
@@ -403,11 +407,12 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     Each dissection is read as the main sweep reads it, and its ambient
     silting complex is labelled (and audited) for it alone.  The plan of
     (ambient shape, J positions) is made by the first instance that meets
-    the pair, on the shape's own quiver, from one algebra basis that the
-    shape's first dissection (which meets every J position) builds and
-    drops.  Each instance names its plan from its own ambient complex and
-    labels its shortcut complex from the plan's shortcut shape on J; with
-    structural=True it audits that complex, carrying a clean class audit.
+    the pair, from one algebra basis that the shape's first dissection
+    (which meets every J position) builds and drops, on the shape's own
+    quiver, which also serves the ambient silting build.  Each instance
+    names its plan from its own ambient complex and labels its shortcut
+    complex from the plan's shortcut shape on J; with structural=True it
+    audits that complex, carrying a clean class audit.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
@@ -421,17 +426,15 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     for d in all_dissections(m):
         tag = _tag(d)
         shape = dissection_shape(d, cells(d))
-        ambient, key = _silting_by_shape(cores, shape, d.diagonals)
+        shape_plans = plans.setdefault(shape, {})
+        basis = None if shape_plans else algebra_basis(shape_quiver(shape))
+        ambient, key = _silting_by_shape(cores, shape, d.diagonals, basis=basis)
         if structural:
             summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
-        shape_plans = plans.setdefault(shape, {})
-        basis = None
         positions_of = nonempty_subsets(tuple(range(len(d.diagonals))))
         for J, positions in zip(nonempty_subsets(d.diagonals), positions_of):
             plan = shape_plans.get(positions)
             if plan is None:
-                if basis is None:
-                    basis = algebra_basis(shape_quiver(shape))
                 small_shape = _shortcut_quiver(basis, set(positions)).shape
                 small_shape = shared.setdefault(small_shape, small_shape)
                 parts = restriction(ambient, positions)

@@ -13,12 +13,16 @@ dimensions from an intertwiner linear system with its own little
 elimination, and the hom-shift pairing from maps between projectives instead of H^0, and quiver
 isomorphisms from vertex permutations instead of an arrow-by-arrow search.  Agreement
 between the two routes is the point of the tests.  Projectives as modules and as two-term complexes, which only the tests
-need, live here too.
+need, live here too, and so do the dense route to minimal presentations
+(a matrix per arrow, path images as vectors, the kernel of the cover by
+elimination) and the compatibility graph that asks every pair, which the
+package replaced by index maps and a support screen.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +33,7 @@ from accordion_tau.geometry import Dissection, PointCycle, cells
 from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AlgebraMismatchError
 from accordion_tau.linalg import RowSpace
-from accordion_tau.rigidity import Representation, TwoTermComplex
+from accordion_tau.rigidity import Representation, TwoTermComplex, _top
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +246,9 @@ def induced_graph(adj: list[set[int]], rows) -> list[set[int]]:
 
 def set_maximal_cliques(n: int, adj: list[set[int]]) -> list[tuple[int, ...]]:
     """All maximal cliques of a graph on 0..n-1 given by neighbour sets
-    (Bron-Kerbosch with the same pivot rule as the package, on Python sets)."""
+    (recursive Bron-Kerbosch on Python sets, with the pivot that maximises
+    |P & adj[u]|, where the package walks masks with the lowest vertex of
+    P | X as pivot)."""
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: set[int], p: set[int], x: set[int]):
@@ -582,22 +588,19 @@ def hom_dim(arrows: list[tuple[str, str, str]], M: dict, N: dict) -> int:
 
 
 def proj_representation(basis, v) -> Representation:
-    """The module of paths leaving v."""
+    """The module of paths leaving v, with the paths as its basis: an arrow
+    sends a path to its product with the arrow, or to zero."""
     q = basis.quiver
     at: dict = {u: [] for u in q.vertices}
     for i in range(basis.dimension):
         if basis.source[i] == v:
             at[basis.target[i]].append(i)
     dims = {u: len(at[u]) for u in q.vertices}
-    mats = {}
+    action = {}
     for a in q.arrows:
-        mat = [[0] * dims[a.src] for _ in range(dims[a.tgt])]
-        for col, p in enumerate(at[a.src]):
-            prod = basis.mult(p, basis.arrow_path[a.name])
-            if prod is not None:
-                mat[at[a.tgt].index(prod)][col] = 1
-        mats[a.name] = mat
-    return Representation(q, dims, mats)
+        products = [basis.mult(p, basis.arrow_path[a.name]) for p in at[a.src]]
+        action[a.name] = [-1 if p is None else at[a.tgt].index(p) for p in products]
+    return Representation(q, dims, action)
 
 
 def projective_complex(basis, v) -> TwoTermComplex:
@@ -649,6 +652,127 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
                 if hit:
                     trivial.add(vec)
     return len(coords) - trivial.rank
+
+
+# ---------------------------------------------------------------------------
+# minimal presentations on dense matrices, and the all-pairs graph
+
+
+def mats(rep: Representation) -> dict[str, list[list[int]]]:
+    """The matrix of each arrow u -> v of rep, of shape dim_v x dim_u."""
+    out = {}
+    for a in rep.quiver.arrows:
+        mat = [[0] * rep.dim_at(a.src) for _ in range(rep.dim_at(a.tgt))]
+        for t, image in enumerate(rep.action[a.name]):
+            if image >= 0:
+                mat[image][t] = 1
+        out[a.name] = mat
+    return out
+
+
+def mat_vec(mat: list[list[int]], vec: list[int]) -> list[int]:
+    return [sum(map(operator.mul, row, vec)) for row in mat]
+
+
+def kernel(vectors: list[list[int]], width: int) -> list[list[int]]:
+    """Basis of the relations {x : sum_k x[k] * vectors[k] == 0}.
+
+    Eliminates the tagged rows [vectors[k] | e_k]: a stored row whose pivot
+    falls in the tag part is zero on the first width entries, so its tag
+    part is a relation, and those rows span every relation.
+    """
+    n = len(vectors)
+    space = RowSpace(width + n)
+    for k, vec in enumerate(vectors):
+        space.add(list(vec) + [int(t == k) for t in range(n)])
+    return [row[width:] for row, piv in zip(space.rows, space.pivots) if piv >= width]
+
+
+def path_images(rep: Representation, basis) -> list[list[list[int]]]:
+    """images[i][t]: basis vector t at the source of path i pushed along it,
+    as a vector: its prefix path's images times its last arrow's matrix."""
+    matrices = mats(rep)
+    images: list[list[list[int]]] = []
+    for p, prefix in zip(basis.paths, basis.prefix):
+        if prefix is None:
+            dim = rep.dim_at(p.source)
+            images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
+        else:
+            j, name = prefix
+            images.append([mat_vec(matrices[name], vec) for vec in images[j]])
+    return images
+
+
+def min_presentation(basis, rep: Representation) -> TwoTermComplex:
+    """Minimal projective presentation of rep by elimination alone: the top
+    and the kernel of the cover are computed from vectors, with no use of
+    rep being monomial."""
+    q = basis.quiver
+    images = path_images(rep, basis)
+
+    radical: dict = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        radical[a.tgt].extend(images[basis.arrow_path[a.name]])
+    summands0 = []
+    for k, v in enumerate(q.vertices):
+        if rep.dim_at(v):
+            summands0.extend((v, t) for t in _top(rep.dim_at(v), radical[v], images[k]))
+    p0_at: dict = {u: [] for u in q.vertices}
+    for s, (v, _) in enumerate(summands0):
+        for u in q.vertices:
+            p0_at[u].extend((s, i) for i in basis.between(v, u))
+
+    kernel_at: dict = {u: [] for u in q.vertices}
+    for u in q.vertices:
+        dim = rep.dim_at(u)
+        if not (p0_at[u] or dim):
+            continue
+        value = [images[i][summands0[s][1]] for s, i in p0_at[u]]
+        kernel_at[u] = kernel(value, dim)
+        if len(value) - len(kernel_at[u]) != dim:
+            raise InternalError("projective cover must be surjective")
+
+    radical_at: dict = {u: [] for u in q.vertices}
+    for a in q.arrows:
+        u, wv = a.src, a.tgt
+        pos = {pair: k for k, pair in enumerate(p0_at[wv])}
+        for kvec in kernel_at[u]:
+            image = [0] * len(p0_at[wv])
+            for k, (s, i) in enumerate(p0_at[u]):
+                prod = basis.mult(i, basis.arrow_path[a.name])
+                if kvec[k] and prod is not None:
+                    image[pos[(s, prod)]] += kvec[k]
+            radical_at[wv].append(image)
+
+    summands1 = [
+        (wv, t)
+        for wv in q.vertices
+        if kernel_at[wv] or radical_at[wv]
+        for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
+    ]
+    diff = [[dict() for _ in summands1] for _ in summands0]
+    for c, (wv, t) in enumerate(summands1):
+        for k, (s, i) in enumerate(p0_at[wv]):
+            if kernel_at[wv][t][k]:
+                diff[s][c][i] = kernel_at[wv][t][k]
+    return TwoTermComplex(
+        basis,
+        tuple(wv for wv, _ in summands1),
+        tuple(v for v, _ in summands0),
+        diff,
+        rep,
+    )
+
+
+def compatibility_graph(n: int, compatible) -> tuple[int, ...]:
+    """The neighbour masks of a pairwise relation on 0..n-1: compatible(i, j)
+    is asked once for each pair i < j."""
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if compatible(i, j):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
 
 
 # ---------------------------------------------------------------------------

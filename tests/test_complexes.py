@@ -28,6 +28,7 @@ from accordion_tau.complexes import (
     structural_failures,
 )
 from accordion_tau.errors import (
+    InternalError,
     LabelLengthMismatchError,
     NonPureComplexError,
 )
@@ -49,7 +50,7 @@ def clique(gvecs, edges, kind=None):
     coords = tuple(f"c{t}" for t in range(len(gvecs[0])))
     verts = [ComplexVertex(i, tuple(g), f"v{i}") for i, g in enumerate(gvecs)]
     pairs = {frozenset(e) for e in edges}
-    graph = complexes.compatibility_graph(len(verts), lambda i, j: frozenset((i, j)) in pairs)
+    graph = oracles.compatibility_graph(len(verts), lambda i, j: frozenset((i, j)) in pairs)
     return oracles.records_complex(coords, verts, graph, kind)
 
 
@@ -91,16 +92,55 @@ random_graphs = st.integers(0, 14).flatmap(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(random_graphs)
-def test_maximal_cliques_match_the_set_oracle_on_random_graphs(graph):
-    n, edges = graph
+def neighbour_sets(n, edges):
     adj_sets = [set() for _ in range(n)]
     for (i, j), edge in zip(itertools.combinations(range(n), 2), edges):
         if edge:
             adj_sets[i].add(j)
             adj_sets[j].add(i)
+    return adj_sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs)
+def test_maximal_cliques_match_the_set_oracle_on_random_graphs(graph):
+    n, edges = graph
+    adj_sets = neighbour_sets(n, edges)
     assert maximal_cliques(n, masks(adj_sets)) == oracles.set_maximal_cliques(n, adj_sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs)
+def test_the_purity_check_on_masks_raises_what_the_facet_read_raises(graph):
+    # a complex of kind "toy" on one coordinate per vertex of its largest
+    # clique: check_purity passes exactly when reading the facets does, and
+    # a failure names the same facet, the first offending one in sorted order
+    n, edges = graph
+    adj_sets = neighbour_sets(n, edges)
+    adj = masks(adj_sets)
+    size = max(map(len, oracles.set_maximal_cliques(n, adj_sets)))
+
+    def name_of(k):
+        return f"v{k}", {}
+
+    def toy():
+        coordinates = tuple(f"c{t}" for t in range(size))
+        gvecs = ((0,) * size,) * n
+        return complexes.LabeledComplex(coordinates, gvecs, range(n), name_of, tuple(adj), "toy")
+
+    try:
+        toy().facets
+        expected = None
+    except NonPureComplexError as err:
+        expected = str(err)
+    checked = toy()
+    if expected is None:
+        checked.check_purity()
+        assert "facets" not in vars(checked)
+    else:
+        with pytest.raises(NonPureComplexError) as err:
+            checked.check_purity()
+        assert str(err.value) == expected
 
 
 def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monkeypatch):
@@ -115,7 +155,8 @@ def test_maximal_cliques_match_the_set_oracle_on_every_compatibility_graph(monke
     for m in range(4, 8):
         for d in all_dissections(m):
             # a clique complex enumerates its cliques when its facets are
-            # read; silting_complex keeps the ones its purity check read
+            # read; silting_complex checks purity on the walk's masks and
+            # builds no facets until they are read
             accordion_complex(d).facets
             silting_complex(quiver_of_dissection(d)).facets
     assert len(graphs) == 2 * (2 + 10 + 44 + 196)
@@ -320,6 +361,24 @@ def test_a_complex_with_a_kind_checks_purity_when_its_facets_are_read():
         cx.facets
     # a restriction is not held to one vertex per coordinate
     assert restrict_to_coordinates(cx, (0, 1)).facets == ((0, 1, 2), (3,))
+
+
+def test_the_purity_check_on_masks_names_the_first_offending_facet():
+    # on two coordinates, the triangle (1, 2, 3) and the isolated vertex 0
+    # are both impure; the walk meets the triangle first, and the message
+    # names (0,), the first in sorted order, as the facet read does
+    gvecs = [(1, 0), (0, 1), (1, 1), (-1, 0)]
+    cx = clique(gvecs, [(1, 2), (1, 3), (2, 3)], kind="toy")
+    walked = list(complexes._clique_masks(4, cx.graph))
+    assert walked == [0b1110, 0b0001]
+    with pytest.raises(NonPureComplexError) as err:
+        cx.check_purity()
+    assert str(err.value) == "toy facet (0,) has size 1, expected 2"
+    # without a kind the facets read checks nothing, so the screen's
+    # failure is a broken invariant, not a pass
+    expected = r"^the facets read \(kind None\) passed an impure clique$"
+    with pytest.raises(InternalError, match=expected):
+        clique(gvecs, [(1, 2), (1, 3), (2, 3)]).check_purity()
 
 
 def test_iso_of_clique_complexes_compares_graphs_and_names_the_first_pair():

@@ -1,4 +1,5 @@
-"""The elimination engine against the independent rank in the oracles."""
+"""The elimination engine against the independent rank in the oracles, and the
+oracles' kernel, which the dense presentations there rest on."""
 
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from accordion_tau.linalg import kernel, rank
+from accordion_tau.linalg import rank
 
 
 @st.composite
@@ -24,7 +25,7 @@ def _combination(coeffs, vectors, width):
 @given(integer_vectors())
 def test_kernel_is_an_exact_basis_of_the_relations(case):
     vectors, width = case
-    basis = kernel(vectors, width)
+    basis = oracles.kernel(vectors, width)
     for x in basis:
         assert len(x) == len(vectors)
         assert not any(isinstance(c, float) for c in x)

@@ -125,8 +125,9 @@ def test_string_module_of_arrow(zigzag_algebra):
     q, _ = zigzag_algebra
     rep = string_module(q, StringWord((0, 2), (("a0", True),)))
     assert rep.dims == {(0, 2): 1, (2, 4): 1, (4, 6): 0}
-    assert rep.mats["a0"] == [[Fraction(1)]]
-    assert rep.mats["a1"] == []  # target has dimension zero
+    assert rep.action["a0"] == [0]
+    assert rep.action["a1"] == [-1]  # target has dimension zero
+    assert oracles.mats(rep) == {"a0": [[1]], "a1": []}
 
 
 def test_string_module_respects_relations(zigzag_algebra):
@@ -181,8 +182,8 @@ def test_presentations_are_built_from_python_ints(algebra, request):
     q, basis = request.getfixturevalue(algebra)
     for w in enumerate_strings(q):
         rep = string_module(q, w)
-        for mat in rep.mats.values():
-            assert all(type(x) is int for row in mat for x in row)
+        for images in rep.action.values():
+            assert all(type(x) is int for x in images)
         pres = min_presentation(basis, rep)
         for row in pres.diff:
             assert all(type(x) is int for entry in row for x in entry.values())
@@ -315,6 +316,72 @@ def test_hom_shift_matches_the_path_oracle_on_every_silting_pair():
     assert pairs > sums
 
 
+def presentation_parts(pres):
+    return pres.p0, pres.p1, pres.diff
+
+
+def all_pairs_graph(verts):
+    """The compatibility graph that asks hom_shift both ways on every pair."""
+    objects = [sv.complex for sv in verts]
+
+    def compatible(i, j):
+        x, y = objects[i], objects[j]
+        return hom_shift(x, y) == 0 and hom_shift(y, x) == 0
+
+    return oracles.compatibility_graph(len(objects), compatible)
+
+
+def test_presentations_and_screened_graphs_match_the_dense_oracle():
+    # every silting vertex for 4 <= m <= 7 is presented as the dense route
+    # (a matrix per arrow, the cover's kernel by elimination) presents its
+    # module, and the graph that skips pairs with no hom-shift width is
+    # the graph that asks every pair
+    from accordion_tau.geometry import all_dissections
+
+    checked = 0
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            q = quiver_of_dissection(d)
+            basis = algebra_basis(q)
+            verts = silting_vertices(q)
+            for sv in verts:
+                if sv.letters is not None:
+                    dense = oracles.min_presentation(basis, sv.complex.module)
+                    assert presentation_parts(sv.complex) == presentation_parts(dense)
+                    checked += 1
+            assert silting_core(basis).graph == all_pairs_graph(verts)
+    assert checked > 2 + 10 + 44 + 196
+
+
+@pytest.mark.parametrize("algebra", ["fan_algebra", "zigzag_algebra"])
+def test_fixture_presentations_match_the_dense_oracle(algebra, request):
+    # every string module of the fixture, rigid or not, every projective,
+    # and every direct sum of two string modules
+    q, basis = request.getfixturevalue(algebra)
+    modules = [string_module(q, w) for w in enumerate_strings(q)]
+    presented = [min_presentation(basis, rep) for rep in modules]
+    sums = [direct_sum(x, y).module for x in presented for y in presented]
+    projectives = [proj_representation(basis, v) for v in q.vertices]
+    for rep in modules + sums + projectives:
+        dense = oracles.min_presentation(basis, rep)
+        assert presentation_parts(min_presentation(basis, rep)) == presentation_parts(dense)
+    assert silting_core(basis).graph == all_pairs_graph(silting_vertices(q))
+
+
+def test_the_13_gon_fan_triangulation_has_the_triangulation_counts():
+    # a triangulation's complex has n(n+3)/2 vertices and Cat(n+1) facets,
+    # each of size n, where n = m - 3: at m=13, 65 vertices and
+    # Cat(11) = 58,786 facets of size 10
+    from accordion_tau.geometry import validate_dissection
+
+    fan = validate_dissection(13, [(0, k) for k in range(2, 12)])
+    cx = silting_complex(quiver_of_dissection(fan))
+    n = len(cx.coordinates)
+    assert len(cx.gvecs) == n * (n + 3) // 2 == 65
+    assert len(cx.facets) == oracles.catalan(n + 1) == 58786
+    assert {len(f) for f in cx.facets} == {n} == {10}
+
+
 def test_silting_vertices_match_the_frozen_digest():
     # label, g-vector, P0, P1 and differential of every silting vertex for
     # 4 <= m <= 8, hashed when presentations were built by per-vertex scans
@@ -340,7 +407,8 @@ def test_direct_sum_sums_the_modules(zigzag_algebra):
     y = min_presentation(basis, string_module(q, StringWord((2, 4), ())))
     s = direct_sum(x, y)
     assert s.module.dims == {(0, 2): 1, (2, 4): 2, (4, 6): 0}
-    assert s.module.mats["a0"] == [[1], [0]]
+    assert s.module.action["a0"] == [0]
+    assert oracles.mats(s.module)["a0"] == [[1], [0]]
     assert direct_sum(y, shifted_projective(basis, (0, 2))).module.dims == y.module.dims
 
 

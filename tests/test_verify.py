@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -135,17 +136,22 @@ def test_a_repeated_gvector_in_a_form_core_fails_the_sweeps(monkeypatch):
 
 def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(monkeypatch):
     # one basis per ambient shape, on the shape's own quiver, shared by the
-    # plans of its first dissection, and one per silting build: one per
-    # isomorphism class, on its form's quiver
+    # plans of its first dissection and, when the shape is a form met first
+    # as an ambient shape, by its silting build; and one per other form
     ambients, shapes = set(), set()
     for q in map(quiver_of_dissection, all_dissections(7)):
         ambients.add(q.shape)
         shapes.update(shortcut_quiver(q, J).shape for J in quiver.nonempty_subsets(q.vertices))
-    classes = oracles.isomorphism_class_count(ambients | shapes)
+    forms = {quiver.canonical_form(s)[0] for s in ambients | shapes}
+    assert len(forms) == oracles.isomorphism_class_count(ambients | shapes) == 15
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    assert len(calls) == len(ambients) + classes == 49 + 15
-    assert {q for q, in calls} >= set(map(quiver.shape_quiver, ambients))
+    built = Counter(q.shape for q, in calls)
+    assert set(built) == ambients | forms and len(built) == 49 + 15 - 6
+    # the basis a form's silting build makes is dropped, so the ambient
+    # forms whose core a shortcut build made first build it again
+    repeated = {s for s, count in built.items() if count > 1}
+    assert max(built.values()) == 2 and repeated <= ambients & forms
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -280,9 +286,11 @@ def test_main_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dissectio
     summary = verify.verify_main_exhaustive(7, structural=structural)
     assert summary.ok and summary.checked == len(dissections)
     assert len(cut) == len(dissections) and built == []
-    # 49 shapes in 15 classes; 3 forms are met after another shape of
-    # their class, which already made their entry
-    assert len(shapes) == 49 - 3 + 15
+    # 49 shapes in 15 classes, and 6 of the forms are among those shapes:
+    # every shape and form gets one quiver, since a form met as itself
+    # before the rest of its class builds its core on the quiver made for
+    # its checks
+    assert len(shapes) == len(set(shapes)) == 49 + 15 - 6
 
 
 @pytest.mark.parametrize("structural", [False, True])
@@ -291,13 +299,23 @@ def test_idempotent_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dis
 ):
     # the idempotent sweep reads each dissection as the main sweep does:
     # one cells(d), the quiver's shape off it, and no GentleQuiver for d;
-    # its plans are made on the shape's own quiver
+    # its plans are made on the shape's own quiver, which also serves the
+    # shape's silting build
     dissections = all_dissections(7)
     cut = count_calls(monkeypatch, quiver, "cells")
     built = count_calls(monkeypatch, quiver, "quiver_of_dissection")
+    shapes = count_calls(monkeypatch, verify, "shape_quiver")
     summary = verify.verify_idempotent_exhaustive(7, structural=structural)
     assert summary.ok and summary.checked == 1400
     assert len(cut) == len(dissections) and built == []
+    # one quiver per shape or form met, 114 in all; a shape met first as an
+    # ambient shape builds it once, for its plans' basis, which its silting
+    # build reads too, and only the ambient forms whose core a shortcut
+    # build made first build theirs again
+    counts = Counter(shape for shape, in shapes)
+    repeated = {shape for shape, count in counts.items() if count > 1}
+    assert len(counts) == 114 and max(counts.values()) == 2
+    assert all(quiver.canonical_form(shape)[0] == shape for shape in repeated)
 
 
 def test_verify_main_cuts_its_dissection_once(monkeypatch):
@@ -311,8 +329,9 @@ def test_verify_main_cuts_its_dissection_once(monkeypatch):
 
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     # a plan per (ambient shape, J positions): 541 label-free restrictions
-    # for the 1,400 instances at m=7, with the silting cores and algebra
-    # bases of the sweep unchanged: one core per isomorphism class
+    # for the 1,400 instances at m=7, with one core per isomorphism class,
+    # and one basis per ambient shape and per core, less the one form met
+    # first as an ambient shape, whose core reads its plans' basis
     pairs = {
         (q.shape, positions)
         for q in map(quiver_of_dissection, all_dissections(7))
@@ -325,7 +344,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 15 and len(bases) == 49 + 15
+    assert len(cores) == 15 and len(bases) == 49 + 15 - 1
 
 
 @pytest.mark.parametrize("m", [6, 7])
