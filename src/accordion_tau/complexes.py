@@ -44,6 +44,7 @@ and `is_pseudomanifold` its ridge counts.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -513,7 +514,13 @@ def restriction(cx: LabeledComplex, positions: tuple[int, ...]) -> Restriction:
         inside |= 1 << t
     keep = [i for i, support in enumerate(cx.support_masks) if not support & ~inside]
     rows = cx.gvecs
-    gvecs = tuple([tuple([rows[old][t] for t in positions]) for old in keep])
+    if len(positions) > 1:
+        # one call slices a g-vector; itemgetter gives one position a bare
+        # entry, and needs one
+        pick = operator.itemgetter(*positions)
+        gvecs = tuple([pick(rows[old]) for old in keep])
+    else:
+        gvecs = tuple([tuple([rows[old][t] for t in positions]) for old in keep])
     return Restriction(tuple(keep), gvecs, induced_graph(cx.graph, keep))
 
 

@@ -22,17 +22,23 @@ that name black diagonals), so a passed instance names no vertex: labels
 are built, when first read, for failure text and printed complexes.  The
 check that each facet holds one vertex per coordinate runs once per
 silting build (rigidity.silting_core) and once per accordion complex the
-nested checks build.  The main check needs no accordion facets: a graph
-isomorphism onto the checked silting complex carries its purity over.
-Structural audits and printed complexes read facets.
+nested checks build, both on the masks of the clique walk
+(LabeledComplex.check_purity), so no checked complex keeps facets.  The
+main check needs no accordion facets: a graph isomorphism onto the checked
+silting complex carries its purity over.  Structural audits and printed
+complexes read facets.  Likewise an instance's text ("m=7 [...] inside
+[...]") is written only with a failure or audit message: the sweeps hand
+VerifySummary an _Instance, whose str() is that text.
 
 Exhaustive runs iterate all dissections of one polygon.  The nested sweep
-keeps one accordion complex per ordered diagonal tuple; every other
-complex lives for its own dissection or instance only.  A silting complex
-depends on its quiver's shape alone (GentleQuiver.shape: vertex positions,
-not names), so the main and idempotent sweeps keep one label-free core per
-shape and label it for every quiver of the shape (rigidity._label_core,
-as silting_complex does for one quiver).  The main and idempotent sweeps
+keeps one accordion complex per ordered diagonal tuple, looks a
+sub-dissection's up by that tuple and makes a Dissection only to build a
+missing one; every other complex lives for its own dissection or instance
+only.  A silting complex depends on its quiver's shape alone
+(GentleQuiver.shape: vertex positions, not names), so the main and
+idempotent sweeps keep one label-free core per shape and label it for
+every quiver of the shape (rigidity._label_core, as silting_complex does
+for one quiver).  The main and idempotent sweeps
 read a dissection one way: they cut it into cells once, read the quiver's
 shape off them (quiver.dissection_shape), and label the ambient silting
 complex on the dissection's diagonals, so they build no quiver per
@@ -54,7 +60,9 @@ shortcut quiver's shape and the label-free restriction
 (complexes.restriction: kept vertices, g-vectors and induced graph), never
 a quiver, basis or labelled complex.  The instance that first meets a pair
 makes its plan on the shape's own quiver (quiver.shape_quiver), so a plan
-reads no vertex name.  Every instance names its plan from its own ambient
+reads no vertex name; a form whose core was built before the form met
+its first dissection keeps that build's basis for the plans, so each shape
+builds one basis.  Every instance names its plan from its own ambient
 complex (complexes.name_restriction) and labels its shortcut complex from
 the core of the plan's shortcut shape on J.  The sweeps
 compare the built complexes with the same comparison the single-instance
@@ -103,6 +111,7 @@ from .complexes import (
 from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections, cells
 from .quiver import (
+    AlgebraBasis,
     GentleQuiver,
     _quiver_on,
     _shortcut_quiver,
@@ -156,10 +165,11 @@ def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
 
 
 def _checked_accordion(d: Dissection) -> LabeledComplex:
-    """The accordion complex of d, its facets read once: the read raises
-    NonPureComplexError unless each facet has one vertex per diagonal."""
+    """The accordion complex of d, checked once on the masks of its clique
+    walk (LabeledComplex.check_purity), which raises NonPureComplexError
+    unless each maximal clique has one vertex per diagonal; no facet is kept."""
     cx = accordion_complex(d)
-    cx.facets
+    cx.check_purity()
     return cx
 
 
@@ -170,9 +180,15 @@ def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
     """
     report = iso_by_gvectors(small, induced)
     if report.passed:
+        # the nested sweep's pairs share the accordion naming function, so
+        # equal black diagonals show as equal keys, and nothing is named; a
+        # passed match maps vertex k of small to the k-th value, in order
+        images = report.vertex_map.values()
+        if small.name_of is induced.name_of and tuple(small.keys) == tuple(
+            map(induced.keys.__getitem__, images)
+        ):
+            return report
         for vid, wid in report.vertex_map.items():
-            # the nested sweep's pairs share the accordion naming function,
-            # so equal black diagonals show as equal keys, and nothing is named
             if small.named_alike(vid, induced, wid):
                 continue
             b1 = small.vertices[vid].payload["black"]
@@ -258,8 +274,28 @@ def _carried_audit(
     return fails
 
 
+class _Instance(NamedTuple):
+    """An instance's name, written out only when a message reads it: str()
+    gives "m=<m> [diagonals]", followed by joiner and [rest] when joiner is
+    set, as in "m=7 [(0, 2)] inside [(0, 2), (0, 3)]" or
+    "m=7 [(0, 2), (0, 3)] J=[(0, 3)]"."""
+
+    m: int
+    diagonals: tuple
+    joiner: str = ""
+    rest: tuple = ()
+
+    def __str__(self) -> str:
+        text = f"m={self.m} {list(self.diagonals)}"
+        return f"{text}{self.joiner}{list(self.rest)}" if self.joiner else text
+
+
 @dataclass
 class VerifySummary:
+    """Counts and messages of one sweep.  An instance is anything whose
+    str() names it (the sweeps pass an _Instance), and it is written out
+    only for a message."""
+
     theorem: str
     checked: int = 0
     passed: int = 0
@@ -271,19 +307,20 @@ class VerifySummary:
     def ok(self) -> bool:
         return self.checked == self.passed and not self.structural
 
-    def record(self, instance: str, report: IsoReport):
+    def record(self, instance: object, report: IsoReport):
         self.checked += 1
         if report.passed:
             self.passed += 1
         else:
             self.failures.append(f"{instance}: {'; '.join(report.failures)}")
 
-    def audit(self, instance: str, messages: list[str]):
-        """Count one audited complex and record its audit_complex messages,
-        each prefixed with the instance."""
+    def audit(self, instance: object, part: str, messages: list[str]):
+        """Count one audited complex, the part of the instance named by
+        part, and record its audit_complex messages, each prefixed with the
+        instance and the part."""
         self.complexes_audited += 1
         for msg in messages:
-            self.structural.append(f"{instance}: {msg}")
+            self.structural.append(f"{instance} {part}: {msg}")
 
     def to_json(self) -> dict:
         return {
@@ -297,12 +334,12 @@ class VerifySummary:
         }
 
 
-def _tag(d: Dissection) -> str:
-    return f"m={d.cycle.m} {d.white_pairs()}"
-
-
 def _silting_by_shape(
-    cores: dict[tuple, tuple[tuple, SiltingCore]], shape: tuple, vertices: tuple, basis=None
+    cores: dict[tuple, tuple[tuple, SiltingCore]],
+    shape: tuple,
+    vertices: tuple,
+    basis: AlgebraBasis | None = None,
+    form_bases: dict[tuple, AlgebraBasis] | None = None,
 ) -> tuple[LabeledComplex, tuple]:
     """The silting complex of the quiver of this shape on these vertices,
     labelled from the core of the shape (rigidity._label_core), and the key
@@ -315,16 +352,19 @@ def _silting_by_shape(
     transported.  A shape met for the first time builds its quiver once,
     unless the caller gives its algebra basis, so GentleQuiver's checks run
     on every shape a sweep reads; a form met as itself builds its core on
-    that quiver or basis."""
+    that quiver or basis.  When form_bases is given, a basis built here for
+    a form's core is left in it under the form, for the caller to take."""
     entry = cores.get(shape)
     if entry is None:
         q = shape_quiver(shape) if basis is None else basis.quiver
         canon = canonical_form(shape)
         form = canon[0]
         if form not in cores:
-            if form != shape:
-                basis = algebra_basis(shape_quiver(form))
-            cores[form] = (form, silting_core(basis or algebra_basis(q)))
+            if form != shape or basis is None:
+                basis = algebra_basis(q if form == shape else shape_quiver(form))
+                if form_bases is not None:
+                    form_bases[form] = basis
+            cores[form] = (form, silting_core(basis))
         if shape != form:
             cores[shape] = (form, transport_core(cores[form][1], canon, shape))
         entry = cores[shape]
@@ -342,18 +382,18 @@ def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     for d in all_dissections(m):
-        tag = _tag(d)
+        instance = _Instance(m, d.diagonals)
         faces = cells(d)
         acc = accordion_complex_of_cells(d, faces)
         silt, key = _silting_by_shape(cores, dissection_shape(d, faces), d.diagonals)
         report = iso_by_gvectors(acc, silt)
-        summary.record(tag, report)
+        summary.record(instance, report)
         if structural:
             # the silting side first, so that a clean audit carries over
             silt_audit = _carried_audit(silt, clean, key=key)
             matched = key if report.passed else None
-            summary.audit(tag + " accordion", _carried_audit(acc, clean, matched=matched))
-            summary.audit(tag + " silting", silt_audit)
+            summary.audit(instance, "accordion", _carried_audit(acc, clean, matched=matched))
+            summary.audit(instance, "silting", silt_audit)
     return summary
 
 
@@ -362,32 +402,33 @@ def verify_nested_exhaustive(m: int, structural: bool = False) -> VerifySummary:
 
     Each sub-dissection is itself a dissection of the m-gon, so the sweep
     builds one accordion complex per dissection, keyed by its ordered
-    diagonals (their order fixes the coordinate order)."""
+    diagonals (their order fixes the coordinate order), and makes a
+    Dissection for a sub-dissection only when its key is not yet built."""
     summary = VerifySummary("nested")
     built: dict[tuple, LabeledComplex] = {}
     clean: set[tuple] = set()
 
-    def accordion(d: Dissection, key: tuple) -> LabeledComplex:
-        if key not in built:
-            cx = _checked_accordion(d)
-            built[key] = cx
-            if structural:
-                summary.audit(_tag(d) + " accordion", _carried_audit(cx, clean, key=key))
-        return built[key]
+    def accordion(d: Dissection) -> LabeledComplex:
+        key = d.diagonals
+        cx = built[key] = _checked_accordion(d)
+        if structural:
+            summary.audit(_Instance(m, key), "accordion", _carried_audit(cx, clean, key=key))
+        return cx
 
     for big in all_dissections(m):
-        big_cx = accordion(big, big.diagonals)
-        for positions in nonempty_subsets(tuple(range(len(big.diagonals)))):
-            d = Dissection(big.cycle, tuple(big.diagonals[t] for t in positions))
-            key = d.diagonals
-            instance = f"{_tag(d)} inside {big.white_pairs()}"
+        diagonals = big.diagonals
+        big_cx = built.get(diagonals) or accordion(big)
+        positions_of = nonempty_subsets(tuple(range(len(diagonals))))
+        for key, positions in zip(nonempty_subsets(diagonals), positions_of):
+            small = built.get(key) or accordion(Dissection(big.cycle, key))
             induced = restrict_to_coordinates(big_cx, positions)
-            report = compare_nested(accordion(d, key), induced)
+            instance = _Instance(m, key, " inside ", diagonals)
+            report = compare_nested(small, induced)
             summary.record(instance, report)
             if structural:
                 matched = key if report.passed else None
                 summary.audit(
-                    f"{instance} induced", _carried_audit(induced, clean, matched=matched)
+                    instance, "induced", _carried_audit(induced, clean, matched=matched)
                 )
     return summary
 
@@ -407,32 +448,41 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     Each dissection is read as the main sweep reads it, and its ambient
     silting complex is labelled (and audited) for it alone.  The plan of
     (ambient shape, J positions) is made by the first instance that meets
-    the pair, from one algebra basis that the shape's first dissection
-    (which meets every J position) builds and drops, on the shape's own
-    quiver, which also serves the ambient silting build.  Each instance
-    names its plan from its own ambient complex and labels its shortcut
-    complex from the plan's shortcut shape on J; with structural=True it
-    audits that complex, carrying a clean class audit.
+    the pair, from one algebra basis on the shape's own quiver, which the
+    shape's first dissection (which meets every J position) reads and
+    drops, and which also serves the ambient silting build.  That basis is
+    built once per shape: a form whose core a shortcut build made first
+    keeps the core's basis until its first dissection takes it.  Each
+    instance names its plan from its own ambient complex and labels its
+    shortcut complex from the plan's shortcut shape on J; with
+    structural=True it audits that complex, carrying a clean class audit.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
+    # form -> the basis its core was built on, until a dissection of that shape
+    bases: dict[tuple, AlgebraBasis] = {}
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
     # share one copy of each, and of each shortcut shape
     shared: dict[tuple, tuple] = {}
 
     for d in all_dissections(m):
-        tag = _tag(d)
+        diagonals = d.diagonals
         shape = dissection_shape(d, cells(d))
         shape_plans = plans.setdefault(shape, {})
-        basis = None if shape_plans else algebra_basis(shape_quiver(shape))
-        ambient, key = _silting_by_shape(cores, shape, d.diagonals, basis=basis)
+        basis = None
+        if not shape_plans:
+            basis = bases.pop(shape, None) or algebra_basis(shape_quiver(shape))
+        ambient, key = _silting_by_shape(
+            cores, shape, diagonals, basis=basis, form_bases=bases
+        )
         if structural:
-            summary.audit(tag + " silting", _carried_audit(ambient, clean, key=key))
-        positions_of = nonempty_subsets(tuple(range(len(d.diagonals))))
-        for J, positions in zip(nonempty_subsets(d.diagonals), positions_of):
+            ambient_audit = _carried_audit(ambient, clean, key=key)
+            summary.audit(_Instance(m, diagonals), "silting", ambient_audit)
+        positions_of = nonempty_subsets(tuple(range(len(diagonals))))
+        for J, positions in zip(nonempty_subsets(diagonals), positions_of):
             plan = shape_plans.get(positions)
             if plan is None:
                 small_shape = _shortcut_quiver(basis, set(positions)).shape
@@ -440,17 +490,19 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
                 plan = shape_plans[positions] = _Plan(small_shape, kept)
-            small, small_key = _silting_by_shape(cores, plan.shortcut_shape, J)
+            small, small_key = _silting_by_shape(
+                cores, plan.shortcut_shape, J, form_bases=bases
+            )
             induced = name_restriction(ambient, positions, plan.restriction)
-            instance = f"{tag} J={list(J)}"
+            instance = _Instance(m, diagonals, " J=", J)
             report = iso_by_gvectors(small, induced)
             summary.record(instance, report)
             if structural:
                 small_audit = _carried_audit(small, clean, key=small_key)
-                summary.audit(f"{instance} shortcut silting", small_audit)
+                summary.audit(instance, "shortcut silting", small_audit)
                 matched = small_key if report.passed else None
                 summary.audit(
-                    f"{instance} induced", _carried_audit(induced, clean, matched=matched)
+                    instance, "induced", _carried_audit(induced, clean, matched=matched)
                 )
     return summary
 
@@ -465,10 +517,9 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
         # so the k-th subset of diagonals is the k-th subset J of vertices
         pairs = zip(nonempty_subsets(big.diagonals), shortcut_quivers(basis))
         for sub, (J, shortcut) in pairs:
-            d = Dissection(big.cycle, sub)
-            instance = f"{_tag(d)} inside {big.white_pairs()}"
-            fails = quivers_match(shortcut, quiver_of_dissection(d))
+            fails = quivers_match(shortcut, quiver_of_dissection(Dissection(big.cycle, sub)))
             fails.extend(idempotent_subalgebra_check(basis, J, shortcut).failures)
+            instance = _Instance(m, sub, " inside ", big.diagonals)
             summary.record(instance, IsoReport(not fails, None, fails))
     return summary
 

@@ -57,6 +57,14 @@ def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
     assert "nothing to run" in result.stderr
 
 
+def test_run_exhaustive_stops_nested_at_m9():
+    # nested's ceiling is m=9 (95,676 pairs), so an m=10 request has no sizes
+    result = run_exhaustive("--min-m", "10", "--max-m", "10", "--theorem", "nested")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "nothing to run" in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -46,6 +46,26 @@ def test_nested_sweep_builds_one_accordion_complex_per_dissection(monkeypatch, s
     assert len(calls) == len(all_dissections(6))
 
 
+def test_nested_sweep_makes_a_dissection_only_on_a_memo_miss(monkeypatch):
+    # 196 dissections of the 7-gon, so 196 accordion complexes for 1,400
+    # nested pairs; a sub-dissection's complex is looked up by its diagonal
+    # tuple, and a Dissection is made only for one not yet built
+    calls = count_calls(monkeypatch, accordion, "accordion_complex")
+    made = []
+    real = verify.Dissection
+
+    def making(cycle, diagonals):
+        made.append(real(cycle, diagonals))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "Dissection", making)
+    summary = verify.verify_nested_exhaustive(7)
+    assert summary.ok and summary.checked == 1400
+    assert len(calls) == len({d.diagonals for d, in calls}) == len(all_dissections(7)) == 196
+    built = {id(d) for d, in calls}
+    assert made and all(id(d) in built for d in made)
+
+
 @pytest.mark.parametrize("structural", [False, True])
 def test_idempotent_sweep_builds_one_silting_complex_per_quiver(monkeypatch, structural):
     dissections = all_dissections(6)
@@ -137,7 +157,9 @@ def test_a_repeated_gvector_in_a_form_core_fails_the_sweeps(monkeypatch):
 def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(monkeypatch):
     # one basis per ambient shape, on the shape's own quiver, shared by the
     # plans of its first dissection and, when the shape is a form met first
-    # as an ambient shape, by its silting build; and one per other form
+    # as an ambient shape, by its silting build; and one per other form,
+    # which a form met first in a shortcut build keeps for its first
+    # dissection when it is an ambient shape too
     ambients, shapes = set(), set()
     for q in map(quiver_of_dissection, all_dissections(7)):
         ambients.add(q.shape)
@@ -148,10 +170,7 @@ def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(m
     assert verify.verify_idempotent_exhaustive(7).ok
     built = Counter(q.shape for q, in calls)
     assert set(built) == ambients | forms and len(built) == 49 + 15 - 6
-    # the basis a form's silting build makes is dropped, so the ambient
-    # forms whose core a shortcut build made first build it again
-    repeated = {s for s, count in built.items() if count > 1}
-    assert max(built.values()) == 2 and repeated <= ambients & forms
+    assert max(built.values()) == 1 and len(calls) == 58
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -244,6 +263,26 @@ def test_passed_checks_name_no_vertex(monkeypatch, run):
     assert named == []
 
 
+@pytest.mark.parametrize("name", list(verify.DRIVERS))
+def test_passed_sweeps_write_no_instance_text(monkeypatch, name):
+    # an instance's name is written out only for a message: a passed sweep
+    # formats none, and a failed one formats one per failure line
+    written = []
+    real = verify._Instance.__str__
+
+    def writing(instance):
+        written.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(verify._Instance, "__str__", writing)
+    assert verify.DRIVERS[name](6).ok
+    assert written == []
+    if name != "consistency":
+        drop_a_pair(monkeypatch)
+        summary = verify.DRIVERS[name](6)
+        assert not summary.ok and len(written) == len(summary.failures) > 0
+
+
 def test_failure_text_names_the_vertices_it_cites(monkeypatch):
     # the naming path is the one the failure text reads
     named = count_calls(monkeypatch, complexes, "_vertex_records")
@@ -310,12 +349,10 @@ def test_idempotent_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dis
     assert len(cut) == len(dissections) and built == []
     # one quiver per shape or form met, 114 in all; a shape met first as an
     # ambient shape builds it once, for its plans' basis, which its silting
-    # build reads too, and only the ambient forms whose core a shortcut
-    # build made first build theirs again
+    # build reads too, and an ambient form whose core a shortcut build made
+    # first takes that build's basis, quiver included
     counts = Counter(shape for shape, in shapes)
-    repeated = {shape for shape, count in counts.items() if count > 1}
-    assert len(counts) == 114 and max(counts.values()) == 2
-    assert all(quiver.canonical_form(shape)[0] == shape for shape in repeated)
+    assert len(counts) == 114 and max(counts.values()) == 1
 
 
 def test_verify_main_cuts_its_dissection_once(monkeypatch):
@@ -330,8 +367,8 @@ def test_verify_main_cuts_its_dissection_once(monkeypatch):
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     # a plan per (ambient shape, J positions): 541 label-free restrictions
     # for the 1,400 instances at m=7, with one core per isomorphism class,
-    # and one basis per ambient shape and per core, less the one form met
-    # first as an ambient shape, whose core reads its plans' basis
+    # and one basis per ambient shape and per core, less the six forms that
+    # are ambient shapes too, each with one basis for its core and its plans
     pairs = {
         (q.shape, positions)
         for q in map(quiver_of_dissection, all_dissections(7))
@@ -344,7 +381,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 15 and len(bases) == 49 + 15 - 1
+    assert len(cores) == 15 and len(bases) == 49 + 15 - 6
 
 
 @pytest.mark.parametrize("m", [6, 7])
@@ -446,10 +483,16 @@ def test_an_impure_accordion_complex_fails_the_main_check(monkeypatch):
 
 @pytest.mark.parametrize("structural", [False, True])
 def test_nested_checks_raise_on_an_impure_accordion_complex(monkeypatch, structural):
-    # the nested checks read each accordion complex's facets once, so an
-    # impure one raises as it did when the build itself checked purity
-    real = complexes.maximal_cliques
-    monkeypatch.setattr(complexes, "maximal_cliques", lambda n, adj: real(n, adj) + [(0,)])
+    # the nested checks screen each accordion complex's clique walk once, so
+    # an impure one raises as it did when the build itself checked purity;
+    # the walk feeds both the screen and the facets read that names (0,)
+    real = complexes._clique_masks
+
+    def with_a_lone_vertex(n, adj):
+        yield from real(n, adj)
+        yield 1
+
+    monkeypatch.setattr(complexes, "_clique_masks", with_a_lone_vertex)
     with pytest.raises(NonPureComplexError, match=r"^accordion facet \(0,\) has size 1"):
         verify.verify_nested_exhaustive(5, structural=structural)
     fan = validate_dissection(6, [(0, 2), (0, 3), (0, 4)])
