@@ -1,20 +1,23 @@
 """Gentle quivers, their path algebra bases, and vertex-subset shortcuts.
 
-Quivers come from three sources: built from a dissection (one vertex per
+A named quiver (GentleQuiver) comes from a dissection (one vertex per
 diagonal, named by its label pair, arrows between consecutive diagonal
-sides of a cell, relations for consecutive triples), loaded from JSON, or
-made from a shape (shape_quiver).  A dissection's quiver is its shape
-(dissection_shape, read off its cells) on its diagonals, so a check that
-needs only the shape builds no quiver.
-A quiver's shape forgets vertex names and keeps positions, so quivers that
-differ only in vertex names share it (and their algebras agree up to that
-renaming).  canonical_form numbers a shape by a walk that its isomorphisms
-keep, so isomorphic gentle shapes share one form, itself a shape, and it
-returns the shape's isomorphism onto its form, which is one of their
-algebras too.  The path algebra uses left to right composition: the product
-p * q means "walk p, then walk q", so paths from u to v span the subspace
-e_u A e_v.  Bases only exist for finite dimensional algebras; a
-relation-free cycle raises instead.
+sides of a cell, relations for consecutive triples) or from JSON.  Below
+that edge everything works on its shape (GentleQuiver.shape): the vertex
+count, arrows as (name, source position, target position) and relations,
+checked by check_shape.  Quivers that differ only in vertex names share a
+shape, and their algebras agree up to that renaming.  A dissection's
+quiver is its shape (dissection_shape, read off its cells) on its
+diagonals, so a check that needs only the shape builds no quiver.
+algebra_basis takes a shape, so paths start and end at positions; vertex
+names come back only as arguments of the texts that print them (a lazy
+path's e_<vertex>, check_gentle's messages).  canonical_form numbers a
+shape by a walk that its isomorphisms keep, so isomorphic gentle shapes
+share one form, itself a shape, and it returns the shape's isomorphism onto
+its form, which is one of their algebras too.  The path algebra uses left
+to right composition: the product p * q means "walk p, then walk q", so
+paths from u to v span the subspace e_u A e_v.  Bases only exist for finite
+dimensional algebras; a relation-free cycle raises instead.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import cached_property
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells, sides
-
-Vertex = object
 
 
 def vertex_label(v) -> str:
@@ -51,33 +52,19 @@ class GentleQuiver:
     relations: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate quiver vertices")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate arrow names")
-        by_name = self.arrow_by_name
-        for a in self.arrows:
-            if a.src not in vset or a.tgt not in vset:
-                raise InputError(f"arrow {a.name} has endpoint outside the vertex set")
-        for first, second in self.relations:
-            if first not in by_name or second not in by_name:
-                raise InputError(f"relation ({first}, {second}) names a missing arrow")
-            if by_name[first].tgt != by_name[second].src:
-                raise InputError(f"relation ({first}, {second}) is not a composable pair")
-
-    @cached_property
-    def arrow_by_name(self) -> dict[str, Arrow]:
-        return {a.name: a for a in self.arrows}
+        check_shape(self.shape)
 
     @cached_property
     def shape(self) -> tuple:
         """The quiver with its vertices replaced by their positions: vertex
         count, arrows as (name, source position, target position) in order,
-        and relations.  Quivers of one shape differ only in vertex names."""
+        and relations.  Quivers of one shape differ only in vertex names.
+        An arrow end outside the vertices has position -1, which check_shape
+        rejects."""
         pos = {v: k for k, v in enumerate(self.vertices)}
-        arrows = tuple((a.name, pos[a.src], pos[a.tgt]) for a in self.arrows)
+        arrows = tuple((a.name, pos.get(a.src, -1), pos.get(a.tgt, -1)) for a in self.arrows)
         return (len(self.vertices), arrows, self.relations)
 
     def to_json(self) -> dict:
@@ -91,45 +78,55 @@ class GentleQuiver:
         }
 
 
-def check_gentle(q: GentleQuiver) -> list[str]:
-    """Violations of the gentle conditions; empty list means gentle."""
+def check_shape(shape: tuple) -> None:
+    """Raise InputError unless shape is a quiver's: distinct arrow names,
+    arrow ends among its positions, and relations that name two of its
+    arrows, the first ending where the second starts."""
+    n, arrows, relations = shape
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    if len(ends) != len(arrows):
+        raise InputError("duplicate arrow names")
+    for name, src, tgt in arrows:
+        if not (0 <= src < n and 0 <= tgt < n):
+            raise InputError(f"arrow {name} has endpoint outside the vertex set")
+    for first, second in relations:
+        if first not in ends or second not in ends:
+            raise InputError(f"relation ({first}, {second}) names a missing arrow")
+        if ends[first][1] != ends[second][0]:
+            raise InputError(f"relation ({first}, {second}) is not a composable pair")
+
+
+def check_gentle(shape: tuple, vertices) -> list[str]:
+    """Violations of the gentle conditions; empty list means gentle.
+    vertices[k] names the vertex at position k in the messages."""
+    n, arrows, relations = shape
     fails: list[str] = []
-    out_ct = Counter(a.src for a in q.arrows)
-    in_ct = Counter(a.tgt for a in q.arrows)
-    for v in q.vertices:
+    out_ct = Counter(src for _, src, _ in arrows)
+    in_ct = Counter(tgt for _, _, tgt in arrows)
+    for v in range(n):
+        name = vertex_label(vertices[v])
         if out_ct[v] > 2:
-            fails.append(f"vertex {vertex_label(v)} has {out_ct[v]} outgoing arrows")
+            fails.append(f"vertex {name} has {out_ct[v]} outgoing arrows")
         if in_ct[v] > 2:
-            fails.append(f"vertex {vertex_label(v)} has {in_ct[v]} incoming arrows")
-    for a in q.arrows:
-        succ = [b for b in q.arrows if b.src == a.tgt]
-        for bound, group in (
-            ("relation", [b for b in succ if (a.name, b.name) in q.relations]),
-            ("composable", [b for b in succ if (a.name, b.name) not in q.relations]),
-        ):
-            if len(group) > 1:
-                fails.append(
-                    f"arrow {a.name} has {len(group)} {bound} successors "
-                    f"({[b.name for b in group]})"
-                )
-        pred = [b for b in q.arrows if b.tgt == a.src]
-        for bound, group in (
-            ("relation", [b for b in pred if (b.name, a.name) in q.relations]),
-            ("composable", [b for b in pred if (b.name, a.name) not in q.relations]),
-        ):
-            if len(group) > 1:
-                fails.append(
-                    f"arrow {a.name} has {len(group)} {bound} predecessors "
-                    f"({[b.name for b in group]})"
-                )
+            fails.append(f"vertex {name} has {in_ct[v]} incoming arrows")
+    for a, src, tgt in arrows:
+        # (side, the composable pairs on that side, where the other arrow sits)
+        near = (
+            ("successors", [(a, b) for b, s, _ in arrows if s == tgt], 1),
+            ("predecessors", [(b, a) for b, _, t in arrows if t == src], 0),
+        )
+        for side, pairs, other in near:
+            for bound, zero in (("relation", True), ("composable", False)):
+                group = [pair[other] for pair in pairs if (pair in relations) == zero]
+                if len(group) > 1:
+                    fails.append(f"arrow {a} has {len(group)} {bound} {side} ({group})")
     return fails
 
 
-def ensure_gentle(q: GentleQuiver) -> GentleQuiver:
-    fails = check_gentle(q)
+def ensure_gentle(shape: tuple, vertices) -> None:
+    fails = check_gentle(shape, vertices)
     if fails:
         raise InputError("quiver is not gentle: " + "; ".join(fails))
-    return q
 
 
 def quiver_of_dissection(d: Dissection) -> GentleQuiver:
@@ -169,36 +166,42 @@ def dissection_shape(d: Dissection, faces: list[tuple[int, ...]]) -> tuple:
 
 @dataclass(frozen=True)
 class Path:
-    """A composable arrow sequence; empty means the lazy path at source."""
+    """A composable arrow sequence from the vertex at position source;
+    empty means the lazy path there."""
 
-    source: tuple | int | str
+    source: int
     arrows: tuple[str, ...]
 
-    def display(self) -> str:
+    def display(self, vertices) -> str:
+        """The path's text, vertices[k] naming position k."""
         if not self.arrows:
-            return f"e_{vertex_label(self.source)}"
+            return f"e_{vertex_label(vertices[self.source])}"
         return ".".join(self.arrows)
 
 
 @dataclass
 class AlgebraBasis:
-    """All relation-free paths of a gentle quiver, with the product table.
+    """All relation-free paths of a gentle quiver shape, with the product
+    table.
 
-    Indices into `paths` are the working currency everywhere downstream.
-    mult(i, j) returns the index of the concatenated path or None when the
-    product is zero (relation hit or endpoints mismatch).  prefix[i] is
-    (index of path i without its last arrow, that arrow's name), or None for
-    a lazy path; the prefix always comes earlier in `paths`.
+    Indices into `paths` are the working currency everywhere downstream,
+    and paths run between vertex positions.  mult(i, j) returns the index of
+    the concatenated path or None when the product is zero (relation hit or
+    endpoints mismatch).  prefix[i] is (index of path i without its last
+    arrow, that arrow's name), or None for a lazy path; the prefix always
+    comes earlier in `paths`.  ends maps each arrow name to its (source,
+    target) positions.
     """
 
-    quiver: GentleQuiver
+    shape: tuple
     paths: tuple[Path, ...]
     index: dict[Path, int] = field(repr=False)
     source: tuple = field(repr=False)
     target: tuple = field(repr=False)
     arrow_path: dict[str, int] = field(repr=False)
     prefix: tuple = field(repr=False)
-    by_ends: dict = field(repr=False, default_factory=dict)
+    by_ends: dict = field(repr=False)
+    ends: dict[str, tuple[int, int]] = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -216,44 +219,43 @@ class AlgebraBasis:
             return j
         if not q.arrows:
             return i
-        if (p.arrows[-1], q.arrows[0]) in self.quiver.relations:
+        if (p.arrows[-1], q.arrows[0]) in self.shape[2]:
             return None
         return self.index[Path(p.source, p.arrows + q.arrows)]
 
 
-def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
-    """Enumerate every relation-free path.  Finite dimension is enforced:
-    any relation-free path longer than twice the arrow count certifies a
+def algebra_basis(shape: tuple) -> AlgebraBasis:
+    """Enumerate every relation-free path of a gentle quiver shape (the
+    gentle check runs first).  Finite dimension is enforced: any
+    relation-free path longer than twice the arrow count certifies a
     relation-free cycle, so that raises InfiniteDimensionalError."""
-    ensure_gentle(q)
-    by_name = q.arrow_by_name
-    out_arrows: dict = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        out_arrows[a.src].append(a)
+    n, arrows, relations = shape
+    ensure_gentle(shape, range(n))
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    out_arrows: list[list[str]] = [[] for _ in range(n)]
+    for name, src, _ in arrows:
+        out_arrows[src].append(name)
 
-    limit = 2 * len(q.arrows)
-    paths: list[Path] = [Path(v, ()) for v in q.vertices]
+    limit = 2 * len(arrows)
+    paths: list[Path] = [Path(v, ()) for v in range(n)]
     frontier = list(paths)
     while frontier:
         nxt: list[Path] = []
         for p in frontier:
-            tail = by_name[p.arrows[-1]].tgt if p.arrows else p.source
-            for a in out_arrows[tail]:
-                if p.arrows and (p.arrows[-1], a.name) in q.relations:
+            tail = ends[p.arrows[-1]][1] if p.arrows else p.source
+            for name in out_arrows[tail]:
+                if p.arrows and (p.arrows[-1], name) in relations:
                     continue
-                grown = Path(p.source, p.arrows + (a.name,))
+                grown = Path(p.source, p.arrows + (name,))
                 if len(grown.arrows) > limit:
-                    raise InfiniteDimensionalError(grown.display())
+                    raise InfiniteDimensionalError(".".join(grown.arrows))
                 nxt.append(grown)
         paths.extend(nxt)
         frontier = nxt
 
-    order = {v: k for k, v in enumerate(q.vertices)}
-    paths.sort(key=lambda p: (len(p.arrows), order[p.source], p.arrows))
+    paths.sort(key=lambda p: (len(p.arrows), p.source, p.arrows))
     index = {p: i for i, p in enumerate(paths)}
-    target = tuple(
-        by_name[p.arrows[-1]].tgt if p.arrows else p.source for p in paths
-    )
+    target = tuple(ends[p.arrows[-1]][1] if p.arrows else p.source for p in paths)
     source = tuple(p.source for p in paths)
     arrow_path = {p.arrows[0]: i for i, p in enumerate(paths) if len(p.arrows) == 1}
     by_ends: dict = {}
@@ -264,21 +266,29 @@ def algebra_basis(q: GentleQuiver) -> AlgebraBasis:
         for p in paths
     )
     return AlgebraBasis(
-        q, tuple(paths), index, source, target, arrow_path, prefix, by_ends
+        shape, tuple(paths), index, source, target, arrow_path, prefix, by_ends, ends
     )
+
+
+def quiver_basis(q: GentleQuiver) -> AlgebraBasis:
+    """algebra_basis(q.shape), for a quiver given by name: a quiver that is
+    not gentle is rejected naming q's vertices."""
+    ensure_gentle(q.shape, q.vertices)
+    return algebra_basis(q.shape)
 
 
 def shortcut_paths(basis: AlgebraBasis, jset) -> list[int]:
     """Basis indices of the nonlazy paths running from J to J with no interior
-    stop in J, in basis order; the k-th one becomes shortcut arrow s{k}."""
-    by_name = basis.quiver.arrow_by_name
+    stop in J, in basis order, for a set jset of positions; the k-th one
+    becomes shortcut arrow s{k}."""
+    ends = basis.ends
     return [
         i
         for i, p in enumerate(basis.paths)
         if p.arrows
         and basis.source[i] in jset
         and basis.target[i] in jset
-        and not any(by_name[name].tgt in jset for name in p.arrows[:-1])
+        and not any(ends[name][1] in jset for name in p.arrows[:-1])
     ]
 
 
@@ -291,13 +301,14 @@ def nonempty_subsets(items: tuple) -> list[tuple]:
     return out
 
 
-def _shortcut_quiver(basis: AlgebraBasis, jset) -> GentleQuiver:
-    """shortcut_quiver(basis.quiver, jset), read off basis, for a nonempty
-    jset of the quiver's vertices."""
-    vertices = tuple(v for v in basis.quiver.vertices if v in jset)
-    shortcuts = shortcut_paths(basis, jset)
+def _shortcut_shape(basis: AlgebraBasis, positions: tuple) -> tuple:
+    """The shape of the shortcut quiver at the ascending, nonempty vertex
+    positions, read off basis: its k-th vertex is the one at positions[k],
+    and it is checked gentle."""
+    renumber = {v: k for k, v in enumerate(positions)}
+    shortcuts = shortcut_paths(basis, renumber)
     arrows = tuple(
-        Arrow(f"s{k}", basis.source[i], basis.target[i])
+        (f"s{k}", renumber[basis.source[i]], renumber[basis.target[i]])
         for k, i in enumerate(shortcuts)
     )
     relations = set()
@@ -305,7 +316,21 @@ def _shortcut_quiver(basis: AlgebraBasis, jset) -> GentleQuiver:
         for kb, ib in enumerate(shortcuts):
             if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
                 relations.add((f"s{ka}", f"s{kb}"))
-    return ensure_gentle(GentleQuiver(vertices, arrows, frozenset(relations)))
+    shape = (len(positions), arrows, frozenset(relations))
+    ensure_gentle(shape, range(len(positions)))
+    return shape
+
+
+def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
+    """Positions of the vertices in J among q's vertices, in quiver order;
+    J must be a nonempty set of q's vertices."""
+    jset = set(J)
+    if not jset:
+        raise EmptySubsetError()
+    missing = jset - set(q.vertices)
+    if missing:
+        raise InputError(f"subset contains unknown vertices {sorted(map(vertex_label, missing))}")
+    return tuple(i for i, v in enumerate(q.vertices) if v in jset)
 
 
 def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
@@ -315,26 +340,20 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     interior visit to J; a pair of those composes to zero exactly when the
     junction hits a relation, and those pairs are the new relations.
     """
-    jset = set(J)
-    if not jset:
-        raise EmptySubsetError()
-    missing = jset - set(q.vertices)
-    if missing:
-        raise InputError(f"subset contains unknown vertices {sorted(map(vertex_label, missing))}")
-    return _shortcut_quiver(algebra_basis(q), jset)
+    positions = subset_positions(q, J)
+    shape = _shortcut_shape(quiver_basis(q), positions)
+    return _quiver_on(shape, tuple(q.vertices[k] for k in positions))
 
 
-def shortcut_quivers(basis: AlgebraBasis) -> Iterator[tuple[tuple, GentleQuiver]]:
-    """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(q.vertices),
-    all read off the algebra basis of q = basis.quiver.
-
-    Besides the tests, its one caller is the consistency sweep
-    (verify.verify_consistency_exhaustive).  The idempotent sweep reads a
-    shortcut quiver's shape only to make a plan, once per (ambient shape,
-    J positions), on the shape's own quiver, so it calls _shortcut_quiver
-    per subset instead."""
-    for J in nonempty_subsets(basis.quiver.vertices):
-        yield J, _shortcut_quiver(basis, set(J))
+def shortcut_quivers(basis: AlgebraBasis, vertices: tuple) -> Iterator[tuple[tuple, GentleQuiver]]:
+    """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(vertices),
+    all read off basis, the algebra basis of the quiver q of basis.shape on
+    these vertices.  Besides the tests, its one caller is the consistency
+    sweep (verify.verify_consistency_exhaustive); the idempotent sweep
+    calls _shortcut_shape per plan instead."""
+    for positions in nonempty_subsets(tuple(range(len(vertices)))):
+        J = tuple(vertices[k] for k in positions)
+        yield J, _quiver_on(_shortcut_shape(basis, positions), J)
 
 
 @dataclass
@@ -352,57 +371,57 @@ class SubalgebraReport:
 
 
 def idempotent_subalgebra_check(
-    basis: AlgebraBasis, J, shortcut: GentleQuiver
+    basis: AlgebraBasis, vertices: tuple, J, shortcut: GentleQuiver
 ) -> SubalgebraReport:
     """Does the shortcut quiver really present the subalgebra of basis on J?
 
-    Splits every path of the big algebra running between J vertices at its
-    interior J visits; the pieces must spell out a basis path of the
-    shortcut algebra, bijectively, with matching multiplication tables.
-    The shortcut quiver is the one under test, so only its basis is built.
+    basis is the algebra basis of the quiver of basis.shape on these
+    vertices, and J a set of them.  Splits every path of the big algebra
+    running between J vertices at its interior J visits; the pieces must
+    spell out a basis path of the shortcut algebra, bijectively, with
+    matching multiplication tables.  The shortcut quiver is the one under
+    test, so only its basis is built.
     """
     jset = set(J)
-    sbasis = algebra_basis(shortcut)
-    by_name = basis.quiver.arrow_by_name
+    # position in the big quiver -> position in the shortcut quiver
+    renumber = {v: k for k, v in enumerate(shortcut.vertices)}
+    small = {k: renumber[v] for k, v in enumerate(vertices) if v in jset}
+    sbasis = algebra_basis(shortcut.shape)
     failures: list[str] = []
 
     shortcut_by_path = {
-        i: f"s{k}" for k, i in enumerate(shortcut_paths(basis, jset))
+        i: f"s{k}" for k, i in enumerate(shortcut_paths(basis, small))
     }
 
     def fold(i: int) -> Path | None:
         """Rewrite a J-to-J path of the big algebra as a shortcut path."""
         p = basis.paths[i]
         if not p.arrows:
-            return Path(p.source, ())
+            return Path(small[p.source], ())
         pieces = []
         seg_start = 0
-        at = p.source
-        walk = [p.source]
-        for name in p.arrows:
-            at = by_name[name].tgt
-            walk.append(at)
+        walk = [p.source] + [basis.ends[name][1] for name in p.arrows]
         for pos in range(1, len(walk)):
-            if walk[pos] in jset:
+            if walk[pos] in small:
                 seg = Path(walk[seg_start], p.arrows[seg_start:pos])
                 piece_idx = basis.index[seg]
                 if piece_idx not in shortcut_by_path:
                     return None
                 pieces.append(shortcut_by_path[piece_idx])
                 seg_start = pos
-        return Path(p.source, tuple(pieces))
+        return Path(small[p.source], tuple(pieces))
 
     jj_paths = [
         i
         for i in range(basis.dimension)
-        if basis.source[i] in jset and basis.target[i] in jset
+        if basis.source[i] in small and basis.target[i] in small
     ]
     folded: dict[int, int] = {}
     for i in jj_paths:
         image = fold(i)
         if image is None or image not in sbasis.index:
             failures.append(
-                f"path {basis.paths[i].display()} does not fold into the shortcut basis"
+                f"path {basis.paths[i].display(vertices)} does not fold into the shortcut basis"
             )
             continue
         folded[i] = sbasis.index[image]
@@ -419,18 +438,13 @@ def idempotent_subalgebra_check(
         for i in jj_paths:
             for j in jj_paths:
                 big = basis.mult(i, j)
-                small = sbasis.mult(folded[i], folded[j])
+                down = sbasis.mult(folded[i], folded[j])
+                text = f"{basis.paths[i].display(vertices)} * {basis.paths[j].display(vertices)}"
                 if big is None:
-                    if small is not None:
-                        failures.append(
-                            f"{basis.paths[i].display()} * {basis.paths[j].display()} "
-                            f"is zero upstairs but not downstairs"
-                        )
-                elif small is None or folded.get(big) != small:
-                    failures.append(
-                        f"{basis.paths[i].display()} * {basis.paths[j].display()} "
-                        f"disagrees with the shortcut product"
-                    )
+                    if down is not None:
+                        failures.append(f"{text} is zero upstairs but not downstairs")
+                elif down is None or folded.get(big) != down:
+                    failures.append(f"{text} disagrees with the shortcut product")
     return SubalgebraReport(not failures, failures, len(jj_paths))
 
 
@@ -492,14 +506,12 @@ def quivers_match(q1: GentleQuiver, q2: GentleQuiver) -> list[str]:
     ends2 = Counter((a.src, a.tgt) for a in q2.arrows)
     if ends1 != ends2:
         failures.append(f"arrow endpoint multisets differ: {ends1} vs {ends2}")
-    by1, by2 = q1.arrow_by_name, q2.arrow_by_name
 
-    def rel_ends(q, by):
-        return Counter(
-            ((by[a].src, by[a].tgt), (by[b].src, by[b].tgt)) for a, b in q.relations
-        )
+    def rel_ends(q):
+        by = {a.name: (a.src, a.tgt) for a in q.arrows}
+        return Counter((by[a], by[b]) for a, b in q.relations)
 
-    if rel_ends(q1, by1) != rel_ends(q2, by2):
+    if rel_ends(q1) != rel_ends(q2):
         failures.append("relation endpoint multisets differ")
     return failures
 
@@ -588,12 +600,6 @@ def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
     )
     form_relations = frozenset((arrow_map[x], arrow_map[y]) for x, y in relations)
     return (n, form_arrows, form_relations), tuple(vertex_map), arrow_map
-
-
-def shape_quiver(shape: tuple) -> GentleQuiver:
-    """The quiver of a shape with string arrow names, such as a canonical
-    form: its vertices are the positions 0..n-1, so its shape is shape."""
-    return _quiver_on(shape, tuple(range(shape[0])))
 
 
 def _quiver_on(shape: tuple, vertices: tuple) -> GentleQuiver:

@@ -17,10 +17,13 @@ cokernel of Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and
 Reiten, "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0
 modulo those through dy are exactly the maps x.p1 -> H^0 y.
 
-The silting complex depends on the quiver's shape alone, so silting_core
-builds it without vertex names (g-vectors, string letters, vertex positions,
-compatibility graph), and _label_core turns a core and the vertices of any
-quiver of its shape into that quiver's complex.  It shares the core's
+Everything here works on an algebra basis (quiver.algebra_basis), so on
+vertex positions; names are an argument of the texts that print them
+(_label and _word_text).  The silting complex depends on the quiver's shape
+alone, so silting_core builds it without vertex names (g-vectors, string
+letters, vertex positions, compatibility graph), and _label_core turns a
+core and the vertices of any quiver of its shape into that quiver's
+complex.  It shares the core's
 g-vectors and graph, and its one naming function (_label on the quiver's
 vertices and the core's letters and positions) names a vertex only when
 the complex's vertices are first read.  The graph asks the hom-shift
@@ -31,7 +34,7 @@ on the masks of the clique walk (LabeledComplex.check_purity), and a
 complex labelled from a core builds its facets, as the maximal cliques of
 the graph, when they are first read.  The core is an
 invariant of the algebra, so transport_core carries the core of a
-canonical form (quiver.canonical_form, built on quiver.shape_quiver) onto
+canonical form (quiver.canonical_form, built on the form itself) onto
 every other shape of that form without building it again.
 
 This module only builds the silting complex; the theorem checks that
@@ -46,7 +49,7 @@ from typing import NamedTuple
 from .complexes import LabeledComplex, induced_graph
 from .errors import AlgebraMismatchError, BandDetectedError, InternalError
 from .linalg import RowSpace
-from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
+from .quiver import AlgebraBasis, GentleQuiver, quiver_basis, vertex_label
 
 
 # ---------------------------------------------------------------------------
@@ -55,54 +58,53 @@ from .quiver import AlgebraBasis, GentleQuiver, algebra_basis, vertex_label
 
 @dataclass(frozen=True)
 class StringWord:
-    """A reduced walk in the quiver: letters are (arrow name, forward?)."""
+    """A reduced walk in the quiver from the vertex at position source:
+    letters are (arrow name, forward?)."""
 
-    source: tuple | int | str
+    source: int
     letters: tuple[tuple[str, bool], ...]
 
-    def display(self) -> str:
-        return _word_text(self.source, self.letters)
+    def display(self, vertices) -> str:
+        """The string's text, vertices[k] naming position k."""
+        return _word_text(vertices, self.source, self.letters)
 
 
-def _word_text(source, letters) -> str:
-    """The text of the string from source along letters: e_<source> when
-    there are none, else the arrow names joined by dots, inverse ones primed."""
+def _word_text(vertices, source: int, letters) -> str:
+    """The text of the string from position source along letters:
+    e_<vertices[source]> when there are none, else the arrow names joined by
+    dots, inverse ones primed."""
     if not letters:
-        return f"e_{vertex_label(source)}"
+        return f"e_{vertex_label(vertices[source])}"
     return ".".join(name if fwd else name + "'" for name, fwd in letters)
 
 
-def _letter_end(q: GentleQuiver, letter: tuple[str, bool]):
-    a = q.arrow_by_name[letter[0]]
-    return a.tgt if letter[1] else a.src
+def walk_vertices(basis: AlgebraBasis, w: StringWord) -> list[int]:
+    """The positions w visits.  A letter ends at its arrow's target when
+    forward, at its source when inverse: ends[name][fwd]."""
+    ends = basis.ends
+    return [w.source] + [ends[name][fwd] for name, fwd in w.letters]
 
 
-def walk_vertices(q: GentleQuiver, w: StringWord) -> list:
-    verts = [w.source]
-    for letter in w.letters:
-        verts.append(_letter_end(q, letter))
-    return verts
-
-
-def _valid_pair(q: GentleQuiver, l1: tuple[str, bool], l2: tuple[str, bool]) -> bool:
+def _valid_pair(relations, l1: tuple[str, bool], l2: tuple[str, bool]) -> bool:
     (a1, d1), (a2, d2) = l1, l2
     if a1 == a2 and d1 != d2:
         return False  # immediate backtrack
-    if d1 and d2 and (a1, a2) in q.relations:
+    if d1 and d2 and (a1, a2) in relations:
         return False
-    if not d1 and not d2 and (a2, a1) in q.relations:
+    if not d1 and not d2 and (a2, a1) in relations:
         return False
     return True
 
 
-def inverse_word(q: GentleQuiver, w: StringWord) -> StringWord:
+def inverse_word(basis: AlgebraBasis, w: StringWord) -> StringWord:
     if not w.letters:
         return w
+    name, fwd = w.letters[-1]
     letters = tuple((name, not fwd) for name, fwd in reversed(w.letters))
-    return StringWord(_letter_end(q, w.letters[-1]), letters)
+    return StringWord(basis.ends[name][fwd], letters)
 
 
-def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
+def enumerate_strings(basis: AlgebraBasis) -> list[StringWord]:
     """All strings up to formal inverse, shortest first, each in the
     orientation the depth-first walk meets first (_first_met says which).
 
@@ -110,35 +112,32 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
     which closes up into a relation-free cyclic walk; that is a band, and
     the algebra then has infinitely many strings, so we bail out.
     """
-    order = {v: k for k, v in enumerate(q.vertices)}
-    limit = 2 * len(q.arrows)
+    n, arrows, relations = basis.shape
+    ends = basis.ends
+    limit = 2 * len(arrows)
 
     def key(w: StringWord):
-        return (
-            len(w.letters),
-            tuple((name, 0 if fwd else 1) for name, fwd in w.letters),
-            order[w.source],
-        )
+        return len(w.letters), tuple((name, not fwd) for name, fwd in w.letters), w.source
 
-    starts: dict = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        starts[a.src].append((a.name, True))
-        starts[a.tgt].append((a.name, False))
+    starts: list[list[tuple[str, bool]]] = [[] for _ in range(n)]
+    for name, src, tgt in arrows:
+        starts[src].append((name, True))
+        starts[tgt].append((name, False))
 
     chosen: dict = {}
-    stack = [StringWord(v, ()) for v in reversed(q.vertices)]
+    stack = [StringWord(v, ()) for v in reversed(range(n))]
     while stack:
         w = stack.pop()
-        canon = min(key(w), key(inverse_word(q, w)))
+        canon = min(key(w), key(inverse_word(basis, w)))
         if canon not in chosen:
             chosen[canon] = w
-        end = _letter_end(q, w.letters[-1]) if w.letters else w.source
+        end = ends[w.letters[-1][0]][w.letters[-1][1]] if w.letters else w.source
         for letter in starts[end]:
-            if w.letters and not _valid_pair(q, w.letters[-1], letter):
+            if w.letters and not _valid_pair(relations, w.letters[-1], letter):
                 continue
             grown = StringWord(w.source, w.letters + (letter,))
             if len(grown.letters) > limit:
-                raise BandDetectedError(grown.display())
+                raise BandDetectedError(grown.display(range(n)))
             stack.append(grown)
     return [chosen[c] for c in sorted(chosen)]
 
@@ -149,15 +148,13 @@ def enumerate_strings(q: GentleQuiver) -> list[StringWord]:
 
 @dataclass
 class Representation:
-    quiver: GentleQuiver
-    dims: dict
+    shape: tuple
+    # the dimension at each vertex position
+    dims: list[int]
     # per arrow u -> v, the index at v of each basis vector's image at u, -1 for zero
     action: dict[str, list[int]]
     # (basis, table) of the last path_images call; not compared, not rendered
     _images: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def dim_at(self, v) -> int:
-        return self.dims.get(v, 0)
 
     def path_images(self, basis: AlgebraBasis) -> list[list[int]]:
         """images[i][t]: the index of basis vector t at the source of path i
@@ -170,7 +167,7 @@ class Representation:
             images: list[list[int]] = []
             for p, prefix in zip(basis.paths, basis.prefix):
                 if prefix is None:
-                    images.append(list(range(self.dim_at(p.source))))
+                    images.append(list(range(self.dims[p.source])))
                 else:
                     j, name = prefix
                     act = self.action[name]
@@ -179,33 +176,31 @@ class Representation:
         return self._images[1]
 
 
-def string_module(q: GentleQuiver, w: StringWord) -> Representation:
+def string_module(basis: AlgebraBasis, w: StringWord) -> Representation:
     """Basis vector per walk position, arrows act along the letters."""
-    verts = walk_vertices(q, w)
+    n, arrows, _ = basis.shape
     local: list[int] = []
-    dims: dict = {v: 0 for v in q.vertices}
-    for v in verts:
+    dims = [0] * n
+    for v in walk_vertices(basis, w):
         local.append(dims[v])
         dims[v] += 1
-    action = {a.name: [-1] * dims[a.src] for a in q.arrows}
+    action = {name: [-1] * dims[src] for name, src, _ in arrows}
     for t, (name, fwd) in enumerate(w.letters):
         if fwd:
             action[name][local[t]] = local[t + 1]
         else:
             action[name][local[t + 1]] = local[t]
-    return Representation(q, dims, action)
+    return Representation(basis.shape, dims, action)
 
 
 def _sum_representations(x: Representation, y: Representation) -> Representation:
     """Block-diagonal direct sum, x's basis vectors first at every vertex."""
-    dims = {v: x.dim_at(v) + y.dim_at(v) for v in x.quiver.vertices}
+    dims = [a + b for a, b in zip(x.dims, y.dims)]
     action = {}
-    for a in x.quiver.arrows:
-        shift = x.dim_at(a.tgt)
-        action[a.name] = x.action[a.name] + [
-            -1 if t < 0 else t + shift for t in y.action[a.name]
-        ]
-    return Representation(x.quiver, dims, action)
+    for name, _, tgt in x.shape[1]:
+        shift = x.dims[tgt]
+        action[name] = x.action[name] + [-1 if t < 0 else t + shift for t in y.action[name]]
+    return Representation(x.shape, dims, action)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +211,9 @@ def _sum_representations(x: Representation, y: Representation) -> Representation
 class TwoTermComplex:
     """P1 -> P0 with entries written as radical path combinations.
 
-    p1 and p0 list the summand vertices; diff[r][c] maps a path index (a
-    path from p0[r] to p1[c]) to its coefficient.  module is the cokernel
-    H^0 of the differential as a representation.
+    p1 and p0 list the summand vertex positions; diff[r][c] maps a path
+    index (a path from p0[r] to p1[c]) to its coefficient.  module is the
+    cokernel H^0 of the differential as a representation.
     """
 
     basis: AlgebraBasis
@@ -229,18 +224,19 @@ class TwoTermComplex:
 
     @property
     def gvec(self) -> tuple[int, ...]:
-        g = {v: 0 for v in self.basis.quiver.vertices}
+        """P0 summands minus P1 summands, counted at each position."""
+        g = [0] * self.basis.shape[0]
         for v in self.p0:
             g[v] += 1
         for v in self.p1:
             g[v] -= 1
-        return tuple(g[v] for v in self.basis.quiver.vertices)
+        return tuple(g)
 
 
-def shifted_projective(basis: AlgebraBasis, v) -> TwoTermComplex:
+def shifted_projective(basis: AlgebraBasis, v: int) -> TwoTermComplex:
     """P_v -> 0, whose H^0 is the zero representation."""
-    q = basis.quiver
-    zero = Representation(q, {u: 0 for u in q.vertices}, {a.name: [] for a in q.arrows})
+    n, arrows, _ = basis.shape
+    zero = Representation(basis.shape, [0] * n, {name: [] for name, _, _ in arrows})
     return TwoTermComplex(basis, (v,), (), [], zero)
 
 
@@ -264,11 +260,10 @@ def _top_lifts(rep: Representation) -> list[tuple]:
     """The top of a monomial module, one (vertex, index) per basis vector
     that no arrow hits: the arrows' images are basis vectors, so the ones
     they hit span the radical."""
-    q = rep.quiver
-    hit: dict = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        hit[a.tgt].update(rep.action[a.name])
-    return [(v, t) for v in q.vertices for t in range(rep.dim_at(v)) if t not in hit[v]]
+    hit: list[set] = [set() for _ in rep.dims]
+    for name, _, tgt in rep.shape[1]:
+        hit[tgt].update(rep.action[name])
+    return [(v, t) for v, dim in enumerate(rep.dims) for t in range(dim) if t not in hit[v]]
 
 
 def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex:
@@ -285,19 +280,20 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     their coefficients.  Only vertices where P0 or the module is nonzero do
     any work.
     """
-    q = basis.quiver
+    n, arrows, _ = basis.shape
+    vertices = range(n)
     images = rep.path_images(basis)
 
     summands0 = _top_lifts(rep)  # (vertex, basis index in rep)
     # P0 basis elements at a vertex u: pairs (summand position, path index)
-    p0_at: dict = {u: [] for u in q.vertices}
+    p0_at: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for s, (v, _) in enumerate(summands0):
-        for u in q.vertices:
+        for u in vertices:
             p0_at[u].extend((s, i) for i in basis.between(v, u))
 
-    kernel_at: dict = {u: [] for u in q.vertices}
-    for u in q.vertices:
-        dim = rep.dim_at(u)
+    kernel_at: list[list[list[int]]] = [[] for _ in vertices]
+    for u in vertices:
+        dim = rep.dims[u]
         if not (p0_at[u] or dim):
             continue
         width = len(p0_at[u])
@@ -316,13 +312,12 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
             raise InternalError("projective cover must be surjective")
 
     # arrow images of the kernel, in P0 coordinates at the arrow's target
-    radical_at: dict = {u: [] for u in q.vertices}
-    for a in q.arrows:
-        u, wv = a.src, a.tgt
+    radical_at: list[list[list[int]]] = [[] for _ in vertices]
+    for name, u, wv in arrows:
         if not kernel_at[u]:
             continue
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
-        arrow = basis.arrow_path[a.name]
+        arrow = basis.arrow_path[name]
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
@@ -335,7 +330,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
 
     summands1 = [
         (wv, t)
-        for wv in q.vertices
+        for wv in vertices
         if kernel_at[wv] or radical_at[wv]
         for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
     ]
@@ -391,14 +386,14 @@ def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     width = 0
     for w in x.p1:
         offsets.append(width)
-        width += module.dim_at(w)
+        width += module.dims[w]
     if not width:
         return 0
 
     images = module.path_images(x.basis)
     image = RowSpace(width)
     for v, row in zip(x.p0, x.diff):
-        for t in range(module.dim_at(v)):
+        for t in range(module.dims[v]):
             vec = [0] * width
             for at, entry in zip(offsets, row):
                 for p, coeff in entry.items():
@@ -423,40 +418,36 @@ class SiltingVertex(NamedTuple):
     letters: tuple[tuple[str, bool], ...] | None
     position: int
 
-    @property
-    def label(self) -> str:
-        vertices = self.complex.basis.quiver.vertices
+    def label(self, vertices) -> str:
+        """The label on a quiver with these vertices."""
         return _label(vertices, self.letters, self.position)[0]
 
 
 def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
     """Rigid presentations of string modules plus all shifted projectives,
     stably sorted by g-vector."""
-    return _silting_vertices(algebra_basis(q))
+    return _silting_vertices(quiver_basis(q))
 
 
 def _silting_vertices(basis: AlgebraBasis) -> list[SiltingVertex]:
-    q = basis.quiver
     out: list[SiltingVertex] = []
-    for w in enumerate_strings(q):
-        pres = min_presentation(basis, string_module(q, w))
+    for w in enumerate_strings(basis):
+        pres = min_presentation(basis, string_module(basis, w))
         if hom_shift(pres, pres) == 0:
-            at = q.vertices.index(w.source)
-            out.append(SiltingVertex(pres, pres.gvec, w.letters, at))
-    for k, v in enumerate(q.vertices):
+            out.append(SiltingVertex(pres, pres.gvec, w.letters, w.source))
+    for v in range(basis.shape[0]):
         pres = shifted_projective(basis, v)
-        out.append(SiltingVertex(pres, pres.gvec, None, k))
+        out.append(SiltingVertex(pres, pres.gvec, None, v))
     return sorted(out, key=lambda sv: sv.gvec)
 
 
-def _label(vertices: tuple, letters, position: int) -> tuple[str, dict]:
+def _label(vertices, letters, position: int) -> tuple[str, dict]:
     """The label and payload of a silting vertex of a quiver with these
     vertices."""
-    v = vertices[position]
     if letters is None:
-        name = vertex_label(v)
+        name = vertex_label(vertices[position])
         return f"P_{name}[1]", {"kind": "shifted", "projective": name}
-    text = _word_text(v, letters)
+    text = _word_text(vertices, position, letters)
     return text, {"kind": "module", "string": text}
 
 
@@ -474,29 +465,29 @@ class SiltingCore(NamedTuple):
 
 
 def silting_core(basis: AlgebraBasis) -> SiltingCore:
-    """The label-free silting complex of basis.quiver's shape.
+    """The label-free silting complex of basis.shape.
 
     Faces are the pairwise compatible sets; facets must all be full rank.
     The complex is checked once, on the masks of its maximal cliques; the
     core keeps only its graph."""
-    return _checked_silting(basis)[0]
+    return _checked_silting(basis, range(basis.shape[0]))[0]
 
 
-def _checked_silting(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
-    """silting_core(basis) and basis.quiver's silting complex, checked once:
-    check_purity raises NonPureComplexError unless each maximal clique holds
-    one vertex per coordinate.
+def _checked_silting(basis: AlgebraBasis, vertices) -> tuple[SiltingCore, LabeledComplex]:
+    """silting_core(basis) and the silting complex of the quiver of
+    basis.shape on these vertices, checked once: check_purity raises
+    NonPureComplexError unless each maximal clique holds one vertex per
+    coordinate.
 
     Hom(x, y[1]) has width zero unless a P1 summand of x sits at a vertex
-    where H^0 y lives; each vertex keeps both as bitmasks, and a pair where
-    neither way has width is compatible without asking hom_shift."""
+    where H^0 y lives; each vertex keeps both as bitmasks of positions, and
+    a pair where neither way has width is compatible without asking
+    hom_shift."""
     verts = _silting_vertices(basis)
-    vertices = basis.quiver.vertices
-    bit = {v: 1 << k for k, v in enumerate(vertices)}
     p1, support = [], []
     for sv in verts:
-        p1.append(sum({bit[v] for v in sv.complex.p1}))
-        support.append(sum(bit[v] for v in vertices if sv.complex.module.dim_at(v)))
+        p1.append(sum({1 << v for v in sv.complex.p1}))
+        support.append(sum(1 << v for v, dim in enumerate(sv.complex.module.dims) if dim))
     graph = [0] * len(verts)
     for i, sv in enumerate(verts):
         for j in range(i + 1, len(verts)):
@@ -521,8 +512,8 @@ def _checked_silting(basis: AlgebraBasis) -> tuple[SiltingCore, LabeledComplex]:
 def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore:
     """The core of a quiver shape from the core of its canonical form.
 
-    canon is quiver.canonical_form(shape), and core is the core of the
-    form's quiver (quiver.shape_quiver).  An isomorphism of gentle quivers
+    canon is quiver.canonical_form(shape), and core is the core built on
+    the form, silting_core(algebra_basis(form)).  An isomorphism of gentle quivers
     is one of their algebras, so it carries rigid strings, presentations
     and compatibility across: g-vector coordinates follow the vertex map,
     string letters the arrow map back from the form, and each string takes
@@ -612,4 +603,4 @@ def silting_complex(q: GentleQuiver) -> LabeledComplex:
     """Faces are the pairwise compatible sets; facets must all be full rank.
     The purity check builds no facets, so they are enumerated once, when
     first read."""
-    return _checked_silting(algebra_basis(q))[1]
+    return _checked_silting(quiver_basis(q), q.vertices)[1]

@@ -11,7 +11,7 @@ Single-instance checks: verify_main(d), verify_nested(d, d_prime) and
 verify_idempotent_reduction(q, J), each of which builds its complexes and
 returns an IsoReport.  compare_nested(small, induced) is the nested
 comparison on built complexes; the idempotent comparison is iso_by_gvectors
-itself.  subset_positions(q, J) gives the coordinates a subset J keeps.
+itself.  quiver.subset_positions(q, J) gives the coordinates J keeps.
 
 Both complexes are clique complexes, so every check compares compatibility
 graphs under the g-vector map (complexes.iso_by_gvectors), and a
@@ -35,36 +35,34 @@ keeps one accordion complex per ordered diagonal tuple, looks a
 sub-dissection's up by that tuple and makes a Dissection only to build a
 missing one; every other complex lives for its own dissection or instance
 only.  A silting complex depends on its quiver's shape alone
-(GentleQuiver.shape: vertex positions, not names), so the main and
-idempotent sweeps keep one label-free core per shape and label it for
-every quiver of the shape (rigidity._label_core, as silting_complex does
-for one quiver).  The main and idempotent sweeps
-read a dissection one way: they cut it into cells once, read the quiver's
-shape off them (quiver.dissection_shape), and label the ambient silting
-complex on the dissection's diagonals, so they build no quiver per
-dissection; a shape met for the first time builds its quiver once, for
-GentleQuiver's checks.  The main sweep reads the accordion complex off the
+(GentleQuiver.shape: vertex positions, not names), and the algebra layer
+takes shapes (quiver.algebra_basis), so the main and idempotent sweeps
+keep one label-free core per shape and label it for every quiver of the
+shape (rigidity._label_core, as silting_complex does for one quiver).
+They cut a dissection into cells once, read the quiver's shape off them
+(quiver.dissection_shape), and label the ambient silting complex on the
+dissection's diagonals, so they build no GentleQuiver at all; a shape met
+for the first time runs a named quiver's checks once, on the shape
+(quiver.check_shape).  The main sweep reads the accordion complex off the
 same cells, as verify_main does.  An isomorphism of gentle quivers
 carries one silting complex onto the other with the g-vector coordinates
 permuted, so a core is built (rigidity.silting_core) once per isomorphism
-class, on the quiver of the class's canonical form (quiver.canonical_form,
-quiver.shape_quiver): a new shape computes its form once, the form keeps
-the core built on it (a form is itself a shape and its own form), and
-every other shape takes that core, transported (rigidity.transport_core).
-One dict holds them all, per shape its form and its core.  A repeated
-g-vector in a core is transported as it is and fails every instance that
-reads it (iso_by_gvectors' "duplicate g-vector" line, the audit's
-injectivity check).  Beside the cores, the
-idempotent sweep keeps a plan per (ambient shape, J positions): the
-shortcut quiver's shape and the label-free restriction
-(complexes.restriction: kept vertices, g-vectors and induced graph), never
-a quiver, basis or labelled complex.  The instance that first meets a pair
-makes its plan on the shape's own quiver (quiver.shape_quiver), so a plan
-reads no vertex name; a form whose core was built before the form met
-its first dissection keeps that build's basis for the plans, so each shape
-builds one basis.  Every instance names its plan from its own ambient
-complex (complexes.name_restriction) and labels its shortcut complex from
-the core of the plan's shortcut shape on J.  The sweeps
+class, on the basis of the class's canonical form (quiver.canonical_form):
+the form keeps the core built on it (a form is itself a shape and its own
+form), and every other shape takes that core, transported
+(rigidity.transport_core).  One dict holds them all, per shape its form
+and its core.  A repeated g-vector in a core is transported as it is and
+fails every instance that reads it (iso_by_gvectors' "duplicate g-vector"
+line, the audit's injectivity check).  Beside the cores, the idempotent
+sweep keeps a plan per (ambient shape, J positions): the shortcut quiver's
+shape and the label-free restriction (complexes.restriction: kept
+vertices, g-vectors and induced graph), never a quiver, basis or labelled
+complex.  The instance that first meets a pair makes its plan on the basis
+of the ambient shape, which is built once per shape: a form keeps its
+core's basis until its first dissection takes it.  Every instance names
+its plan from its own ambient complex (complexes.name_restriction) and
+labels its shortcut complex from the core of the plan's shortcut shape on
+J.  The sweeps
 compare the built complexes with the same comparison the single-instance
 checks use (compare_nested, iso_by_gvectors), and each induced complex is
 built once and shared by the comparison and the audit.  The consistency
@@ -113,25 +111,25 @@ from .geometry import Dissection, all_dissections, cells
 from .quiver import (
     AlgebraBasis,
     GentleQuiver,
-    _quiver_on,
-    _shortcut_quiver,
+    _shortcut_shape,
     algebra_basis,
     canonical_form,
+    check_shape,
     dissection_shape,
     idempotent_subalgebra_check,
     nonempty_subsets,
+    quiver_basis,
     quiver_of_dissection,
     quivers_match,
-    shape_quiver,
-    shortcut_quiver,
     shortcut_quivers,
+    subset_positions,
 )
 from .rigidity import (
     SiltingCore,
+    _checked_silting,
     _label_core,
     direct_sum,
     hom_shift,
-    silting_complex,
     silting_core,
     silting_vertices,
     transport_core,
@@ -140,11 +138,14 @@ from .rigidity import (
 
 def verify_main(d: Dissection) -> IsoReport:
     """The headline comparison for a single dissection, cut into cells
-    once: the accordion complex and the quiver are both read off them."""
+    once: the accordion complex and the quiver's shape are both read off
+    them, and the silting complex is built on the shape and named by d's
+    diagonals."""
     faces = cells(d)
     acc = accordion_complex_of_cells(d, faces)
-    q = _quiver_on(dissection_shape(d, faces), d.diagonals)
-    return iso_by_gvectors(acc, silting_complex(q))
+    shape = dissection_shape(d, faces)
+    check_shape(shape)
+    return iso_by_gvectors(acc, _checked_silting(algebra_basis(shape), d.diagonals)[1])
 
 
 def verify_nested(d: Dissection, d_prime: Dissection) -> IsoReport:
@@ -203,20 +204,19 @@ def compare_nested(small: LabeledComplex, induced: LabeledComplex) -> IsoReport:
     return report
 
 
-def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
-    """Positions of the vertices in J among q's vertices, in quiver order."""
-    jset = set(J)
-    return tuple(i for i, v in enumerate(q.vertices) if v in jset)
-
-
 def verify_idempotent_reduction(q: GentleQuiver, J) -> IsoReport:
     """Silting complex of the shortcut algebra vs the induced subcomplex.
 
-    The comparison itself is iso_by_gvectors on the two built complexes;
-    exhaustive sweeps call it directly on complexes they reuse.
+    One algebra basis of q serves the shortcut quiver's shape and q's own
+    silting complex.  The comparison itself is iso_by_gvectors on the two
+    built complexes; exhaustive sweeps call it directly on complexes they
+    reuse.
     """
-    small = silting_complex(shortcut_quiver(q, J))
-    induced = restrict_to_coordinates(silting_complex(q), subset_positions(q, J))
+    positions = subset_positions(q, J)
+    basis = quiver_basis(q)
+    small_basis = algebra_basis(_shortcut_shape(basis, positions))
+    small = _checked_silting(small_basis, tuple(q.vertices[k] for k in positions))[1]
+    induced = restrict_to_coordinates(_checked_silting(basis, q.vertices)[1], positions)
     return iso_by_gvectors(small, induced)
 
 
@@ -338,7 +338,6 @@ def _silting_by_shape(
     cores: dict[tuple, tuple[tuple, SiltingCore]],
     shape: tuple,
     vertices: tuple,
-    basis: AlgebraBasis | None = None,
     form_bases: dict[tuple, AlgebraBasis] | None = None,
 ) -> tuple[LabeledComplex, tuple]:
     """The silting complex of the quiver of this shape on these vertices,
@@ -347,23 +346,24 @@ def _silting_by_shape(
     since every core of a class is the form's core relabelled.
 
     cores holds, per shape met, its form and its core.  A form is itself a
-    shape and its own form, so the core built on the form's quiver is the
-    form's entry, and every other shape of the class takes that core,
-    transported.  A shape met for the first time builds its quiver once,
-    unless the caller gives its algebra basis, so GentleQuiver's checks run
-    on every shape a sweep reads; a form met as itself builds its core on
-    that quiver or basis.  When form_bases is given, a basis built here for
-    a form's core is left in it under the form, for the caller to take."""
+    shape and its own form, so the core built on the form is the form's
+    entry, and every other shape of the class takes that core, transported.
+    Each shape met for the first time, and each form whose core is built,
+    is checked once (quiver.check_shape), and algebra_basis checks every
+    form it builds on for gentleness.  When form_bases is given, the basis
+    a form's core is built on is left in it under the form, for the caller
+    to take."""
     entry = cores.get(shape)
     if entry is None:
-        q = shape_quiver(shape) if basis is None else basis.quiver
+        check_shape(shape)
         canon = canonical_form(shape)
         form = canon[0]
         if form not in cores:
-            if form != shape or basis is None:
-                basis = algebra_basis(q if form == shape else shape_quiver(form))
-                if form_bases is not None:
-                    form_bases[form] = basis
+            if form != shape:
+                check_shape(form)
+            basis = algebra_basis(form)
+            if form_bases is not None:
+                form_bases[form] = basis
             cores[form] = (form, silting_core(basis))
         if shape != form:
             cores[shape] = (form, transport_core(cores[form][1], canon, shape))
@@ -448,11 +448,10 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     Each dissection is read as the main sweep reads it, and its ambient
     silting complex is labelled (and audited) for it alone.  The plan of
     (ambient shape, J positions) is made by the first instance that meets
-    the pair, from one algebra basis on the shape's own quiver, which the
-    shape's first dissection (which meets every J position) reads and
-    drops, and which also serves the ambient silting build.  That basis is
-    built once per shape: a form whose core a shortcut build made first
-    keeps the core's basis until its first dissection takes it.  Each
+    the pair, from one algebra basis of the shape, which the shape's first
+    dissection (which meets every J position) reads and drops.  That basis
+    is built once per shape: a form's core is built on it, and a form keeps
+    its core's basis until its first dissection, if any, takes it.  Each
     instance names its plan from its own ambient complex and labels its
     shortcut complex from the plan's shortcut shape on J; with
     structural=True it audits that complex, carrying a clean class audit.
@@ -461,7 +460,8 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
-    # form -> the basis its core was built on, until a dissection of that shape
+    # form -> the basis its core was built on, until a dissection of that
+    # shape takes it for its plans
     bases: dict[tuple, AlgebraBasis] = {}
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
@@ -471,13 +471,10 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     for d in all_dissections(m):
         diagonals = d.diagonals
         shape = dissection_shape(d, cells(d))
+        ambient, key = _silting_by_shape(cores, shape, diagonals, form_bases=bases)
         shape_plans = plans.setdefault(shape, {})
-        basis = None
-        if not shape_plans:
-            basis = bases.pop(shape, None) or algebra_basis(shape_quiver(shape))
-        ambient, key = _silting_by_shape(
-            cores, shape, diagonals, basis=basis, form_bases=bases
-        )
+        # the shape's first dissection makes all its plans, on one basis
+        basis = None if shape_plans else bases.pop(shape, None) or algebra_basis(shape)
         if structural:
             ambient_audit = _carried_audit(ambient, clean, key=key)
             summary.audit(_Instance(m, diagonals), "silting", ambient_audit)
@@ -485,7 +482,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
         for J, positions in zip(nonempty_subsets(diagonals), positions_of):
             plan = shape_plans.get(positions)
             if plan is None:
-                small_shape = _shortcut_quiver(basis, set(positions)).shape
+                small_shape = _shortcut_shape(basis, positions)
                 small_shape = shared.setdefault(small_shape, small_shape)
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
@@ -512,13 +509,14 @@ def verify_consistency_exhaustive(m: int) -> VerifySummary:
     quiver, and the subalgebra bookkeeping holds on the same instances."""
     summary = VerifySummary("consistency")
     for big in all_dissections(m):
-        basis = algebra_basis(quiver_of_dissection(big))
+        q = quiver_of_dissection(big)
+        basis = algebra_basis(q.shape)
         # the quiver's vertices are the diagonals' vertex pairs, in order,
         # so the k-th subset of diagonals is the k-th subset J of vertices
-        pairs = zip(nonempty_subsets(big.diagonals), shortcut_quivers(basis))
+        pairs = zip(nonempty_subsets(big.diagonals), shortcut_quivers(basis, q.vertices))
         for sub, (J, shortcut) in pairs:
             fails = quivers_match(shortcut, quiver_of_dissection(Dissection(big.cycle, sub)))
-            fails.extend(idempotent_subalgebra_check(basis, J, shortcut).failures)
+            fails.extend(idempotent_subalgebra_check(basis, q.vertices, J, shortcut).failures)
             instance = _Instance(m, sub, " inside ", big.diagonals)
             summary.record(instance, IsoReport(not fails, None, fails))
     return summary
@@ -550,13 +548,11 @@ def additivity_spotcheck(q: GentleQuiver, seed: int) -> list[str]:
         lhs = hom_shift(direct_sum(x.complex, y.complex), z.complex)
         rhs = hom_shift(x.complex, z.complex) + hom_shift(y.complex, z.complex)
         if lhs != rhs:
-            failures.append(
-                f"hom_shift({x.label} + {y.label}, {z.label}) = {lhs}, parts sum {rhs}"
-            )
+            x_, y_, z_ = (sv.label(q.vertices) for sv in (x, y, z))
+            failures.append(f"hom_shift({x_} + {y_}, {z_}) = {lhs}, parts sum {rhs}")
         lhs = hom_shift(z.complex, direct_sum(x.complex, y.complex))
         rhs = hom_shift(z.complex, x.complex) + hom_shift(z.complex, y.complex)
         if lhs != rhs:
-            failures.append(
-                f"hom_shift({z.label}, {x.label} + {y.label}) = {lhs}, parts sum {rhs}"
-            )
+            x_, y_, z_ = (sv.label(q.vertices) for sv in (x, y, z))
+            failures.append(f"hom_shift({z_}, {x_} + {y_}) = {lhs}, parts sum {rhs}")
     return failures

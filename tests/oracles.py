@@ -588,19 +588,19 @@ def hom_dim(arrows: list[tuple[str, str, str]], M: dict, N: dict) -> int:
 
 
 def proj_representation(basis, v) -> Representation:
-    """The module of paths leaving v, with the paths as its basis: an arrow
-    sends a path to its product with the arrow, or to zero."""
-    q = basis.quiver
-    at: dict = {u: [] for u in q.vertices}
+    """The module of paths leaving position v, with the paths as its basis:
+    an arrow sends a path to its product with the arrow, or to zero."""
+    n, arrows, _ = basis.shape
+    at: list[list[int]] = [[] for _ in range(n)]
     for i in range(basis.dimension):
         if basis.source[i] == v:
             at[basis.target[i]].append(i)
-    dims = {u: len(at[u]) for u in q.vertices}
+    dims = [len(paths) for paths in at]
     action = {}
-    for a in q.arrows:
-        products = [basis.mult(p, basis.arrow_path[a.name]) for p in at[a.src]]
-        action[a.name] = [-1 if p is None else at[a.tgt].index(p) for p in products]
-    return Representation(q, dims, action)
+    for name, src, tgt in arrows:
+        products = [basis.mult(p, basis.arrow_path[name]) for p in at[src]]
+        action[name] = [-1 if p is None else at[tgt].index(p) for p in products]
+    return Representation(basis.shape, dims, action)
 
 
 def projective_complex(basis, v) -> TwoTermComplex:
@@ -661,12 +661,12 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
 def mats(rep: Representation) -> dict[str, list[list[int]]]:
     """The matrix of each arrow u -> v of rep, of shape dim_v x dim_u."""
     out = {}
-    for a in rep.quiver.arrows:
-        mat = [[0] * rep.dim_at(a.src) for _ in range(rep.dim_at(a.tgt))]
-        for t, image in enumerate(rep.action[a.name]):
+    for name, src, tgt in rep.shape[1]:
+        mat = [[0] * rep.dims[src] for _ in range(rep.dims[tgt])]
+        for t, image in enumerate(rep.action[name]):
             if image >= 0:
                 mat[image][t] = 1
-        out[a.name] = mat
+        out[name] = mat
     return out
 
 
@@ -695,7 +695,7 @@ def path_images(rep: Representation, basis) -> list[list[list[int]]]:
     images: list[list[list[int]]] = []
     for p, prefix in zip(basis.paths, basis.prefix):
         if prefix is None:
-            dim = rep.dim_at(p.source)
+            dim = rep.dims[p.source]
             images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
         else:
             j, name = prefix
@@ -707,24 +707,25 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
     """Minimal projective presentation of rep by elimination alone: the top
     and the kernel of the cover are computed from vectors, with no use of
     rep being monomial."""
-    q = basis.quiver
+    n, arrows, _ = basis.shape
+    vertices = range(n)
     images = path_images(rep, basis)
 
-    radical: dict = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        radical[a.tgt].extend(images[basis.arrow_path[a.name]])
+    radical: list[list] = [[] for _ in vertices]
+    for name, _, tgt in arrows:
+        radical[tgt].extend(images[basis.arrow_path[name]])
     summands0 = []
-    for k, v in enumerate(q.vertices):
-        if rep.dim_at(v):
-            summands0.extend((v, t) for t in _top(rep.dim_at(v), radical[v], images[k]))
-    p0_at: dict = {u: [] for u in q.vertices}
+    for v in vertices:
+        if rep.dims[v]:
+            summands0.extend((v, t) for t in _top(rep.dims[v], radical[v], images[v]))
+    p0_at: list[list] = [[] for _ in vertices]
     for s, (v, _) in enumerate(summands0):
-        for u in q.vertices:
+        for u in vertices:
             p0_at[u].extend((s, i) for i in basis.between(v, u))
 
-    kernel_at: dict = {u: [] for u in q.vertices}
-    for u in q.vertices:
-        dim = rep.dim_at(u)
+    kernel_at: list[list] = [[] for _ in vertices]
+    for u in vertices:
+        dim = rep.dims[u]
         if not (p0_at[u] or dim):
             continue
         value = [images[i][summands0[s][1]] for s, i in p0_at[u]]
@@ -732,21 +733,20 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
         if len(value) - len(kernel_at[u]) != dim:
             raise InternalError("projective cover must be surjective")
 
-    radical_at: dict = {u: [] for u in q.vertices}
-    for a in q.arrows:
-        u, wv = a.src, a.tgt
+    radical_at: list[list] = [[] for _ in vertices]
+    for name, u, wv in arrows:
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
-                prod = basis.mult(i, basis.arrow_path[a.name])
+                prod = basis.mult(i, basis.arrow_path[name])
                 if kvec[k] and prod is not None:
                     image[pos[(s, prod)]] += kvec[k]
             radical_at[wv].append(image)
 
     summands1 = [
         (wv, t)
-        for wv in q.vertices
+        for wv in vertices
         if kernel_at[wv] or radical_at[wv]
         for t in _top(len(p0_at[wv]), radical_at[wv], kernel_at[wv])
     ]

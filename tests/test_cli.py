@@ -240,7 +240,7 @@ def test_silting_non_gentle_quiver_rejected(capsys, tmp_path):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, ["silting", "--quiver", str(path)])
     assert code == 2
-    assert "gentle" in err
+    assert err == "error: quiver is not gentle: vertex 1 has 3 outgoing arrows\n"
 
 
 # -- verify --
@@ -587,6 +587,40 @@ def test_verify_output_digest_is_frozen(capsys, case, fmt):
     code, out, _ = run(capsys, ["verify", *args, "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a gentle quiver whose vertex names are out of sorted order, one of them a
+# list, and whose arrow ids are not a0, a1, ...: the --quiver input edge,
+# where vertex names meet the algebra
+NAMED_QUIVER = {
+    "vertices": ["c", [0, 2], "a", "b"],
+    "arrows": [
+        {"id": "beta", "src": "c", "tgt": [0, 2]},
+        {"id": "alpha", "src": [0, 2], "tgt": "a"},
+        {"id": "gamma", "src": "b", "tgt": [0, 2]},
+    ],
+    "relations": [["beta", "alpha"]],
+}
+# sha256 of stdout for NAMED_QUIVER, frozen so that no refactor of the
+# algebra layer changes how names reach the output
+QUIVER_DIGESTS = {
+    ("silting", "json"): "dccb5d6b9969104b65e659bf1484e97208b377ba800822fb0159543703411379",
+    ("silting", "dot"): "4bf670b9bf8a69650d6cb1ecbacd3264fdc1504652e8cbb14f285f3b3d36c9dc",
+    ("silting", "text"): "5899329849f75b541691594cfe680c6abb4489ee3859640c839041961a7cafff",
+    ("verify", "json"): "a866007495d0175879ade0986a047578551c8bdadb7cf335f1ba896fa720c7f2",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(QUIVER_DIGESTS))
+def test_named_quiver_output_digest_is_frozen(capsys, tmp_path, command, fmt):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(NAMED_QUIVER))
+    args = ["--quiver", str(path), "--format", fmt]
+    if command == "verify":
+        args += ["--theorem", "idempotent", "--j", "a,c,b"]
+    code, out, _ = run(capsys, [command, *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUIVER_DIGESTS[(command, fmt)]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

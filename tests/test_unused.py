@@ -1,6 +1,6 @@
-"""Every function and class the package defines is used: named in the
-package or its scripts outside its own definition, exported in
-accordion_tau.__all__, or a dunder."""
+"""Every function, class and module-level assignment the package defines is
+used: named in the package or its scripts outside its own definition,
+exported in accordion_tau.__all__, or a dunder."""
 
 import ast
 import pathlib
@@ -15,31 +15,48 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def _uses(node, inside, out):
     """Add to out every name that node and its children mention as an
     ast.Name or ast.Attribute, except inside a definition of that name
-    (inside: the names of the definitions around node)."""
+    (inside: the names of the definitions around node) and except a name
+    that is only assigned to."""
     if isinstance(node, DEFS):
         inside = inside | {node.name}
     name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside:
+    stored = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside and not stored:
         out.add(name)
     for child in ast.iter_child_nodes(node):
         _uses(child, inside, out)
 
 
+def _definitions(tree):
+    """(line, name) of every function and class in tree, and of every name
+    a module-level assignment binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS):
+            yield node.lineno, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.lineno, name.id
+
+
 def unused_definitions(defining, using):
-    """(file name, line, name) of each function or class defined in the
-    files defining that no file in using names outside its own definition,
-    that accordion_tau.__all__ does not list, and that is no dunder."""
+    """(file name, line, name) of each function, class or module-level
+    assignment defined in the files defining that no file in using names
+    outside its own definition, that accordion_tau.__all__ does not list,
+    and that is no dunder.  An assignment's own target is a store, not a
+    use, so it does not count as naming it."""
     used: set = set()
     for path in using:
         _uses(ast.parse(path.read_text()), frozenset(), used)
     kept = used | set(accordion_tau.__all__)
     return [
-        (path.name, node.lineno, node.name)
+        (path.name, line, name)
         for path in defining
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, DEFS)
-        and node.name not in kept
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        for line, name in sorted(_definitions(ast.parse(path.read_text())))
+        if name not in kept and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -61,8 +78,14 @@ def test_the_scan_flags_a_helper_named_only_by_itself_or_a_docstring(tmp_path):
         "class Box:\n"
         "    def __repr__(self):\n"
         "        return used()\n"
+        "\n"
+        "Alias = object\n"
+        "LIMIT: int = 3\n"
+        "TABLE = {LIMIT: used}\n"
+        "print(TABLE)\n"
     )
     assert unused_definitions([module], [module]) == [
         ("module.py", 1, "helper"),
         ("module.py", 8, "Box"),
+        ("module.py", 12, "Alias"),
     ]

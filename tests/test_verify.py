@@ -168,9 +168,19 @@ def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(m
     assert len(forms) == oracles.isomorphism_class_count(ambients | shapes) == 15
     calls = count_calls(monkeypatch, quiver, "algebra_basis")
     assert verify.verify_idempotent_exhaustive(7).ok
-    built = Counter(q.shape for q, in calls)
+    built = Counter(shape for shape, in calls)
     assert set(built) == ambients | forms and len(built) == 49 + 15 - 6
     assert max(built.values()) == 1 and len(calls) == 58
+
+
+def test_single_idempotent_check_builds_one_basis_of_its_quiver(monkeypatch):
+    # the basis of q's shape serves both the shortcut quiver's shape and q's
+    # own silting complex; the shortcut shape builds the other basis
+    q = quiver_of_dissection(validate_dissection(7, [(0, 2), (0, 3), (3, 5)]))
+    J = [(3, 5), (0, 2)]
+    calls = count_calls(monkeypatch, quiver, "algebra_basis")
+    assert verify.verify_idempotent_reduction(q, J).passed
+    assert [shape for shape, in calls] == [q.shape, shortcut_quiver(q, J).shape]
 
 
 def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkeypatch):
@@ -184,7 +194,7 @@ def test_idempotent_sweep_compares_the_complexes_a_single_instance_builds(monkey
 
     def silting(q):
         if q not in direct:
-            direct[q] = verify.silting_complex(q)
+            direct[q] = rigidity.silting_complex(q)
         return direct[q]
 
     calls = count_calls(monkeypatch, verify, "iso_by_gvectors")
@@ -213,7 +223,7 @@ def single_instance_pairs(name: str, m: int):
     accordion = verify.accordion_complex
     if name == "main":
         for d in all_dissections(m):
-            yield accordion(d), verify.silting_complex(quiver_of_dissection(d))
+            yield accordion(d), rigidity.silting_complex(quiver_of_dissection(d))
         return
     for big in all_dissections(m):
         for sub in quiver.nonempty_subsets(big.diagonals):
@@ -311,25 +321,53 @@ def test_compare_nested_reads_records_when_keys_cannot_tell():
     ]
 
 
+def count_quivers(monkeypatch) -> list:
+    """Count every GentleQuiver constructed, wherever it is made."""
+    made = []
+    real = quiver.GentleQuiver.__post_init__
+
+    def counting(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(quiver.GentleQuiver, "__post_init__", counting)
+    return made
+
+
+def shapes_and_forms(m: int, shortcuts: bool) -> set:
+    """Every quiver shape a main (or, with shortcuts, idempotent) sweep of
+    the m-gon meets: the ambient shapes, the shortcut shapes and the
+    canonical form of each."""
+    shapes = set()
+    for q in map(quiver_of_dissection, all_dissections(m)):
+        shapes.add(q.shape)
+        if shortcuts:
+            shapes.update(
+                shortcut_quiver(q, J).shape for J in quiver.nonempty_subsets(q.vertices)
+            )
+    return shapes | {quiver.canonical_form(shape)[0] for shape in shapes}
+
+
 @pytest.mark.parametrize("structural", [False, True])
 def test_main_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dissection(
     monkeypatch, structural
 ):
     # one cells(d) per dissection serves both sides; the quiver's shape is
-    # read off those cells, and a GentleQuiver is built only when a shape
-    # is first met (for its checks) and for each class's form
+    # read off those cells, no GentleQuiver is built, and the checks a
+    # named quiver runs on construction run once on each shape met
     dissections = all_dissections(7)
+    met = shapes_and_forms(7, shortcuts=False)
     cut = count_calls(monkeypatch, quiver, "cells")
-    built = count_calls(monkeypatch, quiver, "quiver_of_dissection")
-    shapes = count_calls(monkeypatch, verify, "shape_quiver")
+    checked = count_calls(monkeypatch, quiver, "check_shape")
+    made = count_quivers(monkeypatch)
     summary = verify.verify_main_exhaustive(7, structural=structural)
     assert summary.ok and summary.checked == len(dissections)
-    assert len(cut) == len(dissections) and built == []
+    assert len(cut) == len(dissections) and made == []
     # 49 shapes in 15 classes, and 6 of the forms are among those shapes:
-    # every shape and form gets one quiver, since a form met as itself
-    # before the rest of its class builds its core on the quiver made for
-    # its checks
-    assert len(shapes) == len(set(shapes)) == 49 + 15 - 6
+    # every shape and form is checked once
+    counts = Counter(shape for shape, in checked)
+    assert set(counts) == met and len(met) == 49 + 15 - 6
+    assert max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("structural", [False, True])
@@ -337,22 +375,21 @@ def test_idempotent_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dis
     monkeypatch, structural
 ):
     # the idempotent sweep reads each dissection as the main sweep does:
-    # one cells(d), the quiver's shape off it, and no GentleQuiver for d;
-    # its plans are made on the shape's own quiver, which also serves the
-    # shape's silting build
+    # one cells(d), the quiver's shape off it, and no GentleQuiver at all,
+    # for d or for a shortcut; its plans are made on the shape's basis,
+    # which also serves the shape's silting build when it is a form
     dissections = all_dissections(7)
+    met = shapes_and_forms(7, shortcuts=True)
     cut = count_calls(monkeypatch, quiver, "cells")
-    built = count_calls(monkeypatch, quiver, "quiver_of_dissection")
-    shapes = count_calls(monkeypatch, verify, "shape_quiver")
+    checked = count_calls(monkeypatch, quiver, "check_shape")
+    made = count_quivers(monkeypatch)
     summary = verify.verify_idempotent_exhaustive(7, structural=structural)
     assert summary.ok and summary.checked == 1400
-    assert len(cut) == len(dissections) and built == []
-    # one quiver per shape or form met, 114 in all; a shape met first as an
-    # ambient shape builds it once, for its plans' basis, which its silting
-    # build reads too, and an ambient form whose core a shortcut build made
-    # first takes that build's basis, quiver included
-    counts = Counter(shape for shape, in shapes)
-    assert len(counts) == 114 and max(counts.values()) == 1
+    assert len(cut) == len(dissections) and made == []
+    # one check per ambient shape, shortcut shape or form met, 114 in all
+    counts = Counter(shape for shape, in checked)
+    assert set(counts) == met and len(met) == 114
+    assert max(counts.values()) == 1
 
 
 def test_verify_main_cuts_its_dissection_once(monkeypatch):
@@ -390,7 +427,7 @@ def test_idempotent_sweep_makes_each_plan_at_the_instance_that_needs_it(monkeypa
     # in that span it makes at most one restriction and one shortcut quiver:
     # no instance pays for the plan of another
     restrictions = count_calls(monkeypatch, verify, "restriction")
-    shortcuts = count_calls(monkeypatch, quiver, "_shortcut_quiver")
+    shortcuts = count_calls(monkeypatch, quiver, "_shortcut_shape")
     marks = [(0, 0)]
     record = verify.VerifySummary.record
 
