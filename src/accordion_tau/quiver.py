@@ -4,17 +4,18 @@ A named quiver (GentleQuiver) comes from a dissection (one vertex per
 diagonal, named by its label pair, arrows between consecutive diagonal
 sides of a cell, relations for consecutive triples) or from JSON.  Below
 that edge everything works on its shape (GentleQuiver.shape): the vertex
-count, arrows as (name, source position, target position) and relations,
-checked by check_shape.  Quivers that differ only in vertex names share a
-shape, and their algebras agree up to that renaming.  A dissection's
-quiver is its shape (dissection_shape, read off its cells) on its
-diagonals, so a check that needs only the shape builds no quiver.
-algebra_basis takes a shape, so paths start and end at positions; vertex
-names come back only as arguments of the texts that print them (a lazy
-path's e_<vertex>, check_gentle's messages).  canonical_form numbers a
-shape by a walk that its isomorphisms keep, so isomorphic gentle shapes
-share one form, itself a shape, and it returns the shape's isomorphism onto
-its form, which is one of their algebras too.  The path algebra uses left
+count, arrows as (source, target) position pairs, relations as pairs of
+arrow indices, and the one tuple of arrow names, which only the texts read
+(Path.display, check_gentle's and check_shape's messages, the witnesses).
+Quivers that differ only in vertex names share a shape, and their algebras
+agree up to that renaming.  A dissection's quiver is its shape
+(dissection_shape, read off its cells) on its diagonals, so a check that
+needs only the shape builds no quiver.  algebra_basis takes a shape, so
+paths start and end at positions and spell arrow indices.  canonical_form
+numbers a shape by a walk that its isomorphisms keep, so isomorphic gentle
+shapes share one form, itself a shape, and it returns the shape's
+isomorphism onto its form, as index maps, which is one of their algebras
+too.  The path algebra uses left
 to right composition: the product p * q means "walk p, then walk q", so
 paths from u to v span the subspace e_u A e_v.  Bases only exist for finite
 dimensional algebras; a relation-free cycle raises instead.
@@ -26,7 +27,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells, sides
@@ -54,18 +55,28 @@ class GentleQuiver:
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate quiver vertices")
+        names = {a.name for a in self.arrows}
+        if len(names) != len(self.arrows):
+            raise InputError("duplicate arrow names")
+        for first, second in self.relations:
+            if first not in names or second not in names:
+                raise InputError(f"relation ({first}, {second}) names a missing arrow")
         check_shape(self.shape)
 
     @cached_property
     def shape(self) -> tuple:
-        """The quiver with its vertices replaced by their positions: vertex
-        count, arrows as (name, source position, target position) in order,
-        and relations.  Quivers of one shape differ only in vertex names.
-        An arrow end outside the vertices has position -1, which check_shape
-        rejects."""
+        """(n, arrows, relations, names): the quiver with its vertices
+        replaced by their positions and its arrows by their indices, so
+        arrows are (source, target) position pairs and relations index
+        pairs, with the arrow names in order.  Quivers of one shape differ
+        only in vertex names.  An arrow end outside the vertices has
+        position -1, which check_shape rejects."""
         pos = {v: k for k, v in enumerate(self.vertices)}
-        arrows = tuple((a.name, pos.get(a.src, -1), pos.get(a.tgt, -1)) for a in self.arrows)
-        return (len(self.vertices), arrows, self.relations)
+        names = tuple(a.name for a in self.arrows)
+        index = {name: k for k, name in enumerate(names)}
+        arrows = tuple((pos.get(a.src, -1), pos.get(a.tgt, -1)) for a in self.arrows)
+        relations = frozenset((index[x], index[y]) for x, y in self.relations)
+        return (len(self.vertices), arrows, relations, names)
 
     def to_json(self) -> dict:
         return {
@@ -78,48 +89,51 @@ class GentleQuiver:
         }
 
 
+@cache
+def arrow_names(prefix: str, count: int) -> tuple[str, ...]:
+    """The names of count arrows numbered by index: prefix0, prefix1, ...
+    One tuple per (prefix, count), shared by every shape that uses it."""
+    return tuple(f"{prefix}{k}" for k in range(count))
+
+
 def check_shape(shape: tuple) -> None:
-    """Raise InputError unless shape is a quiver's: distinct arrow names,
-    arrow ends among its positions, and relations that name two of its
-    arrows, the first ending where the second starts."""
-    n, arrows, relations = shape
-    ends = {name: (src, tgt) for name, src, tgt in arrows}
-    if len(ends) != len(arrows):
-        raise InputError("duplicate arrow names")
-    for name, src, tgt in arrows:
+    """Raise InputError unless shape is a quiver's: arrow ends among its
+    positions, and relations whose first arrow ends where the second
+    starts.  Names are checked where they are given (GentleQuiver)."""
+    n, arrows, relations, names = shape
+    for name, (src, tgt) in zip(names, arrows):
         if not (0 <= src < n and 0 <= tgt < n):
             raise InputError(f"arrow {name} has endpoint outside the vertex set")
     for first, second in relations:
-        if first not in ends or second not in ends:
-            raise InputError(f"relation ({first}, {second}) names a missing arrow")
-        if ends[first][1] != ends[second][0]:
-            raise InputError(f"relation ({first}, {second}) is not a composable pair")
+        if arrows[first][1] != arrows[second][0]:
+            pair = f"({names[first]}, {names[second]})"
+            raise InputError(f"relation {pair} is not a composable pair")
 
 
 def check_gentle(shape: tuple, vertices) -> list[str]:
     """Violations of the gentle conditions; empty list means gentle.
     vertices[k] names the vertex at position k in the messages."""
-    n, arrows, relations = shape
+    n, arrows, relations, names = shape
     fails: list[str] = []
-    out_ct = Counter(src for _, src, _ in arrows)
-    in_ct = Counter(tgt for _, _, tgt in arrows)
+    out_ct = Counter(src for src, _ in arrows)
+    in_ct = Counter(tgt for _, tgt in arrows)
     for v in range(n):
         name = vertex_label(vertices[v])
         if out_ct[v] > 2:
             fails.append(f"vertex {name} has {out_ct[v]} outgoing arrows")
         if in_ct[v] > 2:
             fails.append(f"vertex {name} has {in_ct[v]} incoming arrows")
-    for a, src, tgt in arrows:
+    for a, (src, tgt) in enumerate(arrows):
         # (side, the composable pairs on that side, where the other arrow sits)
         near = (
-            ("successors", [(a, b) for b, s, _ in arrows if s == tgt], 1),
-            ("predecessors", [(b, a) for b, _, t in arrows if t == src], 0),
+            ("successors", [(a, b) for b, (s, _) in enumerate(arrows) if s == tgt], 1),
+            ("predecessors", [(b, a) for b, (_, t) in enumerate(arrows) if t == src], 0),
         )
         for side, pairs, other in near:
             for bound, zero in (("relation", True), ("composable", False)):
-                group = [pair[other] for pair in pairs if (pair in relations) == zero]
+                group = [names[pair[other]] for pair in pairs if (pair in relations) == zero]
                 if len(group) > 1:
-                    fails.append(f"arrow {a} has {len(group)} {bound} {side} ({group})")
+                    fails.append(f"arrow {names[a]} has {len(group)} {bound} {side} ({group})")
     return fails
 
 
@@ -142,41 +156,42 @@ def quiver_of_dissection(d: Dissection) -> GentleQuiver:
 
 def dissection_shape(d: Dissection, faces: list[tuple[int, ...]]) -> tuple:
     """The shape of quiver_of_dissection(d) (GentleQuiver.shape), read off
-    faces = cells(d) without building the quiver.  Arrows are named a0,
-    a1, ... in the order the cells' walks meet them."""
+    faces = cells(d) without building the quiver.  Arrows are numbered in
+    the order the cells' walks meet them, and arrow k is named ak."""
     position = {delta: k for k, delta in enumerate(d.diagonals)}
-    arrows: list[tuple[str, int, int]] = []
-    relations: set[tuple[str, str]] = set()
+    arrows: list[tuple[int, int]] = []
+    relations: set[tuple[int, int]] = set()
     for cell in faces:
         # the cell's sides as vertex positions, None for polygon sides, and
         # the arrow from each side to the next, None where there is none
         walk = [position.get(side) for side in sides(cell)]
-        names: list[str | None] = []
+        numbers: list[int | None] = []
         for s, s2 in zip(walk, walk[1:] + walk[:1]):
-            name = None
+            number = None
             if s is not None and s2 is not None:
-                name = f"a{len(arrows)}"
-                arrows.append((name, s, s2))
-            names.append(name)
-        for a, b in zip(names, names[1:] + names[:1]):
+                number = len(arrows)
+                arrows.append((s, s2))
+            numbers.append(number)
+        for a, b in zip(numbers, numbers[1:] + numbers[:1]):
             if a is not None and b is not None:
                 relations.add((a, b))
-    return (len(position), tuple(arrows), frozenset(relations))
+    return (len(position), tuple(arrows), frozenset(relations), arrow_names("a", len(arrows)))
 
 
 @dataclass(frozen=True)
 class Path:
-    """A composable arrow sequence from the vertex at position source;
-    empty means the lazy path there."""
+    """A composable sequence of arrow indices from the vertex at position
+    source; empty means the lazy path there."""
 
     source: int
-    arrows: tuple[str, ...]
+    arrows: tuple[int, ...]
 
-    def display(self, vertices) -> str:
-        """The path's text, vertices[k] naming position k."""
+    def display(self, vertices, names) -> str:
+        """The path's text, vertices[k] naming position k and names[a]
+        arrow a."""
         if not self.arrows:
             return f"e_{vertex_label(vertices[self.source])}"
-        return ".".join(self.arrows)
+        return ".".join(names[a] for a in self.arrows)
 
 
 @dataclass
@@ -188,9 +203,8 @@ class AlgebraBasis:
     and paths run between vertex positions.  mult(i, j) returns the index of
     the concatenated path or None when the product is zero (relation hit or
     endpoints mismatch).  prefix[i] is (index of path i without its last
-    arrow, that arrow's name), or None for a lazy path; the prefix always
-    comes earlier in `paths`.  ends maps each arrow name to its (source,
-    target) positions.
+    arrow, that arrow), or None for a lazy path; the prefix always comes
+    earlier in `paths`.  arrow_path[a] is the index of the path of arrow a.
     """
 
     shape: tuple
@@ -198,10 +212,9 @@ class AlgebraBasis:
     index: dict[Path, int] = field(repr=False)
     source: tuple = field(repr=False)
     target: tuple = field(repr=False)
-    arrow_path: dict[str, int] = field(repr=False)
+    arrow_path: tuple[int, ...] = field(repr=False)
     prefix: tuple = field(repr=False)
     by_ends: dict = field(repr=False)
-    ends: dict[str, tuple[int, int]] = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -229,12 +242,11 @@ def algebra_basis(shape: tuple) -> AlgebraBasis:
     gentle check runs first).  Finite dimension is enforced: any
     relation-free path longer than twice the arrow count certifies a
     relation-free cycle, so that raises InfiniteDimensionalError."""
-    n, arrows, relations = shape
+    n, arrows, relations, names = shape
     ensure_gentle(shape, range(n))
-    ends = {name: (src, tgt) for name, src, tgt in arrows}
-    out_arrows: list[list[str]] = [[] for _ in range(n)]
-    for name, src, _ in arrows:
-        out_arrows[src].append(name)
+    out_arrows: list[list[int]] = [[] for _ in range(n)]
+    for a, (src, _) in enumerate(arrows):
+        out_arrows[src].append(a)
 
     limit = 2 * len(arrows)
     paths: list[Path] = [Path(v, ()) for v in range(n)]
@@ -242,22 +254,22 @@ def algebra_basis(shape: tuple) -> AlgebraBasis:
     while frontier:
         nxt: list[Path] = []
         for p in frontier:
-            tail = ends[p.arrows[-1]][1] if p.arrows else p.source
-            for name in out_arrows[tail]:
-                if p.arrows and (p.arrows[-1], name) in relations:
+            tail = arrows[p.arrows[-1]][1] if p.arrows else p.source
+            for a in out_arrows[tail]:
+                if p.arrows and (p.arrows[-1], a) in relations:
                     continue
-                grown = Path(p.source, p.arrows + (name,))
+                grown = Path(p.source, p.arrows + (a,))
                 if len(grown.arrows) > limit:
-                    raise InfiniteDimensionalError(".".join(grown.arrows))
+                    raise InfiniteDimensionalError(grown.display(range(n), names))
                 nxt.append(grown)
         paths.extend(nxt)
         frontier = nxt
 
     paths.sort(key=lambda p: (len(p.arrows), p.source, p.arrows))
     index = {p: i for i, p in enumerate(paths)}
-    target = tuple(ends[p.arrows[-1]][1] if p.arrows else p.source for p in paths)
+    target = tuple(arrows[p.arrows[-1]][1] if p.arrows else p.source for p in paths)
     source = tuple(p.source for p in paths)
-    arrow_path = {p.arrows[0]: i for i, p in enumerate(paths) if len(p.arrows) == 1}
+    arrow_path = tuple(index[Path(src, (a,))] for a, (src, _) in enumerate(arrows))
     by_ends: dict = {}
     for i in range(len(paths)):
         by_ends.setdefault((source[i], target[i]), []).append(i)
@@ -265,30 +277,32 @@ def algebra_basis(shape: tuple) -> AlgebraBasis:
         (index[Path(p.source, p.arrows[:-1])], p.arrows[-1]) if p.arrows else None
         for p in paths
     )
-    return AlgebraBasis(
-        shape, tuple(paths), index, source, target, arrow_path, prefix, by_ends, ends
-    )
+    return AlgebraBasis(shape, tuple(paths), index, source, target, arrow_path, prefix, by_ends)
 
 
 def quiver_basis(q: GentleQuiver) -> AlgebraBasis:
-    """algebra_basis(q.shape), for a quiver given by name: a quiver that is
-    not gentle is rejected naming q's vertices."""
-    ensure_gentle(q.shape, q.vertices)
-    return algebra_basis(q.shape)
+    """algebra_basis(q.shape), for a quiver given by name: its one gentle
+    check names positions, so a failure is reworded here to name q's
+    vertices."""
+    try:
+        return algebra_basis(q.shape)
+    except InputError:
+        ensure_gentle(q.shape, q.vertices)
+        raise
 
 
 def shortcut_paths(basis: AlgebraBasis, jset) -> list[int]:
     """Basis indices of the nonlazy paths running from J to J with no interior
     stop in J, in basis order, for a set jset of positions; the k-th one
-    becomes shortcut arrow s{k}."""
-    ends = basis.ends
+    becomes shortcut arrow k."""
+    arrows = basis.shape[1]
     return [
         i
         for i, p in enumerate(basis.paths)
         if p.arrows
         and basis.source[i] in jset
         and basis.target[i] in jset
-        and not any(ends[name][1] in jset for name in p.arrows[:-1])
+        and not any(arrows[a][1] in jset for a in p.arrows[:-1])
     ]
 
 
@@ -304,19 +318,17 @@ def nonempty_subsets(items: tuple) -> list[tuple]:
 def _shortcut_shape(basis: AlgebraBasis, positions: tuple) -> tuple:
     """The shape of the shortcut quiver at the ascending, nonempty vertex
     positions, read off basis: its k-th vertex is the one at positions[k],
-    and it is checked gentle."""
+    its arrow k is the k-th of shortcut_paths, named sk, and it is checked
+    gentle."""
     renumber = {v: k for k, v in enumerate(positions)}
     shortcuts = shortcut_paths(basis, renumber)
-    arrows = tuple(
-        (f"s{k}", renumber[basis.source[i]], renumber[basis.target[i]])
-        for k, i in enumerate(shortcuts)
-    )
+    arrows = tuple((renumber[basis.source[i]], renumber[basis.target[i]]) for i in shortcuts)
     relations = set()
     for ka, ia in enumerate(shortcuts):
         for kb, ib in enumerate(shortcuts):
             if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
-                relations.add((f"s{ka}", f"s{kb}"))
-    shape = (len(positions), arrows, frozenset(relations))
+                relations.add((ka, kb))
+    shape = (len(positions), arrows, frozenset(relations), arrow_names("s", len(arrows)))
     ensure_gentle(shape, range(len(positions)))
     return shape
 
@@ -379,19 +391,22 @@ def idempotent_subalgebra_check(
     vertices, and J a set of them.  Splits every path of the big algebra
     running between J vertices at its interior J visits; the pieces must
     spell out a basis path of the shortcut algebra, bijectively, with
-    matching multiplication tables.  The shortcut quiver is the one under
-    test, so only its basis is built.
+    matching multiplication tables, where the shortcut quiver's arrow k is
+    the k-th of shortcut_paths, as shortcut_quiver numbers them.  The
+    shortcut quiver is the one under test, so only its basis is built.
     """
     jset = set(J)
     # position in the big quiver -> position in the shortcut quiver
     renumber = {v: k for k, v in enumerate(shortcut.vertices)}
     small = {k: renumber[v] for k, v in enumerate(vertices) if v in jset}
     sbasis = algebra_basis(shortcut.shape)
+    _, arrows, _, names = basis.shape
     failures: list[str] = []
 
-    shortcut_by_path = {
-        i: f"s{k}" for k, i in enumerate(shortcut_paths(basis, small))
-    }
+    shortcut_by_path = {i: k for k, i in enumerate(shortcut_paths(basis, small))}
+
+    def shown(i: int) -> str:
+        return basis.paths[i].display(vertices, names)
 
     def fold(i: int) -> Path | None:
         """Rewrite a J-to-J path of the big algebra as a shortcut path."""
@@ -400,7 +415,7 @@ def idempotent_subalgebra_check(
             return Path(small[p.source], ())
         pieces = []
         seg_start = 0
-        walk = [p.source] + [basis.ends[name][1] for name in p.arrows]
+        walk = [p.source] + [arrows[a][1] for a in p.arrows]
         for pos in range(1, len(walk)):
             if walk[pos] in small:
                 seg = Path(walk[seg_start], p.arrows[seg_start:pos])
@@ -420,9 +435,7 @@ def idempotent_subalgebra_check(
     for i in jj_paths:
         image = fold(i)
         if image is None or image not in sbasis.index:
-            failures.append(
-                f"path {basis.paths[i].display(vertices)} does not fold into the shortcut basis"
-            )
+            failures.append(f"path {shown(i)} does not fold into the shortcut basis")
             continue
         folded[i] = sbasis.index[image]
 
@@ -439,7 +452,7 @@ def idempotent_subalgebra_check(
             for j in jj_paths:
                 big = basis.mult(i, j)
                 down = sbasis.mult(folded[i], folded[j])
-                text = f"{basis.paths[i].display(vertices)} * {basis.paths[j].display(vertices)}"
+                text = f"{shown(i)} * {shown(j)}"
                 if big is None:
                     if down is not None:
                         failures.append(f"{text} is zero upstairs but not downstairs")
@@ -522,15 +535,15 @@ def _neighbours(shape: tuple) -> list[list[int]]:
     with it, the other successors, the same two kinds of predecessor, the
     other arrows out of its source and the other arrows into its target.
     In a gentle quiver each kind holds at most one arrow."""
-    _, arrows, relations = shape
+    _, arrows, relations, _ = shape
     out = []
-    for a, (name, src, tgt) in enumerate(arrows):
+    for a, (src, tgt) in enumerate(arrows):
         kinds: list[list[int]] = [[] for _ in range(6)]
-        for b, (other, s, t) in enumerate(arrows):
+        for b, (s, t) in enumerate(arrows):
             if s == tgt:
-                kinds[(name, other) not in relations].append(b)
+                kinds[(a, b) not in relations].append(b)
             if t == src:
-                kinds[2 + ((other, name) not in relations)].append(b)
+                kinds[2 + ((b, a) not in relations)].append(b)
             if s == src and b != a:
                 kinds[4].append(b)
             if t == tgt and b != a:
@@ -544,7 +557,7 @@ def _walk(shape: tuple, neighbours: list[list[int]], start: int) -> tuple:
     it: (code, arrows in walk order, vertex positions in order first met).
     code lists each arrow's ends by vertex number, then the relations as
     pairs of arrow numbers, sorted."""
-    _, arrows, relations = shape
+    _, arrows, relations, _ = shape
     order, seen = [start], {start}
     for a in order:
         for b in neighbours[a]:
@@ -553,30 +566,30 @@ def _walk(shape: tuple, neighbours: list[list[int]], start: int) -> tuple:
                 order.append(b)
     vertices: dict = {}
     for a in order:
-        for v in arrows[a][1:]:
+        for v in arrows[a]:
             vertices.setdefault(v, len(vertices))
-    ends = tuple((vertices[arrows[a][1]], vertices[arrows[a][2]]) for a in order)
-    number = {arrows[a][0]: k for k, a in enumerate(order)}
+    ends = tuple((vertices[src], vertices[tgt]) for src, tgt in map(arrows.__getitem__, order))
+    number = {a: k for k, a in enumerate(order)}
     pairs = sorted((number[x], number[y]) for x, y in relations if x in number)
     return (ends, tuple(pairs)), order, list(vertices)
 
 
-def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
+def canonical_form(shape: tuple) -> tuple[tuple, tuple, tuple]:
     """The canonical form of a quiver shape (GentleQuiver.shape), and the
-    isomorphism onto it: (form, vertex_map, arrow_map).
+    isomorphism onto it: (form, vertex_map, arrow_of).
 
-    form is itself a shape: n vertices, arrows named a0, a1, ... in order
-    and relations between those names.  vertex_map[i] is the position in
-    form of the shape's i-th vertex, and arrow_map sends the shape's arrow
-    names to form's.  In a gentle quiver an arrow has at most one neighbour
-    of each kind _neighbours lists, so a walk that takes them in that order
-    numbers a whole connected component from one start arrow.  Each
-    component keeps its smallest numbering over all start arrows, the
-    components follow in order of those numberings, and vertices with no
-    arrows come last.  So isomorphic gentle shapes have equal forms; for
+    form is itself a shape: n vertices, its arrows in walk order, named a0,
+    a1, ..., and relations between them.  vertex_map[i] is the position in
+    form of the shape's i-th vertex, and form's arrow k is the shape's
+    arrow arrow_of[k].  Names play no part.  In a gentle quiver an arrow
+    has at most one neighbour of each kind _neighbours lists, so a walk that
+    takes them in that order numbers a whole connected component from one
+    start arrow.  Each component keeps its smallest numbering over all
+    start arrows, the components follow in order of those numberings, and
+    vertices with no arrows come last.  So isomorphic gentle shapes have equal forms; for
     any shape, equal forms give an isomorphism, one map followed by the
     inverse of the other, and a form is its own form."""
-    n, arrows, relations = shape
+    n, arrows, relations, _ = shape
     neighbours = _neighbours(shape)
     walks, seen = [], set()
     for a in range(len(arrows)):
@@ -586,24 +599,24 @@ def canonical_form(shape: tuple) -> tuple[tuple, tuple, dict]:
             seen.update(walk[1])
             walks.append(walk)
     walks.sort()
-    arrow_order = [a for _, order, _ in walks for a in order]
+    arrow_of = tuple(a for _, order, _ in walks for a in order)
     vertex_order = [v for _, _, vertices in walks for v in vertices]
     placed = set(vertex_order)
     vertex_order += [v for v in range(n) if v not in placed]
     vertex_map = [0] * n
     for k, v in enumerate(vertex_order):
         vertex_map[v] = k
-    arrow_map = {arrows[a][0]: f"a{k}" for k, a in enumerate(arrow_order)}
+    number = {a: k for k, a in enumerate(arrow_of)}
     form_arrows = tuple(
-        (f"a{k}", vertex_map[arrows[a][1]], vertex_map[arrows[a][2]])
-        for k, a in enumerate(arrow_order)
+        (vertex_map[src], vertex_map[tgt]) for src, tgt in map(arrows.__getitem__, arrow_of)
     )
-    form_relations = frozenset((arrow_map[x], arrow_map[y]) for x, y in relations)
-    return (n, form_arrows, form_relations), tuple(vertex_map), arrow_map
+    form_relations = frozenset((number[x], number[y]) for x, y in relations)
+    form = (n, form_arrows, form_relations, arrow_names("a", len(arrows)))
+    return form, tuple(vertex_map), arrow_of
 
 
 def _quiver_on(shape: tuple, vertices: tuple) -> GentleQuiver:
     """The quiver of shape whose k-th vertex is vertices[k]."""
-    _, arrows, relations = shape
-    named = tuple(Arrow(name, vertices[s], vertices[t]) for name, s, t in arrows)
-    return GentleQuiver(vertices, named, relations)
+    _, arrows, relations, names = shape
+    named = tuple(Arrow(name, vertices[s], vertices[t]) for name, (s, t) in zip(names, arrows))
+    return GentleQuiver(vertices, named, frozenset((names[x], names[y]) for x, y in relations))

@@ -18,24 +18,27 @@ Reiten, "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0
 modulo those through dy are exactly the maps x.p1 -> H^0 y.
 
 Everything here works on an algebra basis (quiver.algebra_basis), so on
-vertex positions; names are an argument of the texts that print them
-(_label and _word_text).  The silting complex depends on the quiver's shape
-alone, so silting_core builds it without vertex names (g-vectors, string
-letters, vertex positions, compatibility graph), and _label_core turns a
-core and the vertices of any quiver of its shape into that quiver's
-complex.  It shares the core's
-g-vectors and graph, and its one naming function (_label on the quiver's
-vertices and the core's letters and positions) names a vertex only when
-the complex's vertices are first read.  The graph asks the hom-shift
-pairing only for pairs where one of its two widths can be nonzero: a P1
-summand of one object at a vertex where H^0 of the other lives.  A core
-keeps the graph only: silting_core checks the purity of its facets once,
-on the masks of the clique walk (LabeledComplex.check_purity), and a
-complex labelled from a core builds its facets, as the maximal cliques of
-the graph, when they are first read.  The core is an
-invariant of the algebra, so transport_core carries the core of a
-canonical form (quiver.canonical_form, built on the form itself) onto
-every other shape of that form without building it again.
+vertex positions and arrow indices: a string letter is (arrow index,
+forward?), and a representation's action is a list by arrow index.  Vertex
+and arrow names are arguments of the texts that print them (_label,
+_word_text, the band witness).  The silting complex depends on the
+quiver's shape alone, arrow names aside, so silting_core builds it without
+names (g-vectors, string letters, vertex positions, compatibility graph),
+and _label_core turns a core, the vertices of any quiver of its shape and
+the shape's arrow names into that quiver's complex.  It shares the core's
+g-vectors and graph, and its one naming function (_label on those names
+and the core's letters and positions) names a vertex only when the
+complex's vertices are first read.  The graph asks the hom-shift pairing
+only for pairs where one of its two widths can be nonzero: a P1 summand of
+one object at a vertex where H^0 of the other lives.  A core keeps the
+graph only: silting_core checks the purity of its facets once, on the
+masks of the clique walk (LabeledComplex.check_purity), and a complex
+labelled from a core builds its facets, as the maximal cliques of the
+graph, when they are first read.  The core is an invariant of the algebra,
+so transport_core carries the core of a canonical form
+(quiver.canonical_form, built on the form itself) onto every other shape
+of that form without building it again, mapping vertex positions and
+arrow indices by indexing.
 
 This module only builds the silting complex; the theorem checks that
 compare it (main and idempotent) live in verify.
@@ -59,33 +62,34 @@ from .quiver import AlgebraBasis, GentleQuiver, quiver_basis, vertex_label
 @dataclass(frozen=True)
 class StringWord:
     """A reduced walk in the quiver from the vertex at position source:
-    letters are (arrow name, forward?)."""
+    letters are (arrow index, forward?)."""
 
     source: int
-    letters: tuple[tuple[str, bool], ...]
+    letters: tuple[tuple[int, bool], ...]
 
-    def display(self, vertices) -> str:
-        """The string's text, vertices[k] naming position k."""
-        return _word_text(vertices, self.source, self.letters)
+    def display(self, vertices, names) -> str:
+        """The string's text, vertices[k] naming position k and names[a]
+        arrow a."""
+        return _word_text(vertices, names, self.source, self.letters)
 
 
-def _word_text(vertices, source: int, letters) -> str:
+def _word_text(vertices, names, source: int, letters) -> str:
     """The text of the string from position source along letters:
     e_<vertices[source]> when there are none, else the arrow names joined by
     dots, inverse ones primed."""
     if not letters:
         return f"e_{vertex_label(vertices[source])}"
-    return ".".join(name if fwd else name + "'" for name, fwd in letters)
+    return ".".join(names[a] if fwd else names[a] + "'" for a, fwd in letters)
 
 
 def walk_vertices(basis: AlgebraBasis, w: StringWord) -> list[int]:
     """The positions w visits.  A letter ends at its arrow's target when
-    forward, at its source when inverse: ends[name][fwd]."""
-    ends = basis.ends
-    return [w.source] + [ends[name][fwd] for name, fwd in w.letters]
+    forward, at its source when inverse: arrows[a][fwd]."""
+    arrows = basis.shape[1]
+    return [w.source] + [arrows[a][fwd] for a, fwd in w.letters]
 
 
-def _valid_pair(relations, l1: tuple[str, bool], l2: tuple[str, bool]) -> bool:
+def _valid_pair(relations, l1: tuple[int, bool], l2: tuple[int, bool]) -> bool:
     (a1, d1), (a2, d2) = l1, l2
     if a1 == a2 and d1 != d2:
         return False  # immediate backtrack
@@ -99,9 +103,9 @@ def _valid_pair(relations, l1: tuple[str, bool], l2: tuple[str, bool]) -> bool:
 def inverse_word(basis: AlgebraBasis, w: StringWord) -> StringWord:
     if not w.letters:
         return w
-    name, fwd = w.letters[-1]
-    letters = tuple((name, not fwd) for name, fwd in reversed(w.letters))
-    return StringWord(basis.ends[name][fwd], letters)
+    a, fwd = w.letters[-1]
+    letters = tuple((b, not forward) for b, forward in reversed(w.letters))
+    return StringWord(basis.shape[1][a][fwd], letters)
 
 
 def enumerate_strings(basis: AlgebraBasis) -> list[StringWord]:
@@ -112,17 +116,16 @@ def enumerate_strings(basis: AlgebraBasis) -> list[StringWord]:
     which closes up into a relation-free cyclic walk; that is a band, and
     the algebra then has infinitely many strings, so we bail out.
     """
-    n, arrows, relations = basis.shape
-    ends = basis.ends
+    n, arrows, relations, names = basis.shape
     limit = 2 * len(arrows)
 
     def key(w: StringWord):
-        return len(w.letters), tuple((name, not fwd) for name, fwd in w.letters), w.source
+        return len(w.letters), tuple((a, not fwd) for a, fwd in w.letters), w.source
 
-    starts: list[list[tuple[str, bool]]] = [[] for _ in range(n)]
-    for name, src, tgt in arrows:
-        starts[src].append((name, True))
-        starts[tgt].append((name, False))
+    starts: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for a, (src, tgt) in enumerate(arrows):
+        starts[src].append((a, True))
+        starts[tgt].append((a, False))
 
     chosen: dict = {}
     stack = [StringWord(v, ()) for v in reversed(range(n))]
@@ -131,13 +134,13 @@ def enumerate_strings(basis: AlgebraBasis) -> list[StringWord]:
         canon = min(key(w), key(inverse_word(basis, w)))
         if canon not in chosen:
             chosen[canon] = w
-        end = ends[w.letters[-1][0]][w.letters[-1][1]] if w.letters else w.source
+        end = arrows[w.letters[-1][0]][w.letters[-1][1]] if w.letters else w.source
         for letter in starts[end]:
             if w.letters and not _valid_pair(relations, w.letters[-1], letter):
                 continue
             grown = StringWord(w.source, w.letters + (letter,))
             if len(grown.letters) > limit:
-                raise BandDetectedError(grown.display(range(n)))
+                raise BandDetectedError(grown.display(range(n), names))
             stack.append(grown)
     return [chosen[c] for c in sorted(chosen)]
 
@@ -151,8 +154,9 @@ class Representation:
     shape: tuple
     # the dimension at each vertex position
     dims: list[int]
-    # per arrow u -> v, the index at v of each basis vector's image at u, -1 for zero
-    action: dict[str, list[int]]
+    # by arrow index, for arrow u -> v: the index at v of each basis vector's
+    # image at u, -1 for zero
+    action: list[list[int]]
     # (basis, table) of the last path_images call; not compared, not rendered
     _images: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -169,8 +173,8 @@ class Representation:
                 if prefix is None:
                     images.append(list(range(self.dims[p.source])))
                 else:
-                    j, name = prefix
-                    act = self.action[name]
+                    j, a = prefix
+                    act = self.action[a]
                     images.append([-1 if t < 0 else act[t] for t in images[j]])
             self._images = (basis, images)
         return self._images[1]
@@ -178,28 +182,28 @@ class Representation:
 
 def string_module(basis: AlgebraBasis, w: StringWord) -> Representation:
     """Basis vector per walk position, arrows act along the letters."""
-    n, arrows, _ = basis.shape
+    n, arrows, _, _ = basis.shape
     local: list[int] = []
     dims = [0] * n
     for v in walk_vertices(basis, w):
         local.append(dims[v])
         dims[v] += 1
-    action = {name: [-1] * dims[src] for name, src, _ in arrows}
-    for t, (name, fwd) in enumerate(w.letters):
+    action = [[-1] * dims[src] for src, _ in arrows]
+    for t, (a, fwd) in enumerate(w.letters):
         if fwd:
-            action[name][local[t]] = local[t + 1]
+            action[a][local[t]] = local[t + 1]
         else:
-            action[name][local[t + 1]] = local[t]
+            action[a][local[t + 1]] = local[t]
     return Representation(basis.shape, dims, action)
 
 
 def _sum_representations(x: Representation, y: Representation) -> Representation:
     """Block-diagonal direct sum, x's basis vectors first at every vertex."""
     dims = [a + b for a, b in zip(x.dims, y.dims)]
-    action = {}
-    for name, _, tgt in x.shape[1]:
-        shift = x.dims[tgt]
-        action[name] = x.action[name] + [-1 if t < 0 else t + shift for t in y.action[name]]
+    action = [
+        xs + [-1 if t < 0 else t + x.dims[tgt] for t in ys]
+        for xs, ys, (_, tgt) in zip(x.action, y.action, x.shape[1])
+    ]
     return Representation(x.shape, dims, action)
 
 
@@ -235,8 +239,8 @@ class TwoTermComplex:
 
 def shifted_projective(basis: AlgebraBasis, v: int) -> TwoTermComplex:
     """P_v -> 0, whose H^0 is the zero representation."""
-    n, arrows, _ = basis.shape
-    zero = Representation(basis.shape, [0] * n, {name: [] for name, _, _ in arrows})
+    n, arrows, _, _ = basis.shape
+    zero = Representation(basis.shape, [0] * n, [[] for _ in arrows])
     return TwoTermComplex(basis, (v,), (), [], zero)
 
 
@@ -261,8 +265,8 @@ def _top_lifts(rep: Representation) -> list[tuple]:
     that no arrow hits: the arrows' images are basis vectors, so the ones
     they hit span the radical."""
     hit: list[set] = [set() for _ in rep.dims]
-    for name, _, tgt in rep.shape[1]:
-        hit[tgt].update(rep.action[name])
+    for act, (_, tgt) in zip(rep.action, rep.shape[1]):
+        hit[tgt].update(act)
     return [(v, t) for v, dim in enumerate(rep.dims) for t in range(dim) if t not in hit[v]]
 
 
@@ -280,7 +284,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     their coefficients.  Only vertices where P0 or the module is nonzero do
     any work.
     """
-    n, arrows, _ = basis.shape
+    n, arrows, _, _ = basis.shape
     vertices = range(n)
     images = rep.path_images(basis)
 
@@ -313,11 +317,10 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
 
     # arrow images of the kernel, in P0 coordinates at the arrow's target
     radical_at: list[list[list[int]]] = [[] for _ in vertices]
-    for name, u, wv in arrows:
+    for arrow, (u, wv) in zip(basis.arrow_path, arrows):
         if not kernel_at[u]:
             continue
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
-        arrow = basis.arrow_path[name]
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
@@ -415,12 +418,12 @@ class SiltingVertex(NamedTuple):
 
     complex: TwoTermComplex
     gvec: tuple[int, ...]
-    letters: tuple[tuple[str, bool], ...] | None
+    letters: tuple[tuple[int, bool], ...] | None
     position: int
 
-    def label(self, vertices) -> str:
-        """The label on a quiver with these vertices."""
-        return _label(vertices, self.letters, self.position)[0]
+    def label(self, vertices, names) -> str:
+        """The label on a quiver with these vertices and arrow names."""
+        return _label(vertices, names, self.letters, self.position)[0]
 
 
 def silting_vertices(q: GentleQuiver) -> list[SiltingVertex]:
@@ -441,25 +444,25 @@ def _silting_vertices(basis: AlgebraBasis) -> list[SiltingVertex]:
     return sorted(out, key=lambda sv: sv.gvec)
 
 
-def _label(vertices, letters, position: int) -> tuple[str, dict]:
+def _label(vertices, names, letters, position: int) -> tuple[str, dict]:
     """The label and payload of a silting vertex of a quiver with these
-    vertices."""
+    vertices and arrow names."""
     if letters is None:
         name = vertex_label(vertices[position])
         return f"P_{name}[1]", {"kind": "shifted", "projective": name}
-    text = _word_text(vertices, position, letters)
+    text = _word_text(vertices, names, position, letters)
     return text, {"kind": "module", "string": text}
 
 
 class SiltingCore(NamedTuple):
     """The silting complex of a quiver shape (GentleQuiver.shape), without
-    vertex names: the g-vectors, letters and positions of its vertices (in
-    silting_vertices order), then the compatibility graph, whose maximal
-    cliques are the facets.
+    vertex or arrow names: the g-vectors, letters and positions of its
+    vertices (in silting_vertices order), then the compatibility graph,
+    whose maximal cliques are the facets.
     """
 
     gvecs: tuple[tuple[int, ...], ...]
-    letters: tuple[tuple[tuple[str, bool], ...] | None, ...]
+    letters: tuple[tuple[tuple[int, bool], ...] | None, ...]
     positions: tuple[int, ...]
     graph: tuple[int, ...]
 
@@ -504,7 +507,7 @@ def _checked_silting(basis: AlgebraBasis, vertices) -> tuple[SiltingCore, Labele
         tuple(sv.position for sv in verts),
         tuple(graph),
     )
-    cx = _label_core(core, vertices, kind="silting")
+    cx = _label_core(core, vertices, basis.shape[3], kind="silting")
     cx.check_purity()
     return core, cx
 
@@ -513,28 +516,26 @@ def transport_core(core: SiltingCore, canon: tuple, shape: tuple) -> SiltingCore
     """The core of a quiver shape from the core of its canonical form.
 
     canon is quiver.canonical_form(shape), and core is the core built on
-    the form, silting_core(algebra_basis(form)).  An isomorphism of gentle quivers
-    is one of their algebras, so it carries rigid strings, presentations
-    and compatibility across: g-vector coordinates follow the vertex map,
-    string letters the arrow map back from the form, and each string takes
-    the orientation enumerate_strings keeps on shape (_first_met).  Sorting
-    by g-vector then gives silting_vertices' order, and the graph is
-    renumbered to it.  A rigid presentation is determined by its g-vector
+    the form, silting_core(algebra_basis(form)).  An isomorphism of gentle
+    quivers is one of their algebras, so it carries rigid strings,
+    presentations and compatibility across: g-vector coordinates follow the
+    vertex map, a letter on form arrow k moves to shape arrow arrow_of[k],
+    and each string takes the orientation enumerate_strings keeps on shape
+    (_first_met).  Sorting by g-vector then gives silting_vertices' order,
+    and the graph is renumbered to it.  A rigid presentation is determined by its g-vector
     (Adachi, Iyama and Reiten, "tau-tilting theory"), so the g-vectors of a
     correct core are distinct and fix that order; a repeated one is kept
     and fails the comparison that reads it (complexes.iso_by_gvectors)."""
-    _, vmap, amap = canon
+    _, vmap, arrow_of = canon
     back = [0] * len(vmap)
     for i, k in enumerate(vmap):
         back[k] = i
     gvecs = [tuple([g[k] for k in vmap]) for g in core.gvecs]
     first_met = _first_met(shape)
-    # one tuple per letter, shared by the strings that use it
-    renamed = {(b, fwd): (a, fwd) for a, b in amap.items() for fwd in (True, False)}
     letters, positions = [], []
     for word, at in zip(core.letters, core.positions):
         if word is not None:
-            word, at = first_met(tuple([renamed[x] for x in word]), back[at])
+            word, at = first_met(tuple([(arrow_of[k], fwd) for k, fwd in word]), back[at])
         else:
             at = back[at]
         letters.append(word)
@@ -554,40 +555,38 @@ def _first_met(shape: tuple):
     letter at its target).  So of a string and its inverse it meets first
     the one with the lower source position, and on a tie (a closed string)
     the one whose first letter that differs was pushed later."""
-    pushed: dict = {}
-    end: dict = {}
-    flip: dict = {}
+    arrows = shape[1]
+    # pushed[a][fwd]: minus the number of letters pushed before it at its start
+    pushed = []
     count = [0] * shape[0]
-    for name, src, tgt in shape[1]:
-        forward, backward = (name, True), (name, False)
-        flip[forward], flip[backward] = backward, forward
-        for letter, start, stop in ((forward, src, tgt), (backward, tgt, src)):
-            pushed[letter] = -count[start]
-            count[start] += 1
-            end[letter] = stop
+    for src, tgt in arrows:
+        forward = -count[src]
+        count[src] += 1
+        pushed.append((-count[tgt], forward))
+        count[tgt] += 1
 
     def orient(word: tuple, at: int) -> tuple[tuple, int]:
         if not word:
             return word, at
-        inverse = tuple([flip[x] for x in reversed(word)])
-        back_at = end[word[-1]]
-        if (back_at, [pushed[x] for x in inverse]) < (at, [pushed[x] for x in word]):
+        inverse = tuple([(a, not fwd) for a, fwd in reversed(word)])
+        back_at = arrows[word[-1][0]][word[-1][1]]
+        if (back_at, [pushed[a][f] for a, f in inverse]) < (at, [pushed[a][f] for a, f in word]):
             return inverse, back_at
         return word, at
 
     return orient
 
 
-def _label_core(core: SiltingCore, vertices: tuple, kind=None) -> LabeledComplex:
-    """The complex of core on a quiver with these vertices, sharing the
-    core's g-vectors and graph: vertex k is named by _label from vertices
-    and the core's letters and positions at k, when the complex's vertices
-    are first read.  The naming function holds those three tuples, not the
-    core or a quiver."""
+def _label_core(core: SiltingCore, vertices: tuple, names: tuple, kind=None) -> LabeledComplex:
+    """The complex of core on a quiver with these vertices and arrow names,
+    sharing the core's g-vectors and graph: vertex k is named by _label
+    from vertices, names and the core's letters and positions at k, when
+    the complex's vertices are first read.  The naming function holds those
+    four tuples, not the core or a quiver."""
     letters, positions = core.letters, core.positions
 
     def name_of(k: int) -> tuple[str, dict]:
-        return _label(vertices, letters[k], positions[k])
+        return _label(vertices, names, letters[k], positions[k])
 
     return LabeledComplex(
         tuple(map(vertex_label, vertices)),

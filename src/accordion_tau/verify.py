@@ -35,10 +35,11 @@ keeps one accordion complex per ordered diagonal tuple, looks a
 sub-dissection's up by that tuple and makes a Dissection only to build a
 missing one; every other complex lives for its own dissection or instance
 only.  A silting complex depends on its quiver's shape alone
-(GentleQuiver.shape: vertex positions, not names), and the algebra layer
-takes shapes (quiver.algebra_basis), so the main and idempotent sweeps
-keep one label-free core per shape and label it for every quiver of the
-shape (rigidity._label_core, as silting_complex does for one quiver).
+(GentleQuiver.shape: vertex positions and arrow indices, with the arrow
+names in one tuple that only the labels read), and the algebra layer takes
+shapes (quiver.algebra_basis), so the main and idempotent sweeps keep one
+label-free core per shape and label it for every quiver of the shape
+(rigidity._label_core, as silting_complex does for one quiver).
 They cut a dissection into cells once, read the quiver's shape off them
 (quiver.dissection_shape), and label the ambient silting complex on the
 dissection's diagonals, so they build no GentleQuiver at all; a shape met
@@ -58,19 +59,18 @@ sweep keeps a plan per (ambient shape, J positions): the shortcut quiver's
 shape and the label-free restriction (complexes.restriction: kept
 vertices, g-vectors and induced graph), never a quiver, basis or labelled
 complex.  The instance that first meets a pair makes its plan on the basis
-of the ambient shape, which is built once per shape: a form keeps its
-core's basis until its first dissection takes it.  Every instance names
-its plan from its own ambient complex (complexes.name_restriction) and
-labels its shortcut complex from the core of the plan's shortcut shape on
-J.  The sweeps
-compare the built complexes with the same comparison the single-instance
-checks use (compare_nested, iso_by_gvectors), and each induced complex is
-built once and shared by the comparison and the audit.  The consistency
-sweep builds one algebra basis per dissection, reads every shortcut quiver
-off it, and builds only each shortcut quiver's own basis besides.  The
-memos, plans included, are locals of one sweep, so a sweep split into
-chunks keeps them per chunk.  DRIVERS lists the sweeps for the command line
-and the scripts.
+of the ambient shape, which the shape's first dissection builds once; a
+core is built on a basis of its own.  Every instance names its plan from
+its own ambient complex (complexes.name_restriction) and labels its
+shortcut complex from the core of the plan's shortcut shape on J.  The
+sweeps compare the built complexes with the same comparison the
+single-instance checks use (compare_nested, iso_by_gvectors), and each
+induced complex is built once and shared by the comparison and the
+audit.  The consistency sweep builds one algebra basis per dissection,
+reads every shortcut quiver off it, and builds only each shortcut quiver's
+own basis besides.  The memos, plans included, are locals of one sweep, so
+a sweep split into chunks keeps them per chunk.  DRIVERS lists the sweeps
+for the command line and the scripts.
 
 With structural=True every complex that shows up is accounted for by the
 structural audit (pseudomanifold, facet size, sign coherence, facet
@@ -109,7 +109,6 @@ from .complexes import (
 from .errors import EmptyDissectionError, NotNestedError
 from .geometry import Dissection, all_dissections, cells
 from .quiver import (
-    AlgebraBasis,
     GentleQuiver,
     _shortcut_shape,
     algebra_basis,
@@ -335,13 +334,11 @@ class VerifySummary:
 
 
 def _silting_by_shape(
-    cores: dict[tuple, tuple[tuple, SiltingCore]],
-    shape: tuple,
-    vertices: tuple,
-    form_bases: dict[tuple, AlgebraBasis] | None = None,
+    cores: dict[tuple, tuple[tuple, SiltingCore]], shape: tuple, vertices: tuple
 ) -> tuple[LabeledComplex, tuple]:
     """The silting complex of the quiver of this shape on these vertices,
-    labelled from the core of the shape (rigidity._label_core), and the key
+    labelled from the core of the shape (rigidity._label_core) and the
+    shape's arrow names, and the key
     its audit carries by (_carried_audit): the canonical form of the shape,
     since every core of a class is the form's core relabelled.
 
@@ -350,9 +347,7 @@ def _silting_by_shape(
     entry, and every other shape of the class takes that core, transported.
     Each shape met for the first time, and each form whose core is built,
     is checked once (quiver.check_shape), and algebra_basis checks every
-    form it builds on for gentleness.  When form_bases is given, the basis
-    a form's core is built on is left in it under the form, for the caller
-    to take."""
+    form it builds on for gentleness."""
     entry = cores.get(shape)
     if entry is None:
         check_shape(shape)
@@ -361,15 +356,12 @@ def _silting_by_shape(
         if form not in cores:
             if form != shape:
                 check_shape(form)
-            basis = algebra_basis(form)
-            if form_bases is not None:
-                form_bases[form] = basis
-            cores[form] = (form, silting_core(basis))
+            cores[form] = (form, silting_core(algebra_basis(form)))
         if shape != form:
             cores[shape] = (form, transport_core(cores[form][1], canon, shape))
         entry = cores[shape]
     form, core = entry
-    return _label_core(core, vertices), form
+    return _label_core(core, vertices, shape[3]), form
 
 
 def verify_main_exhaustive(m: int, structural: bool = False) -> VerifySummary:
@@ -449,20 +441,16 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     silting complex is labelled (and audited) for it alone.  The plan of
     (ambient shape, J positions) is made by the first instance that meets
     the pair, from one algebra basis of the shape, which the shape's first
-    dissection (which meets every J position) reads and drops.  That basis
-    is built once per shape: a form's core is built on it, and a form keeps
-    its core's basis until its first dissection, if any, takes it.  Each
-    instance names its plan from its own ambient complex and labels its
-    shortcut complex from the plan's shortcut shape on J; with
-    structural=True it audits that complex, carrying a clean class audit.
+    dissection (which meets every J position) builds, reads and drops; a
+    core's build makes its own basis of the form.  Each instance names its
+    plan from its own ambient complex and labels its shortcut complex from
+    the plan's shortcut shape on J; with structural=True it audits that
+    complex, carrying a clean class audit.
     """
     summary = VerifySummary("idempotent")
     cores: dict[tuple, tuple[tuple, SiltingCore]] = {}
     clean: set[tuple] = set()
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
-    # form -> the basis its core was built on, until a dissection of that
-    # shape takes it for its plans
-    bases: dict[tuple, AlgebraBasis] = {}
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
     # share one copy of each, and of each shortcut shape
@@ -471,10 +459,10 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     for d in all_dissections(m):
         diagonals = d.diagonals
         shape = dissection_shape(d, cells(d))
-        ambient, key = _silting_by_shape(cores, shape, diagonals, form_bases=bases)
+        ambient, key = _silting_by_shape(cores, shape, diagonals)
         shape_plans = plans.setdefault(shape, {})
         # the shape's first dissection makes all its plans, on one basis
-        basis = None if shape_plans else bases.pop(shape, None) or algebra_basis(shape)
+        basis = None if shape_plans else algebra_basis(shape)
         if structural:
             ambient_audit = _carried_audit(ambient, clean, key=key)
             summary.audit(_Instance(m, diagonals), "silting", ambient_audit)
@@ -487,9 +475,7 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
                 plan = shape_plans[positions] = _Plan(small_shape, kept)
-            small, small_key = _silting_by_shape(
-                cores, plan.shortcut_shape, J, form_bases=bases
-            )
+            small, small_key = _silting_by_shape(cores, plan.shortcut_shape, J)
             induced = name_restriction(ambient, positions, plan.restriction)
             instance = _Instance(m, diagonals, " J=", J)
             report = iso_by_gvectors(small, induced)
@@ -548,11 +534,11 @@ def additivity_spotcheck(q: GentleQuiver, seed: int) -> list[str]:
         lhs = hom_shift(direct_sum(x.complex, y.complex), z.complex)
         rhs = hom_shift(x.complex, z.complex) + hom_shift(y.complex, z.complex)
         if lhs != rhs:
-            x_, y_, z_ = (sv.label(q.vertices) for sv in (x, y, z))
+            x_, y_, z_ = (sv.label(q.vertices, q.shape[3]) for sv in (x, y, z))
             failures.append(f"hom_shift({x_} + {y_}, {z_}) = {lhs}, parts sum {rhs}")
         lhs = hom_shift(z.complex, direct_sum(x.complex, y.complex))
         rhs = hom_shift(z.complex, x.complex) + hom_shift(z.complex, y.complex)
         if lhs != rhs:
-            x_, y_, z_ = (sv.label(q.vertices) for sv in (x, y, z))
+            x_, y_, z_ = (sv.label(q.vertices, q.shape[3]) for sv in (x, y, z))
             failures.append(f"hom_shift({z_}, {x_} + {y_}) = {lhs}, parts sum {rhs}")
     return failures

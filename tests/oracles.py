@@ -289,16 +289,16 @@ def isomorphic_shapes(a: tuple, b: tuple) -> bool:
     force: some permutation of the vertex positions, with some matching of
     the arrows between each pair of mapped ends, carries a's relations onto
     b's (the package searches arrow by arrow instead)."""
-    n, arrows_a, relations_a = a
+    n, arrows_a, relations_a, _ = a
     if (n, len(arrows_a), len(relations_a)) != (b[0], len(b[1]), len(b[2])):
         return False
     between: dict = {}
-    for name, src, tgt in b[1]:
-        between.setdefault((src, tgt), []).append(name)
+    for k, (src, tgt) in enumerate(b[1]):
+        between.setdefault((src, tgt), []).append(k)
     for perm in permutations(range(n)):
         mapped: dict = {}
-        for name, src, tgt in arrows_a:
-            mapped.setdefault((perm[src], perm[tgt]), []).append(name)
+        for k, (src, tgt) in enumerate(arrows_a):
+            mapped.setdefault((perm[src], perm[tgt]), []).append(k)
         if {k: len(v) for k, v in mapped.items()} != {k: len(v) for k, v in between.items()}:
             continue
         ends = sorted(mapped)
@@ -590,16 +590,16 @@ def hom_dim(arrows: list[tuple[str, str, str]], M: dict, N: dict) -> int:
 def proj_representation(basis, v) -> Representation:
     """The module of paths leaving position v, with the paths as its basis:
     an arrow sends a path to its product with the arrow, or to zero."""
-    n, arrows, _ = basis.shape
+    n, arrows, _, _ = basis.shape
     at: list[list[int]] = [[] for _ in range(n)]
     for i in range(basis.dimension):
         if basis.source[i] == v:
             at[basis.target[i]].append(i)
     dims = [len(paths) for paths in at]
-    action = {}
-    for name, src, tgt in arrows:
-        products = [basis.mult(p, basis.arrow_path[name]) for p in at[src]]
-        action[name] = [-1 if p is None else at[tgt].index(p) for p in products]
+    action = []
+    for arrow, (src, tgt) in zip(basis.arrow_path, arrows):
+        products = [basis.mult(p, arrow) for p in at[src]]
+        action.append([-1 if p is None else at[tgt].index(p) for p in products])
     return Representation(basis.shape, dims, action)
 
 
@@ -658,15 +658,16 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
 # minimal presentations on dense matrices, and the all-pairs graph
 
 
-def mats(rep: Representation) -> dict[str, list[list[int]]]:
-    """The matrix of each arrow u -> v of rep, of shape dim_v x dim_u."""
-    out = {}
-    for name, src, tgt in rep.shape[1]:
+def mats(rep: Representation) -> list[list[list[int]]]:
+    """The matrix of each arrow u -> v of rep, of shape dim_v x dim_u, by
+    arrow index."""
+    out = []
+    for act, (src, tgt) in zip(rep.action, rep.shape[1]):
         mat = [[0] * rep.dims[src] for _ in range(rep.dims[tgt])]
-        for t, image in enumerate(rep.action[name]):
+        for t, image in enumerate(act):
             if image >= 0:
                 mat[image][t] = 1
-        out[name] = mat
+        out.append(mat)
     return out
 
 
@@ -698,8 +699,8 @@ def path_images(rep: Representation, basis) -> list[list[list[int]]]:
             dim = rep.dims[p.source]
             images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
         else:
-            j, name = prefix
-            images.append([mat_vec(matrices[name], vec) for vec in images[j]])
+            j, a = prefix
+            images.append([mat_vec(matrices[a], vec) for vec in images[j]])
     return images
 
 
@@ -707,13 +708,13 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
     """Minimal projective presentation of rep by elimination alone: the top
     and the kernel of the cover are computed from vectors, with no use of
     rep being monomial."""
-    n, arrows, _ = basis.shape
+    n, arrows, _, _ = basis.shape
     vertices = range(n)
     images = path_images(rep, basis)
 
     radical: list[list] = [[] for _ in vertices]
-    for name, _, tgt in arrows:
-        radical[tgt].extend(images[basis.arrow_path[name]])
+    for arrow, (_, tgt) in zip(basis.arrow_path, arrows):
+        radical[tgt].extend(images[arrow])
     summands0 = []
     for v in vertices:
         if rep.dims[v]:
@@ -734,12 +735,12 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
             raise InternalError("projective cover must be surjective")
 
     radical_at: list[list] = [[] for _ in vertices]
-    for name, u, wv in arrows:
+    for arrow, (u, wv) in zip(basis.arrow_path, arrows):
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
-                prod = basis.mult(i, basis.arrow_path[name])
+                prod = basis.mult(i, arrow)
                 if kvec[k] and prod is not None:
                     image[pos[(s, prod)]] += kvec[k]
             radical_at[wv].append(image)

@@ -601,26 +601,56 @@ NAMED_QUIVER = {
     ],
     "relations": [["beta", "alpha"]],
 }
-# sha256 of stdout for NAMED_QUIVER, frozen so that no refactor of the
-# algebra layer changes how names reach the output
-QUIVER_DIGESTS = {
-    ("silting", "json"): "dccb5d6b9969104b65e659bf1484e97208b377ba800822fb0159543703411379",
-    ("silting", "dot"): "4bf670b9bf8a69650d6cb1ecbacd3264fdc1504652e8cbb14f285f3b3d36c9dc",
-    ("silting", "text"): "5899329849f75b541691594cfe680c6abb4489ee3859640c839041961a7cafff",
-    ("verify", "json"): "a866007495d0175879ade0986a047578551c8bdadb7cf335f1ba896fa720c7f2",
+# two arrows out of x, listed against name order: the algebra orders paths,
+# strings and shortcut arrows by arrow index, where it once ordered them by
+# name, and none of that may reach the output
+FORKED_QUIVER = {
+    "vertices": ["x", "y", "z", "w"],
+    "arrows": [
+        {"id": "b", "src": "x", "tgt": "y"},
+        {"id": "a", "src": "x", "tgt": "z"},
+        {"id": "c", "src": "w", "tgt": "x"},
+    ],
+    "relations": [["c", "b"]],
 }
+# per input, the --j subset that verify reads and the sha256 of stdout per
+# (command, format), frozen so that no refactor of the algebra layer changes
+# how names reach the output
+QUIVER_INPUTS = (
+    (
+        NAMED_QUIVER,
+        "a,c,b",
+        {
+            ("silting", "json"): "dccb5d6b9969104b65e659bf1484e97208b377ba800822fb0159543703411379",
+            ("silting", "dot"): "4bf670b9bf8a69650d6cb1ecbacd3264fdc1504652e8cbb14f285f3b3d36c9dc",
+            ("silting", "text"): "5899329849f75b541691594cfe680c6abb4489ee3859640c839041961a7cafff",
+            ("verify", "json"): "a866007495d0175879ade0986a047578551c8bdadb7cf335f1ba896fa720c7f2",
+        },
+    ),
+    (
+        FORKED_QUIVER,
+        "z,x,y",
+        {
+            ("silting", "json"): "760cf6a4b29b91d973e82d7b7e9273dc9199a1a1f721d9983e178753eb95f3a4",
+            ("silting", "dot"): "ff15702744b63e48972adbe0d0e4d6452517f85c4b9e9bda1350ab5776822da0",
+            ("silting", "text"): "e980a73ced08d001737ffc0134eb4aeebe382055e5619eefa404881493b2b966",
+            ("verify", "json"): "22d9ec5cbbdd757dabc845bafb93ea59a509d4c11369affd8b6da6239e3e8073",
+        },
+    ),
+)
 
 
-@pytest.mark.parametrize("command,fmt", sorted(QUIVER_DIGESTS))
+@pytest.mark.parametrize("command,fmt", sorted(QUIVER_INPUTS[0][2]))
 def test_named_quiver_output_digest_is_frozen(capsys, tmp_path, command, fmt):
-    path = tmp_path / "q.json"
-    path.write_text(json.dumps(NAMED_QUIVER))
-    args = ["--quiver", str(path), "--format", fmt]
-    if command == "verify":
-        args += ["--theorem", "idempotent", "--j", "a,c,b"]
-    code, out, _ = run(capsys, [command, *args])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == QUIVER_DIGESTS[(command, fmt)]
+    for quiver, j, digests in QUIVER_INPUTS:
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(quiver))
+        args = ["--quiver", str(path), "--format", fmt]
+        if command == "verify":
+            args += ["--theorem", "idempotent", "--j", j]
+        code, out, _ = run(capsys, [command, *args])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[(command, fmt)]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

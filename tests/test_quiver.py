@@ -136,6 +136,19 @@ def test_gentle_checks_name_vertices_only_in_their_messages():
         algebra_basis(q.shape)
 
 
+def test_a_named_build_runs_one_gentle_check(monkeypatch, hexagon_fan):
+    # silting_complex(q) checks q's shape once, on positions; only a failure
+    # runs the check again, to name q's vertices
+    from accordion_tau import quiver, rigidity
+
+    calls = []
+    real = quiver.check_gentle
+    monkeypatch.setattr(quiver, "check_gentle", lambda *args: calls.append(args) or real(*args))
+    q = quiver_of_dissection(hexagon_fan)
+    rigidity.silting_complex(q)
+    assert len(calls) == 1
+
+
 def test_quiver_validation_errors():
     with pytest.raises(InputError):
         GentleQuiver((1, 1), (), frozenset())
@@ -171,10 +184,23 @@ def test_quiver_validation_errors():
     ],
 )
 def test_check_shape_rejects_what_a_named_quiver_rejects(shape, message):
+    # shape is a quiver on the vertices 0, 1, ... given by name: arrows as
+    # (name, source, target), relations as name pairs.  A named quiver
+    # rejects each; a fault of its shape, arrows as index pairs, check_shape
+    # rejects too, while names are checked where they are given
+    n, arrows, relations = shape
     with pytest.raises(InputError) as exc:
-        check_shape(shape)
+        GentleQuiver(tuple(range(n)), tuple(Arrow(*a) for a in arrows), relations)
     assert str(exc.value) == message
-    check_shape((2, (("a", 0, 1),), frozenset()))
+    index = {name: k for k, (name, _, _) in enumerate(arrows)}
+    if len(index) == len(arrows) and all(x in index and y in index for x, y in relations):
+        names = tuple(index)
+        ends = tuple((src, tgt) for _, src, tgt in arrows)
+        pairs = frozenset((index[x], index[y]) for x, y in relations)
+        with pytest.raises(InputError) as exc:
+            check_shape((n, ends, pairs, names))
+        assert str(exc.value) == message
+    check_shape((2, ((0, 1),), frozenset(), ("a",)))
 
 
 # -- path algebra basis --
@@ -184,7 +210,7 @@ def test_zigzag_basis_has_dimension_five(heptagon_zigzag):
     q = quiver_of_dissection(heptagon_zigzag)
     basis = algebra_basis(q.shape)
     assert basis.dimension == 5
-    assert [p.display(q.vertices) for p in basis.paths] == [
+    assert [p.display(q.vertices, q.shape[3]) for p in basis.paths] == [
         "e_0-2",
         "e_2-4",
         "e_4-6",
@@ -197,15 +223,14 @@ def test_a3_without_relation_has_dimension_six():
     q = a3_quiver(with_relation=False)
     basis = algebra_basis(q.shape)
     assert basis.dimension == 6
-    assert [p.display(q.vertices) for p in basis.paths[::5]] == ["e_1", "a.b"]
+    assert [p.display(q.vertices, q.shape[3]) for p in basis.paths[::5]] == ["e_1", "a.b"]
 
 
 def test_mult_table_on_zigzag(heptagon_zigzag):
     basis = algebra_basis(quiver_of_dissection(heptagon_zigzag).shape)
     e1 = basis.index[Path(0, ())]
     e2 = basis.index[Path(1, ())]
-    a0 = basis.arrow_path["a0"]
-    a1 = basis.arrow_path["a1"]
+    a0, a1 = basis.arrow_path
     assert basis.mult(e1, a0) == a0
     assert basis.mult(a0, e2) == a0
     assert basis.mult(a0, a1) is None  # killed by the relation
@@ -226,6 +251,21 @@ def test_mult_is_associative_on_fan(hexagon_fan):
                 left = basis.mult(ij, k) if ij is not None else None
                 right = basis.mult(i, jk) if jk is not None else None
                 assert left == right
+
+
+def test_paths_sort_by_arrow_index_not_name():
+    # two arrows out of one vertex, listed against name order: the paths of
+    # length one follow the arrows' indices
+    q = GentleQuiver(("x", "y", "z"), (Arrow("b", "x", "y"), Arrow("a", "x", "z")), frozenset())
+    basis = algebra_basis(q.shape)
+    assert [p.display(q.vertices, q.shape[3]) for p in basis.paths] == [
+        "e_x",
+        "e_y",
+        "e_z",
+        "b",
+        "a",
+    ]
+    assert basis.arrow_path == (3, 4)
 
 
 def test_relation_free_loop_is_rejected():
@@ -402,7 +442,7 @@ def test_shape_forgets_vertex_names_only():
         ("x", "y", "z"), (Arrow("a", "x", "y"), Arrow("b", "y", "z")), q.relations
     )
     assert renamed != q and renamed.shape == q.shape
-    assert q.shape == (3, (("a", 0, 1), ("b", 1, 2)), frozenset({("a", "b")}))
+    assert q.shape == (3, ((0, 1), (1, 2)), frozenset({(0, 1)}), ("a", "b"))
     # a dropped relation, a moved arrow end or a renamed arrow changes it
     assert a3_quiver(with_relation=False).shape != q.shape
     moved = GentleQuiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 3, 2)), frozenset())
@@ -433,27 +473,30 @@ def corpus_shapes(max_m: int) -> list[tuple]:
 
 
 def is_isomorphism(a: tuple, b: tuple, iso) -> bool:
-    """Does iso = (vertex map, arrow map) carry shape a onto shape b?"""
-    vmap, amap = iso
-    ends_b = {name: (src, tgt) for name, src, tgt in b[1]}
+    """Does iso = (vertex map, arrow_of) carry shape a onto shape b, b's
+    arrow k being a's arrow arrow_of[k]?"""
+    vmap, arrow_of = iso
+    number = {x: k for k, x in enumerate(arrow_of)}
     return (
         sorted(vmap) == list(range(b[0])) == list(range(a[0]))
-        and sorted(amap.values()) == sorted(ends_b)
-        and all(ends_b[amap[name]] == (vmap[s], vmap[t]) for name, s, t in a[1])
-        and {(amap[x], amap[y]) for x, y in a[2]} == set(b[2])
+        and sorted(arrow_of) == list(range(len(a[1]))) == list(range(len(b[1])))
+        and all(b[1][k] == (vmap[a[1][x][0]], vmap[a[1][x][1]]) for k, x in enumerate(arrow_of))
+        and {(number[x], number[y]) for x, y in a[2]} == set(b[2])
     )
 
 
 def relabelled(shape: tuple, rng: random.Random) -> tuple:
     """A copy of shape with its vertex positions shuffled and arrows renamed,
     listed in a shuffled order."""
-    n, arrows, relations = shape
+    n, arrows, relations, _ = shape
     perm = list(range(n))
     rng.shuffle(perm)
-    name = {a: f"r{k}" for k, (a, _, _) in enumerate(arrows)}
-    moved = [(name[a], perm[s], perm[t]) for a, s, t in arrows]
-    rng.shuffle(moved)
-    return n, tuple(moved), frozenset((name[x], name[y]) for x, y in relations)
+    order = list(range(len(arrows)))
+    rng.shuffle(order)
+    number = {a: k for k, a in enumerate(order)}
+    moved = tuple((perm[arrows[a][0]], perm[arrows[a][1]]) for a in order)
+    pairs = frozenset((number[x], number[y]) for x, y in relations)
+    return n, moved, pairs, tuple(f"r{a}" for a in order)
 
 
 def test_canonical_forms_agree_with_the_permutation_oracle():
@@ -487,55 +530,52 @@ def test_form_quivers_are_gentle_quivers_of_their_own_form():
     assert len(forms) == 47
     for form in forms:
         check_shape(form)
-        identity = {name: name for name, _, _ in form[1]}
+        identity = tuple(range(len(form[1])))
         assert canonical_form(form) == (form, tuple(range(form[0])), identity)
         ensure_gentle(form, range(form[0]))
-        assert all(isinstance(name, str) for name, _, _ in form[1])
+        assert all(isinstance(name, str) for name in form[3])
 
 
 def test_canonical_forms_find_relabelled_copies():
     # shuffled positions, renamed and reordered arrows, and vertices with
     # no arrows
     rng = random.Random(17)
-    isolated = (3, (("a", 2, 0),), frozenset())
+    isolated = (3, ((2, 0),), frozenset(), ("a",))
     for shape in corpus_shapes(7) + [isolated]:
         copy = relabelled(shape, rng)
         form, vmap, amap = canonical_form(copy)
         assert form == canonical_form(shape)[0]
         assert is_isomorphism(copy, form, (vmap, amap))
-    assert canonical_form(isolated) == (
-        (3, (("a0", 0, 1),), frozenset()), (1, 2, 0), {"a": "a0"}
-    )
+    assert canonical_form(isolated) == ((3, ((0, 1),), frozenset(), ("a0",)), (1, 2, 0), (0,))
     # forms promise completeness for gentle shapes only; for this one, with
     # parallel arrows and a loop, a shared form still gives an isomorphism,
     # each shape's map onto the form followed by the inverse of the other's
-    odd = (2, (("x", 0, 1), ("y", 0, 1), ("l", 1, 1)), frozenset({("x", "l")}))
+    odd = (2, ((0, 1), (0, 1), (1, 1)), frozenset({(0, 2)}), ("x", "y", "l"))
     assert check_gentle(odd, range(2))
-    swapped = (odd[0], odd[1], frozenset({("y", "l")}))
+    swapped = (odd[0], odd[1], frozenset({(1, 2)}), odd[3])
     form = canonical_form(odd)[0]
     for shape in (odd, relabelled(odd, rng), swapped):
         canon = canonical_form(shape)
         assert canon[0] == form and is_isomorphism(shape, form, canon[1:])
     # the same arrows, but the relation sits on the loop
-    looped = (odd[0], odd[1], frozenset({("l", "l")}))
+    looped = (odd[0], odd[1], frozenset({(2, 2)}), odd[3])
     assert canonical_form(looped)[0] != form
 
 
 def mutants(shape: tuple) -> dict[str, list[tuple]]:
     """shape with one arrow reversed, one relation dropped, or one relation
     moved to another composable pair, by kind."""
-    n, arrows, relations = shape
-    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    n, arrows, relations, names = shape
     out: dict = {"reversed": [], "dropped": [], "moved": []}
-    for k, (name, src, tgt) in enumerate(arrows):
-        flipped = {**ends, name: (tgt, src)}
+    for k, (src, tgt) in enumerate(arrows):
+        flipped = arrows[:k] + ((tgt, src),) + arrows[k + 1 :]
         kept = frozenset((x, y) for x, y in relations if flipped[x][1] == flipped[y][0])
-        out["reversed"].append((n, arrows[:k] + ((name, tgt, src),) + arrows[k + 1 :], kept))
+        out["reversed"].append((n, flipped, kept, names))
     for pair in relations:
-        out["dropped"].append((n, arrows, relations - {pair}))
-        for x, y in itertools.product(ends, repeat=2):
-            if ends[x][1] == ends[y][0] and (x, y) not in relations and x != y:
-                out["moved"].append((n, arrows, relations - {pair} | {(x, y)}))
+        out["dropped"].append((n, arrows, relations - {pair}, names))
+        for x, y in itertools.product(range(len(arrows)), repeat=2):
+            if arrows[x][1] == arrows[y][0] and (x, y) not in relations and x != y:
+                out["moved"].append((n, arrows, relations - {pair} | {(x, y)}, names))
     return out
 
 
@@ -555,8 +595,8 @@ def test_canonical_forms_reject_a_changed_quiver():
     assert all(rejected.values()), rejected
     # A4 with its relation moved from the first composable pair to the
     # second: every count and vertex degree agrees, the quivers do not
-    line = (4, (("a", 0, 1), ("b", 1, 2), ("c", 2, 3)), frozenset({("a", "b")}))
-    moved = (4, line[1], frozenset({("b", "c")}))
+    line = (4, ((0, 1), (1, 2), (2, 3)), frozenset({(0, 1)}), ("a", "b", "c"))
+    moved = (4, line[1], frozenset({(1, 2)}), line[3])
     assert not oracles.isomorphic_shapes(line, moved)
     assert canonical_form(line)[0] != canonical_form(moved)[0]
 
@@ -575,7 +615,8 @@ def test_dissection_quivers_are_gentle_and_finite(m, data):
     basis = algebra_basis(q.shape)
     assert basis.dimension >= len(q.vertices)
     # every arrow is a basis path of length one
-    assert len(basis.arrow_path) == len(q.arrows)
+    arrows = [basis.paths[i].arrows for i in basis.arrow_path]
+    assert arrows == [(a,) for a in range(len(q.arrows))]
 
 
 @given(st.integers(min_value=4, max_value=7), st.data())

@@ -75,7 +75,13 @@ def kronecker():
 def test_zigzag_has_exactly_five_strings(zigzag_algebra):
     q, basis = zigzag_algebra
     words = enumerate_strings(basis)
-    assert [w.display(q.vertices) for w in words] == ["e_0-2", "e_2-4", "e_4-6", "a0", "a1"]
+    assert [w.display(q.vertices, q.shape[3]) for w in words] == [
+        "e_0-2",
+        "e_2-4",
+        "e_4-6",
+        "a0",
+        "a1",
+    ]
 
 
 def test_fan_strings_include_the_long_walk(fan_algebra):
@@ -112,7 +118,7 @@ def test_walk_vertices_follow_letters(fan_algebra):
     # the fan's arrows run (0, 3) -> (0, 2) and (0, 4) -> (0, 3), at
     # positions 1 -> 0 and 2 -> 1
     _, basis = fan_algebra
-    w = StringWord(2, (("a1", True), ("a0", True)))
+    w = StringWord(2, ((1, True), (0, True)))
     assert walk_vertices(basis, w) == [2, 1, 0]
     inv = inverse_word(basis, w)
     assert inv.source == 0
@@ -124,11 +130,10 @@ def test_walk_vertices_follow_letters(fan_algebra):
 
 def test_string_module_of_arrow(zigzag_algebra):
     _, basis = zigzag_algebra
-    rep = string_module(basis, StringWord(0, (("a0", True),)))
+    rep = string_module(basis, StringWord(0, ((0, True),)))
     assert rep.dims == [1, 1, 0]
-    assert rep.action["a0"] == [0]
-    assert rep.action["a1"] == [-1]  # target has dimension zero
-    assert oracles.mats(rep) == {"a0": [[1]], "a1": []}
+    assert rep.action == [[0], [-1]]  # a1's target has dimension zero
+    assert oracles.mats(rep) == [[[1]], []]
 
 
 def test_string_module_respects_relations(zigzag_algebra):
@@ -151,8 +156,7 @@ def test_proj_representation_dims(zigzag_algebra):
 
 def test_simple_presentations_are_frozen(zigzag_algebra):
     _, basis = zigzag_algebra
-    a0 = basis.arrow_path["a0"]
-    a1 = basis.arrow_path["a1"]
+    a0, a1 = basis.arrow_path
 
     s1 = min_presentation(basis, string_module(basis, StringWord(0, ())))
     assert (s1.p1, s1.p0) == ((1,), (0,))
@@ -175,7 +179,7 @@ def test_presentations_are_built_from_python_ints(algebra, request):
     _, basis = request.getfixturevalue(algebra)
     for w in enumerate_strings(basis):
         rep = string_module(basis, w)
-        for images in rep.action.values():
+        for images in rep.action:
             assert all(type(x) is int for x in images)
         pres = min_presentation(basis, rep)
         for row in pres.diff:
@@ -216,8 +220,8 @@ def test_hom_shift_against_tau_oracle(zigzag_algebra):
         "S1": StringWord(0, ()),
         "S2": StringWord(1, ()),
         "S3": StringWord(2, ()),
-        "P1": StringWord(0, (("a0", True),)),
-        "P2": StringWord(1, (("a1", True),)),
+        "P1": StringWord(0, ((0, True),)),
+        "P2": StringWord(1, ((1, True),)),
     }
     pres = {
         n: min_presentation(basis, string_module(basis, w)) for n, w in words.items()
@@ -384,7 +388,8 @@ def test_silting_vertices_match_the_frozen_digest():
             for sv in silting_vertices(q):
                 c = sv.complex
                 p0, p1 = (tuple(q.vertices[v] for v in part) for part in (c.p0, c.p1))
-                h.update(repr((sv.label(q.vertices), sv.gvec, p0, p1, c.diff)).encode())
+                label = sv.label(q.vertices, q.shape[3])
+                h.update(repr((label, sv.gvec, p0, p1, c.diff)).encode())
                 count += 1
     assert count == 11960
     assert h.hexdigest() == (
@@ -394,12 +399,12 @@ def test_silting_vertices_match_the_frozen_digest():
 
 def test_direct_sum_sums_the_modules(zigzag_algebra):
     _, basis = zigzag_algebra
-    x = min_presentation(basis, string_module(basis, StringWord(0, (("a0", True),))))
+    x = min_presentation(basis, string_module(basis, StringWord(0, ((0, True),))))
     y = min_presentation(basis, string_module(basis, StringWord(1, ())))
     s = direct_sum(x, y)
     assert s.module.dims == [1, 2, 0]
-    assert s.module.action["a0"] == [0]
-    assert oracles.mats(s.module)["a0"] == [[1], [0]]
+    assert s.module.action[0] == [0]
+    assert oracles.mats(s.module)[0] == [[1], [0]]
     assert direct_sum(y, shifted_projective(basis, 0)).module.dims == y.module.dims
 
 
@@ -419,7 +424,7 @@ def test_direct_sum_concatenates(zigzag_algebra):
 def test_zigzag_silting_vertices_frozen(zigzag_algebra):
     q, _ = zigzag_algebra
     verts = silting_vertices(q)
-    assert [(v.label(q.vertices), v.gvec) for v in verts] == [
+    assert [(v.label(q.vertices, q.shape[3]), v.gvec) for v in verts] == [
         ("P_0-2[1]", (-1, 0, 0)),
         ("P_2-4[1]", (0, -1, 0)),
         ("P_4-6[1]", (0, 0, -1)),
@@ -505,7 +510,7 @@ def test_labelling_a_shape_core_equals_a_direct_build():
                     cores[q.shape] = silting_core(algebra_basis(q.shape))
                     continue
                 core = cores[q.shape]
-                labelled, direct = _label_core(core, q.vertices), silting_complex(q)
+                labelled, direct = _label_core(core, q.vertices, q.shape[3]), silting_complex(q)
                 assert labelled == direct
                 assert labelled.to_json() == direct.to_json()
                 assert labelled.graph is core.graph
@@ -516,19 +521,26 @@ def test_labelling_a_shape_core_equals_a_direct_build():
     assert len(cores) == 105 and checked > len(cores)
 
 
-def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
-    # every ambient and shortcut quiver shape with m <= 7: a copy of its
-    # first quiver with renamed vertices has an equal core, and the silting
-    # vertices carry the labels of the silting complex, in its order
+def first_quiver_of_each_shape(max_m: int) -> dict:
+    """The first ambient or shortcut quiver of each shape that the
+    dissections with m <= max_m give, by shape, in the order met."""
     from accordion_tau.geometry import all_dissections
 
     first = {}
-    for m in range(4, 8):
+    for m in range(4, max_m + 1):
         for d in all_dissections(m):
             big = quiver_of_dissection(d)
             basis = algebra_basis(big.shape)
             for q in [big] + [s for _, s in shortcut_quivers(basis, big.vertices)]:
                 first.setdefault(q.shape, q)
+    return first
+
+
+def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
+    # every ambient and shortcut quiver shape with m <= 7: a copy of its
+    # first quiver with renamed vertices has an equal core, and the silting
+    # vertices carry the labels of the silting complex, in its order
+    first = first_quiver_of_each_shape(7)
     for q in first.values():
         name = {v: f"v{k}" for k, v in enumerate(q.vertices)}
         renamed = GentleQuiver(
@@ -539,8 +551,21 @@ def test_cores_forget_vertex_names_and_vertices_carry_the_complex_labels():
         assert renamed != q and renamed.shape == q.shape
         assert silting_core(algebra_basis(renamed.shape)) == silting_core(algebra_basis(q.shape))
         labels = [v.label for v in silting_complex(q).vertices]
-        assert [sv.label(q.vertices) for sv in silting_vertices(q)] == labels
+        assert [sv.label(q.vertices, q.shape[3]) for sv in silting_vertices(q)] == labels
     assert len(first) == 105
+
+
+def test_cores_ignore_arrow_names():
+    # every ambient and shortcut quiver shape with m <= 7: the shape with
+    # only its arrow names changed has an equal core, letters included, so
+    # names reach a complex only through the labels
+    renamed_shapes = 0
+    for shape in first_quiver_of_each_shape(7):
+        names = tuple(f"r{k}" for k in reversed(range(len(shape[1]))))
+        renamed = shape[:3] + (names,)
+        assert silting_core(algebra_basis(renamed)) == silting_core(algebra_basis(shape))
+        renamed_shapes += renamed != shape
+    assert renamed_shapes == 105 - 2  # all but the two shapes with no arrow
 
 
 def test_transported_cores_equal_direct_builds():
@@ -568,7 +593,7 @@ def test_transported_cores_equal_direct_builds():
                     forms[canon[0]] = silting_core(algebra_basis(canon[0]))
                 moved = transport_core(forms[canon[0]], canon, q.shape)
                 assert moved == silting_core(algebra_basis(q.shape))
-                labelled, built = _label_core(moved, q.vertices), silting_complex(q)
+                labelled, built = _label_core(moved, q.vertices, q.shape[3]), silting_complex(q)
                 assert labelled.facets == built.facets
                 assert labelled == built
                 assert labelled.to_json() == built.to_json()
@@ -579,15 +604,7 @@ def test_transport_keeps_the_orientation_enumerate_strings_keeps():
     # the orientation _first_met picks for a string and for its inverse is
     # the one enumerate_strings keeps, on every shape with m <= 7 and on
     # quivers with a loop, whose closed strings tie on source position
-    from accordion_tau.geometry import all_dissections
-
-    quivers = {}
-    for m in range(4, 8):
-        for d in all_dissections(m):
-            big = quiver_of_dissection(d)
-            basis = algebra_basis(big.shape)
-            for q in [big] + [s for _, s in shortcut_quivers(basis, big.vertices)]:
-                quivers.setdefault(q.shape, q)
+    quivers = first_quiver_of_each_shape(7)
     loop = GentleQuiver(
         (1, 2),
         (Arrow("l", 1, 1), Arrow("b", 1, 2)),
@@ -606,7 +623,7 @@ def test_transport_keeps_the_orientation_enumerate_strings_keeps():
     # l and b'.l.b close up; enumerate_strings keeps l' and b'.l'.b
     assert closed == 2
     strings = enumerate_strings(algebra_basis(loop.shape))
-    assert {w.display(loop.vertices) for w in strings} >= {"l'", "b'.l'.b"}
+    assert {w.display(loop.vertices, loop.shape[3]) for w in strings} >= {"l'", "b'.l'.b"}
 
 
 # -- invariants survive python -O --

@@ -1,6 +1,9 @@
 """Every function, class and module-level assignment the package defines is
 used: named in the package or its scripts outside its own definition,
-exported in accordion_tau.__all__, or a dunder."""
+exported in accordion_tau.__all__, or a dunder.  And every annotated field
+of a class the package defines is read as an attribute somewhere in the
+package or its scripts; that scan matches by attribute name only, so a read
+of x.name counts for every field called name, whatever x is."""
 
 import ast
 import pathlib
@@ -60,6 +63,41 @@ def unused_definitions(defining, using):
     ]
 
 
+def _fields(tree):
+    """(line, class name, field name) of every annotated field in the body
+    of a class in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.lineno, node.name, item.target.id
+
+
+def _attribute_reads(tree, out):
+    """Add to out the name of every attribute tree reads: loads it, or
+    updates it in place (x.name += 1)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+
+
+def unread_fields(defining, using):
+    """(file name, line, class.field) of each annotated field of a class
+    defined in the files defining that no file in using reads as an
+    attribute, matched by attribute name only."""
+    read: set = set()
+    for path in using:
+        _attribute_reads(ast.parse(path.read_text()), read)
+    return [
+        (path.name, line, f"{cls}.{name}")
+        for path in defining
+        for line, cls, name in sorted(_fields(ast.parse(path.read_text())))
+        if name not in read
+    ]
+
+
 def test_every_function_and_class_in_the_package_is_used():
     defining = sorted(PACKAGE.glob("*.py"))
     assert unused_definitions(defining, defining + sorted((ROOT / "scripts").glob("*.py"))) == []
@@ -89,3 +127,28 @@ def test_the_scan_flags_a_helper_named_only_by_itself_or_a_docstring(tmp_path):
         ("module.py", 8, "Box"),
         ("module.py", 12, "Alias"),
     ]
+
+
+def test_every_class_field_in_the_package_is_read():
+    defining = sorted(PACKAGE.glob("*.py"))
+    assert unread_fields(defining, defining + sorted((ROOT / "scripts").glob("*.py"))) == []
+
+
+def test_the_field_scan_flags_a_field_that_is_only_stored(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass\n"
+        "class Basis:\n"
+        "    paths: tuple\n"
+        "    ends: dict\n"
+        "    count: int = 0\n"
+        "    LIMIT = 3\n"
+        "\n"
+        "def grow(basis):\n"
+        "    basis.ends = {}\n"
+        "    basis.count += 1\n"
+        "    return basis.paths\n"
+    )
+    assert unread_fields([module], [module]) == [("module.py", 6, "Basis.ends")]

@@ -155,11 +155,10 @@ def test_a_repeated_gvector_in_a_form_core_fails_the_sweeps(monkeypatch):
 
 
 def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(monkeypatch):
-    # one basis per ambient shape, on the shape's own quiver, shared by the
-    # plans of its first dissection and, when the shape is a form met first
-    # as an ambient shape, by its silting build; and one per other form,
-    # which a form met first in a shortcut build keeps for its first
-    # dissection when it is an ambient shape too
+    # one basis per ambient shape, for the plans of its first dissection,
+    # and one per form, for its silting build: 49 + 15 bases at m=7, where
+    # the 6 forms that are ambient shapes too get one of each, and no basis
+    # outlives the build that reads it
     ambients, shapes = set(), set()
     for q in map(quiver_of_dissection, all_dissections(7)):
         ambients.add(q.shape)
@@ -170,7 +169,8 @@ def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(m
     assert verify.verify_idempotent_exhaustive(7).ok
     built = Counter(shape for shape, in calls)
     assert set(built) == ambients | forms and len(built) == 49 + 15 - 6
-    assert max(built.values()) == 1 and len(calls) == 58
+    assert {shape for shape, k in built.items() if k == 2} == ambients & forms
+    assert max(built.values()) == 2 and len(calls) == 64
 
 
 def test_single_idempotent_check_builds_one_basis_of_its_quiver(monkeypatch):
@@ -376,8 +376,7 @@ def test_idempotent_sweep_cuts_each_dissection_once_and_builds_no_quiver_per_dis
 ):
     # the idempotent sweep reads each dissection as the main sweep does:
     # one cells(d), the quiver's shape off it, and no GentleQuiver at all,
-    # for d or for a shortcut; its plans are made on the shape's basis,
-    # which also serves the shape's silting build when it is a form
+    # for d or for a shortcut; its plans are made on the shape's basis
     dissections = all_dissections(7)
     met = shapes_and_forms(7, shortcuts=True)
     cut = count_calls(monkeypatch, quiver, "cells")
@@ -404,8 +403,7 @@ def test_verify_main_cuts_its_dissection_once(monkeypatch):
 def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     # a plan per (ambient shape, J positions): 541 label-free restrictions
     # for the 1,400 instances at m=7, with one core per isomorphism class,
-    # and one basis per ambient shape and per core, less the six forms that
-    # are ambient shapes too, each with one basis for its core and its plans
+    # and one basis per ambient shape and one per core
     pairs = {
         (q.shape, positions)
         for q in map(quiver_of_dissection, all_dissections(7))
@@ -418,7 +416,7 @@ def test_idempotent_sweep_restricts_once_per_shape_and_positions(monkeypatch):
     summary = verify.verify_idempotent_exhaustive(7)
     assert summary.ok and summary.checked == len(namings) == 1400
     assert len(restrictions) == len(pairs) == 541
-    assert len(cores) == 15 and len(bases) == 49 + 15 - 6
+    assert len(cores) == 15 and len(bases) == 49 + 15
 
 
 @pytest.mark.parametrize("m", [6, 7])
