@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,12 +58,26 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class ComplexVertex:
+    """A named vertex of a complex; equality and hashing ignore payload."""
+
+    __slots__ = ("id", "gvec", "label", "payload")
     id: int
     gvec: tuple[int, ...]
     label: str
-    payload: dict = field(default_factory=dict, compare=False)
+    payload: dict
+
+    def __init__(self, id: int, gvec: tuple[int, ...], label: str, payload: dict | None = None):
+        self.id, self.gvec, self.label = id, gvec, label
+        self.payload = {} if payload is None else payload
+
+    def __eq__(self, other):
+        if not isinstance(other, ComplexVertex):
+            return NotImplemented
+        return (self.id, self.gvec, self.label) == (other.id, other.gvec, other.label)
+
+    def __hash__(self):
+        return hash((self.id, self.gvec, self.label))
 
 
 def _vertex_records(gvecs, keys, name_of) -> tuple[ComplexVertex, ...]:
@@ -75,7 +88,6 @@ def _vertex_records(gvecs, keys, name_of) -> tuple[ComplexVertex, ...]:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class LabeledComplex:
     """The clique complex of a compatibility graph on vertices 0..n-1.
 
@@ -97,7 +109,11 @@ class LabeledComplex:
     keys: Sequence
     name_of: Callable[..., tuple[str, dict]]
     graph: tuple[int, ...]
-    kind: str | None = None
+    kind: str | None
+
+    def __init__(self, coordinates, gvecs, keys, name_of, graph, kind=None):
+        self.coordinates, self.gvecs, self.keys = coordinates, gvecs, keys
+        self.name_of, self.graph, self.kind = name_of, graph, kind
 
     @cached_property
     def vertices(self) -> tuple[ComplexVertex, ...]:
@@ -227,14 +243,26 @@ def _clique_masks(n: int, adj) -> Iterator[int]:
             candidates ^= low
 
 
-@dataclass(frozen=True)
 class ExchangeGraph:
+    """Facets as nodes and flips as edges; equality and hashing ignore
+    ridges."""
+
+    __slots__ = ("nodes", "edges", "ridges")
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    # the ridge index the edges were read from; not compared, not rendered
-    ridges: dict[frozenset[int], list[int]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    # the ridge index the edges were read from; not compared
+    ridges: dict[frozenset[int], list[int]]
+
+    def __init__(self, nodes, edges, ridges):
+        self.nodes, self.edges, self.ridges = nodes, edges, ridges
+
+    def __eq__(self, other):
+        if not isinstance(other, ExchangeGraph):
+            return NotImplemented
+        return (self.nodes, self.edges) == (other.nodes, other.edges)
+
+    def __hash__(self):
+        return hash((self.nodes, self.edges))
 
     def to_json(self) -> dict:
         return {
@@ -267,8 +295,7 @@ def dual_graph(cx: LabeledComplex) -> ExchangeGraph:
     return ExchangeGraph(tuple(cx.facets), tuple(edges), ridges)
 
 
-@dataclass(frozen=True)
-class PseudomanifoldReport:
+class PseudomanifoldReport(NamedTuple):
     pure: bool
     ridges_ok: bool
     connected: bool
@@ -318,12 +345,28 @@ def is_pseudomanifold(cx: LabeledComplex) -> PseudomanifoldReport:
     return PseudomanifoldReport(pure, ridges_ok, connected, tuple(failures))
 
 
-@dataclass
 class IsoReport:
+    """The verdict of a g-vector match; compare_nested may fail a passed one."""
+
+    __slots__ = ("passed", "vertex_map", "failures", "generic_found")
     passed: bool
     vertex_map: dict[int, int] | None
     failures: list[str]
-    generic_found: bool | None = None
+    generic_found: bool | None
+
+    def __init__(self, passed, vertex_map, failures, generic_found=None):
+        self.passed, self.vertex_map = passed, vertex_map
+        self.failures, self.generic_found = failures, generic_found
+
+    def __eq__(self, other):
+        if not isinstance(other, IsoReport):
+            return NotImplemented
+        return (self.passed, self.vertex_map, self.failures, self.generic_found) == (
+            other.passed,
+            other.vertex_map,
+            other.failures,
+            other.generic_found,
+        )
 
     def to_json(self) -> dict:
         out = {

@@ -18,7 +18,7 @@ on it, and the accordion side reads its compatibility graph off it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AdjacentVerticesError,
@@ -28,15 +28,27 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
 class PointCycle:
     """The polygon's size: m white vertices, m >= 3."""
 
+    __slots__ = ("m",)
     m: int
 
-    def __post_init__(self):
-        if self.m < 3:
-            raise InputError(f"need at least 3 white vertices, got m={self.m}")
+    def __init__(self, m: int):
+        if m < 3:
+            raise InputError(f"need at least 3 white vertices, got m={m}")
+        self.m = m
+
+    def __eq__(self, other):
+        if not isinstance(other, PointCycle):
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash(self.m)
+
+    def __repr__(self):
+        return f"PointCycle(m={self.m})"
 
 
 def crosses(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
@@ -58,8 +70,7 @@ def _adjacent_labels(m: int, i: int, j: int) -> bool:
     return (i - j) % m in (0, 1, m - 1)
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple):
     """A set of pairwise noncrossing white diagonals, each its label pair
     (p, q) with p < q, kept in input order."""
 

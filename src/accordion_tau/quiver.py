@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
+from typing import NamedTuple
 
 from .errors import EmptySubsetError, InfiniteDimensionalError, InputError
 from .geometry import Dissection, cells, sides
@@ -39,44 +39,60 @@ def vertex_label(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     src: tuple | int | str
     tgt: tuple | int | str
 
 
-@dataclass(frozen=True)
 class GentleQuiver:
+    """A quiver given by name: its vertices, its arrows, and its relations
+    as pairs of arrow names.  Construction checks the names and the shape
+    (check_shape); equality and hashing read the three fields."""
+
+    __slots__ = ("vertices", "arrows", "relations", "shape")
     vertices: tuple
     arrows: tuple[Arrow, ...]
     relations: frozenset[tuple[str, str]]
+    # (n, arrows, relations, names): the quiver with its vertices replaced
+    # by their positions and its arrows by their indices, so arrows are
+    # (source, target) position pairs and relations index pairs, with the
+    # arrow names in order.  Quivers of one shape differ only in vertex
+    # names.  An arrow end outside the vertices has position -1, which
+    # check_shape rejects.
+    shape: tuple
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple, arrows: tuple, relations: frozenset):
+        self.vertices, self.arrows, self.relations = vertices, arrows, relations
+        if len(set(vertices)) != len(vertices):
             raise InputError("duplicate quiver vertices")
-        names = {a.name for a in self.arrows}
-        if len(names) != len(self.arrows):
+        names = tuple(a.name for a in arrows)
+        index = {name: k for k, name in enumerate(names)}
+        if len(index) != len(arrows):
             raise InputError("duplicate arrow names")
-        for first, second in self.relations:
-            if first not in names or second not in names:
+        for first, second in relations:
+            if first not in index or second not in index:
                 raise InputError(f"relation ({first}, {second}) names a missing arrow")
+        pos = {v: k for k, v in enumerate(vertices)}
+        self.shape = (
+            len(vertices),
+            tuple((pos.get(a.src, -1), pos.get(a.tgt, -1)) for a in arrows),
+            frozenset((index[x], index[y]) for x, y in relations),
+            names,
+        )
         check_shape(self.shape)
 
-    @cached_property
-    def shape(self) -> tuple:
-        """(n, arrows, relations, names): the quiver with its vertices
-        replaced by their positions and its arrows by their indices, so
-        arrows are (source, target) position pairs and relations index
-        pairs, with the arrow names in order.  Quivers of one shape differ
-        only in vertex names.  An arrow end outside the vertices has
-        position -1, which check_shape rejects."""
-        pos = {v: k for k, v in enumerate(self.vertices)}
-        names = tuple(a.name for a in self.arrows)
-        index = {name: k for k, name in enumerate(names)}
-        arrows = tuple((pos.get(a.src, -1), pos.get(a.tgt, -1)) for a in self.arrows)
-        relations = frozenset((index[x], index[y]) for x, y in self.relations)
-        return (len(self.vertices), arrows, relations, names)
+    def __eq__(self, other):
+        if not isinstance(other, GentleQuiver):
+            return NotImplemented
+        return (self.vertices, self.arrows, self.relations) == (
+            other.vertices,
+            other.arrows,
+            other.relations,
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows, self.relations))
 
     def to_json(self) -> dict:
         return {
@@ -178,8 +194,7 @@ def dissection_shape(d: Dissection, faces: list[tuple[int, ...]]) -> tuple:
     return (len(position), tuple(arrows), frozenset(relations), arrow_names("a", len(arrows)))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A composable sequence of arrow indices from the vertex at position
     source; empty means the lazy path there."""
 
@@ -194,8 +209,7 @@ class Path:
         return ".".join(names[a] for a in self.arrows)
 
 
-@dataclass
-class AlgebraBasis:
+class AlgebraBasis(NamedTuple):
     """All relation-free paths of a gentle quiver shape, with the product
     table.
 
@@ -209,12 +223,12 @@ class AlgebraBasis:
 
     shape: tuple
     paths: tuple[Path, ...]
-    index: dict[Path, int] = field(repr=False)
-    source: tuple = field(repr=False)
-    target: tuple = field(repr=False)
-    arrow_path: tuple[int, ...] = field(repr=False)
-    prefix: tuple = field(repr=False)
-    by_ends: dict = field(repr=False)
+    index: dict[Path, int]
+    source: tuple
+    target: tuple
+    arrow_path: tuple[int, ...]
+    prefix: tuple
+    by_ends: dict
 
     @property
     def dimension(self) -> int:
@@ -318,8 +332,8 @@ def nonempty_subsets(items: tuple) -> list[tuple]:
 def _shortcut_shape(basis: AlgebraBasis, positions: tuple) -> tuple:
     """The shape of the shortcut quiver at the ascending, nonempty vertex
     positions, read off basis: its k-th vertex is the one at positions[k],
-    its arrow k is the k-th of shortcut_paths, named sk, and it is checked
-    gentle."""
+    its arrow k is the k-th of shortcut_paths, named sk.  It is not checked
+    gentle: each caller checks it once, most by building its basis."""
     renumber = {v: k for k, v in enumerate(positions)}
     shortcuts = shortcut_paths(basis, renumber)
     arrows = tuple((renumber[basis.source[i]], renumber[basis.target[i]]) for i in shortcuts)
@@ -328,9 +342,7 @@ def _shortcut_shape(basis: AlgebraBasis, positions: tuple) -> tuple:
         for kb, ib in enumerate(shortcuts):
             if basis.target[ia] == basis.source[ib] and basis.mult(ia, ib) is None:
                 relations.add((ka, kb))
-    shape = (len(positions), arrows, frozenset(relations), arrow_names("s", len(arrows)))
-    ensure_gentle(shape, range(len(positions)))
-    return shape
+    return (len(positions), arrows, frozenset(relations), arrow_names("s", len(arrows)))
 
 
 def subset_positions(q: GentleQuiver, J) -> tuple[int, ...]:
@@ -354,6 +366,7 @@ def shortcut_quiver(q: GentleQuiver, J) -> GentleQuiver:
     """
     positions = subset_positions(q, J)
     shape = _shortcut_shape(quiver_basis(q), positions)
+    ensure_gentle(shape, range(len(positions)))
     return _quiver_on(shape, tuple(q.vertices[k] for k in positions))
 
 
@@ -361,15 +374,15 @@ def shortcut_quivers(basis: AlgebraBasis, vertices: tuple) -> Iterator[tuple[tup
     """(J, shortcut_quiver(q, J)) for every J in nonempty_subsets(vertices),
     all read off basis, the algebra basis of the quiver q of basis.shape on
     these vertices.  Besides the tests, its one caller is the consistency
-    sweep (verify.verify_consistency_exhaustive); the idempotent sweep
-    calls _shortcut_shape per plan instead."""
+    sweep (verify.verify_consistency_exhaustive), whose subalgebra check
+    builds each shortcut's basis and so checks it gentle; the idempotent
+    sweep calls _shortcut_shape per plan instead."""
     for positions in nonempty_subsets(tuple(range(len(vertices)))):
         J = tuple(vertices[k] for k in positions)
         yield J, _quiver_on(_shortcut_shape(basis, positions), J)
 
 
-@dataclass
-class SubalgebraReport:
+class SubalgebraReport(NamedTuple):
     passed: bool
     failures: list[str]
     dimension: int

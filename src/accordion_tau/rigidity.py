@@ -46,7 +46,6 @@ compare it (main and idempotent) live in verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .complexes import LabeledComplex, induced_graph
@@ -59,8 +58,7 @@ from .quiver import AlgebraBasis, GentleQuiver, quiver_basis, vertex_label
 # strings
 
 
-@dataclass(frozen=True)
-class StringWord:
+class StringWord(NamedTuple):
     """A reduced walk in the quiver from the vertex at position source:
     letters are (arrow index, forward?)."""
 
@@ -149,16 +147,28 @@ def enumerate_strings(basis: AlgebraBasis) -> list[StringWord]:
 # representations
 
 
-@dataclass
 class Representation:
+    """A monomial representation of a quiver shape; equality reads shape,
+    dims and action."""
+
+    __slots__ = ("shape", "dims", "action", "_images")
     shape: tuple
     # the dimension at each vertex position
     dims: list[int]
     # by arrow index, for arrow u -> v: the index at v of each basis vector's
     # image at u, -1 for zero
     action: list[list[int]]
-    # (basis, table) of the last path_images call; not compared, not rendered
-    _images: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # (basis, table) of the last path_images call; not compared
+    _images: tuple | None
+
+    def __init__(self, shape: tuple, dims: list[int], action: list[list[int]]):
+        self.shape, self.dims, self.action = shape, dims, action
+        self._images = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return (self.shape, self.dims, self.action) == (other.shape, other.dims, other.action)
 
     def path_images(self, basis: AlgebraBasis) -> list[list[int]]:
         """images[i][t]: the index of basis vector t at the source of path i
@@ -211,8 +221,7 @@ def _sum_representations(x: Representation, y: Representation) -> Representation
 # two-term complexes of projectives
 
 
-@dataclass
-class TwoTermComplex:
+class TwoTermComplex(NamedTuple):
     """P1 -> P0 with entries written as radical path combinations.
 
     p1 and p0 list the summand vertex positions; diff[r][c] maps a path

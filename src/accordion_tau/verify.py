@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .accordion import accordion_complex, accordion_complex_of_cells
@@ -115,6 +114,7 @@ from .quiver import (
     canonical_form,
     check_shape,
     dissection_shape,
+    ensure_gentle,
     idempotent_subalgebra_check,
     nonempty_subsets,
     quiver_basis,
@@ -289,18 +289,28 @@ class _Instance(NamedTuple):
         return f"{text}{self.joiner}{list(self.rest)}" if self.joiner else text
 
 
-@dataclass
 class VerifySummary:
     """Counts and messages of one sweep.  An instance is anything whose
     str() names it (the sweeps pass an _Instance), and it is written out
     only for a message."""
 
+    __slots__ = ("theorem", "checked", "passed", "failures", "structural", "complexes_audited")
     theorem: str
-    checked: int = 0
-    passed: int = 0
-    failures: list[str] = field(default_factory=list)
-    structural: list[str] = field(default_factory=list)
-    complexes_audited: int = 0
+    checked: int
+    passed: int
+    failures: list[str]
+    structural: list[str]
+    complexes_audited: int
+
+    def __init__(self, theorem: str):
+        self.theorem = theorem
+        self.checked = self.passed = self.complexes_audited = 0
+        self.failures, self.structural = [], []
+
+    def __eq__(self, other):
+        if not isinstance(other, VerifySummary):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     @property
     def ok(self) -> bool:
@@ -453,7 +463,8 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
     plans: dict[tuple, dict[tuple, _Plan]] = {}  # ambient shape -> J positions -> plan
     # plans repeat their parts: the 4,221 plans at m=8 hold 1,851 distinct
     # kept-vertex tuples, 190 g-vector tuples and 185 graph tuples, so they
-    # share one copy of each, and of each shortcut shape
+    # share one copy of each, and of each shortcut shape, which is checked
+    # gentle when first met
     shared: dict[tuple, tuple] = {}
 
     for d in all_dissections(m):
@@ -471,7 +482,10 @@ def verify_idempotent_exhaustive(m: int, structural: bool = False) -> VerifySumm
             plan = shape_plans.get(positions)
             if plan is None:
                 small_shape = _shortcut_shape(basis, positions)
-                small_shape = shared.setdefault(small_shape, small_shape)
+                if small_shape not in shared:
+                    ensure_gentle(small_shape, range(small_shape[0]))
+                    shared[small_shape] = small_shape
+                small_shape = shared[small_shape]
                 parts = restriction(ambient, positions)
                 kept = Restriction(*(shared.setdefault(part, part) for part in parts))
                 plan = shape_plans[positions] = _Plan(small_shape, kept)

@@ -182,11 +182,12 @@ def records_copy(cx: LabeledComplex) -> LabeledComplex:
     return records_complex(cx.coordinates, cx.vertices, cx.graph, cx.kind)
 
 
-@dataclass(frozen=True, eq=False)
 class FacetComplex(LabeledComplex):
     """A complex given only its facets, with no compatibility graph."""
 
-    given_facets: tuple[tuple[int, ...], ...] = ()
+    def __init__(self, coordinates, gvecs, keys, name_of, given_facets):
+        super().__init__(coordinates, gvecs, keys, name_of, None)
+        self.given_facets = given_facets
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -198,7 +199,7 @@ def facet_complex(coordinates, vertices, facets) -> LabeledComplex:
     no clique complexes (a triangle boundary, say).  Facets are sorted and
     deduplicated."""
     norm = tuple(sorted({tuple(sorted(f)) for f in facets}))
-    return FacetComplex(*_record_columns(coordinates, vertices), graph=None, given_facets=norm)
+    return FacetComplex(*_record_columns(coordinates, vertices), norm)
 
 
 def induced_subcomplex(cx: LabeledComplex, vertex_ids) -> LabeledComplex:

@@ -1,6 +1,5 @@
 """Labeled complex plumbing: cliques, duals, isomorphism, audits."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -13,6 +12,7 @@ import oracles
 from accordion_tau.accordion import accordion_complex
 from accordion_tau.complexes import (
     ComplexVertex,
+    LabeledComplex,
     check_facet_independence,
     check_gvector_injectivity,
     check_sign_coherence,
@@ -52,6 +52,17 @@ def clique(gvecs, edges, kind=None):
     pairs = {frozenset(e) for e in edges}
     graph = oracles.compatibility_graph(len(verts), lambda i, j: frozenset((i, j)) in pairs)
     return oracles.records_complex(coords, verts, graph, kind)
+
+
+def test_vertex_records_compare_and_hash_without_their_payload():
+    # a complex's equality and hashing read its vertex records, and a
+    # payload (a record's JSON extras) is no part of a vertex's identity
+    a = ComplexVertex(0, (1, 0), "v0", {"kind": "module"})
+    b = ComplexVertex(0, (1, 0), "v0")
+    assert a == b and hash(a) == hash(b) and b.payload == {}
+    assert {a: 1}[b] == 1
+    assert a != ComplexVertex(0, (1, 0), "v1") and a != ComplexVertex(1, (1, 0), "v0")
+    assert a != ComplexVertex(0, (0, 1), "v0")
 
 
 TRIANGLE_BOUNDARY = [(0, 1), (1, 2), (0, 2)]
@@ -513,14 +524,15 @@ def test_a_restriction_names_only_its_kept_vertices_as_its_parent_does():
 
 
 def test_a_complex_with_another_graph_keeps_its_naming_columns():
-    # dataclasses.replace on the graph keeps keys and naming function, so
+    # a copy built with another graph keeps keys and naming function, so
     # the copy's vertices are named alike with the original's, and neither
     # complex names a vertex to tell
     cx = accordion_complex(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
-    assert [f.name for f in dataclasses.fields(cx)] == [
+    assert list(LabeledComplex.__annotations__) == [
         "coordinates", "gvecs", "keys", "name_of", "graph", "kind"
     ]
-    moved = dataclasses.replace(cx, graph=(0,) * len(cx.graph))
+    graph = (0,) * len(cx.graph)
+    moved = LabeledComplex(cx.coordinates, cx.gvecs, cx.keys, cx.name_of, graph, cx.kind)
     assert moved.keys is cx.keys and moved.name_of is cx.name_of
     assert moved.gvecs is cx.gvecs and moved.kind == cx.kind
     assert all(moved.named_alike(v, cx, v) for v in range(len(cx.gvecs)))
@@ -609,7 +621,8 @@ def flip_signs(cx, whole=False):
                     g = list(cx.vertices[u].gvec)
                     g = [-y for y in g] if whole else g[:c] + [-x] + g[c + 1 :]
                     verts = list(cx.vertices)
-                    verts[u] = dataclasses.replace(verts[u], gvec=tuple(g))
+                    v = verts[u]
+                    verts[u] = ComplexVertex(v.id, tuple(g), v.label, v.payload)
                     return oracles.records_complex(cx.coordinates, verts, cx.graph, cx.kind)
     return None
 

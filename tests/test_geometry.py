@@ -46,6 +46,18 @@ def test_point_cycle_layout():
         PointCycle(2)
 
 
+def test_dissections_compare_and_hash_by_value():
+    # the sweeps and the benchmark key dissections and their cycles by value
+    d = validate_dissection(6, [(0, 2), (0, 3)])
+    same = validate_dissection(6, [(0, 2), (0, 3)])
+    assert d is not same and d == same and hash(d) == hash(same)
+    assert {d: 1}[same] == 1 and {d.cycle: 1}[PointCycle(6)] == 1
+    assert d != validate_dissection(7, [(0, 2), (0, 3)])
+    assert d != validate_dissection(6, [(0, 3), (0, 2)])
+    with pytest.raises(InputError, match="^need at least 3 white vertices, got m=2$"):
+        PointCycle(2)
+
+
 def test_oracle_dist_counts_counterclockwise_steps():
     cycle = PointCycle(4)
     assert oracles.dist(cycle, 6, 2) == 4

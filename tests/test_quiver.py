@@ -45,6 +45,18 @@ def a3_quiver(with_relation=True):
     )
 
 
+def test_quiver_records_compare_and_hash_by_value(heptagon_zigzag):
+    # bases key paths by value, and quivers of equal dissections are equal
+    q, same = quiver_of_dissection(heptagon_zigzag), quiver_of_dissection(heptagon_zigzag)
+    assert q is not same and q == same and hash(q) == hash(same) and {q: 1}[same] == 1
+    assert q != a3_quiver() and q.shape == same.shape
+    assert Arrow("a", 1, 2) == Arrow("a", 1, 2) and {Arrow("a", 1, 2): 1}[Arrow("a", 1, 2)] == 1
+    assert Arrow("a", 1, 2) != Arrow("b", 1, 2)
+    basis = algebra_basis(q.shape)
+    assert all(basis.index[Path(p.source, p.arrows)] == i for i, p in enumerate(basis.paths))
+    assert Path(0, (0,)) != Path(1, (0,)) and hash(Path(0, (0,))) == hash(Path(0, (0,)))
+
+
 # -- quivers of dissections, frozen shapes --
 
 

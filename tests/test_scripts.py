@@ -26,6 +26,19 @@ def run_python(*argv):
     )
 
 
+def test_importing_the_package_loads_no_dataclass_machinery():
+    # every command is a fresh process: the package's records are
+    # NamedTuples and plain classes, so importing it and its command line
+    # loads neither dataclasses nor the inspect module that it pulls in
+    code = (
+        "import sys, accordion_tau, accordion_tau.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = run_python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def run_exhaustive(*argv):
     return run_python(str(ROOT / "scripts" / "run_exhaustive.py"), *argv)
 

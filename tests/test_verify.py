@@ -1,6 +1,5 @@
 """Exhaustive drivers build each complex once per sweep; the structural audit."""
 
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -16,7 +15,7 @@ import accordion_tau.quiver as quiver
 import accordion_tau.rigidity as rigidity
 import accordion_tau.verify as verify
 import accordion_tau.complexes as complexes
-from accordion_tau.complexes import ComplexVertex
+from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AccordionTauError, NonPureComplexError
 from accordion_tau.geometry import Dissection, all_dissections, validate_dissection
 from accordion_tau.quiver import quiver_of_dissection, shortcut_quiver
@@ -173,6 +172,55 @@ def test_idempotent_sweep_builds_one_basis_per_ambient_shape_and_silting_build(m
     assert max(built.values()) == 2 and len(calls) == 64
 
 
+def test_each_shape_use_runs_one_gentle_check(monkeypatch):
+    # a shortcut shape is checked where it is used: by its basis build in
+    # the single check (the ambient quiver's basis checks the other) and in
+    # the consistency sweep (196 ambient + 1,400 shortcut bases at m=7), and
+    # once per distinct shortcut shape in the idempotent sweep, beside one
+    # check per basis of its 49 ambient shapes and 15 forms; 8 forms are
+    # also ambient or shortcut shapes, so 114 distinct shapes are checked
+    calls = count_calls(monkeypatch, quiver, "check_gentle")
+    q = quiver_of_dissection(validate_dissection(7, [(0, 2), (0, 3), (3, 5)]))
+    assert verify.verify_idempotent_reduction(q, [(3, 5), (0, 2)]).passed
+    assert len(calls) == 2
+    calls.clear()
+    assert verify.verify_consistency_exhaustive(7).ok
+    assert len(calls) == 196 + 1400
+    calls.clear()
+    assert verify.verify_idempotent_exhaustive(7).ok
+    assert len(calls) == 49 + 15 + 58 == 122
+    assert len({shape for shape, _ in calls}) == 114
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        shortcut_quiver,
+        verify.verify_idempotent_reduction,
+        lambda q, J: verify.verify_idempotent_exhaustive(5),
+    ],
+    ids=["shortcut_quiver", "verify_idempotent_reduction", "verify_idempotent_exhaustive"],
+)
+def test_a_shortcut_that_is_not_gentle_is_rejected_by_every_caller(monkeypatch, build):
+    # every two-vertex shortcut made into three parallel arrows: each caller
+    # runs the one gentle check, and the message names shortcut positions
+    real = quiver._shortcut_shape
+
+    def parallel(basis, positions):
+        if len(positions) != 2:
+            return real(basis, positions)
+        return (2, ((0, 1),) * 3, frozenset(), quiver.arrow_names("s", 3))
+
+    for module in (quiver, verify):
+        monkeypatch.setattr(module, "_shortcut_shape", parallel)
+    q = quiver_of_dissection(validate_dissection(6, [(0, 2), (0, 3), (0, 4)]))
+    with pytest.raises(AccordionTauError) as err:
+        build(q, [(0, 2), (0, 4)])
+    assert str(err.value) == (
+        "quiver is not gentle: vertex 0 has 3 outgoing arrows; vertex 1 has 3 incoming arrows"
+    )
+
+
 def test_single_idempotent_check_builds_one_basis_of_its_quiver(monkeypatch):
     # the basis of q's shape serves both the shortcut quiver's shape and q's
     # own silting complex; the shortcut shape builds the other basis
@@ -309,7 +357,7 @@ def test_compare_nested_reads_records_when_keys_cannot_tell():
     small = verify.accordion_complex(validate_dissection(6, [(0, 3)]))
     induced = verify.restrict_to_coordinates(verify.accordion_complex(fan), (1,))
     assert verify.compare_nested(small, induced).passed
-    records = [dataclasses.replace(v, payload=dict(v.payload)) for v in induced.vertices]
+    records = [ComplexVertex(v.id, v.gvec, v.label, dict(v.payload)) for v in induced.vertices]
     copy = oracles.records_complex(induced.coordinates, records, induced.graph)
     assert verify.compare_nested(small, copy).passed
     records[0].payload["black"], records[1].payload["black"] = [2, 5], [0, 3]
@@ -324,13 +372,13 @@ def test_compare_nested_reads_records_when_keys_cannot_tell():
 def count_quivers(monkeypatch) -> list:
     """Count every GentleQuiver constructed, wherever it is made."""
     made = []
-    real = quiver.GentleQuiver.__post_init__
+    real = quiver.GentleQuiver.__init__
 
-    def counting(self):
+    def counting(self, *args):
         made.append(self)
-        real(self)
+        real(self, *args)
 
-    monkeypatch.setattr(quiver.GentleQuiver, "__post_init__", counting)
+    monkeypatch.setattr(quiver.GentleQuiver, "__init__", counting)
     return made
 
 
@@ -575,7 +623,7 @@ def without_first_pair(cx):
     graph = list(cx.graph)
     graph[u] ^= 1 << w
     graph[w] ^= 1 << u
-    return dataclasses.replace(cx, graph=tuple(graph), kind=None)
+    return LabeledComplex(cx.coordinates, cx.gvecs, cx.keys, cx.name_of, tuple(graph))
 
 
 def drop_a_pair(monkeypatch) -> None:
