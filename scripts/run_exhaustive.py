@@ -5,9 +5,12 @@ Usage:
     python scripts/run_exhaustive.py --max-m 7 --structural
 
 Prints one row per (theorem, m) with counts, timing and the process's peak
-resident memory so far (ru_maxrss, in MB), and exits nonzero if anything
-fails.  Sizes start at --min-m (at least 4; smaller polygons have no
-diagonals) and stop at --max-m or at the theorem's DEFAULT_CEILING,
+resident memory so far (ru_maxrss, in MB), and exits 1 if any sweep reports
+a failure.  A sweep that raises a package error (AccordionTauError, such as
+an impure complex) stops the run with one `error: <theorem> m=<m>:
+<message>` line on stderr and exit code 4, the code `accordion-tau` gives a
+broken invariant.  Sizes start at --min-m (at least 4; smaller polygons
+have no diagonals) and stop at --max-m or at the theorem's DEFAULT_CEILING,
 whichever is lower: m=10 for main, m=9 for nested, m=8 for idempotent and
 m=7 for consistency; a range with no size left is a usage error.  The
 safety cap ACCORDION_TAU_MAX_M belongs to the `accordion-tau` command and
@@ -19,6 +22,7 @@ import resource
 import sys
 import time
 
+from accordion_tau.errors import AccordionTauError
 from accordion_tau.verify import DRIVERS
 
 # the subset sweeps blow up fast; keep their default ceiling lower
@@ -63,7 +67,11 @@ def main() -> int:
     for name in names:
         for m in range(args.min_m, ceilings[name] + 1):
             t0 = time.perf_counter()
-            summary = DRIVERS[name](m, structural=args.structural)
+            try:
+                summary = DRIVERS[name](m, structural=args.structural)
+            except AccordionTauError as exc:
+                print(f"error: {name} m={m}: {exc}", file=sys.stderr)
+                return 4
             dt = time.perf_counter() - t0
             # ru_maxrss is in kilobytes on Linux
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -17,8 +17,10 @@ shapes share one form, itself a shape, and it returns the shape's
 isomorphism onto its form, as index maps, which is one of their algebras
 too.  The path algebra uses left
 to right composition: the product p * q means "walk p, then walk q", so
-paths from u to v span the subspace e_u A e_v.  Bases only exist for finite
-dimensional algebras; a relation-free cycle raises instead.
+paths from u to v span the subspace e_u A e_v.  Its basis keeps one table
+of products, path times arrow (AlgebraBasis.succ); products of paths, the
+shortcut quivers and the subalgebra check follow it.  Bases only exist for
+finite dimensional algebras; a relation-free cycle raises instead.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ class GentleQuiver:
 
 
 @cache
-def arrow_names(prefix: str, count: int) -> tuple[str, ...]:
-    """The names of count arrows numbered by index: prefix0, prefix1, ...
-    One tuple per (prefix, count), shared by every shape that uses it."""
-    return tuple(f"{prefix}{k}" for k in range(count))
+def arrow_names(stem: str, count: int) -> tuple[str, ...]:
+    """The names of count arrows numbered by index: stem0, stem1, ...
+    One tuple per (stem, count), shared by every shape that uses it."""
+    return tuple(f"{stem}{k}" for k in range(count))
 
 
 def check_shape(shape: tuple) -> None:
@@ -210,45 +212,41 @@ class Path(NamedTuple):
 
 
 class AlgebraBasis(NamedTuple):
-    """All relation-free paths of a gentle quiver shape, with the product
-    table.
+    """All relation-free paths of a gentle quiver shape, with the one table
+    of their products by arrows.
 
     Indices into `paths` are the working currency everywhere downstream,
-    and paths run between vertex positions.  mult(i, j) returns the index of
-    the concatenated path or None when the product is zero (relation hit or
-    endpoints mismatch).  prefix[i] is (index of path i without its last
-    arrow, that arrow), or None for a lazy path; the prefix always comes
-    earlier in `paths`.  arrow_path[a] is the index of the path of arrow a.
+    and paths run between vertex positions.  Paths sort by length, then
+    source, then arrow indices, so the lazy path at position v has index v.
+    succ[i] maps each arrow a that extends path i without a relation to the
+    index of path i followed by a; every other product is read off it.
     """
 
     shape: tuple
     paths: tuple[Path, ...]
-    index: dict[Path, int]
-    source: tuple
-    target: tuple
-    arrow_path: tuple[int, ...]
-    prefix: tuple
-    by_ends: dict
+    source: tuple[int, ...]
+    target: tuple[int, ...]
+    succ: tuple[dict[int, int], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.paths)
 
-    def between(self, u, v) -> list[int]:
-        """Indices of paths running from u to v, ascending."""
-        return self.by_ends.get((u, v), [])
+    def follow(self, i: int, arrows) -> int | None:
+        """The index of path i followed by arrows, or None when that walk
+        hits a relation or does not compose."""
+        for a in arrows:
+            i = self.succ[i].get(a)
+            if i is None:
+                return None
+        return i
 
     def mult(self, i: int, j: int) -> int | None:
+        """The index of the product of paths i and j, or None when it is
+        zero (endpoints mismatch or a relation at the junction)."""
         if self.target[i] != self.source[j]:
             return None
-        p, q = self.paths[i], self.paths[j]
-        if not p.arrows:
-            return j
-        if not q.arrows:
-            return i
-        if (p.arrows[-1], q.arrows[0]) in self.shape[2]:
-            return None
-        return self.index[Path(p.source, p.arrows + q.arrows)]
+        return self.follow(i, self.paths[j].arrows)
 
 
 def algebra_basis(shape: tuple) -> AlgebraBasis:
@@ -281,17 +279,12 @@ def algebra_basis(shape: tuple) -> AlgebraBasis:
 
     paths.sort(key=lambda p: (len(p.arrows), p.source, p.arrows))
     index = {p: i for i, p in enumerate(paths)}
+    succ: tuple[dict[int, int], ...] = tuple({} for _ in paths)
+    for i, p in enumerate(paths):
+        if p.arrows:
+            succ[index[Path(p.source, p.arrows[:-1])]][p.arrows[-1]] = i
     target = tuple(arrows[p.arrows[-1]][1] if p.arrows else p.source for p in paths)
-    source = tuple(p.source for p in paths)
-    arrow_path = tuple(index[Path(src, (a,))] for a, (src, _) in enumerate(arrows))
-    by_ends: dict = {}
-    for i in range(len(paths)):
-        by_ends.setdefault((source[i], target[i]), []).append(i)
-    prefix = tuple(
-        (index[Path(p.source, p.arrows[:-1])], p.arrows[-1]) if p.arrows else None
-        for p in paths
-    )
-    return AlgebraBasis(shape, tuple(paths), index, source, target, arrow_path, prefix, by_ends)
+    return AlgebraBasis(shape, tuple(paths), tuple(p.source for p in paths), target, succ)
 
 
 def quiver_basis(q: GentleQuiver) -> AlgebraBasis:
@@ -421,23 +414,22 @@ def idempotent_subalgebra_check(
     def shown(i: int) -> str:
         return basis.paths[i].display(vertices, names)
 
-    def fold(i: int) -> Path | None:
-        """Rewrite a J-to-J path of the big algebra as a shortcut path."""
+    def fold(i: int) -> int | None:
+        """The index in the shortcut basis of a J-to-J path of the big
+        algebra, cut at its interior J visits, or None when it does not
+        fold."""
         p = basis.paths[i]
-        if not p.arrows:
-            return Path(small[p.source], ())
         pieces = []
         seg_start = 0
         walk = [p.source] + [arrows[a][1] for a in p.arrows]
         for pos in range(1, len(walk)):
             if walk[pos] in small:
-                seg = Path(walk[seg_start], p.arrows[seg_start:pos])
-                piece_idx = basis.index[seg]
+                piece_idx = basis.follow(walk[seg_start], p.arrows[seg_start:pos])
                 if piece_idx not in shortcut_by_path:
                     return None
                 pieces.append(shortcut_by_path[piece_idx])
                 seg_start = pos
-        return Path(small[p.source], tuple(pieces))
+        return sbasis.follow(small[p.source], pieces)
 
     jj_paths = [
         i
@@ -447,10 +439,10 @@ def idempotent_subalgebra_check(
     folded: dict[int, int] = {}
     for i in jj_paths:
         image = fold(i)
-        if image is None or image not in sbasis.index:
+        if image is None:
             failures.append(f"path {shown(i)} does not fold into the shortcut basis")
             continue
-        folded[i] = sbasis.index[image]
+        folded[i] = image
 
     if len(set(folded.values())) != len(folded):
         failures.append("folding is not injective")

@@ -10,12 +10,14 @@ objects is vanishing of the hom-shift pairing in both directions, computed
 exactly by integer elimination.
 
 Each representation builds one path-image table per basis (every basis
-vector's index pushed along every basis path), and both minimal
-presentations and the hom-shift pairing read it.  Every two-term complex x
-carries its cohomology H^0 x as a representation, and Hom(x, y[1]) is the
-cokernel of Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and
-Reiten, "tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0
-modulo those through dy are exactly the maps x.p1 -> H^0 y.
+vector's index pushed along every basis path, filled through the basis's
+successor table AlgebraBasis.succ), and both minimal presentations and the
+hom-shift pairing read it; a presentation also reads succ for the arrow
+images of its kernel.  Every two-term complex x carries its cohomology
+H^0 x as a representation, and Hom(x, y[1]) is the cokernel of
+Hom(x.p0, H^0 y) -> Hom(x.p1, H^0 y) (Adachi, Iyama and Reiten,
+"tau-tilting theory"): x.p1 is projective, so maps x.p1 -> y.p0 modulo
+those through dy are exactly the maps x.p1 -> H^0 y.
 
 Everything here works on an algebra basis (quiver.algebra_basis), so on
 vertex positions and arrow indices: a string letter is (arrow index,
@@ -174,18 +176,18 @@ class Representation:
         """images[i][t]: the index of basis vector t at the source of path i
         pushed along it, -1 when the path kills it.
 
-        Built once per basis: a path's images are its prefix path's images
-        sent on by its last arrow.
+        Built once per basis: the lazy path at v fixes each vector at v,
+        and the images of path basis.succ[i][a] are those of path i sent on
+        by arrow a.  A path sorts after the one it extends, so the images
+        of path i are filled before its successors read them.
         """
         if self._images is None or self._images[0] is not basis:
-            images: list[list[int]] = []
-            for p, prefix in zip(basis.paths, basis.prefix):
-                if prefix is None:
-                    images.append(list(range(self.dims[p.source])))
-                else:
-                    j, a = prefix
+            images: list[list[int]] = [list(range(dim)) for dim in self.dims]
+            images += [[]] * (basis.dimension - len(images))
+            for row, succ in zip(images, basis.succ):
+                for a, j in succ.items():
                     act = self.action[a]
-                    images.append([-1 if t < 0 else act[t] for t in images[j]])
+                    images[j] = [-1 if t < 0 else act[t] for t in row]
             self._images = (basis, images)
         return self._images[1]
 
@@ -298,11 +300,13 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
     images = rep.path_images(basis)
 
     summands0 = _top_lifts(rep)  # (vertex, basis index in rep)
-    # P0 basis elements at a vertex u: pairs (summand position, path index)
+    # P0 basis elements at a vertex u: pairs (summand position, path index),
+    # by summand, then by path index
     p0_at: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for s, (v, _) in enumerate(summands0):
-        for u in vertices:
-            p0_at[u].extend((s, i) for i in basis.between(v, u))
+        for i, (src, tgt) in enumerate(zip(basis.source, basis.target)):
+            if src == v:
+                p0_at[tgt].append((s, i))
 
     kernel_at: list[list[list[int]]] = [[] for _ in vertices]
     for u in vertices:
@@ -326,7 +330,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
 
     # arrow images of the kernel, in P0 coordinates at the arrow's target
     radical_at: list[list[list[int]]] = [[] for _ in vertices]
-    for arrow, (u, wv) in zip(basis.arrow_path, arrows):
+    for a, (u, wv) in enumerate(arrows):
         if not kernel_at[u]:
             continue
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
@@ -335,7 +339,7 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
             for k, (s, i) in enumerate(p0_at[u]):
                 if kvec[k] == 0:
                     continue
-                prod = basis.mult(i, arrow)
+                prod = basis.succ[i].get(a)
                 if prod is not None:
                     image[pos[(s, prod)]] += kvec[k]
             radical_at[wv].append(image)

@@ -33,6 +33,7 @@ from accordion_tau.geometry import Dissection, PointCycle, cells
 from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AlgebraMismatchError
 from accordion_tau.linalg import RowSpace
+from accordion_tau.quiver import Path
 from accordion_tau.rigidity import Representation, TwoTermComplex, _top
 
 
@@ -585,6 +586,38 @@ def hom_dim(arrows: list[tuple[str, str, str]], M: dict, N: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the path algebra, read off basis.paths alone
+
+
+def path_end(basis, i: int) -> int:
+    """The position where basis path i ends."""
+    p = basis.paths[i]
+    return basis.shape[1][p.arrows[-1]][1] if p.arrows else p.source
+
+
+def between(basis, u: int, v: int) -> list[int]:
+    """Indices of the basis paths from position u to position v, ascending."""
+    return [i for i, p in enumerate(basis.paths) if p.source == u and path_end(basis, i) == v]
+
+
+def arrow_paths(basis) -> list[int]:
+    """The index of each arrow's basis path, by arrow index."""
+    return [basis.paths.index(Path(src, (a,))) for a, (src, _) in enumerate(basis.shape[1])]
+
+
+def path_product(basis, i: int, j: int) -> int | None:
+    """The index of the product of basis paths i and j: the two paths
+    joined and looked up by value among basis.paths, or None when they do
+    not compose or meet at a relation."""
+    p, q = basis.paths[i], basis.paths[j]
+    if path_end(basis, i) != q.source:
+        return None
+    if p.arrows and q.arrows and (p.arrows[-1], q.arrows[0]) in basis.shape[2]:
+        return None
+    return basis.paths.index(Path(p.source, p.arrows + q.arrows))
+
+
+# ---------------------------------------------------------------------------
 # projectives as modules and as two-term complexes
 
 
@@ -592,14 +625,11 @@ def proj_representation(basis, v) -> Representation:
     """The module of paths leaving position v, with the paths as its basis:
     an arrow sends a path to its product with the arrow, or to zero."""
     n, arrows, _, _ = basis.shape
-    at: list[list[int]] = [[] for _ in range(n)]
-    for i in range(basis.dimension):
-        if basis.source[i] == v:
-            at[basis.target[i]].append(i)
+    at = [between(basis, v, w) for w in range(n)]
     dims = [len(paths) for paths in at]
     action = []
-    for arrow, (src, tgt) in zip(basis.arrow_path, arrows):
-        products = [basis.mult(p, arrow) for p in at[src]]
+    for arrow, (src, tgt) in zip(arrow_paths(basis), arrows):
+        products = [path_product(basis, p, arrow) for p in at[src]]
         action.append([-1 if p is None else at[tgt].index(p) for p in products])
     return Representation(basis.shape, dims, action)
 
@@ -620,7 +650,7 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     coords: dict[tuple[int, int, int], int] = {}
     for r, yv in enumerate(y.p0):
         for c, xv in enumerate(x.p1):
-            for p in basis.between(yv, xv):
+            for p in between(basis, yv, xv):
                 coords[(r, c, p)] = len(coords)
     if not coords:
         return 0
@@ -628,12 +658,12 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
     trivial = RowSpace(len(coords))
     for r, yv in enumerate(y.p0):
         for s, xv in enumerate(x.p0):
-            for g in basis.between(yv, xv):
+            for g in between(basis, yv, xv):
                 vec = [0] * len(coords)
                 hit = False
                 for c in range(len(x.p1)):
                     for p, coeff in x.diff[s][c].items():
-                        prod = basis.mult(g, p)
+                        prod = path_product(basis, g, p)
                         if prod is not None:
                             vec[coords[(r, c, prod)]] += coeff
                             hit = True
@@ -641,12 +671,12 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
                     trivial.add(vec)
     for t, yv in enumerate(y.p1):
         for c, xv in enumerate(x.p1):
-            for h in basis.between(yv, xv):
+            for h in between(basis, yv, xv):
                 vec = [0] * len(coords)
                 hit = False
                 for r in range(len(y.p0)):
                     for p, coeff in y.diff[r][t].items():
-                        prod = basis.mult(p, h)
+                        prod = path_product(basis, p, h)
                         if prod is not None:
                             vec[coords[(r, c, prod)]] += coeff
                             hit = True
@@ -695,13 +725,13 @@ def path_images(rep: Representation, basis) -> list[list[list[int]]]:
     as a vector: its prefix path's images times its last arrow's matrix."""
     matrices = mats(rep)
     images: list[list[list[int]]] = []
-    for p, prefix in zip(basis.paths, basis.prefix):
-        if prefix is None:
+    for p in basis.paths:
+        if not p.arrows:
             dim = rep.dims[p.source]
             images.append([[int(r == t) for r in range(dim)] for t in range(dim)])
         else:
-            j, a = prefix
-            images.append([mat_vec(matrices[a], vec) for vec in images[j]])
+            j = basis.paths.index(Path(p.source, p.arrows[:-1]))
+            images.append([mat_vec(matrices[p.arrows[-1]], vec) for vec in images[j]])
     return images
 
 
@@ -714,7 +744,7 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
     images = path_images(rep, basis)
 
     radical: list[list] = [[] for _ in vertices]
-    for arrow, (_, tgt) in zip(basis.arrow_path, arrows):
+    for arrow, (_, tgt) in zip(arrow_paths(basis), arrows):
         radical[tgt].extend(images[arrow])
     summands0 = []
     for v in vertices:
@@ -723,7 +753,7 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
     p0_at: list[list] = [[] for _ in vertices]
     for s, (v, _) in enumerate(summands0):
         for u in vertices:
-            p0_at[u].extend((s, i) for i in basis.between(v, u))
+            p0_at[u].extend((s, i) for i in between(basis, v, u))
 
     kernel_at: list[list] = [[] for _ in vertices]
     for u in vertices:
@@ -736,12 +766,12 @@ def min_presentation(basis, rep: Representation) -> TwoTermComplex:
             raise InternalError("projective cover must be surjective")
 
     radical_at: list[list] = [[] for _ in vertices]
-    for arrow, (u, wv) in zip(basis.arrow_path, arrows):
+    for arrow, (u, wv) in zip(arrow_paths(basis), arrows):
         pos = {pair: k for k, pair in enumerate(p0_at[wv])}
         for kvec in kernel_at[u]:
             image = [0] * len(p0_at[wv])
             for k, (s, i) in enumerate(p0_at[u]):
-                prod = basis.mult(i, arrow)
+                prod = path_product(basis, i, arrow)
                 if kvec[k] and prod is not None:
                     image[pos[(s, prod)]] += kvec[k]
             radical_at[wv].append(image)

@@ -46,14 +46,14 @@ def a3_quiver(with_relation=True):
 
 
 def test_quiver_records_compare_and_hash_by_value(heptagon_zigzag):
-    # bases key paths by value, and quivers of equal dissections are equal
+    # paths are found by value, and quivers of equal dissections are equal
     q, same = quiver_of_dissection(heptagon_zigzag), quiver_of_dissection(heptagon_zigzag)
     assert q is not same and q == same and hash(q) == hash(same) and {q: 1}[same] == 1
     assert q != a3_quiver() and q.shape == same.shape
     assert Arrow("a", 1, 2) == Arrow("a", 1, 2) and {Arrow("a", 1, 2): 1}[Arrow("a", 1, 2)] == 1
     assert Arrow("a", 1, 2) != Arrow("b", 1, 2)
     basis = algebra_basis(q.shape)
-    assert all(basis.index[Path(p.source, p.arrows)] == i for i, p in enumerate(basis.paths))
+    assert all(basis.paths.index(Path(p.source, p.arrows)) == i for i, p in enumerate(basis.paths))
     assert Path(0, (0,)) != Path(1, (0,)) and hash(Path(0, (0,))) == hash(Path(0, (0,)))
 
 
@@ -240,16 +240,42 @@ def test_a3_without_relation_has_dimension_six():
 
 def test_mult_table_on_zigzag(heptagon_zigzag):
     basis = algebra_basis(quiver_of_dissection(heptagon_zigzag).shape)
-    e1 = basis.index[Path(0, ())]
-    e2 = basis.index[Path(1, ())]
-    a0, a1 = basis.arrow_path
+    e1, e2 = 0, 1  # the lazy path at position v has index v
+    a0, a1 = basis.follow(e1, (0,)), basis.follow(e2, (1,))
+    assert basis.paths[a0] == Path(0, (0,)) and basis.paths[a1] == Path(1, (1,))
     assert basis.mult(e1, a0) == a0
     assert basis.mult(a0, e2) == a0
     assert basis.mult(a0, a1) is None  # killed by the relation
     assert basis.mult(a1, a0) is None  # endpoints do not match
     assert basis.mult(e1, e2) is None
-    assert basis.between(0, 1) == [a0]
-    assert basis.between(1, 0) == []
+    # a0 is the one path out of e1 into e2, and a0.a1 hits the relation
+    assert basis.succ == ({0: a0}, {1: a1}, {}, {}, {})
+    assert basis.follow(e2, (0,)) is None
+
+
+def test_the_successor_table_holds_on_every_shape_and_form():
+    # every dissection shape with m <= 8 and its canonical form: the lazy
+    # path at v has index v, following a path's arrows from the lazy path at
+    # its source finds it, each successor is its path with one more arrow,
+    # and for m <= 6 mult is the product that joins the two paths and looks
+    # the result up by value
+    checked = 0
+    for m in range(4, 9):
+        shapes = {dissection_shape(d, cells(d)) for d in all_dissections(m)}
+        shapes |= {canonical_form(shape)[0] for shape in shapes}
+        for shape in shapes:
+            basis = algebra_basis(shape)
+            paths = basis.paths
+            assert paths[: shape[0]] == tuple(Path(v, ()) for v in range(shape[0]))
+            for i, p in enumerate(paths):
+                assert basis.follow(p.source, p.arrows) == i
+                for a, j in basis.succ[i].items():
+                    assert paths[j] == Path(p.source, p.arrows + (a,))
+            if m <= 6:
+                for i, j in itertools.product(range(len(paths)), repeat=2):
+                    assert basis.mult(i, j) == oracles.path_product(basis, i, j)
+            checked += 1
+    assert checked == 1 + 3 + 15 + 58 + 239
 
 
 def test_mult_is_associative_on_fan(hexagon_fan):
@@ -277,7 +303,7 @@ def test_paths_sort_by_arrow_index_not_name():
         "b",
         "a",
     ]
-    assert basis.arrow_path == (3, 4)
+    assert basis.succ[0] == {0: 3, 1: 4}
 
 
 def test_relation_free_loop_is_rejected():
@@ -627,7 +653,7 @@ def test_dissection_quivers_are_gentle_and_finite(m, data):
     basis = algebra_basis(q.shape)
     assert basis.dimension >= len(q.vertices)
     # every arrow is a basis path of length one
-    arrows = [basis.paths[i].arrows for i in basis.arrow_path]
+    arrows = [basis.paths[basis.follow(src, (a,))].arrows for a, (src, _) in enumerate(q.shape[1])]
     assert arrows == [(a,) for a in range(len(q.arrows))]
 
 

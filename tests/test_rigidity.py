@@ -156,7 +156,7 @@ def test_proj_representation_dims(zigzag_algebra):
 
 def test_simple_presentations_are_frozen(zigzag_algebra):
     _, basis = zigzag_algebra
-    a0, a1 = basis.arrow_path
+    a0, a1 = basis.follow(0, (0,)), basis.follow(1, (1,))
 
     s1 = min_presentation(basis, string_module(basis, StringWord(0, ())))
     assert (s1.p1, s1.p0) == ((1,), (0,))

@@ -1,14 +1,17 @@
-"""The command line and its scripts, run as separate processes the way a user runs them."""
+"""The command line and its scripts, run as separate processes the way a user runs them,
+or in-process where a test patches the package."""
 
 import hashlib
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import pytest
 
 import accordion_tau
+from conftest import flip_crossing
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = pathlib.Path(accordion_tau.__file__).resolve().parents[1]
@@ -60,6 +63,21 @@ def test_run_exhaustive_runs_every_registered_driver():
         ["consistency", "4", "2", "2", "0"],
         ["consistency", "5", "20", "20", "0"],
     ]
+
+
+@pytest.mark.parametrize("theorem, flags", [("main", ["--structural"]), ("nested", [])])
+def test_run_exhaustive_reports_a_package_error_in_one_line(monkeypatch, capsys, theorem, flags):
+    # b0-b2 and b1-b3 cross; calling them compatible makes an accordion
+    # complex impure, which the first sweep (m=4) raises on: the structural
+    # audit reads its facets, and the nested check screens them by design
+    flip_crossing(monkeypatch, {(0, 2), (1, 3)})
+    argv = ["run_exhaustive.py", "--max-m", "6", "--theorem", theorem, *flags]
+    monkeypatch.setattr(sys, "argv", argv)
+    main = runpy.run_path(str(ROOT / "scripts" / "run_exhaustive.py"))["main"]
+    assert main() == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == []
+    assert err == f"error: {theorem} m=4: accordion facet (0, 1) has size 2, expected 1\n"
 
 
 def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
