@@ -81,8 +81,11 @@ def main() -> int:
             )
             if not summary.ok:
                 bad += 1
-                for msg in summary.failures[:5] + summary.structural[:5]:
-                    print(f"    ! {msg}")
+                for messages in (summary.failures, summary.structural):
+                    for msg in messages[:5]:
+                        print(f"    ! {msg}")
+                    if len(messages) > 5:
+                        print(f"    ... and {len(messages) - 5} more")
     if bad:
         print(f"{bad} sweep(s) failed", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Accordion complexes of polygon dissections, 2-term silting complexes of
 gentle algebras, and exact g-vector comparisons between the two."""
 
-from .accordion import accordion_complex, g_vector
+from .accordion import accordion_complex
 from .complexes import dual_graph, generic_iso, iso_by_gvectors, is_pseudomanifold
 from .geometry import Dissection, all_dissections, validate_dissection
 from .quiver import (
@@ -38,7 +38,6 @@ __all__ = [
     "check_gentle",
     "dual_graph",
     "enumerate_strings",
-    "g_vector",
     "generic_iso",
     "hom_shift",
     "idempotent_subalgebra_check",

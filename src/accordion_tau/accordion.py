@@ -54,7 +54,6 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .complexes import LabeledComplex, induced_graph
-from .errors import InputError, NotAccordionError
 from .geometry import Dissection, all_white_diagonal_pairs, cells, noncrossing, sides
 
 
@@ -146,40 +145,6 @@ def _accordion(d: Dissection, faces: list[tuple[int, ...]]):
         rejected |= s
     rows = tuple([k for k in range(len(split.blacks)) if not rejected >> k & 1])
     return split, rows, _gvecs(rows, plus, minus)
-
-
-def g_vector(d: Dissection, black: tuple[int, int]) -> tuple[int, ...]:
-    """One coordinate per diagonal of d, in dissection order.
-
-    For black = (i, j), the black diagonal b_i-b_j with i < j, and
-    S = {i+1, ..., j}: a diagonal (p, q), p < q, with both or neither
-    endpoint in S is not crossed and gets 0.  A crossed one gets 0 when its
-    two cells have the same lone vertex.  Otherwise take the lone vertex of
-    the cell reached first from b_i, the cell inside the arc p..q when
-    p <= i < q and the other one otherwise: the coordinate is +1 when that
-    vertex lies outside S and -1 when inside.
-
-    Raises InputError when black is not a black diagonal of d's m-gon, and
-    NotAccordionError, naming the first cell with two or more vertices on
-    each side of S and its crossed sides in side order.
-    """
-    m = d.cycle.m
-    split = _split(m)
-    black = tuple(black)
-    if black not in split.blacks:
-        raise InputError(
-            f"{black} is not a black diagonal of the {m}-gon: "
-            f"need labels 0 <= i < j < {m}, not adjacent, and not (0, {m - 1})"
-        )
-    k = split.blacks.index(black)
-    faces = cells(d)
-    straddle, plus, minus = _split_pass(d, split, faces)
-    i, j = black
-    for cell, s in zip(faces, straddle):
-        if s >> k & 1:
-            crossed = [f"{p}-{q}" for p, q in sides(cell) if (i < p <= j) != (i < q <= j)]
-            raise NotAccordionError(cell, crossed)
-    return _gvecs([k], plus, minus)[0]
 
 
 def accordion_complex(d: Dissection) -> LabeledComplex:

@@ -49,18 +49,6 @@ class EmptySubsetError(InputError):
         super().__init__(msg)
 
 
-class NotAccordionError(AccordionTauError):
-    """A black diagonal that misses the two-consecutive-sides condition in some cell."""
-
-    def __init__(self, cell_vertices, crossed_sides):
-        self.cell_vertices = tuple(cell_vertices)
-        self.crossed_sides = tuple(crossed_sides)
-        super().__init__(
-            f"not an accordion diagonal: cell {self.cell_vertices} has crossed sides "
-            f"{list(self.crossed_sides)}"
-        )
-
-
 class UnsupportedAlgebraError(AccordionTauError):
     """The algebra falls outside the finite-dimensional band-free scope."""
 

@@ -209,16 +209,6 @@ def string_module(basis: AlgebraBasis, w: StringWord) -> Representation:
     return Representation(basis.shape, dims, action)
 
 
-def _sum_representations(x: Representation, y: Representation) -> Representation:
-    """Block-diagonal direct sum, x's basis vectors first at every vertex."""
-    dims = [a + b for a, b in zip(x.dims, y.dims)]
-    action = [
-        xs + [-1 if t < 0 else t + x.dims[tgt] for t in ys]
-        for xs, ys, (_, tgt) in zip(x.action, y.action, x.shape[1])
-    ]
-    return Representation(x.shape, dims, action)
-
-
 # ---------------------------------------------------------------------------
 # two-term complexes of projectives
 
@@ -368,18 +358,6 @@ def min_presentation(basis: AlgebraBasis, rep: Representation) -> TwoTermComplex
         diff,
         rep,
     )
-
-
-def direct_sum(x: TwoTermComplex, y: TwoTermComplex) -> TwoTermComplex:
-    if x.basis is not y.basis:
-        raise AlgebraMismatchError()
-    diff = [
-        [dict(entry) for entry in row] + [dict() for _ in y.p1] for row in x.diff
-    ] + [
-        [dict() for _ in x.p1] + [dict(entry) for entry in row] for row in y.diff
-    ]
-    module = _sum_representations(x.module, y.module)
-    return TwoTermComplex(x.basis, x.p1 + y.p1, x.p0 + y.p0, diff, module)
 
 
 def hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:

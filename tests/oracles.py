@@ -13,7 +13,9 @@ dimensions from an intertwiner linear system with its own little
 elimination, and the hom-shift pairing from maps between projectives instead of H^0, and quiver
 isomorphisms from vertex permutations instead of an arrow-by-arrow search.  Agreement
 between the two routes is the point of the tests.  Projectives as modules and as two-term complexes, which only the tests
-need, live here too, and so do the dense route to minimal presentations
+need, live here too, and so do direct sums and the seeded check that
+hom_shift is additive under them, the error the crossing walk raises on
+a black diagonal that is no accordion diagonal, the dense route to minimal presentations
 (a matrix per arrow, path images as vectors, the kernel of the cover by
 elimination) and the compatibility graph that asks every pair, which the
 package replaced by index maps and a support screen.
@@ -23,18 +25,25 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from accordion_tau.errors import InputError, InternalError, NotAccordionError
+from accordion_tau.errors import AccordionTauError, InputError, InternalError
 from accordion_tau.geometry import Dissection, PointCycle, cells
 from accordion_tau.complexes import ComplexVertex, LabeledComplex
 from accordion_tau.errors import AlgebraMismatchError
 from accordion_tau.linalg import RowSpace
-from accordion_tau.quiver import Path
-from accordion_tau.rigidity import Representation, TwoTermComplex, _top
+from accordion_tau.quiver import GentleQuiver, Path
+from accordion_tau.rigidity import (
+    Representation,
+    TwoTermComplex,
+    _top,
+    hom_shift,
+    silting_vertices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +406,18 @@ class NotCrossedError(InputError):
         super().__init__(msg)
 
 
+class NotAccordionError(AccordionTauError):
+    """A black diagonal that misses the two-consecutive-sides condition in some cell."""
+
+    def __init__(self, cell_vertices, crossed_sides):
+        self.cell_vertices = tuple(cell_vertices)
+        self.crossed_sides = tuple(crossed_sides)
+        super().__init__(
+            f"not an accordion diagonal: cell {self.cell_vertices} has crossed sides "
+            f"{list(self.crossed_sides)}"
+        )
+
+
 def is_boundary(cycle: PointCycle, chord: tuple[int, int]) -> bool:
     """Does the chord, given as points, join two neighbouring vertices?"""
     return dist(cycle, *chord) in (2, 2 * cycle.m - 2)
@@ -683,6 +704,61 @@ def path_hom_shift(x: TwoTermComplex, y: TwoTermComplex) -> int:
                 if hit:
                     trivial.add(vec)
     return len(coords) - trivial.rank
+
+
+# ---------------------------------------------------------------------------
+# direct sums, and the additivity of hom_shift under them
+
+
+def sum_representations(x: Representation, y: Representation) -> Representation:
+    """Block-diagonal direct sum, x's basis vectors first at every vertex."""
+    dims = [a + b for a, b in zip(x.dims, y.dims)]
+    action = [
+        xs + [-1 if t < 0 else t + x.dims[tgt] for t in ys]
+        for xs, ys, (_, tgt) in zip(x.action, y.action, x.shape[1])
+    ]
+    return Representation(x.shape, dims, action)
+
+
+def direct_sum(x: TwoTermComplex, y: TwoTermComplex) -> TwoTermComplex:
+    """x + y, x's summands first, with a block-diagonal differential."""
+    if x.basis is not y.basis:
+        raise AlgebraMismatchError()
+    diff = [
+        [dict(entry) for entry in row] + [dict() for _ in y.p1] for row in x.diff
+    ] + [
+        [dict() for _ in x.p1] + [dict(entry) for entry in row] for row in y.diff
+    ]
+    module = sum_representations(x.module, y.module)
+    return TwoTermComplex(x.basis, x.p1 + y.p1, x.p0 + y.p0, diff, module)
+
+
+# seeded (x, y, z) triples of silting vertices per additivity spot-check
+SPOTCHECK_ROUNDS = 12
+
+
+def additivity_spotcheck(q: GentleQuiver, seed: int) -> list[str]:
+    """hom_shift must be additive in both arguments under direct sums: one
+    message per failed side of SPOTCHECK_ROUNDS seeded (x, y, z) triples
+    of q's silting vertices."""
+    rng = random.Random(seed)
+    verts = silting_vertices(q)
+    if len(verts) < 2:
+        return []
+    failures = []
+    for _ in range(SPOTCHECK_ROUNDS):
+        x, y, z = (rng.choice(verts) for _ in range(3))
+        x_, y_, z_ = (sv.label(q.vertices, q.shape[3]) for sv in (x, y, z))
+        both = direct_sum(x.complex, y.complex)
+        lhs = hom_shift(both, z.complex)
+        rhs = hom_shift(x.complex, z.complex) + hom_shift(y.complex, z.complex)
+        if lhs != rhs:
+            failures.append(f"hom_shift({x_} + {y_}, {z_}) = {lhs}, parts sum {rhs}")
+        lhs = hom_shift(z.complex, both)
+        rhs = hom_shift(z.complex, x.complex) + hom_shift(z.complex, y.complex)
+        if lhs != rhs:
+            failures.append(f"hom_shift({z_}, {x_} + {y_}) = {lhs}, parts sum {rhs}")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from accordion_tau.errors import (
     AlgebraMismatchError,
     InternalError,
     LabelLengthMismatchError,
-    NotAccordionError,
+    NonPureComplexError,
     SizeLimitError,
 )
 from accordion_tau.geometry import all_dissections, validate_dissection
@@ -296,7 +296,7 @@ def test_an_impure_complex_exits_four_in_every_format(capsys, monkeypatch, comma
         LabelLengthMismatchError(),
         AlgebraMismatchError(),
         SizeLimitError(65, 64),
-        NotAccordionError((0, 1, 2), ["0-2"]),
+        NonPureComplexError("silting facet (0,) has size 1, expected 3"),
     ],
 )
 def test_other_package_errors_exit_four(capsys, monkeypatch, error):
@@ -433,9 +433,7 @@ def test_verify_exhaustive_rejects_instance_flags(capsys, flag):
         ("main", ["--sub-diagonals", "0-2"]),
         ("nested", ["--quiver", "q.json"]),
         ("nested", ["--j", "0-2"]),
-        ("nested", ["--seed", "3"]),
         ("idempotent", ["--sub-diagonals", "0-2"]),
-        ("idempotent", ["--seed", "3"]),
     ],
 )
 def test_verify_rejects_flags_its_theorem_does_not_read(capsys, theorem, flag):
@@ -443,39 +441,6 @@ def test_verify_rejects_flags_its_theorem_does_not_read(capsys, theorem, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: --theorem {theorem} takes no {flag[0]}\n"
-
-
-def test_verify_exhaustive_with_seed(capsys):
-    code, out, _ = run(capsys, ["verify", "--exhaustive", "4", "--seed", "5"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["spot_checks"]["failures"] == []
-    assert data["spot_checks"]["instances"] >= 1
-
-
-@pytest.mark.parametrize(
-    "argv, head",
-    [
-        ([*FAN], ["status: fail"]),
-        (["--exhaustive", "4"], ["status: fail", "  main: 2/2 passed"]),
-    ],
-    ids=["single", "exhaustive"],
-)
-def test_verify_text_names_each_failed_spot_check(capsys, monkeypatch, argv, head):
-    # a failed additivity check must show its witness, not only the status
-    def broken(q, seed):
-        return [f"hom_shift on {len(q.vertices)} vertices, seed {seed}, is not additive"]
-
-    monkeypatch.setattr(cli, "additivity_spotcheck", broken)
-    code, out, err = run(capsys, ["verify", *argv, "--seed", "5", "--format", "text"])
-    assert (code, err) == (1, "")
-    # the fan's quiver has 3 vertices; both 4-gon dissections' quivers have 1
-    sizes = [3] if argv == FAN else [1, 1]
-    failures = [f"hom_shift on {n} vertices, seed 5, is not additive" for n in sizes]
-    assert out.splitlines() == head + [f"  spot check: {msg}" for msg in failures]
-    code, out, _ = run(capsys, ["verify", *argv, "--seed", "5"])
-    assert code == 1
-    assert json.loads(out)["spot_checks"]["failures"] == failures
 
 
 def test_verify_all_needs_exhaustive(capsys):
@@ -503,6 +468,27 @@ def test_verify_text_format(capsys):
     assert code == 0
     assert out.startswith("status: pass")
     assert "main:" in out
+
+
+def test_verify_text_says_how_many_failures_it_leaves_out(capsys, monkeypatch):
+    # calling b0-b2 and b2-b4 crossing fails 19 of the 44 main instances at
+    # m=6; text shows the first 10 and counts the rest, while json lists all
+    flip_crossing(monkeypatch, {(0, 2), (2, 4)})
+    argv = ["verify", "--exhaustive", "6", "--theorem", "all"]
+    code, out, err = run(capsys, [*argv, "--format", "text"])
+    assert (code, err) == (1, "")
+    _, data, _ = run(capsys, argv)
+    failures = json.loads(data)["summaries"][0]["failures"]
+    assert len(failures) == 19
+    assert out.splitlines() == [
+        "status: fail",
+        "  main: 25/44 passed",
+        *(f"    {msg}" for msg in failures[:10]),
+        "    ... and 9 more",
+        "  nested: 170/170 passed",
+        "  idempotent: 170/170 passed",
+        "  consistency: 170/170 passed",
+    ]
 
 
 # -- shared flags and determinism --
@@ -787,7 +773,6 @@ FILES = st.sampled_from(
 FLAG_VALUES = {
     "--m": SMALL_INT,
     "--exhaustive": SMALL_INT,
-    "--seed": SMALL_INT,
     "--diagonals": DIAGONALS,
     "--sub-diagonals": DIAGONALS,
     "--j": st.sampled_from(["0-2", "0-2,0-3", "1,3", "1,1", "x", ""]),

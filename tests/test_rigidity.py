@@ -32,7 +32,6 @@ from accordion_tau.rigidity import (
     _first_met,
     _label_core,
     _top,
-    direct_sum,
     enumerate_strings,
     hom_shift,
     inverse_word,
@@ -45,8 +44,8 @@ from accordion_tau.rigidity import (
     transport_core,
     walk_vertices,
 )
-from accordion_tau.verify import additivity_spotcheck, verify_idempotent_reduction
-from oracles import proj_representation, projective_complex
+from accordion_tau.verify import verify_idempotent_reduction
+from oracles import additivity_spotcheck, direct_sum, proj_representation, projective_complex
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +273,21 @@ def test_hom_shift_rejects_mismatched_algebras(zigzag_algebra, fan_algebra):
     y = shifted_projective(b2, 0)
     with pytest.raises(AlgebraMismatchError):
         hom_shift(x, y)
-    with pytest.raises(AlgebraMismatchError):
-        direct_sum(x, y)
 
 
-def test_hom_shift_additive_under_direct_sums(zigzag_algebra, fan_algebra):
-    assert additivity_spotcheck(zigzag_algebra[0], seed=7) == []
-    assert additivity_spotcheck(fan_algebra[0], seed=11) == []
+def test_hom_shift_additive_under_direct_sums():
+    # seeded triples on the first quiver of every isomorphism class of
+    # dissection quivers with 4 <= m <= 7
+    from accordion_tau.geometry import all_dissections
+
+    firsts = {}
+    for m in range(4, 8):
+        for d in all_dissections(m):
+            q = quiver_of_dissection(d)
+            firsts.setdefault(canonical_form(q.shape)[0], q)
+    assert len(firsts) == 15
+    for seed, q in enumerate(firsts.values()):
+        assert additivity_spotcheck(q, seed) == [], q.vertices
 
 
 def test_hom_shift_matches_the_path_oracle_on_every_silting_pair():

@@ -32,10 +32,11 @@ def run_python(*argv):
 def test_importing_the_package_loads_no_dataclass_machinery():
     # every command is a fresh process: the package's records are
     # NamedTuples and plain classes, so importing it and its command line
-    # loads neither dataclasses nor the inspect module that it pulls in
+    # loads neither dataclasses nor the inspect module that it pulls in,
+    # and nothing in it draws random numbers
     code = (
         "import sys, accordion_tau, accordion_tau.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"
     )
     result = run_python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
@@ -80,6 +81,24 @@ def test_run_exhaustive_reports_a_package_error_in_one_line(monkeypatch, capsys,
     assert err == f"error: {theorem} m=4: accordion facet (0, 1) has size 2, expected 1\n"
 
 
+def test_run_exhaustive_says_how_many_messages_it_leaves_out(monkeypatch, capsys):
+    # calling b0-b2 and b2-b4 crossing fails 19 of the 44 main instances at
+    # m=6, and 19 accordion complexes fail their audit: each list shows 5
+    # and counts the rest
+    flip_crossing(monkeypatch, {(0, 2), (2, 4)})
+    argv = ["run_exhaustive.py", "--min-m", "6", "--max-m", "6", "--theorem", "main"]
+    monkeypatch.setattr(sys, "argv", [*argv, "--structural"])
+    main = runpy.run_path(str(ROOT / "scripts" / "run_exhaustive.py"))["main"]
+    assert main() == 1
+    out, err = capsys.readouterr()
+    assert err == "1 sweep(s) failed\n"
+    lines = out.splitlines()
+    assert lines[1].split()[:5] == ["main", "6", "25", "44", "88"]
+    assert [line.startswith("    ! ") for line in lines[2:]] == 2 * ([True] * 5 + [False])
+    assert lines[7] == lines[13] == "    ... and 14 more"
+    assert " accordion: " in lines[8]
+
+
 def test_run_exhaustive_rejects_sizes_above_the_theorem_ceiling():
     # main stops at m=10 whatever --max-m says, so an m=11 request has no sizes
     result = run_exhaustive("--min-m", "11", "--max-m", "11", "--theorem", "main")
@@ -100,7 +119,7 @@ def test_run_exhaustive_stops_nested_at_m9():
     "argv",
     [
         ["--exhaustive", "5", "--theorem", "all"],
-        ["--m", "6", "--diagonals", "0-2,0-3,0-4", "--seed", "3"],
+        ["--m", "6", "--diagonals", "0-2,0-3,0-4"],
     ],
     ids=["exhaustive", "single"],
 )
@@ -111,6 +130,32 @@ def test_verify_is_the_same_under_python_O(argv):
     assert plain.returncode == 0, plain.stderr
     assert '"status": "pass"' in plain.stdout
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_verify_has_no_seed_option():
+    result = run_python(
+        "-m", "accordion_tau", "verify", "--m", "6", "--diagonals", "0-2,0-3,0-4", "--seed", "3"
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--seed" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_commands_run_clean_in_python_dev_mode(tmp_path):
+    # -X dev shows resource and deprecation warnings, and -W error turns
+    # each into an error: none may fire
+    strict = ("-X", "dev", "-W", "error")
+    runs = [
+        ("-m", "accordion_tau", "verify", "--exhaustive", "5", "--theorem", "all",
+         "--out", str(tmp_path / "verify.json")),
+        ("-m", "accordion_tau", "silting", "--m", "6", "--diagonals", "0-2,0-3,0-4",
+         "--format", "dot", "--out", str(tmp_path / "silting.dot")),
+        (str(ROOT / "scripts" / "export_examples.py"), "--out-dir", str(tmp_path / "exports")),
+    ]
+    for argv in runs:
+        result = run_python(*strict, *argv)
+        assert (result.returncode, result.stderr) == (0, ""), argv
 
 
 def test_python_m_accordion_tau_runs_the_command_line():
